@@ -18,12 +18,21 @@ predicate :func:`check_twist_multiplicative`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
-from .rational import ONE, ZERO, rat
+from .rational import rat
 from .reports import DefectReport, Witness
-from .tensors import LinearMap, MulTensor, Vector, permute_triple, subgroup
+from .tensors import (
+    PERM_23,
+    LinearMap,
+    MulTensor,
+    Tensor3,
+    Vector,
+    contract,
+    phi_apply,
+    signed_leg_sum,
+    subgroup,
+)
 
 
 @dataclass(frozen=True)
@@ -78,59 +87,51 @@ def alpha_associator(algebra: HomAlgebra, x: Vector, y: Vector, z: Vector) -> Ve
     return left - right
 
 
-def _associator_table(algebra: HomAlgebra) -> dict[tuple[int, int, int], Vector]:
-    n = algebra.dim
-    alpha_cols = [algebra.alpha.column(i) for i in range(n)]
-    mul = algebra.mul
-    table = {}
-    for p, q, s in product(range(n), repeat=3):
-        left = mul.apply(mul.product_basis(p, q), alpha_cols[s])
-        right = mul.apply(alpha_cols[p], mul.product_basis(q, s))
-        table[(p, q, s)] = left - right
-    return table
+def _associator_parts(
+    mul: MulTensor, alpha: LinearMap
+) -> tuple[tuple[Tensor3, ...], tuple[Tensor3, ...]]:
+    """mu(mu(e_p (x) e_q) (x) alpha(e_s)) and mu(alpha(e_p) (x) mu(e_q (x) e_s)),
+    one cube [p][q][s] per output component k."""
+    left = contract("us,tuk,pqt->kpqs", alpha, mul, mul)
+    right = contract("up,utk,qst->kpqs", alpha, mul, mul)
+    return tuple(map(Tensor3, left)), tuple(map(Tensor3, right))
 
 
-def _vector_witnesses(
-    defects: dict[tuple[int, ...], Vector], label: str = ""
-) -> tuple[Witness, ...]:
-    out = []
-    for idx in sorted(defects):
-        vec = defects[idx]
-        for comp, value in enumerate(vec.coords):
-            if value != 0:
-                out.append(Witness(indices=idx + (comp,), value=value, label=label))
-    return tuple(out)
+def _associator_tensors(algebra: HomAlgebra) -> tuple[Tensor3, ...]:
+    left, right = _associator_parts(algebra.mul, algebra.alpha)
+    return tuple(a - b for a, b in zip(left, right))
+
+
+def _component_witnesses(tensors: Sequence[Tensor3]) -> tuple[Witness, ...]:
+    """Witnesses (p, q, s, k) of per-component defect cubes, in index order."""
+    entries = {idx + (k,): value
+               for k, tensor in enumerate(tensors) for idx, value in tensor.nonzero.items()}
+    return tuple(Witness(indices=idx, value=entries[idx]) for idx in sorted(entries))
 
 
 def check_hom_associative(algebra: HomAlgebra) -> DefectReport:
     """Report the basis triples where the alpha-associator is nonzero."""
-    table = _associator_table(algebra)
-    bad = {idx: v for idx, v in table.items() if not v.is_zero()}
-    return DefectReport("hom-associative", _vector_witnesses(bad))
+    return DefectReport("hom-associative", _component_witnesses(_associator_tensors(algebra)))
 
 
 def check_unital(algebra: HomAlgebra) -> bool | None:
     """True iff the declared unit is two-sided; None if no unit is declared."""
     if algebra.unit is None:
         return None
-    n = algebra.dim
-    u = algebra.unit
-    for j in range(n):
-        ej = Vector.basis(n, j)
-        if algebra.mul.apply(u, ej) != ej or algebra.mul.apply(ej, u) != ej:
-            return False
-    return True
+    u, mul = algebra.unit, algebra.mul
+    ident = LinearMap.identity(algebra.dim)
+    return LinearMap(contract("i,ijk->kj", u, mul)) == ident and \
+        LinearMap(contract("j,ijk->ki", u, mul)) == ident
+
+
+def _is_multiplicative(f: LinearMap, source: MulTensor, target: MulTensor) -> bool:
+    """f(x.y) = f(x).f(y) on basis pairs, with the source and target products."""
+    return contract("kt,ijt->ijk", f, source) == contract("ai,abk,bj->ijk", f, target, f)
 
 
 def check_twist_multiplicative(algebra: HomAlgebra) -> bool:
     """Strict reading of "homomorphism": alpha(x.y) = alpha(x).alpha(y)."""
-    n = algebra.dim
-    alpha, mul = algebra.alpha, algebra.mul
-    cols = [alpha.column(i) for i in range(n)]
-    for i, j in product(range(n), repeat=2):
-        if alpha.apply(mul.product_basis(i, j)) != mul.apply(cols[i], cols[j]):
-            return False
-    return True
+    return _is_multiplicative(algebra.alpha, algebra.mul, algebra.mul)
 
 
 def check_G_hom_associative(algebra: HomAlgebra, group: str) -> DefectReport:
@@ -140,67 +141,40 @@ def check_G_hom_associative(algebra: HomAlgebra, group: str) -> DefectReport:
     triples.  G1 reduces to plain Hom-associativity.
     """
     perms = subgroup(group)
-    table = _associator_table(algebra)
-    n = algebra.dim
-    bad: dict[tuple[int, ...], Vector] = {}
-    for triple in product(range(n), repeat=3):
-        acc = Vector.zero(n)
-        for sigma in perms:
-            term = table[permute_triple(sigma, triple)]
-            acc = acc + term if sigma.sign > 0 else acc - term
-        if not acc.is_zero():
-            bad[triple] = acc
-    return DefectReport(f"{group}-hom-associative", _vector_witnesses(bad))
+    defects = [signed_leg_sum(perms, t) for t in _associator_tensors(algebra)]
+    return DefectReport(f"{group}-hom-associative", _component_witnesses(defects))
 
 
 def commutator_bracket(algebra: HomAlgebra) -> HomBracket:
     """[x, y] = mu(x (x) y) - mu(y (x) x), with the twist carried over."""
-    n = algebra.dim
-    c = algebra.mul.c
-    bracket = MulTensor(
-        [[[c[i][j][k] - c[j][i][k] for k in range(n)] for j in range(n)]
-         for i in range(n)]
-    )
-    return HomBracket(bracket=bracket, alpha=algebra.alpha)
+    opposite = MulTensor(contract("jik->ijk", algebra.mul))
+    return HomBracket(bracket=algebra.mul - opposite, alpha=algebra.alpha)
 
 
 def check_skew(lie: HomBracket) -> bool:
-    n = lie.dim
-    b = lie.bracket.c
-    return all(
-        b[i][j][k] == -b[j][i][k]
-        for i, j, k in product(range(n), repeat=3)
-    )
+    return (lie.bracket + MulTensor(contract("jik->ijk", lie.bracket))).is_zero()
 
 
 def check_hom_jacobi(lie: HomBracket) -> DefectReport:
     """Cyclic sum [alpha(x), [y, z]] + [alpha(y), [z, x]] + [alpha(z), [x, y]] = 0."""
-    n = lie.dim
-    br, alpha = lie.bracket, lie.alpha
-    cols = [alpha.column(i) for i in range(n)]
-    bad: dict[tuple[int, ...], Vector] = {}
-    for x, y, z in product(range(n), repeat=3):
-        acc = Vector.zero(n)
-        for (a, b, c) in ((x, y, z), (y, z, x), (z, x, y)):
-            acc = acc + br.apply(cols[a], br.product_basis(b, c))
-        if not acc.is_zero():
-            bad[(x, y, z)] = acc
-    return DefectReport("hom-jacobi", _vector_witnesses(bad))
+    _, nested = _associator_parts(lie.bracket, lie.alpha)
+    # G5 = {id, (213), (231)}, all of sign +1: its signed sum is the cyclic sum
+    defects = [signed_leg_sum(subgroup("G5"), t) for t in nested]
+    return DefectReport("hom-jacobi", _component_witnesses(defects))
 
 
 def check_hom_leibniz(lie: HomBracket) -> DefectReport:
     """[[x, y], alpha(z)] = [[x, z], alpha(y)] + [alpha(x), [y, z]] on basis triples."""
-    n = lie.dim
-    br, alpha = lie.bracket, lie.alpha
-    cols = [alpha.column(i) for i in range(n)]
-    bad: dict[tuple[int, ...], Vector] = {}
-    for x, y, z in product(range(n), repeat=3):
-        lhs = br.apply(br.product_basis(x, y), cols[z])
-        rhs = br.apply(br.product_basis(x, z), cols[y]) + br.apply(cols[x], br.product_basis(y, z))
-        diff = lhs - rhs
-        if not diff.is_zero():
-            bad[(x, y, z)] = diff
-    return DefectReport("hom-leibniz", _vector_witnesses(bad))
+    outer, nested = _associator_parts(lie.bracket, lie.alpha)
+    defects = [a - phi_apply(PERM_23, a) - b for a, b in zip(outer, nested)]
+    return DefectReport("hom-leibniz", _component_witnesses(defects))
+
+
+def _merge_legs(t, pairs: int):
+    """Flatten each pair of consecutive legs (i1, i2) into one leg i1 * dim2 + i2."""
+    if pairs == 0:
+        return t
+    return [_merge_legs(inner, pairs - 1) for outer in t for inner in outer]
 
 
 def tensor_product(a1: HomAlgebra, a2: HomAlgebra) -> HomAlgebra:
@@ -210,40 +184,20 @@ def tensor_product(a1: HomAlgebra, a2: HomAlgebra) -> HomAlgebra:
     """
     if (a1.unit is None) != (a2.unit is None):
         raise ValueError("tensor product needs both algebras unital or both non-unital")
-    n1, n2 = a1.dim, a2.dim
-    n = n1 * n2
-    c1, c2 = a1.mul.c, a2.mul.c
-    cube = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i1, j1, k1 in product(range(n1), repeat=3):
-        v1 = c1[i1][j1][k1]
-        if v1 == 0:
-            continue
-        for i2, j2, k2 in product(range(n2), repeat=3):
-            v2 = c2[i2][j2][k2]
-            if v2 != 0:
-                cube[i1 * n2 + i2][j1 * n2 + j2][k1 * n2 + k2] = v1 * v2
-    alpha = LinearMap(
-        [[a1.alpha.entry(i1, j1) * a2.alpha.entry(i2, j2)
-          for j1 in range(n1) for j2 in range(n2)]
-         for i1 in range(n1) for i2 in range(n2)]
-    )
+    mul = MulTensor(_merge_legs(contract("ace,bdf->abcdef", a1.mul, a2.mul), 3))
+    alpha = LinearMap(_merge_legs(contract("ac,bd->abcd", a1.alpha, a2.alpha), 2))
     unit = None
     if a1.unit is not None and a2.unit is not None:
-        unit = Vector(
-            a1.unit[i1] * a2.unit[i2] for i1 in range(n1) for i2 in range(n2)
-        )
-    return HomAlgebra(mul=MulTensor(cube), alpha=alpha, unit=unit)
+        unit = Vector(_merge_legs(contract("a,b->ab", a1.unit, a2.unit), 1))
+    return HomAlgebra(mul=mul, alpha=alpha, unit=unit)
 
 
 def check_algebra_morphism(f: LinearMap, source: HomAlgebra, target: HomAlgebra) -> bool:
     """mu' o (f (x) f) = f o mu, f o alpha = alpha' o f, and f(eta) = eta'."""
     if f.dim != source.dim or source.dim != target.dim:
         raise ValueError("dimension mismatch in morphism check")
-    n = source.dim
-    cols = [f.column(i) for i in range(n)]
-    for i, j in product(range(n), repeat=2):
-        if target.mul.apply(cols[i], cols[j]) != f.apply(source.mul.product_basis(i, j)):
-            return False
+    if not _is_multiplicative(f, source.mul, target.mul):
+        return False
     if f.compose(source.alpha) != target.alpha.compose(f):
         return False
     if source.unit is not None and target.unit is not None:
@@ -273,26 +227,6 @@ def check_module(
     if f.dim != m_dim:
         raise ValueError("f must act on the module")
 
-    def act_vec(v: Vector, m_coords: Sequence) -> list:
-        out = [ZERO] * m_dim
-        for i in range(n):
-            if v[i] == 0:
-                continue
-            for m in range(m_dim):
-                q = v[i] * m_coords[m]
-                if q == 0:
-                    continue
-                for p in range(m_dim):
-                    if act[i][m][p] != 0:
-                        out[p] += q * act[i][m][p]
-        return out
-
-    for v1, v2 in product(range(n), repeat=2):
-        for m in range(m_dim):
-            um = [ONE if t == m else ZERO for t in range(m_dim)]
-            lhs = act_vec(algebra.mul.product_basis(v1, v2), f.apply(Vector(um)).coords)
-            inner = act_vec(Vector.basis(n, v2), um)
-            rhs = act_vec(algebra.alpha.column(v1), inner)
-            if lhs != rhs:
-                return False
-    return True
+    lhs = contract("rm,trp,xyt->xymp", f, act, algebra.mul)
+    rhs = contract("ax,arp,ymr->xymp", algebra.alpha, act, act)
+    return lhs == rhs

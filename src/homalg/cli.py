@@ -371,6 +371,22 @@ def _cmd_examples(args) -> int:
     return 0
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``; anything else is
+    a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homalg",
@@ -401,13 +417,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convolution-test",
                        help="verify twisted associativity of the convolution product")
     p.add_argument("file")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_int_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("identities",
                        help="run the universal identity suites on random structures")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--dim", type=_int_at_least(1), default=2)
+    p.add_argument("--samples", type=_int_at_least(0), default=200)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("search-extension",

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rational import ONE, ZERO, rat
+from .rational import rat
 from .reports import DefectReport, Witness
 from .tensors import (
     ComulTensor,
@@ -43,7 +43,9 @@ from .tensors import (
     Tensor2,
     Tensor3,
     Vector,
+    contract,
     phi_apply,
+    signed_leg_sum,
     subgroup,
 )
 
@@ -93,57 +95,14 @@ def expand_outer_beta(
     inner: ComulTensor, outer: ComulTensor, beta: LinearMap
 ) -> tuple[Tensor3, ...]:
     """(outer (x) beta) o inner, one order-3 tensor per basis vector."""
-    n = inner.dim
-    bm = beta.entries
-    out = []
-    for k in range(n):
-        cube = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                c = inner.d[k][a][b]
-                if c == 0:
-                    continue
-                plane = outer.d[a]
-                for i in range(n):
-                    for j in range(n):
-                        q = c * plane[i][j]
-                        if q == 0:
-                            continue
-                        row = cube[i][j]
-                        for l in range(n):
-                            if bm[l][b] != 0:
-                                row[l] += q * bm[l][b]
-        out.append(Tensor3(cube))
-    return tuple(out)
+    return tuple(Tensor3(t) for t in contract("lb,kab,aij->kijl", beta, inner, outer))
 
 
 def expand_beta_outer(
     inner: ComulTensor, outer: ComulTensor, beta: LinearMap
 ) -> tuple[Tensor3, ...]:
     """(beta (x) outer) o inner, one order-3 tensor per basis vector."""
-    n = inner.dim
-    bm = beta.entries
-    out = []
-    for k in range(n):
-        cube = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                c = inner.d[k][a][b]
-                if c == 0:
-                    continue
-                plane = outer.d[b]
-                for i in range(n):
-                    if bm[i][a] == 0:
-                        continue
-                    q = c * bm[i][a]
-                    for j in range(n):
-                        row = cube[i][j]
-                        prow = plane[j]
-                        for l in range(n):
-                            if prow[l] != 0:
-                                row[l] += q * prow[l]
-        out.append(Tensor3(cube))
-    return tuple(out)
+    return tuple(Tensor3(t) for t in contract("ia,kab,bjl->kijl", beta, inner, outer))
 
 
 def coassociator_tensors(comul: ComulTensor, beta: LinearMap) -> tuple[Tensor3, ...]:
@@ -159,37 +118,37 @@ def beta_coassociator(coalgebra: HomCoalgebra) -> tuple[Tensor3, ...]:
 
 
 def _tensor_witnesses(
-    defects: Sequence[tuple[int, Tensor3]], label: str = ""
+    tensors: Sequence[Tensor3], label: str = ""
 ) -> tuple[Witness, ...]:
-    out = []
-    for k, tensor in defects:
-        for (i, j, l), value in tensor.nonzero_entries():
-            out.append(Witness(indices=(k, i, j, l), value=value, label=label))
-    return tuple(out)
+    """Witnesses (k, i, j, l) of per-basis-vector defect cubes, in index order."""
+    return tuple(
+        Witness(indices=(k,) + idx, value=value, label=label)
+        for k, tensor in enumerate(tensors)
+        for idx, value in tensor.nonzero_entries()
+    )
 
 
 def check_hom_coassociative(coalgebra: HomCoalgebra) -> DefectReport:
     """(C1): the beta-coassociator vanishes on every basis vector."""
-    defects = [
-        (k, t) for k, t in enumerate(beta_coassociator(coalgebra)) if not t.is_zero()
-    ]
-    return DefectReport("hom-coassociative", _tensor_witnesses(defects))
+    return DefectReport("hom-coassociative", _tensor_witnesses(beta_coassociator(coalgebra)))
+
+
+def counit_defects(coalgebra: HomCoalgebra) -> tuple[LinearMap, LinearMap]:
+    """(id (x) eps) o Delta - id and (eps (x) id) o Delta - id, as matrices.
+
+    The coalgebra must have a counit.
+    """
+    d, eps = coalgebra.comul, coalgebra.counit
+    ident = LinearMap.identity(coalgebra.dim)
+    return (LinearMap(contract("kij,j->ik", d, eps)) - ident,
+            LinearMap(contract("kij,i->jk", d, eps)) - ident)
 
 
 def check_counital(coalgebra: HomCoalgebra) -> bool | None:
     """(C2): (id (x) eps) o Delta = id = (eps (x) id) o Delta; None if no counit."""
     if coalgebra.counit is None:
         return None
-    n = coalgebra.dim
-    eps = coalgebra.counit
-    d = coalgebra.comul.d
-    for k in range(n):
-        right = [sum((d[k][i][j] * eps[j] for j in range(n)), ZERO) for i in range(n)]
-        left = [sum((d[k][i][j] * eps[i] for i in range(n)), ZERO) for j in range(n)]
-        want = [ONE if t == k else ZERO for t in range(n)]
-        if right != want or left != want:
-            return False
-    return True
+    return all(m.is_zero() for m in counit_defects(coalgebra))
 
 
 def check_G_hom_coalgebra(coalgebra: HomCoalgebra, group: str) -> DefectReport:
@@ -199,16 +158,7 @@ def check_G_hom_coalgebra(coalgebra: HomCoalgebra, group: str) -> DefectReport:
     variant, G6 Hom-Lie admissibility.
     """
     perms = subgroup(group)
-    c = beta_coassociator(coalgebra)
-    n = coalgebra.dim
-    defects = []
-    for k in range(n):
-        acc = Tensor3.zero(n)
-        for sigma in perms:
-            term = phi_apply(sigma, c[k])
-            acc = acc + term if sigma.sign > 0 else acc - term
-        if not acc.is_zero():
-            defects.append((k, acc))
+    defects = [signed_leg_sum(perms, t) for t in beta_coassociator(coalgebra)]
     return DefectReport(f"{group}-hom-coalgebra", _tensor_witnesses(defects))
 
 
@@ -220,23 +170,13 @@ def admissibility_defects(
     These always satisfy cyclic = 2 * alternating, which the test suite pins
     as a universal identity.
     """
-    n = coalgebra.dim
     c_L = coassociator_tensors(
         coalgebra.comul - coalgebra.comul.op(), coalgebra.beta
     )
-    cyclic = tuple(
-        c_L[k] + phi_apply(PERM_213, c_L[k]) + phi_apply(PERM_231, c_L[k])
-        for k in range(n)
-    )
-    c = beta_coassociator(coalgebra)
-    alternating = []
-    for k in range(n):
-        acc = Tensor3.zero(n)
-        for sigma in S3:
-            term = phi_apply(sigma, c[k])
-            acc = acc + term if sigma.sign > 0 else acc - term
-        alternating.append(acc)
-    return cyclic, tuple(alternating)
+    # G5 = {id, (213), (231)}, all of sign +1: its signed sum is the cyclic sum
+    cyclic = tuple(signed_leg_sum(subgroup("G5"), t) for t in c_L)
+    alternating = tuple(signed_leg_sum(S3, t) for t in beta_coassociator(coalgebra))
+    return cyclic, alternating
 
 
 @dataclass(frozen=True)
@@ -257,12 +197,10 @@ class AdmissibilityReport:
 
 def check_hom_lie_admissible(coalgebra: HomCoalgebra) -> AdmissibilityReport:
     cyclic, alternating = admissibility_defects(coalgebra)
-    cyc = [(k, t) for k, t in enumerate(cyclic) if not t.is_zero()]
-    alt = [(k, t) for k, t in enumerate(alternating) if not t.is_zero()]
     return AdmissibilityReport(
-        cyclic=DefectReport("hom-lie-admissible (cyclic)", _tensor_witnesses(cyc)),
+        cyclic=DefectReport("hom-lie-admissible (cyclic)", _tensor_witnesses(cyclic)),
         alternating=DefectReport(
-            "hom-lie-admissible (alternating)", _tensor_witnesses(alt)
+            "hom-lie-admissible (alternating)", _tensor_witnesses(alternating)
         ),
     )
 
@@ -363,37 +301,16 @@ def check_comodule(
         raise ValueError("coaction tensor must have shape m_dim x m_dim x dim")
     if g.dim != m_dim:
         raise ValueError("g must act on the comodule")
-    d = coalgebra.comul.d
-    bm = coalgebra.beta.entries
-    for m in range(m_dim):
-        # both sides live in M (x) V (x) V, indexed [p][i][j]
-        lhs = [[[ZERO] * n for _ in range(n)] for _ in range(m_dim)]
-        rhs = [[[ZERO] * n for _ in range(n)] for _ in range(m_dim)]
-        for q in range(m_dim):
-            for i in range(n):
-                c = coact[m][q][i]
-                if c == 0:
-                    continue
-                for p in range(m_dim):
-                    for j in range(n):
-                        if coact[q][p][j] == 0:
-                            continue
-                        w = c * coact[q][p][j]
-                        for l in range(n):
-                            if bm[l][i] != 0:
-                                lhs[p][j][l] += w * bm[l][i]
-                for p in range(m_dim):
-                    gv = g.entries[p][q]
-                    if gv == 0:
-                        continue
-                    w = c * gv
-                    for j in range(n):
-                        for l in range(n):
-                            if d[i][j][l] != 0:
-                                rhs[p][j][l] += w * d[i][j][l]
-        if lhs != rhs:
-            return False
-    return True
+    # both sides live in M (x) V (x) V, indexed [m][p][j][l]
+    lhs = contract("li,mqi,qpj->mpjl", coalgebra.beta, coact, coact)
+    rhs = contract("pq,mqi,ijl->mpjl", g, coact, coalgebra.comul)
+    return lhs == rhs
+
+
+def comul_morphism_defect(f: LinearMap, source: ComulTensor, target: ComulTensor) -> ComulTensor:
+    """Delta' o f - (f (x) f) o Delta, one plane per basis vector."""
+    return ComulTensor(contract("tk,tij->kij", f, target)) \
+        - ComulTensor(contract("ia,kab,jb->kij", f, source, f))
 
 
 def check_coalgebra_morphism(
@@ -402,25 +319,13 @@ def check_coalgebra_morphism(
     """(f (x) f) o Delta = Delta' o f, eps = eps' o f, f o beta = beta' o f."""
     if f.dim != source.dim or source.dim != target.dim:
         raise ValueError("dimension mismatch in morphism check")
-    n = source.dim
-    for k in range(n):
-        img = source.comul.image(k)
-        mapped = Tensor2(
-            [[sum((f.entries[i][a] * img.entry(a, b) * f.entries[j][b]
-                   for a in range(n) for b in range(n)), ZERO)
-              for j in range(n)] for i in range(n)]
-        )
-        if mapped != target.comul.apply(f.column(k)):
-            return False
+    if not comul_morphism_defect(f, source.comul, target.comul).is_zero():
+        return False
     if f.compose(source.beta) != target.beta.compose(f):
         return False
     if source.counit is not None and target.counit is not None:
-        for k in range(n):
-            pulled = sum(
-                (target.counit[i] * f.entries[i][k] for i in range(n)), ZERO
-            )
-            if pulled != source.counit[k]:
-                return False
+        if Vector(contract("i,ik->k", target.counit, f)) != source.counit:
+            return False
     elif (source.counit is None) != (target.counit is None):
         return False
     return True

@@ -80,35 +80,52 @@ class Poly:
         return cls(variables, {mono: ONE})
 
     # -- ring operations ---------------------------------------------------
-    def _check(self, other: "Poly") -> None:
+    # An int or Fraction operand acts as a constant polynomial, so polynomial
+    # and rational entries can share one tensor.
+    def _operand(self, other) -> "Poly":
+        if not isinstance(other, Poly):
+            return Poly.const(self.variables, other)
         if self.variables != other.variables:
             raise ValueError("polynomials over different variable lists")
+        return other
 
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
+    def __add__(self, other) -> "Poly":
+        other = self._operand(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, ZERO) + c
         return Poly(self.variables, terms)
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Poly":
+        other = self._operand(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, ZERO) - c
         return Poly(self.variables, terms)
 
+    def __rsub__(self, other) -> "Poly":
+        return self._operand(other) - self
+
     def __neg__(self) -> "Poly":
         return Poly(self.variables, {m: -c for m, c in self.terms.items()})
 
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._check(other)
+    def __mul__(self, other) -> "Poly":
+        if not isinstance(other, Poly):
+            return self.scale(other)
+        other = self._operand(other)
         terms: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
                 terms[m] = terms.get(m, ZERO) + c1 * c2
         return Poly(self.variables, terms)
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def scale(self, coeff, mono: Monomial | None = None) -> "Poly":
         c0 = rat(coeff)
@@ -565,119 +582,37 @@ def bialgebra_extension_system(algebra, strict_alpha: bool = False) -> tuple[Pol
     carry a weak-compatible counital comultiplication.
 
     Unknowns: Delta(e2) = sum x_ij e_i (x) e_j and eps(e2) = y; Delta(e1) =
-    e1 (x) e1 and eps(e1) = 1 are forced.  ``strict_alpha`` adds the
-    alpha-compatibility conditions of the strict reading, using the
-    algebra's own twist.
+    e1 (x) e1 and eps(e1) = 1 are forced.  The generators are the checkers'
+    own defect entries on the bialgebra with those polynomial entries: the
+    weak-compatibility witnesses, then the two-sided counit law per basis
+    vector and component, then, with ``strict_alpha``, the alpha
+    compatibilities of the strict reading (using the algebra's own twist).
+    Repeats are dropped; the first occurrence keeps its place.
     """
+    # imported here because tensors imports this module for Poly
+    from .bialgebra import HomBialgebra, alpha_witnesses, weak_witnesses
+    from .coalgebra import HomCoalgebra, counit_defects
+    from .tensors import ComulTensor, LinearMap, Vector
+
     if algebra.dim != 2:
         raise ValueError("extension search is specified for dimension 2")
-    if algebra.unit is None or algebra.unit != _e1(algebra.dim):
+    if algebra.unit is None or algebra.unit != Vector.basis(2, 0):
         raise ValueError("extension search requires the unit to be e1")
     V = EXTENSION_VARIABLES
-    x = {(i, j): Poly.var(V, f"x{i + 1}{j + 1}") for i in range(2) for j in range(2)}
-    y = Poly.var(V, "y")
-    one = Poly.const(V, 1)
-    zero = Poly.zero(V)
-    c = algebra.mul.c
+    one, zero = Poly.const(V, 1), Poly.zero(V)
+    delta = ComulTensor([
+        [[one, zero], [zero, zero]],
+        [[Poly.var(V, f"x{i}{j}") for j in (1, 2)] for i in (1, 2)],
+    ])
+    eps = Vector([one, Poly.var(V, "y")])
+    bialgebra = HomBialgebra(algebra, HomCoalgebra(delta, LinearMap.identity(2), eps))
 
-    # Delta on basis vectors, entries polynomial in the unknowns
-    delta = {
-        0: {(0, 0): one, (0, 1): zero, (1, 0): zero, (1, 1): zero},
-        1: {(i, j): x[(i, j)] for i in range(2) for j in range(2)},
-    }
-    eps = {0: one, 1: y}
-
-    gens: list[Poly] = []
-    for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        # Delta(mu(e_p (x) e_q)) - Delta(e_p) * Delta(e_q), entrywise
-        lhs = {(i, j): zero for i in range(2) for j in range(2)}
-        for k in range(2):
-            w = c[p][q][k]
-            if w != 0:
-                for key, val in delta[k].items():
-                    lhs[key] = lhs[key] + val.scale(w)
-        rhs = {(i, j): zero for i in range(2) for j in range(2)}
-        for a, b in product_pairs():
-            for e, f in product_pairs():
-                term = delta[p][(a, b)] * delta[q][(e, f)]
-                if term.is_zero():
-                    continue
-                for i in range(2):
-                    if c[a][e][i] == 0:
-                        continue
-                    for j in range(2):
-                        w = c[a][e][i] * c[b][f][j]
-                        if w != 0:
-                            rhs[(i, j)] = rhs[(i, j)] + term.scale(w)
-        for key in lhs:
-            diff = lhs[key] - rhs[key]
-            if not diff.is_zero():
-                gens.append(diff)
-        # eps(mu(e_p (x) e_q)) - eps(e_p) eps(e_q)
-        eps_lhs = zero
-        for k in range(2):
-            if c[p][q][k] != 0:
-                eps_lhs = eps_lhs + eps[k].scale(c[p][q][k])
-        diff = eps_lhs - eps[p] * eps[q]
-        if not diff.is_zero():
-            gens.append(diff)
-
-    # counit law (C2) on both sides, per basis vector and component
-    for k in range(2):
-        for i in range(2):
-            right = zero
-            left = zero
-            for j in range(2):
-                right = right + delta[k][(i, j)] * eps[j]
-                left = left + delta[k][(j, i)] * eps[j]
-            want = one if i == k else zero
-            for expr in (right - want, left - want):
-                if not expr.is_zero():
-                    gens.append(expr)
-
+    values = [w.value for w in weak_witnesses(bialgebra)]
+    right, left = counit_defects(bialgebra.coalgebra)
+    values += [m.entry(i, k) for k in range(2) for i in range(2) for m in (right, left)]
     if strict_alpha:
-        al = algebra.alpha.entries
-        for k in range(2):
-            # Delta(alpha(e_k)) = (alpha (x) alpha) Delta(e_k)
-            lhs = {(i, j): zero for i in range(2) for j in range(2)}
-            for t in range(2):
-                if al[t][k] != 0:
-                    for key, val in delta[t].items():
-                        lhs[key] = lhs[key] + val.scale(al[t][k])
-            for i, j in product_pairs():
-                rhs = zero
-                for a, b in product_pairs():
-                    w = al[i][a] * al[j][b]
-                    if w != 0:
-                        rhs = rhs + delta[k][(a, b)].scale(w)
-                diff = lhs[(i, j)] - rhs
-                if not diff.is_zero():
-                    gens.append(diff)
-            # eps(alpha(e_k)) = eps(e_k)
-            expr = zero
-            for t in range(2):
-                if al[t][k] != 0:
-                    expr = expr + eps[t].scale(al[t][k])
-            diff = expr - eps[k]
-            if not diff.is_zero():
-                gens.append(diff)
-
-    # deduplicate while preserving order
-    unique: list[Poly] = []
-    for g in gens:
-        if g not in unique:
-            unique.append(g)
-    return tuple(unique)
-
-
-def product_pairs():
-    return ((a, b) for a in range(2) for b in range(2))
-
-
-def _e1(dim: int):
-    from .tensors import Vector
-
-    return Vector.basis(dim, 0)
+        values += [w.value for w in alpha_witnesses(bialgebra)]
+    return tuple(dict.fromkeys(v for v in values if v))
 
 
 def search_bialgebra_extension(

@@ -79,6 +79,8 @@ def parse_structure_file(text: str) -> tuple[Structure, dict[str, Fraction]]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
 

@@ -176,3 +176,23 @@ def test_G_suites(files):
 def test_lie_admissible_suite(files):
     assert cli_main(["check", files["bialgebra-2.json"],
                      "--suite", "lie-admissible"]) == 0
+
+
+def test_identities_dim_zero_is_usage_error(capsys):
+    assert cli_main(["identities", "--dim", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--dim" in captured.err
+
+
+def test_convolution_test_negative_samples_is_usage_error(files, capsys):
+    assert cli_main(["convolution-test", files["bialgebra-2.json"],
+                     "--samples", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--samples" in captured.err
+
+
+def test_check_deeply_nested_json_is_parse_error(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 10000 + "]" * 10000)
+    assert cli_main(["check", str(p)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err

@@ -243,3 +243,16 @@ def test_extension_requires_dim2_and_unit_e1():
 
 def test_extension_variable_order_is_canonical():
     assert EXTENSION_VARIABLES == ("x11", "x12", "x21", "x22", "y")
+
+
+def test_poly_scalar_product_and_truthiness():
+    x = Poly.var(XY, "x")
+    assert 3 * x == x * 3 == x.scale(3)
+    assert Fraction(1, 2) * x == x * Fraction(1, 2) == x.scale(Fraction(1, 2))
+    assert 0 * x == Poly.zero(XY)
+    assert x and Poly.const(XY, 2)
+    assert not Poly.zero(XY) and not (x - x)
+    # a rational operand of + and - acts as a constant polynomial
+    one = Poly.const(XY, 1)
+    assert x + 1 == 1 + x == x + one
+    assert 1 - x == one - x and x - Fraction(1) == x - one
