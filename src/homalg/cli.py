@@ -2,13 +2,15 @@
 
 Exit codes: 0 all checks passed / command succeeded, 1 a check failed (or no
 antipode exists), 2 parse or usage error, 3 inconclusive (the polynomial
-solver hit a cap).  Output ordering is deterministic (witnesses are listed
-in basis-index lexicographic order).
+solver hit a cap), 141 stdout closed before the output was written (128 +
+SIGPIPE, as for a process the signal ended; no traceback).  Output ordering
+is deterministic (witnesses are listed in basis-index lexicographic order).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from fractions import Fraction
@@ -471,7 +473,16 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    try:
+        code = cli_main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`homalg examples | head`): send what is
+        # still buffered to devnull so the exit flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -21,12 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from heapq import heappop, heappush
+from itertools import combinations, count
+from math import gcd, lcm
+from operator import add, le, sub
 from typing import Callable, Mapping, Sequence
 
 from .rational import ONE, ZERO, rat
 
 Monomial = tuple[int, ...]
+Terms = dict[Monomial, Fraction]
 
 
 def grevlex_key(m: Monomial):
@@ -66,6 +70,16 @@ class Poly:
 
     # -- constructors ------------------------------------------------------
     @classmethod
+    def _raw(cls, variables: tuple[str, ...], terms: dict[Monomial, Fraction]) -> "Poly":
+        """Wrap terms that this module's arithmetic produced: Fraction
+        coefficients on monomials of the right arity.  Zero coefficients are
+        dropped; nothing else is checked or converted."""
+        poly = cls.__new__(cls)
+        poly.variables = variables
+        poly.terms = {m: c for m, c in terms.items() if c}
+        return poly
+
+    @classmethod
     def zero(cls, variables: Sequence[str]) -> "Poly":
         return cls(variables, {})
 
@@ -94,7 +108,7 @@ class Poly:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, ZERO) + c
-        return Poly(self.variables, terms)
+        return Poly._raw(self.variables, terms)
 
     __radd__ = __add__
 
@@ -103,13 +117,13 @@ class Poly:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, ZERO) - c
-        return Poly(self.variables, terms)
+        return Poly._raw(self.variables, terms)
 
     def __rsub__(self, other) -> "Poly":
         return self._operand(other) - self
 
     def __neg__(self) -> "Poly":
-        return Poly(self.variables, {m: -c for m, c in self.terms.items()})
+        return Poly._raw(self.variables, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
@@ -118,9 +132,9 @@ class Poly:
         terms: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = _mono_mul(m1, m2)
                 terms[m] = terms.get(m, ZERO) + c1 * c2
-        return Poly(self.variables, terms)
+        return Poly._raw(self.variables, terms)
 
     __rmul__ = __mul__
 
@@ -131,11 +145,11 @@ class Poly:
         c0 = rat(coeff)
         if c0 == 0:
             return Poly.zero(self.variables)
-        shift = mono or (0,) * len(self.variables)
-        return Poly(
-            self.variables,
-            {tuple(a + b for a, b in zip(m, shift)): c0 * c for m, c in self.terms.items()},
-        )
+        if mono:
+            terms = {_mono_mul(m, mono): c0 * c for m, c in self.terms.items()}
+        else:
+            terms = {m: c0 * c for m, c in self.terms.items()}
+        return Poly._raw(self.variables, terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.variables == other.variables \
@@ -224,72 +238,102 @@ class Poly:
     __repr__ = __str__
 
 
+def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(map(add, a, b))
+
+
 def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return not any(map(min, a, b))
 
 
-@dataclass
 class _Tracked:
-    """A polynomial with cofactors over the original generator list."""
+    """A nonzero polynomial with cofactors over the original generator list.
 
-    poly: Poly
-    cofactors: list[Poly]
+    Its leading monomial ``lm`` and coefficient ``lc`` under the run's order
+    are computed once: entries are never changed after they are built.
+    """
 
-    def combo(self, coeff: Fraction, mono: Monomial, other: "_Tracked") -> "_Tracked":
-        """self - coeff * x^mono * other, cofactors updated in lockstep."""
-        poly = self.poly - other.poly.scale(coeff, mono)
-        cof = [a - b.scale(coeff, mono) for a, b in zip(self.cofactors, other.cofactors)]
-        return _Tracked(poly, cof)
+    __slots__ = ("poly", "cofactors", "lm", "lc")
 
-    def rescale(self, coeff: Fraction) -> "_Tracked":
-        return _Tracked(self.poly.scale(coeff), [c.scale(coeff) for c in self.cofactors])
+    def __init__(self, poly: Poly, cofactors: list[Poly], order: str):
+        self.poly = poly
+        self.cofactors = cofactors
+        self.lm = poly.leading_monomial(order)
+        self.lc = poly.terms[self.lm]
 
 
-def _reduce(f: _Tracked, basis: Sequence[_Tracked], order: str) -> _Tracked:
-    """Full multivariate division of f by the basis; returns the remainder
-    (cofactors kept consistent: remainder = original combination)."""
-    key = ORDER_KEYS[order]
-    work = f
-    remainder_terms: dict[Monomial, Fraction] = {}
-    while not work.poly.is_zero():
-        lm = work.poly.leading_monomial(order)
-        lc = work.poly.terms[lm]
-        for g in basis:
-            glm = g.poly.leading_monomial(order)
-            if _mono_divides(glm, lm):
-                ratio = lc / g.poly.terms[glm]
-                work = work.combo(ratio, _mono_div(lm, glm), g)
+def _reduce(
+    terms: Mapping[Monomial, Fraction],
+    basis: Sequence[_Tracked],
+    key: Callable[[Monomial], object],
+) -> tuple[Terms, dict[int, Terms]]:
+    """Full multivariate division of the polynomial with these terms by the
+    basis; each step divides the leading term by the first basis element
+    whose leading monomial divides it.
+
+    Returns the remainder's terms and, per basis index used, the negated
+    quotient: remainder = terms + sum_k quotients[k] * basis[k].
+    """
+    work = dict(terms)
+    remainder: Terms = {}
+    quotients: dict[int, Terms] = {}
+    while work:
+        lm = max(work, key=key)
+        lc = work[lm]
+        for k, g in enumerate(basis):
+            if _mono_divides(g.lm, lm):
+                shift = _mono_div(lm, g.lm)
+                ratio = lc / g.lc
+                # the leading monomial falls at every step, so shifts never repeat
+                quotients.setdefault(k, {})[shift] = -ratio
+                for m, c in g.poly.terms.items():
+                    m = _mono_mul(m, shift)
+                    v = work.get(m, ZERO) - ratio * c
+                    if v:
+                        work[m] = v
+                    else:
+                        del work[m]
                 break
         else:
-            remainder_terms[lm] = lc
-            head = Poly(work.poly.variables, {lm: lc})
-            work = _Tracked(work.poly - head, work.cofactors)
-    rem = Poly(f.poly.variables, remainder_terms)
-    return _Tracked(rem, work.cofactors)
+            remainder[lm] = work.pop(lm)
+    return remainder, quotients
+
+
+def _cofactors(
+    combination: Sequence[tuple[Terms, _Tracked]], variables: tuple[str, ...], ngens: int
+) -> list[Poly]:
+    """Cofactors over the generators of sum_t multiplier * t, for the
+    (multiplier terms, t) pairs of the combination."""
+    pairs = [(Poly._raw(variables, mult), t) for mult, t in combination]
+    return [sum((m * t.cofactors[idx] for m, t in pairs), Poly.zero(variables))
+            for idx in range(ngens)]
 
 
 @dataclass(frozen=True)
 class GroebnerResult:
     """status "ok" or "capped"; on "ok" the basis is reduced and each entry
-    carries cofactors over the input generators."""
+    carries cofactors over the input generators.  On "capped", ``cap`` names
+    the cap that tripped and the value reached: ("pair_cap", pairs
+    processed) or ("degree_cap", degree of the remainder that exceeded it)."""
 
     status: str
     basis: tuple[Poly, ...]
     cofactors: tuple[tuple[Poly, ...], ...]
     order: str
     pairs_processed: int
+    cap: tuple[str, int] | None = None
 
     @property
     def inconsistent(self) -> bool:
@@ -312,7 +356,14 @@ def buchberger(
     degree_cap: int = 6,
     pair_cap: int = 10000,
 ) -> GroebnerResult:
-    """Buchberger's algorithm with degree/pair caps and cofactor tracking."""
+    """Buchberger's algorithm with degree/pair caps and cofactor tracking.
+
+    Pairs are selected by the normal strategy: the pending pair whose
+    leading monomials have the lcm of lowest total degree comes next, and
+    among pairs of equal degree the one queued most recently.  Every
+    selected pair counts toward ``pair_cap``, including pairs skipped by
+    the coprime-leading-monomial criterion.
+    """
     if order not in ORDER_KEYS:
         raise ValueError(f"unknown monomial order {order!r}")
     gens = list(generators)
@@ -324,73 +375,80 @@ def buchberger(
     for g in gens:
         if g.variables != variables:
             raise ValueError("generators over different variable lists")
+    key = ORDER_KEYS[order]
+    ngens = len(gens)
 
     basis: list[_Tracked] = []
     for idx, g in enumerate(gens):
-        cof = [Poly.const(variables, 1 if i == idx else 0) for i in range(len(gens))]
+        cof = [Poly.const(variables, 1 if i == idx else 0) for i in range(ngens)]
         if not g.is_zero():
-            basis.append(_Tracked(g, cof))
+            basis.append(_Tracked(g, cof, order))
     if not basis:
         return GroebnerResult("ok", (), (), order, 0)
 
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    # (lcm degree, -queue position, i, j): a pair's key never goes stale,
+    # since basis entries never change
+    queue: list[tuple[int, int, int, int]] = []
+    tick = count()
+
+    def push(i: int, j: int) -> None:
+        degree = sum(_mono_lcm(basis[i].lm, basis[j].lm))
+        heappush(queue, (degree, -next(tick), i, j))
+
+    for i, j in combinations(range(len(basis)), 2):
+        push(i, j)
     processed = 0
-    while pairs:
-        pairs.sort(
-            key=lambda ij: sum(_mono_lcm(
-                basis[ij[0]].poly.leading_monomial(order),
-                basis[ij[1]].poly.leading_monomial(order))),
-            reverse=True,
-        )
-        i, j = pairs.pop()
+    while queue:
+        _, _, i, j = heappop(queue)
         processed += 1
         if processed > pair_cap:
-            return GroebnerResult("capped", (), (), order, processed)
+            return GroebnerResult("capped", (), (), order, processed, ("pair_cap", processed))
         fi, fj = basis[i], basis[j]
-        lmi = fi.poly.leading_monomial(order)
-        lmj = fj.poly.leading_monomial(order)
-        if _mono_coprime(lmi, lmj):
+        if _mono_coprime(fi.lm, fj.lm):
             continue
-        lcm = _mono_lcm(lmi, lmj)
-        si = _Tracked(fi.poly.scale(ONE / fi.poly.terms[lmi], _mono_div(lcm, lmi)),
-                      [c.scale(ONE / fi.poly.terms[lmi], _mono_div(lcm, lmi))
-                       for c in fi.cofactors])
-        sj = _Tracked(fj.poly.scale(ONE / fj.poly.terms[lmj], _mono_div(lcm, lmj)),
-                      [c.scale(ONE / fj.poly.terms[lmj], _mono_div(lcm, lmj))
-                       for c in fj.cofactors])
-        spair = _Tracked(si.poly - sj.poly,
-                         [a - b for a, b in zip(si.cofactors, sj.cofactors)])
-        rem = _reduce(spair, basis, order)
-        if rem.poly.is_zero():
+        lcm = _mono_lcm(fi.lm, fj.lm)
+        # the S-polynomial is si * fi + sj * fj
+        si = {_mono_div(lcm, fi.lm): ONE / fi.lc}
+        sj = {_mono_div(lcm, fj.lm): -ONE / fj.lc}
+        spair = Poly._raw(variables, si) * fi.poly + Poly._raw(variables, sj) * fj.poly
+        rem, quotients = _reduce(spair.terms, basis, key)
+        if not rem:
             continue
-        if rem.poly.total_degree() > degree_cap:
-            return GroebnerResult("capped", (), (), order, processed)
-        basis.append(rem)
+        poly = Poly._raw(variables, rem)
+        degree = poly.total_degree()
+        if degree > degree_cap:
+            return GroebnerResult("capped", (), (), order, processed, ("degree_cap", degree))
+        combination = [(si, fi), (sj, fj)] + [(q, basis[k]) for k, q in quotients.items()]
+        basis.append(_Tracked(poly, _cofactors(combination, variables, ngens), order))
         new_idx = len(basis) - 1
-        pairs.extend((t, new_idx) for t in range(new_idx))
+        for t in range(new_idx):
+            push(t, new_idx)
 
     # minimalize: drop entries whose leading monomial another one divides
-    keep: list[_Tracked] = []
-    lms = [t.poly.leading_monomial(order) for t in basis]
-    for i, t in enumerate(basis):
-        lm = lms[i]
-        redundant = any(
-            k != i and _mono_divides(lms[k], lm) and (lms[k] != lm or k < i)
+    lms = [t.lm for t in basis]
+    keep = [
+        t for i, t in enumerate(basis)
+        if not any(
+            k != i and _mono_divides(lms[k], lms[i]) and (lms[k] != lms[i] or k < i)
             for k in range(len(basis))
         )
-        if not redundant:
-            keep.append(t)
+    ]
 
     # interreduce tails and normalize to monic
+    one = (0,) * len(variables)
     reduced: list[_Tracked] = []
     for i, t in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
-        rem = _reduce(t, others, order) if others else t
-        if rem.poly.is_zero():
+        rem, quotients = _reduce(t.poly.terms, others, key)
+        if not rem:
             continue
-        rem = rem.rescale(ONE / rem.poly.leading_coefficient(order))
-        reduced.append(rem)
-    reduced.sort(key=lambda t: ORDER_KEYS[order](t.poly.leading_monomial(order)))
+        inv = ONE / rem[max(rem, key=key)]
+        combination = [({one: inv}, t)] + [
+            ({m: inv * c for m, c in q.items()}, others[k]) for k, q in quotients.items()
+        ]
+        poly = Poly._raw(variables, {m: inv * c for m, c in rem.items()})
+        reduced.append(_Tracked(poly, _cofactors(combination, variables, ngens), order))
+    reduced.sort(key=lambda t: key(t.lm))
 
     return GroebnerResult(
         "ok",
@@ -414,52 +472,109 @@ def verify_certificate(generators: Sequence[Poly], certificate: Sequence[Poly]) 
 # rational points of zero-dimensional ideals (lex order)
 
 
-def _integer_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _strip(coeffs: Sequence[Fraction]) -> list[Fraction]:
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_divmod(
+    num: Sequence[Fraction], den: Sequence[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of ascending coefficient lists; ``den`` is
+    stripped and nonzero."""
+    num = _strip(num)
+    quot = [ZERO] * max(len(num) - len(den) + 1, 0)
+    while len(num) >= len(den):
+        factor = num[-1] / den[-1]
+        shift = len(num) - len(den)
+        quot[shift] = factor
+        for i, dv in enumerate(den):
+            num[shift + i] -= factor * dv
+        num = _strip(num)
+    return quot, num
+
+
+def _clear_denominators(coeffs: Sequence[Fraction]) -> list[int]:
+    """The coefficients times the lcm of their denominators."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (scale // c.denominator) for c in coeffs]
+
+
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _sign_changes(sequence: Sequence[Sequence[int]], x: int) -> int:
+    changes, prev = 0, 0
+    for p in sequence:
+        v = _horner(p, x)
+        if v:
+            if prev and (v > 0) != (prev > 0):
+                changes += 1
+            prev = v
+    return changes
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """All rational roots of a nonzero univariate polynomial, ascending
-    coefficients."""
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
+    coefficients; returned ascending, without repeats.
+
+    The cost is polynomial in the bit size of the coefficients.  With a the
+    primitive integer multiple of the polynomial and d its degree,
+    q(y) = a_d^(d-1) * p(y / a_d) is monic with integer coefficients, so the
+    rational roots are y / a_d for the integer roots y of q.  Exact bisection
+    on a Sturm sequence of the square-free part of q narrows its real roots
+    to intervals (y - 1, y] with integer ends; only y is a candidate there,
+    and it is tested exactly.
+    """
+    cs = _strip([rat(c) for c in coeffs])
     if not cs:
         raise ValueError("zero polynomial")
     roots = []
     if cs[0] == 0:
         roots.append(ZERO)
-        while cs and cs[0] == 0:
+        while cs[0] == 0:
             cs.pop(0)
-    if len(cs) <= 1:
-        return sorted(set(roots))
-    denom_lcm = 1
-    for c in cs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in cs]
-    content = 0
-    for v in ints:
-        content = gcd(content, abs(v))
-    ints = [v // content for v in ints]
-    lead, trail = ints[-1], ints[0]
-    for p in _integer_divisors(trail):
-        for q in _integer_divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = ZERO
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
-    return sorted(set(roots))
+    if len(cs) == 2:
+        roots.append(-cs[0] / cs[1])
+    if len(cs) <= 2:
+        return sorted(roots)
+    a = _clear_denominators(cs)
+    content = gcd(*a)
+    a = [c // content for c in a]
+    d = len(a) - 1
+    q = [c * a[-1] ** (d - 1 - i) for i, c in enumerate(a[:-1])] + [1]
+
+    # signed remainder sequence of q and q'; its last entry is gcd(q, q'), and
+    # dividing that out leaves a Sturm sequence of the square-free part of q
+    sturm = [list(map(Fraction, q)), [Fraction(i * c) for i, c in enumerate(q)][1:]]
+    while rem := _poly_divmod(sturm[-2], sturm[-1])[1]:
+        sturm.append([-c for c in rem])
+    if len(sturm[-1]) > 1:
+        sturm = [_poly_divmod(p, sturm[-1])[0] for p in sturm]
+    sturm = [_clear_denominators(p) for p in sturm]
+
+    # every root of the monic q lies strictly inside (-bound, bound) (Cauchy);
+    # sign changes at lo minus those at hi count the distinct roots in (lo, hi]
+    bound = 1 + max(map(abs, q[:-1]))
+    pending = [(-bound, bound, _sign_changes(sturm, -bound), _sign_changes(sturm, bound))]
+    while pending:
+        lo, hi, v_lo, v_hi = pending.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if _horner(sturm[0], hi) == 0:
+                roots.append(Fraction(hi, a[-1]))
+            continue
+        mid = (lo + hi) // 2
+        v_mid = _sign_changes(sturm, mid)
+        pending += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+    return sorted(roots)
 
 
 def is_zero_dimensional(basis: Sequence[Poly], order: str = "lex") -> bool:
@@ -525,28 +640,9 @@ def enumerate_rational_points(
 
 def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """Monic gcd of univariate coefficient lists (Euclid)."""
-
-    def strip(c: list[Fraction]) -> list[Fraction]:
-        c = list(c)
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    def mod(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-        num = list(num)
-        while len(num) >= len(den) and strip(num):
-            factor = num[-1] / den[-1]
-            shift = len(num) - len(den)
-            for i, dv in enumerate(den):
-                num[shift + i] -= factor * dv
-            num = strip(num)
-            if not num:
-                break
-        return num
-
-    a, b = strip(a), strip(b)
+    a, b = _strip(a), _strip(b)
     while b:
-        a, b = b, mod(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     if a:
         lead = a[-1]
         a = [c / lead for c in a]
@@ -564,6 +660,7 @@ class SystemVerdict:
     status: "solutions" (rational points listed, or positive_dimensional
     when the set is infinite), "inconsistent" (certificate recombines to 1),
     or "inconclusive" (caps exhausted; reason says which).
+    pairs_processed: the S-pairs Buchberger selected, capped runs included.
     """
 
     status: str
@@ -572,6 +669,7 @@ class SystemVerdict:
     positive_dimensional: bool = False
     certificate: tuple[Poly, ...] | None = None
     reason: str | None = None
+    pairs_processed: int = 0
 
 
 EXTENSION_VARIABLES = ("x11", "x12", "x21", "x22", "y")
@@ -625,23 +723,29 @@ def search_bialgebra_extension(
     over a dim-2 unital Hom-associative algebra."""
     gens = bialgebra_extension_system(algebra, strict_alpha=strict_alpha)
     result = buchberger(gens, order="lex", degree_cap=degree_cap, pair_cap=pair_cap)
+    pairs = result.pairs_processed
     if result.status == "capped":
-        return SystemVerdict(
-            status="inconclusive",
-            generators=gens,
-            reason=f"solver capped (degree_cap={degree_cap}, pair_cap={pair_cap})",
-        )
+        cap, reached = result.cap
+        if cap == "pair_cap":
+            reason = f"solver capped: pair_cap={pair_cap} reached after {reached} pairs"
+        else:
+            reason = (f"solver capped: degree_cap={degree_cap} exceeded by a degree-{reached} "
+                      f"remainder after {pairs} pairs")
+        return SystemVerdict(status="inconclusive", generators=gens, reason=reason,
+                             pairs_processed=pairs)
     if result.inconsistent:
         cert = result.certificate()
         assert cert is not None and verify_certificate(gens, cert)
-        return SystemVerdict(status="inconsistent", generators=gens, certificate=cert)
+        return SystemVerdict(status="inconsistent", generators=gens, certificate=cert,
+                             pairs_processed=pairs)
     if not is_zero_dimensional(result.basis, order="lex"):
         return SystemVerdict(
-            status="solutions", generators=gens, positive_dimensional=True
+            status="solutions", generators=gens, positive_dimensional=True,
+            pairs_processed=pairs,
         )
     points = enumerate_rational_points(result.basis)
     points = [pt for pt in points if all(g.evaluate(pt) == 0 for g in gens)]
     points.sort(key=lambda pt: tuple(pt[v] for v in EXTENSION_VARIABLES))
     return SystemVerdict(
-        status="solutions", generators=gens, points=tuple(points)
+        status="solutions", generators=gens, points=tuple(points), pairs_processed=pairs
     )

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import homalg
 from homalg import parse_structure, registry, serialize_structure
 from homalg.cli import cli_main
 
@@ -196,3 +202,36 @@ def test_check_deeply_nested_json_is_parse_error(tmp_path, capsys):
     p.write_text("[" * 10000 + "]" * 10000)
     assert cli_main(["check", str(p)]) == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def _run_cli_process(args, timeout, **kwargs):
+    """Run the CLI in a fresh interpreter that imports this checkout's homalg."""
+    src = str(Path(homalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "homalg.cli", *args], env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=timeout, **kwargs)
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)   # every write to stdout now fails with EPIPE
+    try:
+        proc = _run_cli_process(["examples"], timeout=60, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr
+
+
+def test_search_extension_huge_constant_is_bounded(tmp_path):
+    algebra = json.loads(serialize_structure(
+        registry()["algebra-mu2"].build({"a1": 1, "a2": 2})))
+    algebra["mul"][1][1][1] = str(10 ** 30)
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(algebra))
+    start = time.monotonic()
+    proc = _run_cli_process(["search-extension", str(p)], timeout=30,
+                            stdout=subprocess.PIPE)
+    assert time.monotonic() - start < 5
+    assert proc.returncode in (0, 1, 3)
+    assert "Traceback" not in proc.stderr

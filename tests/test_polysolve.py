@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,6 +9,7 @@ from homalg import (
     HomBialgebra,
     HomCoalgebra,
     ComulTensor,
+    GroebnerResult,
     LinearMap,
     Poly,
     Vector,
@@ -17,7 +20,11 @@ from homalg import (
     search_bialgebra_extension,
     verify_certificate,
 )
-from homalg.polysolve import EXTENSION_VARIABLES, is_zero_dimensional
+from homalg.polysolve import (
+    EXTENSION_VARIABLES,
+    bialgebra_extension_system,
+    is_zero_dimensional,
+)
 
 from conftest import mu1_algebra, mu2_algebra
 
@@ -256,3 +263,190 @@ def test_poly_scalar_product_and_truthiness():
     one = Poly.const(XY, 1)
     assert x + 1 == 1 + x == x + one
     assert 1 - x == one - x and x - Fraction(1) == x - one
+
+
+# --- solver parity pins, caps and counters ------------------------------------------
+
+# Pairs processed and reduced lex bases of the extension systems at a1=2, a2=3.
+# The pair counts pin the selection order (lowest lcm degree, newest first);
+# a new strategy or pair criterion must re-pin them on purpose.
+EXTENSION_PINS = {
+    ("mu1", False): (45, ["y^2 - y", "x22^2 - 6*x22*y + 3*x22 + 2", "x22*y + x21 - 1",
+                          "x22*y + x12 - 1", "-x22*y + x11 + y"]),
+    ("mu1", True): (190, ["1"]),
+    ("mu2", False): (66, ["1"]),
+    ("mu2", True): (190, ["1"]),
+}
+
+
+@pytest.mark.parametrize("name,strict", sorted(EXTENSION_PINS))
+def test_extension_system_basis_and_pair_count_pinned(name, strict):
+    algebra = (mu1_algebra if name == "mu1" else mu2_algebra)(2, 3)
+    gens = bialgebra_extension_system(algebra, strict_alpha=strict)
+    result = buchberger(gens, order="lex")
+    pairs, basis = EXTENSION_PINS[name, strict]
+    assert result.status == "ok" and result.cap is None
+    assert result.pairs_processed == pairs
+    assert [str(p) for p in result.basis] == basis
+    verdict = search_bialgebra_extension(algebra, strict_alpha=strict)
+    assert verdict.pairs_processed == pairs
+    # pair_cap=1 stops at the second selected pair
+    capped = buchberger(gens, order="lex", pair_cap=1)
+    assert capped.status == "capped" and capped.pairs_processed == 2
+    assert capped.cap == ("pair_cap", 2)
+
+
+def test_capped_reason_names_the_tripped_cap():
+    verdict = search_bialgebra_extension(mu1_algebra(2, 3), pair_cap=1)
+    assert verdict.status == "inconclusive" and verdict.pairs_processed == 2
+    assert verdict.reason == "solver capped: pair_cap=1 reached after 2 pairs"
+    verdict = search_bialgebra_extension(mu1_algebra(2, 3), degree_cap=1)
+    assert verdict.status == "inconclusive"
+    assert verdict.reason.startswith("solver capped: degree_cap=1 exceeded by a degree-2 ")
+    assert verdict.reason.endswith(f"after {verdict.pairs_processed} pairs")
+
+
+def test_groebner_result_positional_constructor_defaults_cap():
+    result = GroebnerResult("ok", (), (), "lex", 0)
+    assert result.cap is None
+
+
+# --- buchberger properties on random systems -----------------------------------------
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _remainder(f, basis, order):
+    """Plain multivariate division by the basis, on Poly arithmetic."""
+    rem = Poly.zero(f.variables)
+    while f:
+        lm = f.leading_monomial(order)
+        for g in basis:
+            glm = g.leading_monomial(order)
+            if _divides(glm, lm):
+                shift = tuple(x - y for x, y in zip(lm, glm))
+                f = f - g.scale(f.terms[lm] / g.terms[glm], shift)
+                break
+        else:
+            head = Poly(f.variables, {lm: f.terms[lm]})
+            rem, f = rem + head, f - head
+    return rem
+
+
+def _s_polynomial(f, g, order):
+    fl, gl = f.leading_monomial(order), g.leading_monomial(order)
+    lcm = tuple(max(x, y) for x, y in zip(fl, gl))
+    return (f.scale(1 / f.terms[fl], tuple(x - y for x, y in zip(lcm, fl)))
+            - g.scale(1 / g.terms[gl], tuple(x - y for x, y in zip(lcm, gl))))
+
+
+def _random_system(rng):
+    variables = ("x", "y", "z")[:rng.choice((2, 3))]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {tuple(rng.randint(0, 2) for _ in variables):
+                 Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                 for _ in range(rng.randint(1, 4))}
+        gens.append(Poly(variables, terms))
+    return gens
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_buchberger_returns_reduced_groebner_basis_with_cofactors(order):
+    rng = random.Random(20261018)
+    solved = 0
+    for _ in range(40):
+        gens = _random_system(rng)
+        if all(g.is_zero() for g in gens):
+            continue
+        result = buchberger(gens, order=order, degree_cap=5, pair_cap=300)
+        if result.status == "capped":
+            continue
+        solved += 1
+        basis = result.basis
+        lms = [p.leading_monomial(order) for p in basis]
+        for k, p in enumerate(basis):
+            assert p.leading_coefficient(order) == 1
+            # reduced: no term of p lies in the leading ideal of the others
+            assert not any(_divides(lms[i], m) for m in p.terms
+                           for i in range(len(basis)) if i != k)
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                assert _remainder(_s_polynomial(basis[i], basis[j], order), basis, order) \
+                    .is_zero()
+        # the basis spans the generators, and the cofactors recombine to it
+        for g in gens:
+            assert _remainder(g, basis, order).is_zero()
+        for p, row in zip(basis, result.cofactors):
+            acc = Poly.zero(p.variables)
+            for g, c in zip(gens, row):
+                acc = acc + g * c
+            assert acc == p
+    assert solved >= 30
+
+
+# --- rational roots against divisor enumeration ---------------------------------------
+
+def _divisor_roots(coeffs):
+    """Every +-p/q with p | trailing and q | leading coefficient, tested
+    exactly (small integer coefficients only)."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs[-1] == 0:
+        cs.pop()
+    roots = set()
+    if cs[0] == 0:
+        roots.add(Fraction(0))
+        while cs[0] == 0:
+            cs.pop(0)
+    if len(cs) == 1:
+        return sorted(roots)
+    scale = 1
+    for c in cs:
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    ints = [int(c * scale) for c in cs]
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    for p in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if sum(c * cand ** i for i, c in enumerate(cs)) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def test_rational_roots_matches_divisor_enumeration():
+    rng = random.Random(4)
+    for trial in range(300):
+        if trial % 2:
+            coeffs = [Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3)))
+                      for _ in range(rng.randint(2, 6))]
+            if not any(coeffs[1:]):
+                continue
+        else:
+            # products of rational linear factors, repeats and zero roots included
+            coeffs = [Fraction(rng.choice((1, 2, 3, -2)))]
+            for _ in range(rng.randint(1, 4)):
+                p, q = rng.randint(-4, 4), rng.randint(1, 3)
+                coeffs = [Fraction(0)] + coeffs    # times q*x
+                coeffs = [q * a - p * b for a, b in zip(coeffs, coeffs[1:] + [0])]
+        assert rational_roots(coeffs) == _divisor_roots(coeffs), coeffs
+
+
+def test_rational_roots_with_huge_coefficients():
+    big = 10 ** 30
+    # x^2 - 10^30 and (10^30 x - 1)(x + 7): divisor enumeration would need
+    # about 10^15 trial divisions
+    assert rational_roots([-big, 0, 1]) == [Fraction(-10 ** 15), Fraction(10 ** 15)]
+    assert rational_roots([-7, 7 * big - 1, big]) == [Fraction(-7), Fraction(1, big)]
+    assert rational_roots([big + 1, 0, 1]) == []
+
+
+def test_rational_roots_multiple_roots():
+    # (x - 1)^3 (x - 2) and (x + 6)^2 (x^2 + x - 1): Sturm counts on the
+    # polynomial itself rather than its square-free part go wrong at the
+    # multiple root
+    assert rational_roots([2, -7, 9, -5, 1]) == [Fraction(1), Fraction(2)]
+    assert rational_roots([-36, 24, 47, 13, 1]) == [Fraction(-6)]
