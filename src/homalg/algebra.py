@@ -18,6 +18,7 @@ predicate :func:`check_twist_multiplicative`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .rational import rat
@@ -97,7 +98,12 @@ def _associator_parts(
     return tuple(map(Tensor3, left)), tuple(map(Tensor3, right))
 
 
+@lru_cache(maxsize=1)
 def _associator_tensors(algebra: HomAlgebra) -> tuple[Tensor3, ...]:
+    """The alpha-associator, one cube [p][q][s] per output component k.
+
+    Remembered for the last algebra (by value), which every checker of one
+    structure in a row then shares."""
     left, right = _associator_parts(algebra.mul, algebra.alpha)
     return tuple(a - b for a, b in zip(left, right))
 

@@ -27,6 +27,7 @@ Delta: V -> V (x) V, matching the surrounding coalgebra axioms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .rational import rat
@@ -112,8 +113,12 @@ def coassociator_tensors(comul: ComulTensor, beta: LinearMap) -> tuple[Tensor3, 
     return tuple(r - l for r, l in zip(right, left))
 
 
+@lru_cache(maxsize=1)
 def beta_coassociator(coalgebra: HomCoalgebra) -> tuple[Tensor3, ...]:
-    """c_beta(Delta) = (Delta (x) beta) o Delta - (beta (x) Delta) o Delta."""
+    """c_beta(Delta) = (Delta (x) beta) o Delta - (beta (x) Delta) o Delta.
+
+    Remembered for the last coalgebra (by value), which every checker of one
+    structure in a row then shares."""
     return coassociator_tensors(coalgebra.comul, coalgebra.beta)
 
 

@@ -659,7 +659,8 @@ class SystemVerdict:
 
     status: "solutions" (rational points listed, or positive_dimensional
     when the set is infinite), "inconsistent" (certificate recombines to 1),
-    or "inconclusive" (caps exhausted; reason says which).
+    or "inconclusive" (caps exhausted, or a certificate that fails its
+    check; reason says which).
     pairs_processed: the S-pairs Buchberger selected, capped runs included.
     """
 
@@ -735,7 +736,11 @@ def search_bialgebra_extension(
                              pairs_processed=pairs)
     if result.inconsistent:
         cert = result.certificate()
-        assert cert is not None and verify_certificate(gens, cert)
+        if cert is None or not verify_certificate(gens, cert):
+            return SystemVerdict(
+                status="inconclusive", generators=gens, pairs_processed=pairs,
+                reason="solver found the system inconsistent, but its certificate "
+                       "does not recombine the generators to 1")
         return SystemVerdict(status="inconsistent", generators=gens, certificate=cert,
                              pairs_processed=pairs)
     if not is_zero_dimensional(result.basis, order="lex"):

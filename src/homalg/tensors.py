@@ -38,6 +38,14 @@ such as ``"lb,kab,aij->kijl"``:
 
 Only ``+``, ``*`` and truthiness of the entries are used, and zero entries are
 skipped, so the same code runs on ints, Fractions and polynomials.
+
+Integer kernel.  When every operand entry is an int or a Fraction and at
+least one is a Fraction, each call clears denominators once per operand: the
+operand's entries are scaled by the lcm of their denominators, so the joins
+and sums run on Python ints, and each nonzero output entry becomes one
+``Fraction(value, product of the lcms)``.  Such a result holds Fractions at
+its nonzero entries.  Polynomial operands, and operands that are all ints,
+take the generic path.
 """
 
 from __future__ import annotations
@@ -46,6 +54,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -64,6 +74,7 @@ def contract(spec: str, *operands):
         raise ValueError(f"spec {spec!r} does not name {len(operands)} operand(s)")
     sizes: dict[str, int] = {}
     tables = [_table(letters, operand, sizes) for letters, operand in zip(legs, operands)]
+    tables, denominator = _cleared(tables)
     missing = [ch for ch in output if ch not in sizes]
     if missing:
         raise ValueError(f"output indices {missing} name no operand leg in {spec!r}")
@@ -80,6 +91,8 @@ def contract(spec: str, *operands):
         acc = _accumulate(products, _picker([both.index(ch) for ch in keep]))
         letters = keep
 
+    if denominator:
+        acc = {key: Fraction(value, denominator) for key, value in acc.items()}
     if not output:
         return acc.get((), 0)
     return _dense([sizes[ch] for ch in output], acc)
@@ -101,6 +114,23 @@ def _table(legs: str, operand, sizes: dict[str, int]) -> dict:
         if sizes.setdefault(ch, size) != size:
             raise ValueError(f"index {ch!r} has sizes {sizes[ch]} and {size}")
     return table
+
+
+def _cleared(tables: list[dict]) -> tuple[list[dict], int | None]:
+    """The integer kernel's input: each table scaled by the lcm of its
+    denominators, and the product of those lcms.  The tables come back
+    unchanged with ``None`` unless every entry is an int or a Fraction and
+    some entry is a Fraction."""
+    kinds = set(map(type, chain.from_iterable(table.values() for table in tables)))
+    if Fraction not in kinds or not kinds <= {int, Fraction}:
+        return tables, None
+    cleared, denominator = [], 1
+    for table in tables:
+        ratios = [value.as_integer_ratio() for value in table.values()]
+        scale = lcm(*[d for _, d in ratios])
+        cleared.append(dict(zip(table, [n * (scale // d) for n, d in ratios])))
+        denominator *= scale
+    return cleared, denominator
 
 
 def _nonzero(data, order: int) -> dict:
@@ -140,15 +170,15 @@ def _picker(positions: list[int]):
     return itemgetter(*positions) if positions else (lambda key: ())
 
 
-def _zeros(shape: list[int]) -> list:
+def _zeros(shape: list[int], fill=0) -> list:
     if len(shape) == 1:
-        return [0] * shape[0]
-    return [_zeros(shape[1:]) for _ in range(shape[0])]
+        return [fill] * shape[0]
+    return [_zeros(shape[1:], fill) for _ in range(shape[0])]
 
 
-def _dense(shape: list[int], entries: Mapping[tuple[int, ...], object]) -> list:
-    """Nested lists of that shape: each entry at its index tuple, 0 elsewhere."""
-    grid = _zeros(shape)
+def _dense(shape: list[int], entries: Mapping[tuple[int, ...], object], fill=0) -> list:
+    """Nested lists of that shape: each entry at its index tuple, fill elsewhere."""
+    grid = _zeros(shape, fill)
     for key, value in entries.items():
         row = grid
         for i in key[:-1]:
@@ -172,14 +202,19 @@ def _freeze(data, order: int):
     return tuple(_freeze(row, order - 1) for row in data)
 
 
+def _tuples(grid, order: int):
+    return tuple(grid) if order == 1 else tuple(_tuples(row, order - 1) for row in grid)
+
+
 def _is_cube(data, n: int, order: int) -> bool:
     return order == 0 or (len(data) == n and all(_is_cube(row, n, order - 1) for row in data))
 
 
 def _map(fn, order: int, *grids):
+    """fn applied entrywise to grids of one shape, as nested tuples."""
     if order == 0:
         return fn(*grids)
-    return [_map(fn, order - 1, *rows) for rows in zip(*grids, strict=True)]
+    return tuple(_map(fn, order - 1, *rows) for rows in zip(*grids, strict=True))
 
 
 class _Tensor:
@@ -197,6 +232,21 @@ class _Tensor:
         if not frozen or not _is_cube(frozen, len(frozen), self.order):
             raise ValueError(f"{self.kind} must be nonempty with every leg of one length")
         self._data = frozen
+
+    @classmethod
+    def _of(cls, frozen):
+        """Wrap nested tuples of exact entries that already have the shape:
+        no ``rat`` and no shape check."""
+        tensor = cls.__new__(cls)
+        tensor._data = frozen
+        return tensor
+
+    @classmethod
+    def _exact(cls, dim: int, entries: dict[tuple[int, ...], object]):
+        """From a table of nonzero exact entries, which becomes ``nonzero``."""
+        tensor = cls._of(_tuples(_dense([dim] * cls.order, entries, ZERO), cls.order))
+        tensor.nonzero = entries
+        return tensor
 
     @property
     def dim(self) -> int:
@@ -228,22 +278,26 @@ class _Tensor:
         return not self.nonzero
 
     def __add__(self, other):
-        return type(self)(_map(operator.add, self.order, self._data, other._data))
+        return self._of(_map(operator.add, self.order, self._data, other._data))
 
     def __sub__(self, other):
-        return type(self)(_map(operator.sub, self.order, self._data, other._data))
+        return self._of(_map(operator.sub, self.order, self._data, other._data))
 
     def __neg__(self):
-        return type(self)(_map(operator.neg, self.order, self._data))
+        return self._of(_map(operator.neg, self.order, self._data))
 
     def __rmul__(self, scalar):
         s = _scalar(scalar)
-        return type(self)(_map(lambda v: s * v, self.order, self._data))
+        return self._of(_map(lambda v: s * v, self.order, self._data))
 
     def __eq__(self, other):
         return type(self) is type(other) and self._data == other._data
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         return hash(self._data)
 
     def __repr__(self) -> str:
@@ -410,12 +464,24 @@ def phi_apply(sigma: Perm3, t: Tensor3) -> Tensor3:
 def signed_leg_sum(perms: Iterable[Perm3], t: Tensor3) -> Tensor3:
     """sum_{sigma in perms} (-1)^eps(sigma) Phi_sigma(t).
 
-    Over a subgroup this also equals the signed sum of t o Phi_sigma, since
-    sigma and its inverse have one sign and the subgroup holds both.
+    Each nonzero entry of t is added, signed, under its permuted index triple,
+    on the integer kernel when t holds Fractions.  Over a subgroup this also
+    equals the signed sum of t o Phi_sigma, since sigma and its inverse have
+    one sign and the subgroup holds both.
     """
-    perms = tuple(perms)
-    stack = [phi_apply(sigma, t).coeffs for sigma in perms]
-    return Tensor3(contract("s,sabc->abc", [sigma.sign for sigma in perms], stack))
+    (table,), denominator = _cleared([t.nonzero])
+    total: dict[tuple, object] = {}
+    for sigma in perms:
+        pick = _picker([i - 1 for i in sigma.inverse().images])
+        for key, value in table.items():
+            key = pick(key)
+            if sigma.sign < 0:
+                value = -value
+            total[key] = total[key] + value if key in total else value
+    total = {key: value for key, value in total.items() if value}
+    if denominator:
+        total = {key: Fraction(value, denominator) for key, value in total.items()}
+    return Tensor3._exact(t.dim, total)
 
 
 def permute_triple(sigma: Perm3, triple: tuple[int, int, int]) -> tuple[int, int, int]:

@@ -67,6 +67,22 @@ def truncated_primitive_bialgebra() -> HomBialgebra:
     )
 
 
+def cyclic_group_bialgebra() -> HomBialgebra:
+    """Twisted group algebra of Z/3 on e_k = g^k: alpha = beta = the
+    automorphism g -> g^2, mu = alpha o (group product) and Delta = (grouplike
+    Delta) o alpha, so it is Hom-associative and Hom-coassociative with a
+    nontrivial twist on both sides."""
+    swap = (0, 2, 1)
+    twist = LinearMap.from_entries(3, {(swap[k], k): 1 for k in range(3)})
+    mul = MulTensor.from_entries(3, {(i, j, swap[(i + j) % 3]): 1
+                                     for i in range(3) for j in range(3)})
+    comul = ComulTensor.from_entries(3, {(k, swap[k], swap[k]): 1 for k in range(3)})
+    return HomBialgebra(
+        algebra=HomAlgebra(mul=mul, alpha=twist, unit=Vector.basis(3, 0)),
+        coalgebra=HomCoalgebra(comul=comul, beta=twist, counit=Vector([1, 1, 1])),
+    )
+
+
 def grouplike_coalgebra(dim: int) -> HomCoalgebra:
     """Delta(e_k) = e_k (x) e_k with counit identically 1 and beta = id."""
     comul = ComulTensor.from_entries(dim, {(k, k, k): 1 for k in range(dim)})

@@ -11,6 +11,7 @@ from homalg import (
     HomCoalgebra,
     HomHopf,
     LinearMap,
+    MulTensor,
     Tensor2,
     Vector,
     antipode_defect,
@@ -33,7 +34,7 @@ from homalg import (
 )
 from homalg.sampling import random_linear_map, random_scalar
 
-from conftest import bialgebra_row, truncated_primitive_bialgebra
+from conftest import bialgebra_row, cyclic_group_bialgebra, truncated_primitive_bialgebra
 
 E1 = Vector.basis(2, 0)
 E2 = Vector.basis(2, 1)
@@ -173,6 +174,78 @@ def test_convolution_hom_associative_row2():
 def test_convolution_hom_associative_generic_params():
     b = bialgebra_row(2, b1=3, b2=0, b3=-2, a1=Fraction(1, 2), a2=4)
     assert check_convolution_hom_associative(b, samples=10, seed=1) is True
+
+
+def test_convolution_hom_associative_exact_at_dim_3():
+    b = cyclic_group_bialgebra()
+    assert check_hom_associative(b.algebra).ok and check_hom_coassociative(b.coalgebra).ok
+    assert check_convolution_hom_associative(b, samples=0) is True
+
+
+def _convolution_holds_on_basis_triples(b):
+    n = b.dim
+    mats = [LinearMap.basis_matrix(n, i, j) for i in range(n) for j in range(n)]
+    return all(
+        convolution(b, convolution_twist(b, f), convolution(b, g, h))
+        == convolution(b, convolution(b, f, g), convolution_twist(b, h))
+        for f, g, h in product(mats, repeat=3))
+
+
+def _upper_triangular_bialgebra():
+    """The noncommutative associative algebra of upper triangular 2x2
+    matrices on (E11, E12, E22), with its dual, noncocommutative coalgebra
+    and no twists."""
+    from homalg import dual_coalgebra_of_algebra
+
+    mul = MulTensor.from_entries(3, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 2, 1): 1,
+                                     (2, 2, 2): 1})
+    algebra = HomAlgebra(mul, LinearMap.identity(3), Vector([1, 0, 1]))
+    return HomBialgebra(algebra, dual_coalgebra_of_algebra(algebra))
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (2, 1), (3, 2), (3, None)])
+def test_convolution_check_agrees_with_basis_triples_without_premises(monkeypatch, n, seed):
+    """With the premises waived, the identity fails on random structures, and
+    the tensor comparison must say so with no samples at all; it holds on a
+    noncommutative associative one."""
+    import homalg.bialgebra
+    from homalg import DefectReport
+    from homalg.sampling import random_comul_tensor, random_mul_tensor
+
+    passing = lambda structure: DefectReport("premise", ())
+    monkeypatch.setattr(homalg.bialgebra, "check_hom_associative", passing)
+    monkeypatch.setattr(homalg.bialgebra, "check_hom_coassociative", passing)
+    if seed is None:
+        b = _upper_triangular_bialgebra()
+    else:
+        rng = random.Random(seed)
+        b = HomBialgebra(
+            HomAlgebra(random_mul_tensor(n, rng), random_linear_map(n, rng),
+                       Vector.basis(n, 0)),
+            HomCoalgebra(random_comul_tensor(n, rng), random_linear_map(n, rng),
+                         Vector.basis(n, 0)))
+    verdict = check_convolution_hom_associative(b, samples=0)
+    assert verdict is _convolution_holds_on_basis_triples(b) is (seed is None)
+
+
+def test_outer_products_equal_against_the_definition():
+    from homalg.bialgebra import _outer_products_equal
+
+    rng = random.Random(9)
+
+    def vector(n):
+        return [rng.choice((0, 0, 1, -1, 2, Fraction(1, 2))) for _ in range(n)]
+
+    for _ in range(2000):
+        x, y = vector(rng.randint(1, 3)), vector(rng.randint(1, 3))
+        if rng.random() < 0.5:
+            # a rescaled pair: the same outer product
+            c = rng.choice((1, -1, 2, Fraction(1, 3)))
+            z, w = [Fraction(a) / c for a in x], [c * b for b in y]
+        else:
+            z, w = vector(len(x)), vector(len(y))
+        want = all(a * b == p * q for a, p in zip(x, z) for b, q in zip(y, w))
+        assert _outer_products_equal(x, y, z, w) is want, (x, y, z, w)
 
 
 def test_convolution_premises_not_met():

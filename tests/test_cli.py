@@ -11,7 +11,7 @@ import homalg
 from homalg import parse_structure, registry, serialize_structure
 from homalg.cli import cli_main
 
-from conftest import bialgebra_row
+from conftest import bialgebra_row, cyclic_group_bialgebra
 
 
 @pytest.fixture
@@ -235,3 +235,40 @@ def test_search_extension_huge_constant_is_bounded(tmp_path):
     assert time.monotonic() - start < 5
     assert proc.returncode in (0, 1, 3)
     assert "Traceback" not in proc.stderr
+
+
+def test_search_extension_failing_certificate_exits_3(files, capsys, monkeypatch):
+    import homalg.polysolve
+
+    monkeypatch.setattr(homalg.polysolve, "verify_certificate", lambda gens, cert: False)
+    assert cli_main(["search-extension", files["mu2.json"]]) == 3
+    assert capsys.readouterr().out.startswith("inconclusive: solver found the system inconsistent")
+
+
+def _run_optimized(prefix, args):
+    """``python -O`` (asserts stripped) on this checkout's homalg."""
+    src = str(Path(homalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-O", *prefix, *args], env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60)
+
+
+def test_search_extension_under_python_O(files):
+    proc = _run_optimized(["-m", "homalg.cli"], ["search-extension", files["mu2.json"]])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("inconsistent") and "certificate" in proc.stdout
+    # the certificate is still checked when asserts are stripped
+    patched = ("import homalg.polysolve as P; "
+               "P.verify_certificate = lambda gens, cert: False; "
+               "from homalg.cli import main; main()")
+    proc = _run_optimized(["-c", patched], ["search-extension", files["mu2.json"]])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout.startswith("inconclusive:") and "Traceback" not in proc.stderr
+
+
+def test_convolution_test_is_exact_at_dim_3(tmp_path, capsys):
+    p = tmp_path / "z3.json"
+    p.write_text(serialize_structure(cyclic_group_bialgebra()))
+    assert cli_main(["convolution-test", str(p), "--samples", "0"]) == 0
+    assert capsys.readouterr().out == \
+        "convolution Hom-associativity (exact, all basis-matrix triples): ok\n"

@@ -2,6 +2,7 @@
 over all values of the summed letters of the product of operand entries."""
 
 import random
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import mul
@@ -62,6 +63,14 @@ def scalar(kind, rng):
         return rng.randint(-3, 3)
     if kind == "fraction":
         return random_scalar(rng)
+    if kind == "coprime":
+        return Fraction(rng.randint(-9, 9), rng.choice((7, 11, 13, 17, 19, 23)))
+    if kind == "large":
+        return Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 25))
+    if kind == "mixed":
+        if rng.random() < 0.5:
+            return rng.randint(-3, 3)
+        return random_scalar(rng)
     return Poly(XY, {(1, 0): random_scalar(rng), (0, rng.randint(0, 2)): random_scalar(rng)})
 
 
@@ -119,3 +128,50 @@ def test_contract_rejects_mismatched_index_sizes():
         contract("ij,jk->ik", LinearMap.identity(2), LinearMap.identity(3))
     with pytest.raises(ValueError):
         contract("ij,j->i", LinearMap.identity(2), Vector([1, 2, 3]))
+
+
+def flat(result):
+    if isinstance(result, list):
+        return [v for row in result for v in flat(row)]
+    return [result]
+
+
+@pytest.mark.parametrize("kind", ["coprime", "large", "mixed"])
+def test_integer_kernel_matches_brute_force(kind):
+    rng = random.Random({"coprime": 5, "large": 6, "mixed": 7}[kind])
+    for _ in range(60):
+        spec, operands = random_case(rng, kind)
+        result = contract(spec, *operands)
+        assert same(result, oracle(spec, operands)), spec
+        # nonzero entries are Fractions whenever an operand held one, and an
+        # entry no product reached, or whose sum cancelled, is the integer 0
+        held = {type(v) for op in operands for v in flat(op) if v}
+        want = Fraction if Fraction in held else int
+        assert all(type(v) is (want if v else int) for v in flat(result)), spec
+
+
+def test_integer_kernel_mixed_operands_and_large_denominators():
+    rng = random.Random(8)
+    big = [[Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** 30))
+            for _ in range(3)] for _ in range(3)]
+    ints = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
+    coprime = [Fraction(1, p) for p in (2, 3, 5)]
+    for spec, operands in (("ij,jk->ik", (big, ints)),
+                           ("ij,jk,k->i", (ints, big, coprime)),
+                           ("ij,ij->", (big, big)),
+                           ("i,i->", (coprime, [6, -10, 15]))):
+        result = contract(spec, *operands)
+        assert same(result, oracle(spec, operands)), spec
+        assert all(type(v) is Fraction for v in flat(result) if v), spec
+
+
+def test_integer_kernel_drops_cancelled_entries():
+    # row 0 sums to 1/3 * 2 - 2/3 * 1 = 0; row 1 to 2/7
+    assert contract("ij,j->i", [[Fraction(1, 3), Fraction(-2, 3)], [Fraction(1, 7), 0]],
+                    [2, 1]) == [0, Fraction(2, 7)]
+    vector = contract("ij,j->i", [[Fraction(1, 3), Fraction(-2, 3)], [0, 0]], [2, 1])
+    assert vector == [0, 0] and all(type(v) is int for v in vector)
+    scalar_zero = contract("i,i->", [Fraction(1, 3), Fraction(1, 6)], [Fraction(1, 2), -1])
+    assert scalar_zero == 0 and type(scalar_zero) is int
+    scalar = contract("i,i->", [Fraction(1, 3), Fraction(1, 6)], [Fraction(1, 2), 1])
+    assert scalar == Fraction(1, 3) and type(scalar) is Fraction

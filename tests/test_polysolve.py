@@ -180,6 +180,16 @@ def test_mu2_has_no_extension():
     assert verify_certificate(verdict.generators, verdict.certificate)
 
 
+def test_certificate_failing_its_check_gives_inconclusive(monkeypatch):
+    import homalg.polysolve
+
+    monkeypatch.setattr(homalg.polysolve, "verify_certificate", lambda gens, cert: False)
+    verdict = search_bialgebra_extension(mu2_algebra(1, 2))
+    assert verdict.status == "inconclusive"
+    assert verdict.certificate is None
+    assert "certificate does not recombine" in verdict.reason
+
+
 def test_mu2_strict_reading_also_inconsistent():
     verdict = search_bialgebra_extension(mu2_algebra(2, 3), strict_alpha=True)
     assert verdict.status == "inconsistent"
