@@ -93,9 +93,8 @@ def _associator_parts(
 ) -> tuple[tuple[Tensor3, ...], tuple[Tensor3, ...]]:
     """mu(mu(e_p (x) e_q) (x) alpha(e_s)) and mu(alpha(e_p) (x) mu(e_q (x) e_s)),
     one cube [p][q][s] per output component k."""
-    left = contract("us,tuk,pqt->kpqs", alpha, mul, mul)
-    right = contract("up,utk,qst->kpqs", alpha, mul, mul)
-    return tuple(map(Tensor3, left)), tuple(map(Tensor3, right))
+    return (Tensor3.slices("us,tuk,pqt->kpqs", alpha, mul, mul),
+            Tensor3.slices("up,utk,qst->kpqs", alpha, mul, mul))
 
 
 @lru_cache(maxsize=1)
@@ -126,13 +125,14 @@ def check_unital(algebra: HomAlgebra) -> bool | None:
         return None
     u, mul = algebra.unit, algebra.mul
     ident = LinearMap.identity(algebra.dim)
-    return LinearMap(contract("i,ijk->kj", u, mul)) == ident and \
-        LinearMap(contract("j,ijk->ki", u, mul)) == ident
+    return LinearMap.contracted("i,ijk->kj", u, mul) == ident and \
+        LinearMap.contracted("j,ijk->ki", u, mul) == ident
 
 
 def _is_multiplicative(f: LinearMap, source: MulTensor, target: MulTensor) -> bool:
     """f(x.y) = f(x).f(y) on basis pairs, with the source and target products."""
-    return contract("kt,ijt->ijk", f, source) == contract("ai,abk,bj->ijk", f, target, f)
+    return Tensor3.contracted("kt,ijt->ijk", f, source) == \
+        Tensor3.contracted("ai,abk,bj->ijk", f, target, f)
 
 
 def check_twist_multiplicative(algebra: HomAlgebra) -> bool:
@@ -153,12 +153,12 @@ def check_G_hom_associative(algebra: HomAlgebra, group: str) -> DefectReport:
 
 def commutator_bracket(algebra: HomAlgebra) -> HomBracket:
     """[x, y] = mu(x (x) y) - mu(y (x) x), with the twist carried over."""
-    opposite = MulTensor(contract("jik->ijk", algebra.mul))
+    opposite = MulTensor.contracted("jik->ijk", algebra.mul)
     return HomBracket(bracket=algebra.mul - opposite, alpha=algebra.alpha)
 
 
 def check_skew(lie: HomBracket) -> bool:
-    return (lie.bracket + MulTensor(contract("jik->ijk", lie.bracket))).is_zero()
+    return (lie.bracket + MulTensor.contracted("jik->ijk", lie.bracket)).is_zero()
 
 
 def check_hom_jacobi(lie: HomBracket) -> DefectReport:
@@ -233,6 +233,7 @@ def check_module(
     if f.dim != m_dim:
         raise ValueError("f must act on the module")
 
-    lhs = contract("rm,trp,xyt->xymp", f, act, algebra.mul)
-    rhs = contract("ax,arp,ymr->xymp", algebra.alpha, act, act)
+    # both sides as one m_dim x m_dim matrix per basis pair (x, y)
+    lhs = LinearMap.slices("rm,trp,xyt->xymp", f, act, algebra.mul)
+    rhs = LinearMap.slices("ax,arp,ymr->xymp", algebra.alpha, act, act)
     return lhs == rhs

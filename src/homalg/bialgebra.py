@@ -93,7 +93,7 @@ class HomHopf:
 def bullet(bialgebra: HomBialgebra, s: Tensor2, t: Tensor2) -> Tensor2:
     """Factor-wise product on V (x) V: (a (x) b) * (c (x) d) = a.c (x) b.d."""
     mul = bialgebra.algebra.mul
-    return Tensor2(contract("cd,aci,ab,bdj->ij", t, mul, s, mul))
+    return Tensor2.contracted("cd,aci,ab,bdj->ij", t, mul, s, mul)
 
 
 @lru_cache(maxsize=1)
@@ -118,17 +118,15 @@ def weak_witnesses(bialgebra: HomBialgebra) -> tuple[Witness, ...]:
         witnesses.append(Witness((), eps_unit, "counit-on-unit"))
 
     # Delta(e_p . e_q) and the factor-wise product Delta(e_p) * Delta(e_q),
-    # both indexed [p][q][i][j], and eps(e_p . e_q)
-    comul_of_product = contract("pqk,kij->pqij", mul, comul)
-    product_of_comul = contract("qcd,aci,pab,bdj->pqij", comul, mul, comul, mul)
-    eps_of_product = contract("pqk,k->pq", mul, eps)
-    for p, q in product(range(n), repeat=2):
-        diff = Tensor2(comul_of_product[p][q]) - Tensor2(product_of_comul[p][q])
-        witnesses += [Witness((p, q) + idx, v, "comul-mult")
-                      for idx, v in diff.nonzero_entries()]
-        eps_diff = eps_of_product[p][q] - eps[p] * eps[q]
-        if eps_diff:
-            witnesses.append(Witness((p, q), eps_diff, "counit-mult"))
+    # one order-2 tensor per pair (p, q), and eps(e_p . e_q) - eps(e_p) eps(e_q)
+    comul_of_product = Tensor2.slices("pqk,kij->pqij", mul, comul)
+    product_of_comul = Tensor2.slices("qcd,aci,pab,bdj->pqij", comul, mul, comul, mul)
+    eps_diff = (LinearMap.contracted("pqk,k->pq", mul, eps)
+                - LinearMap.contracted("p,q->pq", eps, eps)).nonzero
+    for pq, a, b in zip(product(range(n), repeat=2), comul_of_product, product_of_comul):
+        witnesses += [Witness(pq + idx, v, "comul-mult") for idx, v in (a - b).nonzero_entries()]
+        if pq in eps_diff:
+            witnesses.append(Witness(pq, eps_diff[pq], "counit-mult"))
     return tuple(witnesses)
 
 
@@ -139,7 +137,7 @@ def alpha_witnesses(bialgebra: HomBialgebra) -> list[Witness]:
     comul = bialgebra.coalgebra.comul
     eps = bialgebra.counit
     comul_alpha = comul_morphism_defect(alpha, comul, comul)
-    counit_alpha = Vector(contract("ik,i->k", alpha, eps)) - eps
+    counit_alpha = Vector.contracted("ik,i->k", alpha, eps) - eps
     witnesses = []
     for k in range(bialgebra.dim):
         witnesses += [Witness((k,) + idx, v, "comul-alpha")
@@ -166,13 +164,13 @@ def check_bialgebra_strict(bialgebra: HomBialgebra) -> DefectReport:
 
 def convolution(bialgebra: HomBialgebra, f: LinearMap, g: LinearMap) -> LinearMap:
     """f * g = mu o (f (x) g) o Delta."""
-    return LinearMap(contract("kij,ai,bj,abm->mk", bialgebra.coalgebra.comul, f, g,
-                              bialgebra.algebra.mul))
+    return LinearMap.contracted("kij,ai,bj,abm->mk", bialgebra.coalgebra.comul, f, g,
+                                bialgebra.algebra.mul)
 
 
 def convolution_unit(bialgebra: HomBialgebra) -> LinearMap:
     """eta o eps as a matrix: column k is eps(e_k) times the unit vector."""
-    return LinearMap(contract("i,k->ik", bialgebra.unit, bialgebra.counit))
+    return LinearMap.contracted("i,k->ik", bialgebra.unit, bialgebra.counit)
 
 
 def convolution_twist(bialgebra: HomBialgebra, f: LinearMap) -> LinearMap:
@@ -300,7 +298,7 @@ def solve_antipode(bialgebra: HomBialgebra, row_order_seed: int | None = None) -
         return AntipodeResult("family", s, solution.kernel_dim, None, None, None)
 
     unit_fixed = s.apply(u) == u
-    counit_compatible = Vector(contract("i,ik->k", eps, s)) == eps
+    counit_compatible = Vector.contracted("i,ik->k", eps, s) == eps
     hopf = HomHopf(bialgebra=bialgebra, antipode=s)
     return AntipodeResult("unique", s, 0, hopf, unit_fixed, counit_compatible)
 
@@ -334,8 +332,8 @@ def primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...]:
     u = bialgebra.unit
     ident = LinearMap.identity(n)
     # row (i, j), column c: coefficient of e_i (x) e_j in Delta(e_c) - e1 (x) e_c - e_c (x) e1
-    defect = bialgebra.coalgebra.comul - ComulTensor(contract("i,cj->cij", u, ident)) \
-        - ComulTensor(contract("j,ci->cij", u, ident))
+    defect = bialgebra.coalgebra.comul - ComulTensor.contracted("i,cj->cij", u, ident) \
+        - ComulTensor.contracted("j,ci->cij", u, ident)
     rows = [row for plane in contract("cij->ijc", defect) for row in plane]
     sol = linear_solve(rows, [ZERO] * (n * n))
     basis = tuple(Vector(v) for v in sol.kernel)

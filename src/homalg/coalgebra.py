@@ -44,7 +44,6 @@ from .tensors import (
     Tensor2,
     Tensor3,
     Vector,
-    contract,
     phi_apply,
     signed_leg_sum,
     subgroup,
@@ -96,14 +95,14 @@ def expand_outer_beta(
     inner: ComulTensor, outer: ComulTensor, beta: LinearMap
 ) -> tuple[Tensor3, ...]:
     """(outer (x) beta) o inner, one order-3 tensor per basis vector."""
-    return tuple(Tensor3(t) for t in contract("lb,kab,aij->kijl", beta, inner, outer))
+    return Tensor3.slices("lb,kab,aij->kijl", beta, inner, outer)
 
 
 def expand_beta_outer(
     inner: ComulTensor, outer: ComulTensor, beta: LinearMap
 ) -> tuple[Tensor3, ...]:
     """(beta (x) outer) o inner, one order-3 tensor per basis vector."""
-    return tuple(Tensor3(t) for t in contract("ia,kab,bjl->kijl", beta, inner, outer))
+    return Tensor3.slices("ia,kab,bjl->kijl", beta, inner, outer)
 
 
 def coassociator_tensors(comul: ComulTensor, beta: LinearMap) -> tuple[Tensor3, ...]:
@@ -145,8 +144,8 @@ def counit_defects(coalgebra: HomCoalgebra) -> tuple[LinearMap, LinearMap]:
     """
     d, eps = coalgebra.comul, coalgebra.counit
     ident = LinearMap.identity(coalgebra.dim)
-    return (LinearMap(contract("kij,j->ik", d, eps)) - ident,
-            LinearMap(contract("kij,i->jk", d, eps)) - ident)
+    return (LinearMap.contracted("kij,j->ik", d, eps) - ident,
+            LinearMap.contracted("kij,i->jk", d, eps) - ident)
 
 
 def check_counital(coalgebra: HomCoalgebra) -> bool | None:
@@ -306,16 +305,17 @@ def check_comodule(
         raise ValueError("coaction tensor must have shape m_dim x m_dim x dim")
     if g.dim != m_dim:
         raise ValueError("g must act on the comodule")
-    # both sides live in M (x) V (x) V, indexed [m][p][j][l]
-    lhs = contract("li,mqi,qpj->mpjl", coalgebra.beta, coact, coact)
-    rhs = contract("pq,mqi,ijl->mpjl", g, coact, coalgebra.comul)
+    # both sides live in M (x) V (x) V, indexed [m][p][j][l]: one order-2
+    # tensor per pair (m, p)
+    lhs = Tensor2.slices("li,mqi,qpj->mpjl", coalgebra.beta, coact, coact)
+    rhs = Tensor2.slices("pq,mqi,ijl->mpjl", g, coact, coalgebra.comul)
     return lhs == rhs
 
 
 def comul_morphism_defect(f: LinearMap, source: ComulTensor, target: ComulTensor) -> ComulTensor:
     """Delta' o f - (f (x) f) o Delta, one plane per basis vector."""
-    return ComulTensor(contract("tk,tij->kij", f, target)) \
-        - ComulTensor(contract("ia,kab,jb->kij", f, source, f))
+    return ComulTensor.contracted("tk,tij->kij", f, target) \
+        - ComulTensor.contracted("ia,kab,jb->kij", f, source, f)
 
 
 def check_coalgebra_morphism(
@@ -329,7 +329,7 @@ def check_coalgebra_morphism(
     if f.compose(source.beta) != target.beta.compose(f):
         return False
     if source.counit is not None and target.counit is not None:
-        if Vector(contract("i,ik->k", target.counit, f)) != source.counit:
+        if Vector.contracted("i,ik->k", target.counit, f) != source.counit:
             return False
     elif (source.counit is None) != (target.counit is None):
         return False

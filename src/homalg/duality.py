@@ -18,13 +18,8 @@ from .tensors import ComulTensor, MulTensor
 
 def dual_algebra_of_coalgebra(coalgebra: HomCoalgebra) -> HomAlgebra:
     """C_{ij}^k := D_k^{ij}, alpha := beta transposed, unit := counit weights."""
-    n = coalgebra.dim
-    d = coalgebra.comul.d
-    mul = MulTensor(
-        [[[d[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
-    )
     return HomAlgebra(
-        mul=mul,
+        mul=MulTensor.contracted("kij->ijk", coalgebra.comul),
         alpha=coalgebra.beta.transpose(),
         unit=coalgebra.counit,
     )
@@ -32,13 +27,8 @@ def dual_algebra_of_coalgebra(coalgebra: HomCoalgebra) -> HomAlgebra:
 
 def dual_coalgebra_of_algebra(algebra: HomAlgebra) -> HomCoalgebra:
     """D_k^{ij} := C_{ij}^k, beta := alpha transposed, counit := unit coords."""
-    n = algebra.dim
-    c = algebra.mul.c
-    comul = ComulTensor(
-        [[[c[i][j][k] for j in range(n)] for i in range(n)] for k in range(n)]
-    )
     return HomCoalgebra(
-        comul=comul,
+        comul=ComulTensor.contracted("ijk->kij", algebra.mul),
         beta=algebra.alpha.transpose(),
         counit=algebra.unit,
     )

@@ -8,6 +8,8 @@ form used by structure files ("p/q", or a bare integer string).
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 Scalar = Fraction
@@ -26,8 +28,20 @@ def rat(value: int | str | Fraction) -> Fraction:
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational number: {value!r}") from exc
-    raise ValueError(f"not a rational number: {value!r}")
+            limit = sys.get_int_max_str_digits()
+            digits = max(map(len, re.findall(r"\d+", value)), default=0)
+            if limit and digits > limit:
+                raise ValueError(
+                    f"{brief(value)} has a {digits}-digit integer, over Python's limit of "
+                    f"{limit} digits (sys.get_int_max_str_digits())") from exc
+            raise ValueError(f"not a rational number: {brief(value)}") from exc
+    raise ValueError(f"not a rational number: {brief(value)}")
+
+
+def brief(value, width: int = 40) -> str:
+    """repr of value for messages, cut to a prefix and its length when long."""
+    text = repr(value)
+    return text if len(text) <= width else f"{text[:width]}... ({len(text)} characters)"
 
 
 def rat_str(value: Fraction) -> str:

@@ -10,6 +10,7 @@ own matrix convention.  Round trips are lossless: parse(serialize(x)) == x.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -17,7 +18,7 @@ from typing import Callable, Mapping
 from .algebra import HomAlgebra
 from .bialgebra import HomBialgebra, HomHopf
 from .coalgebra import HomCoalgebra
-from .rational import ONE, rat, rat_str
+from .rational import ONE, brief, rat, rat_str
 from .tensors import ComulTensor, LinearMap, MulTensor, Vector
 
 CONVENTION = "columns-are-images"
@@ -81,12 +82,17 @@ def parse_structure_file(text: str) -> tuple[Structure, dict[str, Fraction]]:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:
+        # json.loads raises this only for an integer literal that is too long
+        raise ParseError("invalid JSON: an integer literal is longer than Python's limit of "
+                         f"{sys.get_int_max_str_digits()} digits "
+                         "(sys.get_int_max_str_digits())") from exc
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
 
     kind = data.get("kind")
-    if kind not in _KIND_FIELDS:
-        raise ParseError(f"kind: expected one of {sorted(_KIND_FIELDS)}, got {kind!r}")
+    if not isinstance(kind, str) or kind not in _KIND_FIELDS:
+        raise ParseError(f"kind: expected one of {sorted(_KIND_FIELDS)}, got {brief(kind)}")
     dim = data.get("dim")
     if not isinstance(dim, int) or dim < 1:
         raise ParseError(f"dim: expected a positive integer, got {dim!r}")

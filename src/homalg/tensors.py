@@ -34,29 +34,28 @@ such as ``"lb,kab,aij->kijl"``:
   operand order is the contraction order: list the cheapest pair first.
 * The letters after ``->`` are the output legs in order.  The result is a
   nested list in that layout (a bare scalar for an empty output), where an
-  entry no product reached is the integer 0.
+  entry no product reached is the integer 0; nonzero entries are Fractions
+  when an operand held one (a tensor always does).  A tensor class's
+  ``contracted`` and ``slices`` return tensors instead.
 
-Only ``+``, ``*`` and truthiness of the entries are used, and zero entries are
-skipped, so the same code runs on ints, Fractions and polynomials.
-
-Integer kernel.  When every operand entry is an int or a Fraction and at
-least one is a Fraction, each call clears denominators once per operand: the
-operand's entries are scaled by the lcm of their denominators, so the joins
-and sums run on Python ints, and each nonzero output entry becomes one
-``Fraction(value, product of the lcms)``.  Such a result holds Fractions at
-its nonzero entries.  Polynomial operands, and operands that are all ints,
-take the generic path.
+Stored form.  A tensor holds the int numerators of its nonzero entries by
+index tuple over one denominator, the lcm of their reduced denominators, so
+equal tensors have equal tables.  ``_tabled`` clears outside entries and
+nested-sequence operands once.  Contraction (``+``, ``*`` and truthiness
+only), ``+``, ``-``, scalar ``*``, ``==``, hashing and the S3 action run on
+those ints.  A polynomial entry is its own numerator over denominator 1.
+Fractions appear only at the boundary (``nonzero``, ``entry``, ``coords``,
+``entries``, ``coeffs``, ``c``, ``d``), built lazily and cached.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain
-from math import lcm
-from operator import itemgetter
+from functools import cached_property, lru_cache, reduce
+from itertools import product
+from math import gcd, lcm, prod
+from operator import getitem, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .polysolve import Poly
@@ -68,244 +67,252 @@ from .rational import ONE, ZERO, rat
 
 def contract(spec: str, *operands):
     """Sum of products over shared index letters; see the module docstring."""
+    shape, table, den, fractional = _contraction(spec, operands)
+    table, den = _reduced(table, den)
+    if fractional:
+        table = {key: _value(value, den) for key, value in table.items()}
+    return _dense(shape, table)
+
+
+def _contraction(spec: str, operands) -> tuple[tuple[int, ...], dict, int, bool]:
+    """(output shape, numerators, denominator, whether an operand held a Fraction)"""
+    parts = [((op.dim,) * op.order, None, op._num, op._den) if isinstance(op, _Tensor)
+             else _tabled(op, len(letters))
+             for letters, op in zip(spec.partition("->")[0].split(","), operands)]
+    steps, out_shape = _plan(spec, tuple(part[0] for part in parts))
+    acc: dict = {(): 1}
+    for (_, _, table, _), (acc_key, table_key, pick) in zip(parts, steps):
+        acc = table if pick is None else _join(acc, acc_key, table, table_key, pick)
+    # a tensor (exact entries None) always reads as Fractions
+    fractional = any(exact is None or any(isinstance(v, Fraction) for v in exact.values())
+                     for _, exact, _, _ in parts)
+    return out_shape, acc, prod(part[3] for part in parts), fractional
+
+
+@lru_cache(maxsize=512)
+def _plan(spec: str, shapes: tuple[tuple[int, ...], ...]):
+    """Per operand: keys of the letters it shares with the running product, and
+    the picker of the letters kept (None: keep the first operand as it is)."""
     inputs, arrow, output = spec.partition("->")
     legs = inputs.split(",")
-    if not arrow or len(legs) != len(operands):
-        raise ValueError(f"spec {spec!r} does not name {len(operands)} operand(s)")
+    if not arrow or len(legs) != len(shapes):
+        raise ValueError(f"spec {spec!r} does not name {len(shapes)} operand(s)")
     sizes: dict[str, int] = {}
-    tables = [_table(letters, operand, sizes) for letters, operand in zip(legs, operands)]
-    tables, denominator = _cleared(tables)
-    missing = [ch for ch in output if ch not in sizes]
-    if missing:
-        raise ValueError(f"output indices {missing} name no operand leg in {spec!r}")
-
-    letters, acc = "", {}
-    for step, (other, table) in enumerate(zip(legs, tables)):
+    for letters, shape in zip(legs, shapes):
+        if len(letters) != len(shape):
+            raise ValueError(f"legs {letters!r} do not fit an order-{len(shape)} tensor")
+        for ch, size in zip(letters, shape):
+            if sizes.setdefault(ch, size) != size:
+                raise ValueError(f"index {ch!r} has sizes {sizes[ch]} and {size}")
+    if not set(output) <= set(sizes):
+        raise ValueError(f"output indices {set(output) - set(sizes)} name no leg in {spec!r}")
+    steps, letters = [], ""
+    for step, other in enumerate(legs):
         both = letters + other
-        if step == len(legs) - 1:
-            keep = output
-        else:
-            later = set(output).union(*legs[step + 1:])
-            keep = "".join(ch for ch in dict.fromkeys(both) if ch in later)
-        products = _join(acc, letters, table, other) if step else table.items()
-        acc = _accumulate(products, _picker([both.index(ch) for ch in keep]))
+        later = set(output).union(*legs[step + 1:])
+        keep = output if step == len(legs) - 1 else \
+            "".join(ch for ch in dict.fromkeys(both) if ch in later)
+        shared = [ch for ch in other if ch in letters]
+        pick = None if not step and keep == other else _picker([both.index(ch) for ch in keep])
+        steps.append((_picker([letters.index(ch) for ch in shared], bare=True),
+                      _picker([other.index(ch) for ch in shared], bare=True), pick))
         letters = keep
-
-    if denominator:
-        acc = {key: Fraction(value, denominator) for key, value in acc.items()}
-    if not output:
-        return acc.get((), 0)
-    return _dense([sizes[ch] for ch in output], acc)
+    return tuple(steps), tuple(sizes[ch] for ch in output)
 
 
-def _table(legs: str, operand, sizes: dict[str, int]) -> dict:
-    """Nonzero entries of one operand by index tuple; records leg sizes."""
-    if isinstance(operand, _Tensor):
-        if len(legs) != operand.order:
-            raise ValueError(f"legs {legs!r} do not fit an order-{operand.order} tensor")
-        shape, table = (operand.dim,) * operand.order, operand.nonzero
-    else:
-        shape, level = [], operand
-        for _ in legs:
-            shape.append(len(level))
-            level = level[0] if level else ()
-        table = _nonzero(operand, len(legs))
-    for ch, size in zip(legs, shape):
-        if sizes.setdefault(ch, size) != size:
-            raise ValueError(f"index {ch!r} has sizes {sizes[ch]} and {size}")
-    return table
+def _tabled(data, depth: int) -> tuple[tuple[int, ...], dict, dict, int]:
+    """Nested sequences as (shape, nonzero exact entries by index tuple, their
+    numerators, their denominator).  Outside entries come in only here: ints,
+    Fractions and "p/q" strings through ``rat``; a polynomial is its own
+    numerator."""
+    shape, flat = [], [data]
+    for _ in range(depth):
+        rows = [list(row) for row in flat]
+        shape.append(len(rows[0]) if rows else 0)
+        if any(len(row) != shape[-1] for row in rows):
+            raise ValueError("nested sequences of unequal lengths")
+        flat = [item for row in rows for item in row]
+    exact = {}
+    for key, value in zip(product(*map(range, shape)), flat):
+        value = value if isinstance(value, (Fraction, int, Poly)) else rat(value)
+        if value:
+            exact[key] = value
+    ratios = [(v, 1) if isinstance(v, Poly) else v.as_integer_ratio() for v in exact.values()]
+    den = lcm(*[d for _, d in ratios])
+    return tuple(shape), exact, dict(zip(exact, [n * (den // d) for n, d in ratios])), den
 
 
-def _cleared(tables: list[dict]) -> tuple[list[dict], int | None]:
-    """The integer kernel's input: each table scaled by the lcm of its
-    denominators, and the product of those lcms.  The tables come back
-    unchanged with ``None`` unless every entry is an int or a Fraction and
-    some entry is a Fraction."""
-    kinds = set(map(type, chain.from_iterable(table.values() for table in tables)))
-    if Fraction not in kinds or not kinds <= {int, Fraction}:
-        return tables, None
-    cleared, denominator = [], 1
-    for table in tables:
-        ratios = [value.as_integer_ratio() for value in table.values()]
-        scale = lcm(*[d for _, d in ratios])
-        cleared.append(dict(zip(table, [n * (scale // d) for n, d in ratios])))
-        denominator *= scale
-    return cleared, denominator
+def _reduced(table: dict, den: int) -> tuple[dict, int]:
+    """Numerators over den in lowest terms; polynomial numerators take den into
+    their coefficients, which leaves denominator 1."""
+    if den == 1:
+        return table, 1
+    try:
+        common = gcd(den, *table.values())
+    except TypeError:
+        return {key: value * Fraction(1, den) for key, value in table.items()}, 1
+    if common == 1:
+        return table, den
+    return {key: value // common for key, value in table.items()}, den // common
 
 
-def _nonzero(data, order: int) -> dict:
-    entries = [((), data)]
-    for _ in range(order):
-        entries = [(key + (i,), item) for key, row in entries for i, item in enumerate(row)]
-    return {key: value for key, value in entries if value}
+def _value(numerator, den: int):
+    """numerator / den as a Fraction; a polynomial numerator (over 1) as is."""
+    return Fraction(numerator, den) if isinstance(numerator, int) else numerator
 
 
-def _join(acc: dict, acc_legs: str, table: dict, legs: str):
-    """Products of the entries of two tables that agree on their shared letters,
-    keyed by the concatenated index tuples."""
-    shared = [ch for ch in legs if ch in acc_legs]
-    acc_key = _picker([acc_legs.index(ch) for ch in shared])
-    table_key = _picker([legs.index(ch) for ch in shared])
-    groups: dict[tuple, list] = {}
+def _join(acc: dict, acc_key, table: dict, table_key, pick) -> dict:
+    """Sums of the products of the entries of two tables that agree on their
+    shared letters, keyed by pick of the concatenated index tuples."""
+    groups: dict[object, list] = {}
     for key, value in table.items():
         groups.setdefault(table_key(key), []).append((key, value))
+    out: dict[tuple, object] = {}
     for akey, avalue in acc.items():
         for bkey, bvalue in groups.get(acc_key(akey), ()):
-            yield akey + bkey, avalue * bvalue
-
-
-def _accumulate(products, pick) -> dict:
-    out: dict[tuple, object] = {}
-    for key, value in products:
-        key = pick(key)
-        out[key] = out[key] + value if key in out else value
+            key = pick(akey + bkey)
+            value = avalue * bvalue
+            out[key] = out[key] + value if key in out else value
     return {key: value for key, value in out.items() if value}
 
 
-def _picker(positions: list[int]):
-    """Function taking an index tuple to the tuple of its entries at positions."""
-    if len(positions) == 1:
+def _picker(positions: list[int], bare: bool = False):
+    """Index tuple -> tuple of its entries at positions (``bare``: one entry as is)."""
+    if len(positions) == 1 and not bare:
         (p,) = positions
         return lambda key: (key[p],)
     return itemgetter(*positions) if positions else (lambda key: ())
 
 
-def _zeros(shape: list[int], fill=0) -> list:
-    if len(shape) == 1:
-        return [fill] * shape[0]
-    return [_zeros(shape[1:], fill) for _ in range(shape[0])]
-
-
-def _dense(shape: list[int], entries: Mapping[tuple[int, ...], object], fill=0) -> list:
-    """Nested lists of that shape: each entry at its index tuple, fill elsewhere."""
-    grid = _zeros(shape, fill)
-    for key, value in entries.items():
-        row = grid
-        for i in key[:-1]:
-            row = row[i]
-        row[key[-1]] = value
-    return grid
+def _dense(shape: tuple[int, ...], entries: Mapping, fill=0, seq=list):
+    """Nested ``seq``s of that shape: entries at their index tuples, fill elsewhere."""
+    cells = [entries.get(index, fill) for index in product(*map(range, shape))]
+    for size in reversed(shape[1:]):
+        cells = [seq(cells[i:i + size]) for i in range(0, len(cells), size)]
+    return seq(cells) if shape else cells[0]
 
 
 # ---------------------------------------------------------------------------
 # the shared container
 
 
-def _scalar(value):
-    """Exact entry: outside input goes through ``rat``; polynomials pass."""
-    return value if isinstance(value, Poly) else rat(value)
-
-
-def _freeze(data, order: int):
-    if order == 0:
-        return _scalar(data)
-    return tuple(_freeze(row, order - 1) for row in data)
-
-
-def _tuples(grid, order: int):
-    return tuple(grid) if order == 1 else tuple(_tuples(row, order - 1) for row in grid)
-
-
-def _is_cube(data, n: int, order: int) -> bool:
-    return order == 0 or (len(data) == n and all(_is_cube(row, n, order - 1) for row in data))
-
-
-def _map(fn, order: int, *grids):
-    """fn applied entrywise to grids of one shape, as nested tuples."""
-    if order == 0:
-        return fn(*grids)
-    return tuple(_map(fn, order - 1, *rows) for rows in zip(*grids, strict=True))
-
-
 class _Tensor:
-    """A frozen nested tuple of exact entries, every leg of the same length.
-
-    Subclasses fix the number of legs (``order``) and name the stored grid
-    (``coords``, ``entries``, ``coeffs``, ``c``, ``d``).
-    """
+    """Exact entries, every leg of length ``dim``: numerators of the nonzero
+    entries by index tuple (``_num``) over one denominator (``_den``), in
+    lowest terms.  Subclasses fix the number of legs (``order``) and name the
+    nested-tuple view (``coords``, ``entries``, ``coeffs``, ``c``, ``d``)."""
 
     order = 0
     kind = "tensor"
 
     def __init__(self, data):
-        frozen = _freeze(data, self.order)
-        if not frozen or not _is_cube(frozen, len(frozen), self.order):
+        shape, exact, table, den = _tabled(data, self.order)
+        self._set(shape, table, den)
+        self.nonzero = {key: Fraction(v) if isinstance(v, int) else v for key, v in exact.items()}
+
+    def _set(self, shape: tuple[int, ...], table: dict, den: int) -> None:
+        if not shape[0] or len(set(shape)) != 1:
             raise ValueError(f"{self.kind} must be nonempty with every leg of one length")
-        self._data = frozen
+        self.dim, (self._num, self._den) = shape[0], _reduced(table, den)
 
     @classmethod
-    def _of(cls, frozen):
-        """Wrap nested tuples of exact entries that already have the shape:
-        no ``rat`` and no shape check."""
+    def _of(cls, dim: int, table: dict, den: int = 1):
+        """From nonzero numerators over den, not necessarily in lowest terms."""
         tensor = cls.__new__(cls)
-        tensor._data = frozen
+        tensor._set((dim,), table, den)
         return tensor
 
     @classmethod
-    def _exact(cls, dim: int, entries: dict[tuple[int, ...], object]):
-        """From a table of nonzero exact entries, which becomes ``nonzero``."""
-        tensor = cls._of(_tuples(_dense([dim] * cls.order, entries, ZERO), cls.order))
-        tensor.nonzero = entries
-        return tensor
+    def slices(cls, spec: str, *operands) -> tuple:
+        """``contract(spec, *operands)`` cut along its leading output legs,
+        all but the last ``order``, into tensors of this class, one per
+        leading index tuple in index order."""
+        shape, table, den, _ = _contraction(spec, operands)
+        lead = len(shape) - cls.order
+        if lead < 0 or len(set(shape[lead:])) != 1:
+            raise ValueError(f"output legs of {spec!r} do not end in a {cls.kind}")
+        parts: dict[tuple, dict] = {index: {} for index in product(*map(range, shape[:lead]))}
+        for key, value in table.items():
+            parts[key[:lead]][key[lead:]] = value
+        return tuple(cls._of(shape[lead], part, den) for part in parts.values())
 
-    @property
-    def dim(self) -> int:
-        return len(self._data)
+    @classmethod
+    def contracted(cls, spec: str, *operands):
+        """``contract(spec, *operands)`` as a tensor of this class."""
+        (tensor,) = cls.slices(spec, *operands)
+        return tensor
 
     @cached_property
     def nonzero(self) -> dict[tuple[int, ...], object]:
         """Nonzero entries by index tuple."""
-        return _nonzero(self._data, self.order)
+        return {key: _value(value, self._den) for key, value in self._num.items()}
+
+    @cached_property
+    def _data(self):
+        """The entries as nested tuples, zeros included."""
+        return _dense((self.dim,) * self.order, self.nonzero, ZERO, tuple)
 
     @classmethod
     def zero(cls, dim: int):
-        return cls(_zeros([dim] * cls.order))
+        return cls._of(dim, {})
 
     @classmethod
     def from_entries(cls, dim: int, entries: Mapping[tuple[int, ...], object]):
-        return cls(_dense([dim] * cls.order, entries))
+        return cls(_dense((dim,) * cls.order, entries))
 
     def entry(self, *index: int):
-        value = self._data
-        for i in index:
-            value = value[i]
-        return value
+        return reduce(getitem, index, self._data)
 
     def nonzero_entries(self) -> list[tuple[tuple[int, ...], object]]:
         return sorted(self.nonzero.items(), key=itemgetter(0))
 
     def is_zero(self) -> bool:
-        return not self.nonzero
+        return not self._num
+
+    def _combine(self, other: "_Tensor", sign: int):
+        """self + sign * other, on the numerators over their lcm denominator."""
+        if self.dim != other.dim:
+            raise ValueError(f"dimensions {self.dim} and {other.dim} differ")
+        den = lcm(self._den, other._den)
+        scale, other_scale = den // self._den, sign * (den // other._den)
+        out = {key: value * scale for key, value in self._num.items()}
+        for key, value in other._num.items():
+            value = value * other_scale
+            out[key] = out[key] + value if key in out else value
+        return self._of(self.dim, {key: value for key, value in out.items() if value}, den)
 
     def __add__(self, other):
-        return self._of(_map(operator.add, self.order, self._data, other._data))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self._of(_map(operator.sub, self.order, self._data, other._data))
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return self._of(_map(operator.neg, self.order, self._data))
+        return self._of(self.dim, {key: -value for key, value in self._num.items()}, self._den)
 
     def __rmul__(self, scalar):
-        s = _scalar(scalar)
-        return self._of(_map(lambda v: s * v, self.order, self._data))
+        _, _, table, den = _tabled([scalar], 1)
+        s = table.get((0,), 0)
+        return self._of(self.dim, {key: s * value for key, value in self._num.items()} if s else {},
+                        self._den * den)
 
     def __eq__(self, other):
-        return type(self) is type(other) and self._data == other._data
+        return type(self) is type(other) and self.dim == other.dim \
+            and self._den == other._den and self._num == other._num
 
     def __hash__(self):
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash(self._data)
+        return hash((self.dim, self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._data!r})"
 
 
 # ---------------------------------------------------------------------------
-# vectors and linear maps
+# vectors, linear maps, and order-2 and order-3 coefficient tensors
 
 
 class Vector(_Tensor):
@@ -337,7 +344,7 @@ class LinearMap(_Tensor):
 
     @classmethod
     def identity(cls, dim: int) -> "LinearMap":
-        return cls([[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)])
+        return cls._of(dim, {(i, i): 1 for i in range(dim)})
 
     @classmethod
     def from_columns(cls, columns: Sequence[Vector]) -> "LinearMap":
@@ -349,24 +356,21 @@ class LinearMap(_Tensor):
         return cls.from_entries(dim, {(row, col): ONE})
 
     def column(self, j: int) -> Vector:
-        return Vector(row[j] for row in self._data)
+        return Vector._of(self.dim, {(i,): v for (i, c), v in self._num.items() if c == j},
+                          self._den)
 
     def apply(self, v: Vector) -> Vector:
-        return Vector(contract("ij,j->i", self, v))
+        return Vector.contracted("ij,j->i", self, v)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other (matrix product self . other)."""
-        return LinearMap(contract("ik,kj->ij", self, other))
+        return LinearMap.contracted("ik,kj->ij", self, other)
 
     def transpose(self) -> "LinearMap":
-        return LinearMap(contract("ji->ij", self))
+        return LinearMap.contracted("ji->ij", self)
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(v) for v in row) for row in self._data) + "]"
-
-
-# ---------------------------------------------------------------------------
-# order-2 and order-3 coefficient tensors
 
 
 class Tensor2(_Tensor):
@@ -380,10 +384,10 @@ class Tensor2(_Tensor):
 
     @classmethod
     def pure(cls, x: Vector, y: Vector) -> "Tensor2":
-        return cls(contract("i,j->ij", x, y))
+        return cls.contracted("i,j->ij", x, y)
 
     def flip(self) -> "Tensor2":
-        return Tensor2(contract("ji->ij", self))
+        return Tensor2.contracted("ji->ij", self)
 
 
 class Tensor3(_Tensor):
@@ -417,10 +421,7 @@ class Perm3:
         return self.images[i - 1]
 
     def inverse(self) -> "Perm3":
-        inv = [0, 0, 0]
-        for i in range(3):
-            inv[self.images[i] - 1] = i + 1
-        return _BY_IMAGES[tuple(inv)]
+        return _BY_IMAGES[tuple(self.images.index(i) + 1 for i in (1, 2, 3))]
 
     def compose(self, other: "Perm3") -> "Perm3":
         """self after other."""
@@ -455,39 +456,36 @@ def subgroup(name: str) -> tuple[Perm3, ...]:
         raise ValueError(f"unknown subgroup {name!r}; expected G1..G6") from None
 
 
+def _leg_picker(sigma: Perm3):
+    """Index triple of Phi_sigma(e_p (x) e_q (x) e_s) from (p, q, s)."""
+    return _picker([i - 1 for i in sigma.inverse().images])
+
+
 def phi_apply(sigma: Perm3, t: Tensor3) -> Tensor3:
     """Permute tensor legs: leg m of the output is leg sigma^-1(m) of the input."""
-    legs = "".join("abc"[s - 1] for s in sigma.images)
-    return Tensor3(contract(legs + "->abc", t))
+    return Tensor3._of(t.dim, dict(zip(map(_leg_picker(sigma), t._num), t._num.values())), t._den)
 
 
 def signed_leg_sum(perms: Iterable[Perm3], t: Tensor3) -> Tensor3:
     """sum_{sigma in perms} (-1)^eps(sigma) Phi_sigma(t).
 
-    Each nonzero entry of t is added, signed, under its permuted index triple,
-    on the integer kernel when t holds Fractions.  Over a subgroup this also
-    equals the signed sum of t o Phi_sigma, since sigma and its inverse have
-    one sign and the subgroup holds both.
-    """
-    (table,), denominator = _cleared([t.nonzero])
+    Each numerator of t is added, signed, under its permuted index triple.
+    Over a subgroup this also equals the signed sum of t o Phi_sigma, since
+    sigma and its inverse have one sign and the subgroup holds both."""
+    items = list(t._num.items())
+    negated = [(key, -value) for key, value in items]
     total: dict[tuple, object] = {}
     for sigma in perms:
-        pick = _picker([i - 1 for i in sigma.inverse().images])
-        for key, value in table.items():
+        pick = _leg_picker(sigma)
+        for key, value in items if sigma.sign > 0 else negated:
             key = pick(key)
-            if sigma.sign < 0:
-                value = -value
             total[key] = total[key] + value if key in total else value
-    total = {key: value for key, value in total.items() if value}
-    if denominator:
-        total = {key: Fraction(value, denominator) for key, value in total.items()}
-    return Tensor3._exact(t.dim, total)
+    return Tensor3._of(t.dim, {key: value for key, value in total.items() if value}, t._den)
 
 
 def permute_triple(sigma: Perm3, triple: tuple[int, int, int]) -> tuple[int, int, int]:
     """Index triple of Phi_sigma(e_p (x) e_q (x) e_s) for triple = (p, q, s)."""
-    inv = sigma.inverse().images
-    return (triple[inv[0] - 1], triple[inv[1] - 1], triple[inv[2] - 1])
+    return _leg_picker(sigma)(triple)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +505,7 @@ class MulTensor(_Tensor):
         return Vector(self._data[i][j])
 
     def apply(self, x: Vector, y: Vector) -> Vector:
-        return Vector(contract("i,j,ijk->k", x, y, self))
+        return Vector.contracted("i,j,ijk->k", x, y, self)
 
 
 class ComulTensor(_Tensor):
@@ -520,11 +518,12 @@ class ComulTensor(_Tensor):
         return self._data
 
     def image(self, k: int) -> Tensor2:
-        return Tensor2(self._data[k])
+        return Tensor2._of(self.dim, {key[1:]: v for key, v in self._num.items() if key[0] == k},
+                           self._den)
 
     def apply(self, x: Vector) -> Tensor2:
-        return Tensor2(contract("k,kij->ij", x, self))
+        return Tensor2.contracted("k,kij->ij", x, self)
 
     def op(self) -> "ComulTensor":
         """Opposite comultiplication: d[k][i][j] -> d[k][j][i]."""
-        return ComulTensor(contract("kji->kij", self))
+        return ComulTensor.contracted("kji->kij", self)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from homalg import (
     HomAlgebra,
@@ -16,6 +17,11 @@ from homalg import (
     Vector,
     registry,
 )
+
+# Property tests draw the same examples on every run: no example database,
+# no deadline (the machine's speed varies), derandomized generation.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -272,3 +272,24 @@ def test_convolution_test_is_exact_at_dim_3(tmp_path, capsys):
     assert cli_main(["convolution-test", str(p), "--samples", "0"]) == 0
     assert capsys.readouterr().out == \
         "convolution Hom-associativity (exact, all basis-matrix triples): ok\n"
+
+
+@pytest.mark.parametrize("kind", [["algebra"], {"kind": "algebra"}])
+def test_non_string_kind_exits_two_without_traceback(tmp_path, capsys, kind):
+    p = tmp_path / "kind.json"
+    p.write_text(json.dumps({"kind": kind, "dim": 2}))
+    assert cli_main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "kind: expected one of" in err
+    assert "Traceback" not in err
+
+
+def test_huge_entry_exits_two_naming_the_digit_limit(files, tmp_path, capsys):
+    data = json.loads(Path(files["mu1.json"]).read_text())
+    data["mul"][0][0][0] = "1" * 5001
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(data))
+    assert cli_main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "mul[0][0][0]" in err and "get_int_max_str_digits" in err
+    assert len(err) < 300

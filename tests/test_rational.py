@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -48,3 +49,24 @@ def test_field_laws_on_large_rationals():
         assert a + b == b + a
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
+
+
+def test_huge_integer_names_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for text in ("1" * (limit + 701), "1/" + "3" * (limit + 1)):
+        with pytest.raises(ValueError, match=r"sys\.get_int_max_str_digits") as info:
+            rat(text)
+        message = str(info.value)
+        assert str(limit) in message and f"({len(text) + 2} characters)" in message
+        assert len(message) < 200
+    # within the limit the entry parses, and the interpreter's limit is unchanged
+    assert rat("7" * limit) == int("7" * limit)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_long_bad_value_is_truncated_in_message():
+    with pytest.raises(ValueError, match=r"^not a rational number: 'xxx") as info:
+        rat("x" * 5000)
+    assert "(5002 characters)" in str(info.value) and len(str(info.value)) < 120
+    with pytest.raises(ValueError, match=r"^not a rational number: '1/x'$"):
+        rat("1/x")

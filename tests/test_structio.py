@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -164,3 +165,18 @@ def test_registry_hopf2_antipode_identity():
 def test_registry_alpha_defaults_to_identity():
     b = registry()["bialgebra-3"].build({"b1": 1, "b2": 0, "b3": 1})
     assert b.algebra.alpha == LinearMap.identity(2)
+
+
+@pytest.mark.parametrize("kind", [["algebra"], {"algebra": 1}, 3, None])
+def test_non_string_kind_is_parse_error(kind):
+    data = json.loads(serialize_structure(mu1_algebra(1, 1)))
+    data["kind"] = kind
+    with pytest.raises(ParseError, match="kind: expected one of"):
+        parse_structure(json.dumps(data))
+
+
+def test_json_integer_literal_over_digit_limit_is_parse_error():
+    digits = sys.get_int_max_str_digits() + 1
+    text = serialize_structure(mu1_algebra(1, 1)).replace('"dim": 2', f'"dim": {"1" * digits}')
+    with pytest.raises(ParseError, match=r"integer literal .*sys\.get_int_max_str_digits"):
+        parse_structure(text)

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from homalg import (
     PERMS,
     S3,
     SUBGROUPS,
     LinearMap,
+    Poly,
     Tensor2,
     Tensor3,
     Vector,
@@ -16,7 +19,7 @@ from homalg import (
     phi_apply,
 )
 from homalg.sampling import random_scalar
-from homalg.tensors import permute_triple
+from homalg.tensors import permute_triple, signed_leg_sum
 
 
 def random_tensor3(dim, rng):
@@ -167,3 +170,129 @@ def test_linear_map_rejects_ragged():
 def test_apply_dim_mismatch():
     with pytest.raises(ValueError):
         LinearMap.identity(2).apply(Vector.basis(3, 0))
+
+
+# --- the stored form against an entrywise Fraction reference ----------------
+
+CLASSES = {1: Vector, 2: LinearMap, 3: Tensor3}
+
+# outside entries as ints, Fractions or "p/q" strings, often zero
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+entries = st.one_of(st.just(0), st.integers(-9, 9), fractions,
+                    fractions.map(lambda f: f"{f.numerator}/{f.denominator}"))
+
+
+def grid(shape, draw_entry):
+    if not shape:
+        return draw_entry()
+    return [grid(shape[1:], draw_entry) for _ in range(shape[0])]
+
+
+@st.composite
+def tensor_data(draw, count=1):
+    """count nested grids of one random order (1..3) and dim (1..4)."""
+    order, dim = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return order, dim, [grid((dim,) * order, lambda: draw(entries)) for _ in range(count)]
+
+
+def reference(data, order):
+    """The grid as a dict of Fractions over every index tuple."""
+    n = len(data)
+    cells = {}
+    for idx in product(range(n), repeat=order):
+        value = data
+        for i in idx:
+            value = value[i]
+        cells[idx] = Fraction(value)
+    return cells
+
+
+def cells(t):
+    return {idx: t.entry(*idx) for idx in product(range(t.dim), repeat=t.order)}
+
+
+def assert_canonical(t):
+    """Numerators over the lcm of the entries' reduced denominators."""
+    values = t.nonzero.values()
+    assert t._den == lcm(*(v.denominator for v in values))
+    assert t._num == {idx: v * t._den for idx, v in t.nonzero.items()}
+    assert all(type(v) is int for v in t._num.values())
+    assert all(type(v) is Fraction for v in cells(t).values())
+
+
+@given(tensor_data(count=2), entries)
+def test_arithmetic_matches_fraction_reference(data, scalar):
+    order, _, (x, y) = data
+    cls = CLASSES[order]
+    a, b = cls(x), cls(y)
+    ra, rb, s = reference(x, order), reference(y, order), Fraction(scalar)
+    assert cells(a) == ra
+    assert_canonical(a)
+    for result, want in ((a + b, {i: ra[i] + rb[i] for i in ra}),
+                         (a - b, {i: ra[i] - rb[i] for i in ra}),
+                         (-a, {i: -ra[i] for i in ra}),
+                         (scalar * a, {i: s * ra[i] for i in ra})):
+        assert type(result) is cls
+        assert cells(result) == want
+        assert result.is_zero() == (not any(want.values()))
+        assert_canonical(result)
+    assert (a == b) == (ra == rb)
+    if ra == rb:
+        assert hash(a) == hash(b)
+    assert a != cls.zero(a.dim + 1)
+
+
+@given(tensor_data(count=2))
+def test_equal_values_by_different_routes_are_equal(data):
+    order, dim, (x, y) = data
+    cls = CLASSES[order]
+    a, b = cls(x), cls(y)
+    values = reference(x, order)
+    routes = [(a + b) - b, -(-a), (b + a) - b, Fraction(1, 3) * (3 * a),
+              cls.from_entries(dim, values),
+              cls.from_entries(dim, {i: f"{v.numerator}/{v.denominator}"
+                                     for i, v in values.items()}),
+              cls.from_entries(dim, {i: int(v) for i, v in values.items() if v.denominator == 1})
+              + cls.from_entries(dim, {i: v for i, v in values.items() if v.denominator != 1})]
+    for route in routes:
+        assert route == a and hash(route) == hash(a)
+        assert route._num == a._num and route._den == a._den
+    zero = cls.zero(dim)
+    assert 0 * a == zero and hash(0 * a) == hash(zero) and a - a == zero
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(entries, min_size=n ** 3, max_size=n ** 3).map(lambda v: (n, v))))
+def test_phi_and_signed_leg_sum_match_permuted_indices(data):
+    dim, flat = data
+    values = dict(zip(product(range(dim), repeat=3), map(Fraction, flat)))
+    t = Tensor3.from_entries(dim, values)
+
+    def moved(sigma, idx):
+        inv = sigma.inverse().images
+        return tuple(idx[inv[m] - 1] for m in range(3))
+
+    for sigma in S3:
+        assert cells(phi_apply(sigma, t)) == {moved(sigma, i): v for i, v in values.items()}
+    for name, perms in SUBGROUPS.items():
+        want = {idx: Fraction(0) for idx in values}
+        for sigma in perms:
+            for idx, v in values.items():
+                want[moved(sigma, idx)] += sigma.sign * v
+        total = signed_leg_sum(perms, t)
+        assert cells(total) == want, name
+        assert_canonical(total)
+
+
+def test_poly_valued_tensors_round_trip_through_entry():
+    xy = ("x", "y")
+    x, y = Poly.var(xy, "x"), Poly.var(xy, "y")
+    p = x * y - Poly.const(xy, Fraction(2, 3))
+    t = Tensor2([[x, Poly.zero(xy)], [p, Fraction(1, 2)]])
+    assert t.entry(0, 0) == x and t.entry(1, 0) == p
+    assert not t.entry(0, 1) and t.entry(1, 1) == Fraction(1, 2)
+    assert t == Tensor2([[x, 0], [p, "1/2"]]) and hash(t) == hash(Tensor2([[x, 0], [p, "1/2"]]))
+    # a rational operand's denominator is divided into the polynomials
+    third = Tensor2([[Fraction(1, 3), 0], [0, 0]])
+    assert (t + third).entry(0, 0) == x + Fraction(1, 3)
+    assert (t - t).is_zero() and (Fraction(3, 4) * t).entry(1, 0) == p * Fraction(3, 4)
