@@ -306,14 +306,9 @@ def solve_antipode(bialgebra: HomBialgebra, row_order_seed: int | None = None) -
 def dual_hopf(hopf: HomHopf) -> HomHopf:
     """Dualize both sides and transpose the antipode; construction re-verifies
     the antipode equations on the dual."""
-    from .duality import dual_algebra_of_coalgebra, dual_coalgebra_of_algebra
+    from .duality import dual
 
-    b = hopf.bialgebra
-    dual_b = HomBialgebra(
-        algebra=dual_algebra_of_coalgebra(b.coalgebra),
-        coalgebra=dual_coalgebra_of_algebra(b.algebra),
-    )
-    return HomHopf(bialgebra=dual_b, antipode=hopf.antipode.transpose())
+    return dual(hopf)
 
 
 # ---------------------------------------------------------------------------

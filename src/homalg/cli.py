@@ -18,7 +18,6 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import (
-    HomAlgebra,
     check_G_hom_associative,
     check_hom_associative,
     check_module,
@@ -26,7 +25,6 @@ from .algebra import (
 )
 from .bialgebra import (
     HomBialgebra,
-    HomHopf,
     antipode_defect,
     check_bialgebra_strict,
     check_bialgebra_weak,
@@ -46,13 +44,14 @@ from .coalgebra import (
     lemma_identities_check,
     admissibility_defects,
 )
-from .duality import dual_algebra_of_coalgebra, dual_coalgebra_of_algebra
+from .duality import dual
 from .polysolve import search_bialgebra_extension
 from .rational import rat, rat_str
 from .reports import DefectReport
 from .sampling import random_comul_tensor, random_linear_map
 from .structio import (
     ParseError,
+    parts,
     registry,
     parse_structure,
     serialize_structure,
@@ -76,24 +75,12 @@ class _Failure(Exception):
 def _load(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Failure(f"cannot read {path}: {exc}") from exc
     try:
         return parse_structure(text)
     except ParseError as exc:
         raise _Failure(f"{path}: {exc}") from exc
-
-
-def _sides(structure):
-    """(algebra side, coalgebra side), either possibly None."""
-    if isinstance(structure, HomHopf):
-        b = structure.bialgebra
-        return b.algebra, b.coalgebra
-    if isinstance(structure, HomBialgebra):
-        return structure.algebra, structure.coalgebra
-    if isinstance(structure, HomAlgebra):
-        return structure, None
-    return None, structure
 
 
 def _print_report(name: str, report: DefectReport) -> bool:
@@ -111,33 +98,48 @@ def _print_bool(name: str, check: str, value: bool | None, skip_reason: str = ""
     return value
 
 
-def _self_module_ok(algebra: HomAlgebra) -> bool:
-    gamma = [[list(algebra.mul.c[i][m]) for m in range(algebra.dim)]
-             for i in range(algebra.dim)]
-    return check_module(algebra, algebra.dim, algebra.alpha, gamma)
+def _bialgebra(structure, message: str) -> HomBialgebra:
+    """The structure's bialgebra; a usage error carrying ``message`` if it has none."""
+    bialgebra = parts(structure).bialgebra
+    if bialgebra is None:
+        raise _Failure(message)
+    return bialgebra
 
 
-def _self_comodule_ok(coalgebra: HomCoalgebra) -> bool:
-    # rho[m][q][i]: coefficient of u_q (x) e_i in Delta(e_m)
-    rho = [[[coalgebra.comul.d[m][q][i] for i in range(coalgebra.dim)]
-            for q in range(coalgebra.dim)] for m in range(coalgebra.dim)]
-    return check_comodule(coalgebra, coalgebra.dim, coalgebra.beta, rho)
+def _write(text: str, output: str | None) -> None:
+    """``text`` to the ``-o`` file, then a "wrote" line; to stdout without one."""
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _Failure(f"cannot write {output}: {exc}") from exc
+    print(f"wrote {output}")
+
+
+_DEFAULT_SUITES = {
+    "algebra": ("hom-assoc", "module"),
+    "coalgebra": ("coassoc", "lie-admissible", "comodule"),
+    "bialgebra": ("hom-assoc", "coassoc", "bialgebra-weak"),
+    "hopf": ("hom-assoc", "coassoc", "bialgebra-weak"),
+}
 
 
 def _run_suite(name: str, structure, suite: str | None) -> bool:
-    algebra, coalgebra = _sides(structure)
+    p = parts(structure)
+    algebra, coalgebra = p.algebra, p.coalgebra
     ok = True
-    suites = [suite] if suite else _default_suites(structure)
-    for s in suites:
+    for s in [suite] if suite else _DEFAULT_SUITES[p.kind]:
+        if s in ("hom-assoc", "module") and algebra is None:
+            raise _Failure(f"suite {s} needs an algebra side")
+        if s in ("coassoc", "comodule") and coalgebra is None:
+            raise _Failure(f"suite {s} needs a coalgebra side")
         if s == "hom-assoc":
-            if algebra is None:
-                raise _Failure(f"suite {s} needs an algebra side")
             ok &= _print_report(name, check_hom_associative(algebra))
             if algebra.unit is not None:
                 ok &= _print_bool(name, "unital", check_unital(algebra))
         elif s == "coassoc":
-            if coalgebra is None:
-                raise _Failure(f"suite {s} needs a coalgebra side")
             ok &= _print_report(name, check_hom_coassociative(coalgebra))
             ok &= _print_bool(name, "counital", check_counital(coalgebra),
                               skip_reason="no counit declared")
@@ -155,40 +157,21 @@ def _run_suite(name: str, structure, suite: str | None) -> bool:
                                   rep.methods_agree)
             if algebra is not None:
                 ok &= _print_report(name, check_G_hom_associative(algebra, "G6"))
-        elif s == "bialgebra-weak":
-            if not isinstance(structure, (HomBialgebra, HomHopf)):
-                raise _Failure(f"suite {s} needs a bialgebra or hopf structure")
-            b = structure.bialgebra if isinstance(structure, HomHopf) else structure
-            ok &= _print_report(name, check_bialgebra_weak(b))
-        elif s == "bialgebra-strict":
-            if not isinstance(structure, (HomBialgebra, HomHopf)):
-                raise _Failure(f"suite {s} needs a bialgebra or hopf structure")
-            b = structure.bialgebra if isinstance(structure, HomHopf) else structure
-            ok &= _print_report(name, check_bialgebra_strict(b))
+        elif s in ("bialgebra-weak", "bialgebra-strict"):
+            b = _bialgebra(structure, f"suite {s} needs a bialgebra or hopf structure")
+            check = check_bialgebra_weak if s == "bialgebra-weak" else check_bialgebra_strict
+            ok &= _print_report(name, check(b))
         elif s == "module":
-            if algebra is None:
-                raise _Failure(f"suite {s} needs an algebra side")
-            ok &= _print_bool(name, "self-module (M=V, f=alpha, gamma=mu)",
-                              _self_module_ok(algebra))
+            ok &= _print_bool(name, "self-module (M=V, f=alpha, gamma=mu)", check_module(
+                algebra, algebra.dim, algebra.alpha, algebra.mul.c))
         elif s == "comodule":
-            if coalgebra is None:
-                raise _Failure(f"suite {s} needs a coalgebra side")
-            ok &= _print_bool(name, "self-comodule (M=V, g=beta, rho=Delta)",
-                              _self_comodule_ok(coalgebra))
+            ok &= _print_bool(name, "self-comodule (M=V, g=beta, rho=Delta)", check_comodule(
+                coalgebra, coalgebra.dim, coalgebra.beta, coalgebra.comul.d))
         else:
             raise _Failure(f"unknown suite {s!r}")
-    if isinstance(structure, HomHopf):
-        bad = antipode_defect(structure.bialgebra, structure.antipode)
-        ok &= _print_bool(name, "antipode equations", not bad)
+    if p.antipode is not None:
+        ok &= _print_bool(name, "antipode equations", not antipode_defect(p.bialgebra, p.antipode))
     return bool(ok)
-
-
-def _default_suites(structure) -> list[str]:
-    if isinstance(structure, HomAlgebra):
-        return ["hom-assoc", "module"]
-    if isinstance(structure, HomCoalgebra):
-        return ["coassoc", "lie-admissible", "comodule"]
-    return ["hom-assoc", "coassoc", "bialgebra-weak"]
 
 
 def _cmd_check(args) -> int:
@@ -197,35 +180,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dualize(args) -> int:
-    structure = _load(args.file)
-    if isinstance(structure, HomHopf):
-        from .bialgebra import dual_hopf
-
-        dual = dual_hopf(structure)
-    elif isinstance(structure, HomBialgebra):
-        dual = HomBialgebra(
-            algebra=dual_algebra_of_coalgebra(structure.coalgebra),
-            coalgebra=dual_coalgebra_of_algebra(structure.algebra),
-        )
-    elif isinstance(structure, HomAlgebra):
-        dual = dual_coalgebra_of_algebra(structure)
-    else:
-        dual = dual_algebra_of_coalgebra(structure)
-    text = serialize_structure(dual)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
+    _write(serialize_structure(dual(_load(args.file))), args.output)
     return 0
 
 
 def _cmd_antipode(args) -> int:
-    structure = _load(args.file)
-    if isinstance(structure, HomHopf):
-        structure = structure.bialgebra
-    if not isinstance(structure, HomBialgebra):
-        raise _Failure("antipode needs a bialgebra or hopf structure file")
+    structure = _bialgebra(_load(args.file), "antipode needs a bialgebra or hopf structure file")
     result = solve_antipode(structure)
     if result.status == "unique":
         print("unique antipode:")
@@ -245,11 +205,8 @@ def _cmd_antipode(args) -> int:
 
 
 def _cmd_subspace(args, generalized: bool) -> int:
-    structure = _load(args.file)
-    if isinstance(structure, HomHopf):
-        structure = structure.bialgebra
-    if not isinstance(structure, HomBialgebra):
-        raise _Failure("primitive subspaces need a bialgebra or hopf structure file")
+    structure = _bialgebra(_load(args.file),
+                           "primitive subspaces need a bialgebra or hopf structure file")
     basis = (generalized_primitive_subspace if generalized else primitive_subspace)(
         structure
     )
@@ -264,11 +221,8 @@ def _cmd_subspace(args, generalized: bool) -> int:
 
 
 def _cmd_convolution_test(args) -> int:
-    structure = _load(args.file)
-    if isinstance(structure, HomHopf):
-        structure = structure.bialgebra
-    if not isinstance(structure, HomBialgebra):
-        raise _Failure("convolution-test needs a bialgebra or hopf structure file")
+    structure = _bialgebra(_load(args.file),
+                           "convolution-test needs a bialgebra or hopf structure file")
     verdict = check_convolution_hom_associative(
         structure, samples=args.samples, seed=args.seed
     )
@@ -305,7 +259,7 @@ def _cmd_identities(args) -> int:
 
 def _cmd_search_extension(args) -> int:
     structure = _load(args.file)
-    if not isinstance(structure, HomAlgebra):
+    if parts(structure).kind != "algebra":
         raise _Failure("search-extension expects an algebra structure file")
     try:
         verdict = search_bialgebra_extension(
@@ -362,12 +316,7 @@ def _cmd_examples(args) -> int:
         structure = entries[args.name].build(bindings)
     except ValueError as exc:
         raise _Failure(str(exc)) from exc
-    text = serialize_structure(structure, params=bindings)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
+    _write(serialize_structure(structure, params=bindings), args.output)
     return 0
 
 
@@ -430,8 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-extension",
                        help="certify (non)existence of a bialgebra extension")
     p.add_argument("file")
-    p.add_argument("--degree-cap", type=int, default=6)
-    p.add_argument("--pair-cap", type=int, default=10000)
+    p.add_argument("--degree-cap", type=_int_at_least(0), default=6)
+    p.add_argument("--pair-cap", type=_int_at_least(1), default=10000)
     p.add_argument("--strict-alpha", action="store_true")
 
     p = sub.add_parser("examples", help="list or emit built-in structures")

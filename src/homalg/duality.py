@@ -3,16 +3,20 @@
 On the dual basis the correspondence is a pure reindexing of structure
 constants: an algebra's C_{ij}^k become the dual coalgebra's D_k^{ij} and
 vice versa, while the twisting map transposes.  A unit vector and a counit
-covector trade places.  The G-defect of a structure and of its dual vanish
-together, for every subgroup of S3; :func:`duality_defect_correspondence`
-checks that boolean agreement through the two checkers rather than through a
-separate index formula, so there is a single code path for the condition.
+covector trade places.  :func:`dual` does this for all four structure kinds:
+a bialgebra swaps its two sides and a hopf antipode transposes.  The G-defect
+of a structure and of its dual vanish together, for every subgroup of S3;
+:func:`duality_defect_correspondence` checks that boolean agreement through
+the two checkers rather than through a separate index formula, so there is a
+single code path for the condition.
 """
 
 from __future__ import annotations
 
 from .algebra import HomAlgebra, check_G_hom_associative
+from .bialgebra import HomBialgebra, HomHopf
 from .coalgebra import HomCoalgebra, check_G_hom_coalgebra
+from .structio import Structure, parts
 from .tensors import ComulTensor, MulTensor
 
 
@@ -32,6 +36,22 @@ def dual_coalgebra_of_algebra(algebra: HomAlgebra) -> HomCoalgebra:
         beta=algebra.alpha.transpose(),
         counit=algebra.unit,
     )
+
+
+def dual(structure: Structure) -> Structure:
+    """The dual of any of the four kinds: each side goes to its dual on the
+    other side, and an antipode transposes (the hopf constructor re-verifies
+    its equations on the dual)."""
+    p = parts(structure)
+    if p.kind == "algebra":
+        return dual_coalgebra_of_algebra(p.algebra)
+    if p.kind == "coalgebra":
+        return dual_algebra_of_coalgebra(p.coalgebra)
+    bialgebra = HomBialgebra(algebra=dual_algebra_of_coalgebra(p.coalgebra),
+                             coalgebra=dual_coalgebra_of_algebra(p.algebra))
+    if p.antipode is None:
+        return bialgebra
+    return HomHopf(bialgebra=bialgebra, antipode=p.antipode.transpose())
 
 
 def duality_defect_correspondence(coalgebra: HomCoalgebra, group: str) -> bool:

@@ -1,4 +1,4 @@
-"""Structure-file serialization and the registry of built-in examples.
+"""Structure kinds (:func:`parts`), structure files and the example registry.
 
 Files are JSON with every rational rendered as a string ("p/q" or a bare
 integer).  Multiplication constants are nested as ``mul[i][j][k]`` and
@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .algebra import HomAlgebra
 from .bialgebra import HomBialgebra, HomHopf
@@ -39,29 +39,17 @@ def _scalar(value, field: str) -> Fraction:
         raise ParseError(f"{field}: {exc}") from exc
 
 
-def _grid(data, dim: int, field: str) -> list[list[Fraction]]:
+_LEVELS = {1: "entries", 2: "rows", 3: "planes"}
+
+
+def _nested(data, dim: int, depth: int, field: str):
+    """``depth`` levels of ``dim``-long lists of exact rationals, checked
+    depth first; ``field`` names the failing position (``mul[0][1]``)."""
+    if not depth:
+        return _scalar(data, field)
     if not isinstance(data, list) or len(data) != dim:
-        raise ParseError(f"{field}: expected {dim} rows")
-    out = []
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ParseError(f"{field}[{i}]: expected {dim} entries")
-        out.append([_scalar(v, f"{field}[{i}][{j}]") for j, v in enumerate(row)])
-    return out
-
-
-def _cube(data, dim: int, field: str) -> list[list[list[Fraction]]]:
-    if not isinstance(data, list) or len(data) != dim:
-        raise ParseError(f"{field}: expected {dim} planes")
-    return [
-        _grid(plane, dim, f"{field}[{i}]") for i, plane in enumerate(data)
-    ]
-
-
-def _vector(data, dim: int, field: str) -> Vector:
-    if not isinstance(data, list) or len(data) != dim:
-        raise ParseError(f"{field}: expected {dim} entries")
-    return Vector(_scalar(v, f"{field}[{i}]") for i, v in enumerate(data))
+        raise ParseError(f"{field}: expected {dim} {_LEVELS[depth]}")
+    return [_nested(v, dim, depth - 1, f"{field}[{i}]") for i, v in enumerate(data)]
 
 
 _KIND_FIELDS = {
@@ -94,7 +82,7 @@ def parse_structure_file(text: str) -> tuple[Structure, dict[str, Fraction]]:
     if not isinstance(kind, str) or kind not in _KIND_FIELDS:
         raise ParseError(f"kind: expected one of {sorted(_KIND_FIELDS)}, got {brief(kind)}")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError(f"dim: expected a positive integer, got {dim!r}")
     if data.get("convention") != CONVENTION:
         raise ParseError(f'convention: must be "{CONVENTION}"')
@@ -118,26 +106,22 @@ def parse_structure_file(text: str) -> tuple[Structure, dict[str, Fraction]]:
     algebra = None
     if "mul" in data:
         algebra = HomAlgebra(
-            mul=MulTensor(_cube(data["mul"], dim, "mul")),
-            alpha=LinearMap(_grid(data["alpha"], dim, "alpha")),
-            unit=None if data.get("unit") is None else _vector(data["unit"], dim, "unit"),
+            mul=MulTensor(_nested(data["mul"], dim, 3, "mul")),
+            alpha=LinearMap(_nested(data["alpha"], dim, 2, "alpha")),
+            unit=None if data.get("unit") is None
+            else Vector(_nested(data["unit"], dim, 1, "unit")),
         )
     coalgebra = None
     if "comul" in data:
         coalgebra = HomCoalgebra(
-            comul=ComulTensor(_cube(data["comul"], dim, "comul")),
-            beta=LinearMap(_grid(data["beta"], dim, "beta")),
+            comul=ComulTensor(_nested(data["comul"], dim, 3, "comul")),
+            beta=LinearMap(_nested(data["beta"], dim, 2, "beta")),
             counit=None if data.get("counit") is None
-            else _vector(data["counit"], dim, "counit"),
+            else Vector(_nested(data["counit"], dim, 1, "counit")),
         )
 
-    if kind == "algebra":
-        assert algebra is not None
-        return algebra, params
-    if kind == "coalgebra":
-        assert coalgebra is not None
-        return coalgebra, params
-    assert algebra is not None and coalgebra is not None
+    if algebra is None or coalgebra is None:
+        return (coalgebra if algebra is None else algebra), params
     try:
         bialgebra = HomBialgebra(algebra=algebra, coalgebra=coalgebra)
     except ValueError as exc:
@@ -147,7 +131,7 @@ def parse_structure_file(text: str) -> tuple[Structure, dict[str, Fraction]]:
     try:
         hopf = HomHopf(
             bialgebra=bialgebra,
-            antipode=LinearMap(_grid(data["antipode"], dim, "antipode")),
+            antipode=LinearMap(_nested(data["antipode"], dim, 2, "antipode")),
         )
     except ValueError as exc:
         raise ParseError(f"antipode: {exc}") from exc
@@ -158,53 +142,51 @@ def parse_structure(text: str) -> Structure:
     return parse_structure_file(text)[0]
 
 
-def _grid_json(m: LinearMap) -> list[list[str]]:
-    return [[rat_str(v) for v in row] for row in m.entries]
+class Parts(NamedTuple):
+    """A structure's kind and its pieces; a piece the kind lacks is None."""
+
+    kind: str
+    algebra: HomAlgebra | None
+    coalgebra: HomCoalgebra | None
+    bialgebra: HomBialgebra | None
+    antipode: LinearMap | None
 
 
-def _vector_json(v: Vector) -> list[str]:
-    return [rat_str(c) for c in v.coords]
+def parts(structure: Structure) -> Parts:
+    """The one place that tells the four structure kinds apart: a hopf
+    structure wraps a bialgebra, which holds an algebra and a coalgebra side."""
+    if isinstance(structure, HomHopf):
+        b = structure.bialgebra
+        return Parts("hopf", b.algebra, b.coalgebra, b, structure.antipode)
+    if isinstance(structure, HomBialgebra):
+        return Parts("bialgebra", structure.algebra, structure.coalgebra, structure, None)
+    if isinstance(structure, HomAlgebra):
+        return Parts("algebra", structure, None, None, None)
+    if isinstance(structure, HomCoalgebra):
+        return Parts("coalgebra", None, structure, None, None)
+    raise TypeError(f"not a serializable structure: {type(structure)!r}")
+
+
+def _json(view):
+    """A nested-tuple view (``c``, ``d``, ``entries``, ``coords``) as nested
+    lists of rational strings."""
+    return [_json(v) for v in view] if isinstance(view, tuple) else rat_str(view)
 
 
 def serialize_structure(structure: Structure, params: Mapping[str, Fraction] | None = None) -> str:
     """Canonical JSON text for a structure (deterministic field order)."""
-    out: dict = {}
-    if isinstance(structure, HomHopf):
-        out["kind"] = "hopf"
-        bial = structure.bialgebra
-        algebra, coalgebra = bial.algebra, bial.coalgebra
-    elif isinstance(structure, HomBialgebra):
-        out["kind"] = "bialgebra"
-        algebra, coalgebra = structure.algebra, structure.coalgebra
-    elif isinstance(structure, HomAlgebra):
-        out["kind"] = "algebra"
-        algebra, coalgebra = structure, None
-    elif isinstance(structure, HomCoalgebra):
-        out["kind"] = "coalgebra"
-        algebra, coalgebra = None, structure
-    else:
-        raise TypeError(f"not a serializable structure: {type(structure)!r}")
-
-    dim = structure.dim
-    out["dim"] = dim
-    out["convention"] = CONVENTION
-    if algebra is not None:
-        out["mul"] = [
-            [[rat_str(algebra.mul.c[i][j][k]) for k in range(dim)] for j in range(dim)]
-            for i in range(dim)
-        ]
-        out["alpha"] = _grid_json(algebra.alpha)
-        out["unit"] = None if algebra.unit is None else _vector_json(algebra.unit)
-    if coalgebra is not None:
-        out["comul"] = [
-            [[rat_str(coalgebra.comul.d[k][i][j]) for j in range(dim)] for i in range(dim)]
-            for k in range(dim)
-        ]
-        out["beta"] = _grid_json(coalgebra.beta)
-        out["counit"] = None if coalgebra.counit is None \
-            else _vector_json(coalgebra.counit)
-    if isinstance(structure, HomHopf):
-        out["antipode"] = _grid_json(structure.antipode)
+    p = parts(structure)
+    out: dict = {"kind": p.kind, "dim": structure.dim, "convention": CONVENTION}
+    if p.algebra is not None:
+        out["mul"] = _json(p.algebra.mul.c)
+        out["alpha"] = _json(p.algebra.alpha.entries)
+        out["unit"] = None if p.algebra.unit is None else _json(p.algebra.unit.coords)
+    if p.coalgebra is not None:
+        out["comul"] = _json(p.coalgebra.comul.d)
+        out["beta"] = _json(p.coalgebra.beta.entries)
+        out["counit"] = None if p.coalgebra.counit is None else _json(p.coalgebra.counit.coords)
+    if p.antipode is not None:
+        out["antipode"] = _json(p.antipode.entries)
     if params:
         out["params"] = {k: rat_str(rat(v)) for k, v in sorted(params.items())}
     return json.dumps(out, indent=2) + "\n"

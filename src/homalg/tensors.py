@@ -56,7 +56,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import gcd, lcm, prod
 from operator import getitem, itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .polysolve import Poly
 from .rational import ONE, ZERO, rat
@@ -347,10 +347,6 @@ class LinearMap(_Tensor):
         return cls._of(dim, {(i, i): 1 for i in range(dim)})
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Vector]) -> "LinearMap":
-        return cls(zip(*(col.coords for col in columns)))
-
-    @classmethod
     def basis_matrix(cls, dim: int, row: int, col: int) -> "LinearMap":
         """Elementary matrix E_{row,col} (sends e_col to e_row)."""
         return cls.from_entries(dim, {(row, col): ONE})
@@ -500,9 +496,6 @@ class MulTensor(_Tensor):
     @property
     def c(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         return self._data
-
-    def product_basis(self, i: int, j: int) -> Vector:
-        return Vector(self._data[i][j])
 
     def apply(self, x: Vector, y: Vector) -> Vector:
         return Vector.contracted("i,j,ijk->k", x, y, self)

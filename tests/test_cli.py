@@ -10,6 +10,7 @@ import pytest
 import homalg
 from homalg import parse_structure, registry, serialize_structure
 from homalg.cli import cli_main
+from homalg.duality import dual_coalgebra_of_algebra
 
 from conftest import bialgebra_row, cyclic_group_bialgebra
 
@@ -293,3 +294,108 @@ def test_huge_entry_exits_two_naming_the_digit_limit(files, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "mul[0][0][0]" in err and "get_int_max_str_digits" in err
     assert len(err) < 300
+
+
+@pytest.fixture
+def side_files(files, tmp_path):
+    """The algebra, coalgebra, bialgebra and hopf files, by kind."""
+    coalgebra = dual_coalgebra_of_algebra(
+        registry()["algebra-mu1"].build({"a1": 1, "a2": 2}))
+    p = tmp_path / "comu1.json"
+    p.write_text(serialize_structure(coalgebra))
+    return {"algebra": files["mu1.json"], "coalgebra": str(p),
+            "bialgebra": files["bialgebra-2.json"], "hopf": files["hopf-2.json"]}
+
+
+def _usage_error(argv, capsys) -> str:
+    """Run the CLI in process; assert exit 2, empty stdout and no traceback;
+    return stderr."""
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("kind", ["algebra", "coalgebra"])
+@pytest.mark.parametrize("command, message", [
+    ("antipode", "antipode needs a bialgebra or hopf structure file"),
+    ("primitives", "primitive subspaces need a bialgebra or hopf structure file"),
+    ("gprimitives", "primitive subspaces need a bialgebra or hopf structure file"),
+    ("convolution-test", "convolution-test needs a bialgebra or hopf structure file"),
+])
+def test_bialgebra_commands_reject_one_sided_files(side_files, capsys, kind, command, message):
+    assert _usage_error([command, side_files[kind]], capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("suite, message", [
+    ("bialgebra-weak", "suite bialgebra-weak needs a bialgebra or hopf structure"),
+    ("bialgebra-strict", "suite bialgebra-strict needs a bialgebra or hopf structure"),
+    ("coassoc", "suite coassoc needs a coalgebra side"),
+    ("comodule", "suite comodule needs a coalgebra side"),
+])
+def test_check_suites_reject_an_algebra_file(side_files, capsys, suite, message):
+    err = _usage_error(["check", side_files["algebra"], "--suite", suite], capsys)
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("suite", ["hom-assoc", "module"])
+def test_check_suites_reject_a_coalgebra_file(side_files, capsys, suite):
+    err = _usage_error(["check", side_files["coalgebra"], "--suite", suite], capsys)
+    assert err == f"error: suite {suite} needs an algebra side\n"
+
+
+def test_search_extension_rejects_a_coalgebra_file(side_files, capsys):
+    err = _usage_error(["search-extension", side_files["coalgebra"]], capsys)
+    assert err == "error: search-extension expects an algebra structure file\n"
+
+
+@pytest.mark.parametrize("kind", ["algebra", "coalgebra", "bialgebra", "hopf"])
+def test_dualize_twice_gives_back_the_input_bytes(side_files, tmp_path, capsys, kind):
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    assert cli_main(["dualize", side_files[kind], "-o", str(once)]) == 0
+    assert cli_main(["dualize", str(once), "-o", str(twice)]) == 0
+    assert twice.read_bytes() == Path(side_files[kind]).read_bytes()
+    assert capsys.readouterr().out == f"wrote {once}\nwrote {twice}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dualize", "{bialgebra}"],
+    ["examples", "bialgebra-2", "--param", "b1=1", "--param", "b2=0", "--param", "b3=1"],
+])
+def test_unwritable_output_exits_two(side_files, tmp_path, capsys, argv):
+    target = tmp_path / "no-such-dir" / "x.json"
+    argv = [a.format(**side_files) for a in argv] + ["-o", str(target)]
+    err = _usage_error(argv, capsys)
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
+def test_non_utf8_file_exits_two(tmp_path, capsys):
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert _usage_error(["check", str(p)], capsys).startswith(f"error: cannot read {p}: ")
+
+
+@pytest.mark.parametrize("flag, value, minimum", [
+    ("--pair-cap", "-5", 1), ("--pair-cap", "0", 1), ("--degree-cap", "-1", 0),
+])
+def test_search_extension_caps_below_their_minimum_are_usage_errors(
+        files, capsys, flag, value, minimum):
+    err = _usage_error(["search-extension", files["mu2.json"], flag, value], capsys)
+    assert f"argument {flag}: must be at least {minimum}, got {value}" in err
+
+
+def test_search_extension_degree_cap_zero_is_accepted(files, capsys):
+    assert cli_main(["search-extension", files["mu2.json"], "--degree-cap", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("inconclusive: solver capped: degree_cap=0 exceeded")
+    assert captured.err == ""
+
+
+def test_boolean_dim_exits_two_naming_dim(files, tmp_path, capsys):
+    data = json.loads(Path(files["mu1.json"]).read_text())
+    data["dim"] = True
+    p = tmp_path / "booldim.json"
+    p.write_text(json.dumps(data))
+    err = _usage_error(["check", str(p)], capsys)
+    assert err == f"error: {p}: dim: expected a positive integer, got True\n"

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 from homalg import (
     ComulTensor,
+    HomBialgebra,
     HomCoalgebra,
+    HomHopf,
     LinearMap,
     MulTensor,
     Vector,
@@ -13,10 +15,13 @@ from homalg import (
     check_counital,
     dual_algebra_of_coalgebra,
     dual_coalgebra_of_algebra,
+    dual_hopf,
     duality_defect_correspondence,
     multiply,
+    registry,
     tensor_product,
 )
+from homalg.duality import dual
 from homalg.sampling import random_comul_tensor, random_linear_map, random_scalar
 
 from conftest import bialgebra_row, grouplike_coalgebra, mu1_algebra
@@ -101,3 +106,16 @@ def test_defect_correspondence_random():
             c = random_coalgebra(dim, rng)
             for i in range(1, 7):
                 assert duality_defect_correspondence(c, f"G{i}")
+
+
+def test_dual_covers_all_four_kinds():
+    hopf = registry()["hopf-2"].build({"b1": 1, "b2": 0, "b3": 1})
+    bialgebra = hopf.bialgebra
+    algebra, coalgebra = bialgebra.algebra, bialgebra.coalgebra
+    assert dual(algebra) == dual_coalgebra_of_algebra(algebra)
+    assert dual(coalgebra) == dual_algebra_of_coalgebra(coalgebra)
+    assert dual(bialgebra) == HomBialgebra(algebra=dual(coalgebra), coalgebra=dual(algebra))
+    assert dual(hopf) == HomHopf(bialgebra=dual(bialgebra), antipode=hopf.antipode.transpose())
+    assert dual_hopf(hopf) == dual(hopf)
+    for structure in (algebra, coalgebra, bialgebra, hopf):
+        assert dual(dual(structure)) == structure

@@ -20,6 +20,8 @@ from homalg import (
     solve_antipode,
 )
 
+from homalg.structio import parts
+
 from conftest import bialgebra_row, mu1_algebra
 
 
@@ -180,3 +182,39 @@ def test_json_integer_literal_over_digit_limit_is_parse_error():
     text = serialize_structure(mu1_algebra(1, 1)).replace('"dim": 2', f'"dim": {"1" * digits}')
     with pytest.raises(ParseError, match=r"integer literal .*sys\.get_int_max_str_digits"):
         parse_structure(text)
+
+
+def test_boolean_dim_is_parse_error():
+    data = json.loads(serialize_structure(mu1_algebra(1, 1)))
+    data["dim"] = True
+    with pytest.raises(ParseError, match=r"^dim: expected a positive integer, got True$"):
+        parse_structure(json.dumps(data))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("mul", [], "mul: expected 2 planes"),
+    ("mul", [[["1", "0"], ["0", "1"]], "x"], r"mul\[1\]: expected 2 rows"),
+    ("mul", [[["1", "0"], ["0", "1"]], [["0", "1"], ["0"]]], r"mul\[1\]\[1\]: expected 2 entries"),
+    ("mul", [[["1", "0"], ["0", "1"]], [["0", 1.5], ["0"]]], r"mul\[1\]\[0\]\[1\]: expected an exact"),
+    ("alpha", {"0": 1}, "alpha: expected 2 rows"),
+    ("alpha", [["1", "0"], ["0", "1", "0"]], r"alpha\[1\]: expected 2 entries"),
+    ("unit", ["1"], "unit: expected 2 entries"),
+    ("unit", ["1", True], r"unit\[1\]: expected an exact rational string, got True"),
+])
+def test_nested_field_messages_name_the_first_failing_position(field, value, message):
+    data = json.loads(serialize_structure(mu1_algebra(1, 1)))
+    data[field] = value
+    with pytest.raises(ParseError, match=f"^{message}"):
+        parse_structure(json.dumps(data))
+
+
+def test_parts_names_each_kind_and_its_pieces():
+    hopf = registry()["hopf-2"].build(REGISTRY_BINDINGS["hopf-2"])
+    bialgebra = hopf.bialgebra
+    algebra, coalgebra = bialgebra.algebra, bialgebra.coalgebra
+    assert parts(hopf) == ("hopf", algebra, coalgebra, bialgebra, hopf.antipode)
+    assert parts(bialgebra) == ("bialgebra", algebra, coalgebra, bialgebra, None)
+    assert parts(algebra) == ("algebra", algebra, None, None, None)
+    assert parts(coalgebra) == ("coalgebra", None, coalgebra, None, None)
+    with pytest.raises(TypeError, match="not a serializable structure"):
+        parts(hopf.antipode)
