@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .rational import rat
 from .reports import DefectReport, Witness
 from .tensors import (
     PERM_23,
@@ -226,14 +225,13 @@ def check_module(
     the V-basis e_i and M-basis u_m.
     """
     n = algebra.dim
-    act = [[[rat(v) for v in row] for row in plane] for plane in gamma]
-    if len(act) != n or any(len(plane) != m_dim for plane in act) or \
-            any(len(row) != m_dim for plane in act for row in plane):
+    if len(gamma) != n or any(len(plane) != m_dim for plane in gamma) or \
+            any(len(row) != m_dim for plane in gamma for row in plane):
         raise ValueError("action tensor must have shape dim x m_dim x m_dim")
     if f.dim != m_dim:
         raise ValueError("f must act on the module")
 
     # both sides as one m_dim x m_dim matrix per basis pair (x, y)
-    lhs = LinearMap.slices("rm,trp,xyt->xymp", f, act, algebra.mul)
-    rhs = LinearMap.slices("ax,arp,ymr->xymp", algebra.alpha, act, act)
+    lhs = LinearMap.slices("rm,trp,xyt->xymp", f, gamma, algebra.mul)
+    rhs = LinearMap.slices("ax,arp,ymr->xymp", algebra.alpha, gamma, gamma)
     return lhs == rhs

@@ -315,6 +315,11 @@ def dual_hopf(hopf: HomHopf) -> HomHopf:
 # primitive and generalized primitive elements
 
 
+def _solves(rows, x: Vector) -> bool:
+    """Whether x lies in the kernel of the homogeneous system ``rows``."""
+    return not any(contract("rc,c->r", rows, x))
+
+
 def primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...]:
     """Kernel basis of Delta(x) = e1 (x) x + x (x) e1 (e1 the unit vector).
 
@@ -338,15 +343,11 @@ def primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...]:
         if contract("k,k->", v, eps):
             raise ValueError(f"counit does not vanish on primitive element {v}")
 
-    def is_primitive(x: Vector) -> bool:
-        expected = Tensor2.pure(u, x) + Tensor2.pure(x, u)
-        return (bialgebra.coalgebra.comul.apply(x) - expected).is_zero()
-
     mul = bialgebra.algebra.mul
     for v in basis:
         for w in basis:
             commutator = mul.apply(v, w) - mul.apply(w, v)
-            if not is_primitive(commutator):
+            if not _solves(rows, commutator):
                 raise ValueError(
                     f"commutator [{v}, {w}] fails the primitive equation"
                 )
@@ -380,18 +381,15 @@ def generalized_primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...
     sol = linear_solve(rows, [ZERO] * len(rows))
     basis = tuple(Vector(v) for v in sol.kernel)
 
-    def satisfies(x: Vector) -> bool:
-        return not any(contract("rc,c->r", rows, x))
-
     for p in primitive_subspace(bialgebra):
-        if not satisfies(p):
+        if not _solves(rows, p):
             raise ValueError(f"primitive element {p} is not generalized primitive")
 
     mul = bialgebra.algebra.mul
     for v in basis:
         for w in basis:
             commutator = mul.apply(v, w) - mul.apply(w, v)
-            if not satisfies(commutator):
+            if not _solves(rows, commutator):
                 raise ValueError(
                     f"commutator [{v}, {w}] leaves the generalized primitive space"
                 )

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from operator import sub
 from typing import Sequence
 
-from .rational import rat
 from .reports import DefectReport, Witness
 from .tensors import (
     ComulTensor,
@@ -209,6 +210,26 @@ def check_hom_lie_admissible(coalgebra: HomCoalgebra) -> AdmissibilityReport:
     )
 
 
+@lru_cache(maxsize=1)
+def _compositions(coalgebra: HomCoalgebra) -> tuple[dict, dict]:
+    """The eight ways of following Delta or Delta^op with Delta or Delta^op
+    and beta: ``(outer_beta, beta_outer)``, two dicts keyed ``(outer, inner)``
+    with "d" for Delta and "op" for Delta^op, holding (outer (x) beta) o inner
+    and (beta (x) outer) o inner per basis vector.
+
+    Remembered for the last coalgebra (by value), which both identity checks
+    of one structure then share."""
+    comuls = {"d": coalgebra.comul, "op": coalgebra.comul.op()}
+    return tuple({(outer, inner): expand(comuls[inner], comuls[outer], coalgebra.beta)
+                  for outer, inner in product(comuls, repeat=2)}
+                 for expand in (expand_outer_beta, expand_beta_outer))
+
+
+def _phi(sigma, tensors: Sequence[Tensor3]) -> tuple[Tensor3, ...]:
+    """Phi_sigma on each per-basis-vector tensor."""
+    return tuple(phi_apply(sigma, t) for t in tensors)
+
+
 def lemma_identities_check(coalgebra: HomCoalgebra) -> tuple[bool, bool, bool, bool, bool]:
     """Five universal identities tying Delta, Delta^op, and the S3 action:
 
@@ -218,34 +239,13 @@ def lemma_identities_check(coalgebra: HomCoalgebra) -> tuple[bool, bool, bool, b
     4. (Delta (x) beta) o Delta^op = Phi_(213) o (beta (x) Delta) o Delta
     5. (Delta^op (x) beta) o Delta = Phi_(12) o (Delta (x) beta) o Delta
     """
-    d = coalgebra.comul
-    dop = d.op()
-    beta = coalgebra.beta
-    n = coalgebra.dim
-
-    c = coassociator_tensors(d, beta)
-    c_op = coassociator_tensors(dop, beta)
-    eq1 = all(
-        (c_op[k] + phi_apply(PERM_13, c[k])).is_zero() for k in range(n)
-    )
-
-    lhs2 = expand_beta_outer(d, dop, beta)
-    rhs2 = expand_outer_beta(dop, d, beta)
-    eq2 = all((lhs2[k] - phi_apply(PERM_13, rhs2[k])).is_zero() for k in range(n))
-
-    lhs3 = expand_beta_outer(dop, d, beta)
-    rhs3 = expand_outer_beta(d, dop, beta)
-    eq3 = all((lhs3[k] - phi_apply(PERM_13, rhs3[k])).is_zero() for k in range(n))
-
-    lhs4 = rhs2  # (Delta (x) beta) o Delta^op
-    rhs4 = expand_beta_outer(d, d, beta)
-    eq4 = all((lhs4[k] - phi_apply(PERM_213, rhs4[k])).is_zero() for k in range(n))
-
-    lhs5 = rhs3  # (Delta^op (x) beta) o Delta
-    rhs5 = expand_outer_beta(d, d, beta)
-    eq5 = all((lhs5[k] - phi_apply(PERM_12, rhs5[k])).is_zero() for k in range(n))
-
-    return (eq1, eq2, eq3, eq4, eq5)
+    ob, bo = _compositions(coalgebra)
+    c, c_op = (tuple(map(sub, ob[x, x], bo[x, x])) for x in ("d", "op"))
+    return (c_op == tuple(-t for t in _phi(PERM_13, c)),
+            bo["op", "d"] == _phi(PERM_13, ob["d", "op"]),
+            bo["d", "op"] == _phi(PERM_13, ob["op", "d"]),
+            ob["d", "op"] == _phi(PERM_213, bo["d", "d"]),
+            ob["op", "d"] == _phi(PERM_12, ob["d", "d"]))
 
 
 def coassociator_expansion_check(coalgebra: HomCoalgebra) -> tuple[bool, bool]:
@@ -255,37 +255,18 @@ def coassociator_expansion_check(coalgebra: HomCoalgebra) -> tuple[bool, bool]:
     Delta/Delta^op compositions.  Second: entirely in terms of Delta with
     Phi_(13), Phi_(213), Phi_(12), Phi_(23), Phi_(231) corrections.
     """
-    d = coalgebra.comul
-    dop = d.op()
-    beta = coalgebra.beta
-    n = coalgebra.dim
-
-    c_L = coassociator_tensors(d - dop, beta)
-    c = coassociator_tensors(d, beta)
-    c_op = coassociator_tensors(dop, beta)
-    d_b_dop = expand_outer_beta(dop, d, beta)    # (Delta (x) beta) o Delta^op
-    dop_b_d = expand_outer_beta(d, dop, beta)    # (Delta^op (x) beta) o Delta
-    b_d_d = expand_beta_outer(d, d, beta)        # (beta (x) Delta) o Delta
-    d_b_d = expand_outer_beta(d, d, beta)        # (Delta (x) beta) o Delta
-
-    first = True
-    for k in range(n):
-        rhs = c[k] + c_op[k] - d_b_dop[k] - dop_b_d[k] \
-            + phi_apply(PERM_13, d_b_dop[k]) + phi_apply(PERM_13, dop_b_d[k])
-        if not (c_L[k] - rhs).is_zero():
-            first = False
-            break
-
-    second = True
-    for k in range(n):
-        rhs = c[k] - phi_apply(PERM_13, c[k]) \
-            - phi_apply(PERM_213, b_d_d[k]) - phi_apply(PERM_12, d_b_d[k]) \
-            + phi_apply(PERM_23, b_d_d[k]) + phi_apply(PERM_231, d_b_d[k])
-        if not (c_L[k] - rhs).is_zero():
-            second = False
-            break
-
-    return (first, second)
+    ob, bo = _compositions(coalgebra)
+    c, c_op = (tuple(map(sub, ob[x, x], bo[x, x])) for x in ("d", "op"))
+    c_L = coassociator_tensors(coalgebra.comul - coalgebra.comul.op(), coalgebra.beta)
+    # x = (Delta (x) beta) o Delta^op, y = (Delta^op (x) beta) o Delta
+    first = tuple(a + a_op - x - y + phi_apply(PERM_13, x) + phi_apply(PERM_13, y)
+                  for a, a_op, x, y in zip(c, c_op, ob["d", "op"], ob["op", "d"]))
+    # left = (beta (x) Delta) o Delta, right = (Delta (x) beta) o Delta
+    second = tuple(a - phi_apply(PERM_13, a)
+                   - phi_apply(PERM_213, left) - phi_apply(PERM_12, right)
+                   + phi_apply(PERM_23, left) + phi_apply(PERM_231, right)
+                   for a, left, right in zip(c, bo["d", "d"], ob["d", "d"]))
+    return (c_L == first, c_L == second)
 
 
 def check_comodule(
@@ -299,16 +280,15 @@ def check_comodule(
     ``rho[m][p][i]`` is the coefficient of u_p (x) e_i in rho(u_m).
     """
     n = coalgebra.dim
-    coact = [[[rat(v) for v in row] for row in plane] for plane in rho]
-    if len(coact) != m_dim or any(len(plane) != m_dim for plane in coact) or \
-            any(len(row) != n for plane in coact for row in plane):
+    if len(rho) != m_dim or any(len(plane) != m_dim for plane in rho) or \
+            any(len(row) != n for plane in rho for row in plane):
         raise ValueError("coaction tensor must have shape m_dim x m_dim x dim")
     if g.dim != m_dim:
         raise ValueError("g must act on the comodule")
     # both sides live in M (x) V (x) V, indexed [m][p][j][l]: one order-2
     # tensor per pair (m, p)
-    lhs = Tensor2.slices("li,mqi,qpj->mpjl", coalgebra.beta, coact, coact)
-    rhs = Tensor2.slices("pq,mqi,ijl->mpjl", g, coact, coalgebra.comul)
+    lhs = Tensor2.slices("li,mqi,qpj->mpjl", coalgebra.beta, rho, rho)
+    rhs = Tensor2.slices("pq,mqi,ijl->mpjl", g, rho, coalgebra.comul)
     return lhs == rhs
 
 

@@ -52,11 +52,13 @@ def _nested(data, dim: int, depth: int, field: str):
     return [_nested(v, dim, depth - 1, f"{field}[{i}]") for i, v in enumerate(data)]
 
 
+# (required, optional) fields per kind, in file order, so that a file lacking
+# several required fields is told the first of them
 _KIND_FIELDS = {
-    "algebra": ({"mul", "alpha"}, {"unit"}),
-    "coalgebra": ({"comul", "beta"}, {"counit"}),
-    "bialgebra": ({"mul", "alpha", "unit", "comul", "beta", "counit"}, set()),
-    "hopf": ({"mul", "alpha", "unit", "comul", "beta", "counit", "antipode"}, set()),
+    "algebra": (("mul", "alpha"), ("unit",)),
+    "coalgebra": (("comul", "beta"), ("counit",)),
+    "bialgebra": (("mul", "alpha", "unit", "comul", "beta", "counit"), ()),
+    "hopf": (("mul", "alpha", "unit", "comul", "beta", "counit", "antipode"), ()),
 }
 _COMMON_FIELDS = {"kind", "dim", "convention", "params"}
 
@@ -88,7 +90,7 @@ def parse_structure_file(text: str) -> tuple[Structure, dict[str, Fraction]]:
         raise ParseError(f'convention: must be "{CONVENTION}"')
 
     required, optional = _KIND_FIELDS[kind]
-    allowed = required | optional | _COMMON_FIELDS
+    allowed = {*required, *optional, *_COMMON_FIELDS}
     for key in data:
         if key not in allowed:
             raise ParseError(f"unexpected field {key!r} for kind {kind!r}")
@@ -128,11 +130,9 @@ def parse_structure_file(text: str) -> tuple[Structure, dict[str, Fraction]]:
         raise ParseError(str(exc)) from exc
     if kind == "bialgebra":
         return bialgebra, params
+    antipode = LinearMap(_nested(data["antipode"], dim, 2, "antipode"))
     try:
-        hopf = HomHopf(
-            bialgebra=bialgebra,
-            antipode=LinearMap(_nested(data["antipode"], dim, 2, "antipode")),
-        )
+        hopf = HomHopf(bialgebra=bialgebra, antipode=antipode)
     except ValueError as exc:
         raise ParseError(f"antipode: {exc}") from exc
     return hopf, params

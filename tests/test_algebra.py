@@ -372,3 +372,10 @@ def test_corrupted_action_detected():
     gamma = [[list(algebra.mul.c[i][m]) for m in range(2)] for i in range(2)]
     gamma[1][1][1] = Fraction(5)
     assert not check_module(algebra, 2, algebra.alpha, gamma)
+
+
+def test_module_rejects_malformed_entry():
+    algebra = mu1_algebra(1, 1)
+    gamma = [[[0, 0], [0, 0]], [[0, "x"], [0, 0]]]
+    with pytest.raises(ValueError, match="not a rational number"):
+        check_module(algebra, 2, algebra.alpha, gamma)

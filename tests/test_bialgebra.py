@@ -437,3 +437,16 @@ def test_bullet_product_matches_hand_value():
 
 def multiply_basis(b, x, y):
     return b.algebra.mul.apply(x, y)
+
+
+def test_primitive_commutator_outside_the_subspace_raises():
+    # Prim = span(e2, e3), but e2.e3 = e1 makes [e2, e3] = e1, whose
+    # Delta(e1) = e1 (x) e1 is not primitive: only possible without weak (B3)
+    algebra = HomAlgebra(MulTensor.from_entries(3, {(1, 2, 0): 1}),
+                         LinearMap.identity(3), Vector.basis(3, 0))
+    coalgebra = HomCoalgebra(
+        ComulTensor.from_entries(3, {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1,
+                                     (2, 0, 2): 1, (2, 2, 0): 1}),
+        LinearMap.identity(3), Vector.basis(3, 0))
+    with pytest.raises(ValueError, match=r"^commutator \[.*\] fails the primitive equation$"):
+        primitive_subspace(HomBialgebra(algebra, coalgebra))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import homalg
 
 from homalg import (
     HomAlgebra,
@@ -218,3 +223,28 @@ def test_parts_names_each_kind_and_its_pieces():
     assert parts(coalgebra) == ("coalgebra", None, coalgebra, None, None)
     with pytest.raises(TypeError, match="not a serializable structure"):
         parts(hopf.antipode)
+
+
+def test_first_missing_field_named_whatever_the_hash_seed():
+    # the required fields are checked in file order, so the message does not
+    # depend on string hashing
+    data = json.loads(serialize_structure(mu1_algebra(1, 1)))
+    del data["mul"], data["alpha"]
+    script = ("import sys\nfrom homalg import ParseError, parse_structure\n"
+              "try:\n    parse_structure(sys.stdin.read())\n"
+              "except ParseError as exc:\n    print(exc)\n")
+    src = str(Path(homalg.__file__).resolve().parents[1])
+    for seed in range(7):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        proc = subprocess.run([sys.executable, "-c", script], input=json.dumps(data),
+                              env=env, stdout=subprocess.PIPE, text=True, timeout=60)
+        assert proc.stdout == "missing field 'mul' for kind 'algebra'\n", seed
+
+
+def test_hopf_antipode_shape_error_prefixed_once():
+    hopf = registry()["hopf-2"].build({"b1": 1, "b2": 0, "b3": 1})
+    data = json.loads(serialize_structure(hopf))
+    data["antipode"] = [["1"]]
+    with pytest.raises(ParseError) as info:
+        parse_structure(json.dumps(data))
+    assert str(info.value) == "antipode: expected 2 rows"
