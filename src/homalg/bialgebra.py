@@ -33,6 +33,8 @@ from .coalgebra import (
     check_counital,
     check_hom_coassociative,
     comul_morphism_defect,
+    expand_beta_outer,
+    expand_outer_beta,
 )
 from .linsolve import linear_solve
 from .rational import ONE, ZERO
@@ -320,6 +322,15 @@ def _solves(rows, x: Vector) -> bool:
     return not any(contract("rc,c->r", rows, x))
 
 
+def _check_commutators(mul, basis, rows, failure: str) -> None:
+    """Raise ValueError unless the commutator of any two members of
+    ``basis`` solves ``rows`` again; ``failure`` ends the message."""
+    for v in basis:
+        for w in basis:
+            if not _solves(rows, mul.apply(v, w) - mul.apply(w, v)):
+                raise ValueError(f"commutator [{v}, {w}] {failure}")
+
+
 def primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...]:
     """Kernel basis of Delta(x) = e1 (x) x + x (x) e1 (e1 the unit vector).
 
@@ -343,21 +354,12 @@ def primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...]:
         if contract("k,k->", v, eps):
             raise ValueError(f"counit does not vanish on primitive element {v}")
 
-    mul = bialgebra.algebra.mul
-    for v in basis:
-        for w in basis:
-            commutator = mul.apply(v, w) - mul.apply(w, v)
-            if not _solves(rows, commutator):
-                raise ValueError(
-                    f"commutator [{v}, {w}] fails the primitive equation"
-                )
+    _check_commutators(bialgebra.algebra.mul, basis, rows, "fails the primitive equation")
     return basis
 
 
 def _gprim_rows(bialgebra: HomBialgebra) -> list[list[Fraction]]:
     """Linear system whose kernel is the generalized primitive subspace."""
-    from .coalgebra import expand_beta_outer, expand_outer_beta
-
     comul = bialgebra.coalgebra.comul
     beta = bialgebra.coalgebra.beta
     left = expand_beta_outer(comul, comul, beta)     # (beta (x) Delta) o Delta
@@ -385,14 +387,8 @@ def generalized_primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...
         if not _solves(rows, p):
             raise ValueError(f"primitive element {p} is not generalized primitive")
 
-    mul = bialgebra.algebra.mul
-    for v in basis:
-        for w in basis:
-            commutator = mul.apply(v, w) - mul.apply(w, v)
-            if not _solves(rows, commutator):
-                raise ValueError(
-                    f"commutator [{v}, {w}] leaves the generalized primitive space"
-                )
+    _check_commutators(bialgebra.algebra.mul, basis, rows,
+                       "leaves the generalized primitive space")
     return basis
 
 

@@ -187,21 +187,20 @@ def _cmd_dualize(args) -> int:
 def _cmd_antipode(args) -> int:
     structure = _bialgebra(_load(args.file), "antipode needs a bialgebra or hopf structure file")
     result = solve_antipode(structure)
+    if result.status == "none":
+        print("no antipode")
+        return 1
     if result.status == "unique":
         print("unique antipode:")
-        for row in result.antipode.entries:
-            print("  [" + ", ".join(rat_str(v) for v in row) + "]")
-        print(f"fixes unit: {result.unit_fixed}; counit-compatible: "
-              f"{result.counit_compatible}")
-        return 0
-    if result.status == "family":
+    else:
         print(f"affine family of antipodes (kernel dimension {result.kernel_dim}); "
               "one solution:")
-        for row in result.antipode.entries:
-            print("  [" + ", ".join(rat_str(v) for v in row) + "]")
-        return 0
-    print("no antipode")
-    return 1
+    for row in result.antipode.entries:
+        print("  [" + ", ".join(rat_str(v) for v in row) + "]")
+    if result.status == "unique":
+        print(f"fixes unit: {result.unit_fixed}; counit-compatible: "
+              f"{result.counit_compatible}")
+    return 0
 
 
 def _cmd_subspace(args, generalized: bool) -> int:

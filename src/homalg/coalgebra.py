@@ -122,12 +122,10 @@ def beta_coassociator(coalgebra: HomCoalgebra) -> tuple[Tensor3, ...]:
     return coassociator_tensors(coalgebra.comul, coalgebra.beta)
 
 
-def _tensor_witnesses(
-    tensors: Sequence[Tensor3], label: str = ""
-) -> tuple[Witness, ...]:
+def _tensor_witnesses(tensors: Sequence[Tensor3]) -> tuple[Witness, ...]:
     """Witnesses (k, i, j, l) of per-basis-vector defect cubes, in index order."""
     return tuple(
-        Witness(indices=(k,) + idx, value=value, label=label)
+        Witness(indices=(k,) + idx, value=value)
         for k, tensor in enumerate(tensors)
         for idx, value in tensor.nonzero_entries()
     )

@@ -439,9 +439,8 @@ def buchberger(
     reduced: list[_Tracked] = []
     for i, t in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
+        # minimal: no other leading monomial divides t.lm, so it stays in rem
         rem, quotients = _reduce(t.poly.terms, others, key)
-        if not rem:
-            continue
         inv = ONE / rem[max(rem, key=key)]
         combination = [({one: inv}, t)] + [
             ({m: inv * c for m, c in q.items()}, others[k]) for k, q in quotients.items()
@@ -502,7 +501,7 @@ def _clear_denominators(coeffs: Sequence[Fraction]) -> list[int]:
     return [c.numerator * (scale // c.denominator) for c in coeffs]
 
 
-def _horner(coeffs: Sequence[int], x: int) -> int:
+def _horner(coeffs: Sequence[Fraction | int], x: Fraction | int) -> Fraction | int:
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -581,72 +580,40 @@ def is_zero_dimensional(basis: Sequence[Poly], order: str = "lex") -> bool:
     """Every variable must head some basis element as a pure power."""
     if any(p.is_constant() and not p.is_zero() for p in basis):
         return True  # inconsistent: empty variety counts as zero-dimensional
-    variables = basis[0].variables
-    for idx in range(len(variables)):
-        found = False
-        for p in basis:
-            lm = p.leading_monomial(order)
-            if lm[idx] > 0 and all(e == 0 for i, e in enumerate(lm) if i != idx):
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    heads = [p.leading_monomial(order) for p in basis]
+    return all(any(0 < lm[idx] == sum(lm) for lm in heads)
+               for idx in range(len(basis[0].variables)))
 
 
 def enumerate_rational_points(
     basis: Sequence[Poly],
 ) -> list[dict[str, Fraction]]:
     """Back-substitution through a lex Groebner basis of a zero-dimensional
-    ideal; returns every rational point, verified against the basis."""
+    ideal; returns every rational point, verified against the basis.  Each
+    element is solved at its level, its first variable: with the later
+    variables bound, the elements of a level are univariate in it."""
     variables = basis[0].variables
+    levels: dict[int, list[Poly]] = {}
+    for p in basis:
+        if used := p.used_variable_indices():
+            levels.setdefault(min(used), []).append(p)
+        elif p:
+            return []  # a nonzero constant: the variety is empty
     partial_points: list[dict[str, Fraction]] = [{}]
     for idx in range(len(variables) - 1, -1, -1):
-        name = variables[idx]
         next_points: list[dict[str, Fraction]] = []
         for pt in partial_points:
-            constraints: list[list[Fraction]] = []
-            dead = False
-            for p in basis:
-                sub = p.substitute(pt)
-                used = sub.used_variable_indices()
-                if not used:
-                    if sub.constant_value() != 0:
-                        dead = True
-                        break
-                    continue
-                if used == {idx}:
-                    constraints.append(sub.univariate_coefficients(idx))
-            if dead:
-                continue
+            constraints = [sub.univariate_coefficients(idx)
+                           for p in levels.get(idx, ()) if (sub := p.substitute(pt))]
             if not constraints:
                 # no univariate pin at this level: not zero-dimensional
-                raise ValueError(f"no univariate constraint for {name}")
-            g = constraints[0]
-            for other in constraints[1:]:
-                g = _poly_gcd(g, other)
-            if len(g) <= 1 and g and g[0] != 0:
-                continue  # units only: no common root on this branch
-            for root in rational_roots(g):
-                ext = dict(pt)
-                ext[name] = root
-                next_points.append(ext)
+                raise ValueError(f"no univariate constraint for {variables[idx]}")
+            # a nonzero constant has no roots and vanishes nowhere
+            first, *others = constraints
+            next_points += [{**pt, variables[idx]: root} for root in rational_roots(first)
+                            if all(_horner(c, root) == 0 for c in others)]
         partial_points = next_points
-    return [
-        pt for pt in partial_points
-        if all(p.evaluate(pt) == 0 for p in basis)
-    ]
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of univariate coefficient lists (Euclid)."""
-    a, b = _strip(a), _strip(b)
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+    return [pt for pt in partial_points if all(p.evaluate(pt) == 0 for p in basis)]
 
 
 # ---------------------------------------------------------------------------

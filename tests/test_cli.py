@@ -8,7 +8,16 @@ from pathlib import Path
 import pytest
 
 import homalg
-from homalg import parse_structure, registry, serialize_structure
+from homalg import (
+    ComulTensor,
+    HomBialgebra,
+    HomCoalgebra,
+    LinearMap,
+    Vector,
+    parse_structure,
+    registry,
+    serialize_structure,
+)
 from homalg.cli import cli_main
 from homalg.duality import dual_coalgebra_of_algebra
 
@@ -399,3 +408,50 @@ def test_boolean_dim_exits_two_naming_dim(files, tmp_path, capsys):
     p.write_text(json.dumps(data))
     err = _usage_error(["check", str(p)], capsys)
     assert err == f"error: {p}: dim: expected a positive integer, got True\n"
+
+
+# --- output branches pinned byte for byte ---------------------------------------------
+
+def test_antipode_affine_family_output(tmp_path, capsys):
+    # zero comultiplication and counit: every antipode equation reads 0 = 0
+    zero = HomBialgebra(
+        algebra=bialgebra_row(2).algebra,
+        coalgebra=HomCoalgebra(comul=ComulTensor.zero(2), beta=LinearMap.identity(2),
+                               counit=Vector([0, 0])),
+    )
+    p = tmp_path / "zero.json"
+    p.write_text(serialize_structure(zero))
+    assert cli_main(["antipode", str(p)]) == 0
+    assert capsys.readouterr().out == (
+        "affine family of antipodes (kernel dimension 4); one solution:\n"
+        "  [0, 0]\n"
+        "  [0, 0]\n"
+    )
+
+
+def test_convolution_test_premises_not_met_output(files, tmp_path, capsys):
+    data = json.loads(Path(files["bialgebra-2.json"]).read_text())
+    data["beta"] = [["1", "1"], ["1", "1"]]
+    p = tmp_path / "twisted.json"
+    p.write_text(json.dumps(data))
+    assert cli_main(["convolution-test", str(p)]) == 1
+    assert capsys.readouterr().out == (
+        "premises not met: the structure must be Hom-associative and Hom-coassociative\n"
+    )
+
+
+def test_check_coalgebra_without_counit_skips_counital(files, tmp_path, capsys):
+    data = json.loads(serialize_structure(dual_coalgebra_of_algebra(
+        parse_structure(Path(files["mu1.json"]).read_text()))))
+    del data["counit"]
+    p = tmp_path / "nocounit.json"
+    p.write_text(json.dumps(data))
+    assert cli_main(["check", str(p)]) == 0
+    assert capsys.readouterr().out == "".join(f"[{status}] {p}: {check}\n" for status, check in [
+        ("PASS", "hom-coassociative: ok"),
+        ("SKIP", "counital (no counit declared)"),
+        ("PASS", "hom-lie-admissible (cyclic): ok"),
+        ("PASS", "hom-lie-admissible (alternating): ok"),
+        ("PASS", "admissibility methods agree: ok"),
+        ("PASS", "self-comodule (M=V, g=beta, rho=Delta): ok"),
+    ])

@@ -460,3 +460,31 @@ def test_rational_roots_multiple_roots():
     # multiple root
     assert rational_roots([2, -7, 9, -5, 1]) == [Fraction(1), Fraction(2)]
     assert rational_roots([-36, 24, 47, 13, 1]) == [Fraction(-6)]
+
+
+# --- rational points level by level ---------------------------------------------------
+
+def test_points_of_three_point_ideal_level_by_level():
+    # the points (0,0), (1,0), (0,1); at y = 1 the x level has two
+    # constraints, x*y -> x and x^2 - x, and only their common root 0 counts
+    x, y = Poly.var(XY, "x"), Poly.var(XY, "y")
+    gens = [x * x - x, x * y, y * y - y]
+    basis = buchberger(gens, order="lex").basis
+    assert [str(p) for p in basis] == ["y^2 - y", "x*y", "x^2 - x"]
+    points = [{"x": Fraction(0), "y": Fraction(0)}, {"x": Fraction(1), "y": Fraction(0)},
+              {"x": Fraction(0), "y": Fraction(1)}]
+    assert enumerate_rational_points(basis) == points
+    # the generators are the same basis in another order: at y = 1 the first
+    # x constraint is x^2 - x, whose root 1 fails x
+    assert enumerate_rational_points(gens) == points
+
+
+def test_positive_dimensional_basis_is_not_zero_dimensional():
+    x, y = Poly.var(XY, "x"), Poly.var(XY, "y")
+    assert not is_zero_dimensional((x - y,), order="lex")
+    with pytest.raises(ValueError, match="no univariate constraint for y"):
+        enumerate_rational_points((x - y,))
+
+
+def test_inconsistent_basis_has_no_points():
+    assert enumerate_rational_points((Poly.const(XY, 1),)) == []
