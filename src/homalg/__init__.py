@@ -57,6 +57,7 @@ from .coalgebra import (
     comultiply,
     delta_L,
     delta_op,
+    generic_coalgebra,
     lemma_identities_check,
 )
 from .duality import (

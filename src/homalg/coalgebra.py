@@ -32,6 +32,7 @@ from itertools import product
 from operator import sub
 from typing import Sequence
 
+from .polysolve import Poly
 from .reports import DefectReport, Witness
 from .tensors import (
     ComulTensor,
@@ -71,6 +72,20 @@ class HomCoalgebra:
     @property
     def dim(self) -> int:
         return self.comul.dim
+
+
+def generic_coalgebra(dim: int) -> HomCoalgebra:
+    """Every structure constant its own variable: d_k_i_j for Delta, b_i_j for
+    beta.  An identity that is a polynomial in the constants holds for every
+    coalgebra of this dimension exactly when it holds here."""
+    names = [f"d_{k}_{i}_{j}" for k, i, j in product(range(dim), repeat=3)] \
+        + [f"b_{i}_{j}" for i, j in product(range(dim), repeat=2)]
+    var = {name: Poly.var(names, name) for name in names}
+    return HomCoalgebra(
+        comul=ComulTensor([[[var[f"d_{k}_{i}_{j}"] for j in range(dim)] for i in range(dim)]
+                           for k in range(dim)]),
+        beta=LinearMap([[var[f"b_{i}_{j}"] for j in range(dim)] for i in range(dim)]),
+    )
 
 
 def comultiply(coalgebra: HomCoalgebra, x: Vector) -> Tensor2:

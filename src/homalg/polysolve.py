@@ -50,18 +50,18 @@ ORDER_KEYS: dict[str, Callable[[Monomial], object]] = {
 class Poly:
     """Multivariate polynomial with exact rational coefficients.
 
-    ``terms`` maps dense exponent tuples to nonzero coefficients; the
-    variable list is fixed per system and shared by all polynomials that
-    interact.
+    ``terms`` maps dense exponent tuples to nonzero coefficients, ints kept
+    as ints and the rest Fractions; the variable list is fixed per system
+    and shared by all polynomials that interact.
     """
 
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, object] | None = None):
         self.variables: tuple[str, ...] = tuple(variables)
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Fraction | int] = {}
         for mono, coeff in (terms or {}).items():
-            c = rat(coeff)
+            c = coeff if type(coeff) is int else rat(coeff)
             if c != 0:
                 if len(mono) != len(self.variables):
                     raise ValueError("monomial arity differs from variable count")
@@ -70,13 +70,15 @@ class Poly:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def _raw(cls, variables: tuple[str, ...], terms: dict[Monomial, Fraction]) -> "Poly":
-        """Wrap terms that this module's arithmetic produced: Fraction
-        coefficients on monomials of the right arity.  Zero coefficients are
-        dropped; nothing else is checked or converted."""
+    def _raw(cls, variables: tuple[str, ...], terms: dict[Monomial, Fraction | int]) -> "Poly":
+        """Wrap terms that this module's arithmetic produced: int or Fraction
+        coefficients on monomials of the right arity.  The polynomial takes the
+        dict and deletes its zeros in place; nothing is checked or converted."""
+        for m in [m for m, c in terms.items() if not c]:
+            del terms[m]
         poly = cls.__new__(cls)
         poly.variables = variables
-        poly.terms = {m: c for m, c in terms.items() if c}
+        poly.terms = terms
         return poly
 
     @classmethod
@@ -85,13 +87,13 @@ class Poly:
 
     @classmethod
     def const(cls, variables: Sequence[str], value) -> "Poly":
-        return cls(variables, {(0,) * len(variables): rat(value)})
+        return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "Poly":
         idx = list(variables).index(name)
         mono = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {mono: ONE})
+        return cls(variables, {mono: 1})
 
     # -- ring operations ---------------------------------------------------
     # An int or Fraction operand acts as a constant polynomial, so polynomial
@@ -107,7 +109,7 @@ class Poly:
         other = self._operand(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, ZERO) + c
+            terms[m] = terms.get(m, 0) + c
         return Poly._raw(self.variables, terms)
 
     __radd__ = __add__
@@ -116,7 +118,7 @@ class Poly:
         other = self._operand(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, ZERO) - c
+            terms[m] = terms.get(m, 0) - c
         return Poly._raw(self.variables, terms)
 
     def __rsub__(self, other) -> "Poly":
@@ -133,7 +135,7 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                terms[m] = terms.get(m, ZERO) + c1 * c2
+                terms[m] = terms.get(m, 0) + c1 * c2
         return Poly._raw(self.variables, terms)
 
     __rmul__ = __mul__
@@ -142,7 +144,7 @@ class Poly:
         return bool(self.terms)
 
     def scale(self, coeff, mono: Monomial | None = None) -> "Poly":
-        c0 = rat(coeff)
+        c0 = coeff if type(coeff) is int else rat(coeff)
         if c0 == 0:
             return Poly.zero(self.variables)
         if mono:
@@ -295,7 +297,7 @@ def _reduce(
         for k, g in enumerate(basis):
             if _mono_divides(g.lm, lm):
                 shift = _mono_div(lm, g.lm)
-                ratio = lc / g.lc
+                ratio = Fraction(lc, g.lc)
                 # the leading monomial falls at every step, so shifts never repeat
                 quotients.setdefault(k, {})[shift] = -ratio
                 for m, c in g.poly.terms.items():

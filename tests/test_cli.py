@@ -455,3 +455,50 @@ def test_check_coalgebra_without_counit_skips_counital(files, tmp_path, capsys):
         ("PASS", "admissibility methods agree: ok"),
         ("PASS", "self-comodule (M=V, g=beta, rho=Delta): ok"),
     ])
+
+
+# --- identities: one exact proof per dimension -------------------------------
+
+@pytest.mark.parametrize("dim, variables", [(1, 2), (2, 12), (3, 36)])
+def test_identities_exact_stdout(dim, variables, capsys):
+    assert cli_main(["identities", "--dim", str(dim)]) == 0
+    assert capsys.readouterr().out == (
+        f"identity suite: dim={dim} exact (generic coalgebra, {variables} variables): "
+        "failures=0\n")
+
+
+def test_identities_ignores_samples_and_seed(capsys):
+    assert cli_main(["identities"]) == 0
+    default = capsys.readouterr()
+    assert cli_main(["identities", "--samples", "0", "--seed", "9"]) == 0
+    assert capsys.readouterr() == default
+
+
+@pytest.mark.parametrize("dim", [6, 50])
+def test_identities_above_the_cap_is_inconclusive_at_once(dim, capsys):
+    start = time.perf_counter()
+    assert cli_main(["identities", "--dim", str(dim)]) == 3
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr()
+    assert out.out == (f"identity suite: dim={dim} inconclusive: the exact proof is capped "
+                       "at dim 5 (its memory grows about 5x per dimension)\n")
+    assert out.err == ""
+
+
+def test_identities_counts_a_failing_identity(monkeypatch, capsys):
+    import homalg.cli
+
+    monkeypatch.setattr(homalg.cli, "lemma_identities_check",
+                        lambda coalgebra: (True, False, True, True, True))
+    assert cli_main(["identities", "--dim", "2"]) == 1
+    assert capsys.readouterr().out.endswith("failures=1\n")
+
+
+def test_repeated_calls_keep_their_own_params(capsys):
+    for b1, b3 in (("1", "1"), ("2", "5")):
+        assert cli_main(["examples", "bialgebra-2", "--param", f"b1={b1}",
+                         "--param", "b2=0", "--param", f"b3={b3}"]) == 0
+        params = json.loads(capsys.readouterr().out)["params"]
+        assert params == {"b1": b1, "b2": "0", "b3": b3}
+    assert cli_main(["examples", "bialgebra-2"]) == 2
+    assert "b1" in capsys.readouterr().err

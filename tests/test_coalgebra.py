@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -23,9 +22,9 @@ from homalg import (
     comultiply,
     delta_L,
     delta_op,
+    generic_coalgebra,
     lemma_identities_check,
 )
-from homalg.polysolve import Poly
 from homalg.sampling import random_comul_tensor, random_linear_map, random_scalar
 
 from conftest import bialgebra_row, grouplike_coalgebra
@@ -366,21 +365,6 @@ def test_diagonal_rescaling_coalgebra_morphism():
 
 
 # --- the lemma layer as a proof: one generic coalgebra per dimension ---------
-
-def generic_coalgebra(n):
-    """Every structure constant its own variable: d_kij for Delta, b_ij for beta.
-
-    An identity that is a polynomial in the constants holds for every
-    coalgebra of dimension n exactly when it holds here."""
-    names = [f"d_{k}{i}{j}" for k, i, j in product(range(n), repeat=3)] \
-        + [f"b_{i}{j}" for i, j in product(range(n), repeat=2)]
-    var = {name: Poly.var(names, name) for name in names}
-    return HomCoalgebra(
-        comul=ComulTensor([[[var[f"d_{k}{i}{j}"] for j in range(n)] for i in range(n)]
-                           for k in range(n)]),
-        beta=LinearMap([[var[f"b_{i}{j}"] for j in range(n)] for i in range(n)]),
-    )
-
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_lemma_layer_holds_on_generic_coalgebra(n):

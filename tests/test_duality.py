@@ -1,5 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 from homalg import (
     ComulTensor,
@@ -8,7 +11,10 @@ from homalg import (
     HomHopf,
     LinearMap,
     MulTensor,
+    SUBGROUPS,
     Vector,
+    check_G_hom_associative,
+    check_G_hom_coalgebra,
     check_hom_associative,
     check_hom_coassociative,
     check_unital,
@@ -17,6 +23,7 @@ from homalg import (
     dual_coalgebra_of_algebra,
     dual_hopf,
     duality_defect_correspondence,
+    generic_coalgebra,
     multiply,
     registry,
     tensor_product,
@@ -119,3 +126,17 @@ def test_dual_covers_all_four_kinds():
     assert dual_hopf(hopf) == dual(hopf)
     for structure in (algebra, coalgebra, bialgebra, hopf):
         assert dual(dual(structure)) == structure
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_defect_correspondence_proved_on_generic_coalgebra(dim):
+    # the defects of the generic coalgebra are polynomials in its constants, so
+    # equal multisets prove the correspondence for every coalgebra of this dim
+    c = generic_coalgebra(dim)
+    algebra = dual_algebra_of_coalgebra(c)
+    for group in SUBGROUPS:
+        coalgebra_values = Counter(w.value for w in check_G_hom_coalgebra(c, group).witnesses)
+        algebra_values = Counter(w.value for w in check_G_hom_associative(algebra, group).witnesses)
+        assert coalgebra_values == algebra_values
+        # not vacuous: only the alternating G6 sum vanishes, and only below dim 3
+        assert bool(coalgebra_values) == (group != "G6" or dim >= 3)

@@ -488,3 +488,24 @@ def test_positive_dimensional_basis_is_not_zero_dimensional():
 
 def test_inconsistent_basis_has_no_points():
     assert enumerate_rational_points((Poly.const(XY, 1),)) == []
+
+
+# --- integer coefficients stay ints ---------------------------------------------------
+
+@pytest.mark.parametrize("system", [
+    [{(1, 0): 2, (0, 0): -1}, {(1, 1): 3, (0, 0): -1}],
+    # interreducing 3*y^2 - x by 2*x - 1 divides the int -1 by the int 2
+    [{(1, 0): 2, (0, 0): -1}, {(0, 2): 3, (1, 0): -1}],
+])
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_int_coefficients_reduce_exactly(system, order):
+    ints = [P(XY, terms) for terms in system]
+    fractions = [P(XY, {m: Fraction(c) for m, c in terms.items()}) for terms in system]
+    assert all(type(c) is int for g in ints for c in g.terms.values())
+    assert all(type(c) is Fraction for g in fractions for c in g.terms.values())
+    result, expected = buchberger(ints, order=order), buchberger(fractions, order=order)
+    assert result.basis == expected.basis
+    assert result.cofactors == expected.cofactors
+    polys = [*result.basis, *(c for cofs in result.cofactors for c in cofs)]
+    assert all(type(c) in (int, Fraction) for p in polys for c in p.terms.values())
+    assert any(c.denominator > 1 for p in polys for c in p.terms.values())
