@@ -4,11 +4,11 @@ On the dual basis the correspondence is a pure reindexing of structure
 constants: an algebra's C_{ij}^k become the dual coalgebra's D_k^{ij} and
 vice versa, while the twisting map transposes.  A unit vector and a counit
 covector trade places.  :func:`dual` does this for all four structure kinds:
-a bialgebra swaps its two sides and a hopf antipode transposes.  The G-defect
-of a structure and of its dual vanish together, for every subgroup of S3;
-:func:`duality_defect_correspondence` checks that boolean agreement through
-the two checkers rather than through a separate index formula, so there is a
-single code path for the condition.
+a bialgebra swaps its two sides and a hopf antipode transposes.  The dual
+algebra's associator is the coalgebra's beta-coassociator (the same two
+contraction networks), so their G1-G6 defects are equal tensors at every dim:
+equal on the generic coalgebra of dim 3, which decides every dim.
+:func:`duality_defect_correspondence` checks the boolean agreement as well.
 """
 
 from __future__ import annotations

@@ -25,17 +25,29 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        limit = sys.get_int_max_str_digits()
+        # Fraction builds 10**exponent before any digit limit applies
+        exponent = re.search(r"[eE][-+]?(\d+(?:_\d+)*)\s*$", value)
+        exponent = exponent[1].replace("_", "") if exponent else "0"
+        if limit and len(exponent) <= limit < int(exponent):
+            raise _over_limit(value, f"an exponent of {brief(int(exponent))}", limit)
         try:
-            return Fraction(value.strip())
+            result = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            limit = sys.get_int_max_str_digits()
             digits = max(map(len, re.findall(r"\d+", value)), default=0)
             if limit and digits > limit:
-                raise ValueError(
-                    f"{brief(value)} has a {digits}-digit integer, over Python's limit of "
-                    f"{limit} digits (sys.get_int_max_str_digits())") from exc
+                raise _over_limit(value, f"a {digits}-digit integer", limit) from exc
             raise ValueError(f"not a rational number: {brief(value)}") from exc
+        size = max(abs(result.numerator), result.denominator)
+        if limit and size.bit_length() > 3 * limit and size >= 10 ** limit:
+            raise _over_limit(value, "a numerator or denominator of more digits", limit)
+        return result
     raise ValueError(f"not a rational number: {brief(value)}")
+
+
+def _over_limit(value: str, what: str, limit: int) -> ValueError:
+    return ValueError(f"{brief(value)} has {what}, over Python's limit of {limit} digits "
+                      "(sys.get_int_max_str_digits())")
 
 
 def brief(value, width: int = 40) -> str:

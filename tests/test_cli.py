@@ -305,6 +305,33 @@ def test_huge_entry_exits_two_naming_the_digit_limit(files, tmp_path, capsys):
     assert len(err) < 300
 
 
+@pytest.mark.parametrize("value", ["1e20000000", "1e-20000000"])
+def test_huge_exponent_exits_two_at_once(files, tmp_path, capsys, value):
+    data = json.loads(Path(files["mu1.json"]).read_text())
+    data["mul"][0][0][0] = value
+    p = tmp_path / "exponent.json"
+    p.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert cli_main(["check", str(p)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mul[0][0][0]" in err and "exponent" in err
+
+
+def test_exponent_over_the_digit_limit_is_a_usage_error(files, tmp_path, capsys):
+    data = json.loads(Path(files["mu2.json"]).read_text())
+    data["mul"][0][0][0] = "1e4400"
+    p = tmp_path / "exponent.json"
+    p.write_text(json.dumps(data))
+    for argv in (["check", str(p)], ["dualize", str(p)],
+                 ["examples", "algebra-mu2", "--param", "a1=1e4400", "--param", "a2=1"]):
+        assert "get_int_max_str_digits" in _usage_error(argv, capsys)
+    data["mul"][0][0][0] = "1e400"
+    p.write_text(json.dumps(data))
+    assert cli_main(["dualize", str(p)]) == 0
+    assert '"1' + "0" * 400 + '"' in capsys.readouterr().out
+
+
 @pytest.fixture
 def side_files(files, tmp_path):
     """The algebra, coalgebra, bialgebra and hopf files, by kind."""
@@ -440,6 +467,20 @@ def test_convolution_test_premises_not_met_output(files, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["primitives", "gprimitives"])
+def test_primitives_premises_not_met_output(files, tmp_path, capsys, command):
+    # a bialgebra file that parses but whose counit does not vanish on a primitive
+    data = json.loads(Path(files["mu2.json"]).read_text())
+    data.update(kind="bialgebra", alpha=[["1", "0"], ["0", "1"]],
+                comul=[[["1", "0"], ["0", "0"]], [["0", "1"], ["1", "0"]]],
+                beta=[["1", "0"], ["0", "1"]], counit=["1", "1"])
+    p = tmp_path / "premises.json"
+    p.write_text(json.dumps(data))
+    assert cli_main([command, str(p)]) == 1
+    assert capsys.readouterr() == (
+        "premises not met: counit does not vanish on primitive element (0, 1)\n", "")
+
+
 def test_check_coalgebra_without_counit_skips_counital(files, tmp_path, capsys):
     data = json.loads(serialize_structure(dual_coalgebra_of_algebra(
         parse_structure(Path(files["mu1.json"]).read_text()))))
@@ -474,15 +515,31 @@ def test_identities_ignores_samples_and_seed(capsys):
     assert capsys.readouterr() == default
 
 
-@pytest.mark.parametrize("dim", [6, 50])
-def test_identities_above_the_cap_is_inconclusive_at_once(dim, capsys):
+@pytest.mark.parametrize("dim", [4, 6, 50])
+def test_identities_above_dim_3_follow_from_dim_3_at_once(dim, capsys):
     start = time.perf_counter()
-    assert cli_main(["identities", "--dim", str(dim)]) == 3
+    assert cli_main(["identities", "--dim", str(dim)]) == 0
     assert time.perf_counter() - start < 1
     out = capsys.readouterr()
-    assert out.out == (f"identity suite: dim={dim} inconclusive: the exact proof is capped "
-                       "at dim 5 (its memory grows about 5x per dimension)\n")
+    assert out.out == (f"identity suite: dim={dim} exact (implied by the generic coalgebra "
+                       "of dim 3, 36 variables): failures=0\n")
     assert out.err == ""
+
+
+def test_identities_hold_little_memory_afterwards(capsys):
+    import tracemalloc
+
+    import homalg.coalgebra
+
+    homalg.coalgebra._compositions.cache_clear()
+    homalg.coalgebra.beta_coassociator.cache_clear()
+    tracemalloc.start()
+    try:
+        assert cli_main(["identities", "--dim", "50"]) == 0
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * 2 ** 20
 
 
 def test_identities_counts_a_failing_identity(monkeypatch, capsys):

@@ -25,7 +25,10 @@ from homalg import (
     generic_coalgebra,
     lemma_identities_check,
 )
+from homalg.coalgebra import _compositions, _phi
+from homalg.linsolve import linear_solve
 from homalg.sampling import random_comul_tensor, random_linear_map, random_scalar
+from homalg.tensors import S3
 
 from conftest import bialgebra_row, grouplike_coalgebra
 
@@ -378,6 +381,48 @@ def test_lemma_layer_holds_on_generic_coalgebra(n):
     # the alternating sum lands in the exterior cube of V, zero below dim 3
     assert any(not a.is_zero() for a in alternating) == (n >= 3)
     assert all(cyc == 2 * alt for cyc, alt in zip(cyclic, alternating))
+
+
+# --- the certificate that dim 3 decides every dimension ----------------------
+
+def _network(shape, outer, inner, sigma):
+    """The contraction network of Phi_sigma o (outer (x) beta) o inner ("ob")
+    or Phi_sigma o (beta (x) outer) o inner ("bo"): which output of the top
+    Delta feeds the lower Delta, and the output positions of the lower Delta's
+    first and second legs and of beta's leg."""
+    feed = (shape == "bo") != (inner == "op")
+    legs = (0, 1, 2) if shape == "ob" else (1, 2, 0)
+    if outer == "op":
+        legs = (legs[1], legs[0], legs[2])
+    return feed, tuple(sigma.images[leg] - 1 for leg in legs)
+
+
+def _coordinates(tensors):
+    """Each nonzero coefficient of a tuple of Poly tensors, by (k, i, j, l, monomial)."""
+    return {(k,) + idx + (mono,): coeff for k, t in enumerate(tensors)
+            for idx, poly in t.nonzero.items() for mono, coeff in poly.terms.items()}
+
+
+@pytest.mark.parametrize("dim, rank", [(2, 10), (3, 12)])
+def test_dim_3_decides_the_identities_at_every_dimension(dim, rank):
+    # Every term of the eight identities is Phi_sigma of one of the eight
+    # compositions: 48 terms but 12 networks, and terms of one network are equal
+    # at every dim.  Rank 12 at dim 3 means an identity holds there only if each
+    # network's net coefficient is 0, so then at every dim; zero padding carries
+    # a dim-3 failure to every dim above.  Dim 2 is not enough.
+    ob, bo = _compositions(generic_coalgebra(dim))
+    networks = {}
+    for shape, compositions in (("ob", ob), ("bo", bo)):
+        for (outer, inner), tensors in compositions.items():
+            for sigma in S3:
+                networks.setdefault(_network(shape, outer, inner, sigma), []).append(
+                    _phi(sigma, tensors))
+    assert len(networks) == 12
+    assert all(terms == [terms[0]] * 4 for terms in networks.values())
+    columns = [_coordinates(terms[0]) for terms in networks.values()]
+    rows = sorted(set().union(*columns))
+    matrix = [[column.get(row, 0) for column in columns] for row in rows]
+    assert 12 - linear_solve(matrix, [0] * len(rows)).kernel_dim == rank
 
 
 def test_identity_checks_share_their_compositions(monkeypatch):

@@ -28,6 +28,8 @@ from homalg import (
     registry,
     tensor_product,
 )
+from homalg.algebra import _associator_tensors
+from homalg.coalgebra import beta_coassociator
 from homalg.duality import dual
 from homalg.sampling import random_comul_tensor, random_linear_map, random_scalar
 
@@ -126,6 +128,15 @@ def test_dual_covers_all_four_kinds():
     assert dual_hopf(hopf) == dual(hopf)
     for structure in (algebra, coalgebra, bialgebra, hopf):
         assert dual(dual(structure)) == structure
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dual_associator_is_the_coassociator_on_generic_coalgebra(dim):
+    # both are the same two contraction networks, so with the dim-3 certificate
+    # (test_dim_3_decides_the_identities_at_every_dimension) the G1-G6 defects of a
+    # coalgebra and of its dual are equal tensors at every dim
+    c = generic_coalgebra(dim)
+    assert _associator_tensors(dual_algebra_of_coalgebra(c)) == beta_coassociator(c)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

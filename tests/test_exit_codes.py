@@ -32,7 +32,7 @@ DOCUMENTS = [
 NUMBERS = ["0", "1", "-1", "1/2", 0, 2, -1]
 JUNK = [
     None, True, False, 0.5, -0.0, 1e308, float("inf"), float("nan"),
-    "", "x", "1/0", "1/2/3", "0x10", "1e400", " 1", "9" * 5000,
+    "", "x", "1/0", "1/2/3", "0x10", "1e400", "1e4400", " 1", "9" * 5000,
     [], [None], ["1", "0"], {}, {"kind": "algebra"},
 ]
 
