@@ -222,7 +222,8 @@ def check_module(
     """Left module axiom gamma o (mu (x) f) = gamma o (alpha (x) gamma).
 
     ``gamma[i][m][p]`` is the coefficient of u_p in gamma(e_i (x) u_m), for
-    the V-basis e_i and M-basis u_m.
+    the V-basis e_i and M-basis u_m.  At M = V, f = alpha, gamma = mu this
+    is Hom-associativity, ``check_hom_associative(algebra).ok``.
     """
     n = algebra.dim
     if len(gamma) != n or any(len(plane) != m_dim for plane in gamma) or \

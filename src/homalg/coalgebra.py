@@ -290,7 +290,9 @@ def check_comodule(
 ) -> bool:
     """Right comodule axiom (rho (x) beta) o rho = (g (x) Delta) o rho.
 
-    ``rho[m][p][i]`` is the coefficient of u_p (x) e_i in rho(u_m).
+    ``rho[m][p][i]`` is the coefficient of u_p (x) e_i in rho(u_m).  At M = V,
+    g = beta, rho = Delta this is Hom-coassociativity,
+    ``check_hom_coassociative(coalgebra).ok``.
     """
     n = coalgebra.dim
     if len(rho) != m_dim or any(len(plane) != m_dim for plane in rho) or \

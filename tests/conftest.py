@@ -17,6 +17,7 @@ from homalg import (
     Vector,
     registry,
 )
+from homalg.structio import parts
 
 # Property tests draw the same examples on every run: no example database,
 # no deadline (the machine's speed varies), derandomized generation.
@@ -27,6 +28,14 @@ settings.load_profile("tier1")
 @pytest.fixture(scope="session")
 def reg():
     return registry()
+
+
+def registry_parts() -> list:
+    """The parts of every registry entry at a1 = 3, a2 = -1, b1 = 2, b3 = 5
+    (b2 is pinned to 0 by coassociativity)."""
+    values = {"a1": 3, "a2": -1, "b1": 2, "b2": 0, "b3": 5}
+    return [parts(e.build({p: values[p] for p in e.required + tuple(dict(e.defaults))}))
+            for e in registry().values()]
 
 
 def mu1_algebra(a1=1, a2=1) -> HomAlgebra:

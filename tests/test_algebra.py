@@ -26,7 +26,7 @@ from homalg import (
 )
 from homalg.sampling import random_linear_map, random_mul_tensor, random_vector
 
-from conftest import mu1_algebra, mu2_algebra
+from conftest import mu1_algebra, mu2_algebra, registry_parts
 
 E1 = Vector.basis(2, 0)
 E2 = Vector.basis(2, 1)
@@ -358,6 +358,20 @@ def test_self_module():
     for algebra in (mu1_algebra(2, 3), mu2_algebra(1, 4)):
         gamma = [[list(algebra.mul.c[i][m]) for m in range(2)] for i in range(2)]
         assert check_module(algebra, 2, algebra.alpha, gamma)
+
+
+def test_self_module_is_hom_associativity():
+    """At M = V, f = alpha and gamma = mu the module axiom is the
+    Hom-associativity equation, so the two checks agree: on the registry's
+    algebra sides, which pass, and on seeded random algebras, which fail
+    from dim 2 on (every dim-1 algebra is Hom-associative)."""
+    registered = [p.algebra for p in registry_parts() if p.algebra is not None]
+    rng = random.Random(12)
+    randoms = [HomAlgebra(random_mul_tensor(n, rng), random_linear_map(n, rng))
+               for n in (1, 2, 3) for _ in range(10)]
+    cases = [(a, True) for a in registered] + [(a, a.dim == 1) for a in randoms]
+    for a, want in cases:
+        assert check_module(a, a.dim, a.alpha, a.mul.c) is check_hom_associative(a).ok is want
 
 
 def test_zero_action_is_module():

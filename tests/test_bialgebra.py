@@ -32,7 +32,7 @@ from homalg import (
     primitive_subspace,
     solve_antipode,
 )
-from homalg.sampling import random_linear_map, random_scalar
+from homalg.sampling import random_comul_tensor, random_linear_map, random_mul_tensor, random_scalar
 
 from conftest import bialgebra_row, cyclic_group_bialgebra, truncated_primitive_bialgebra
 
@@ -203,49 +203,47 @@ def _upper_triangular_bialgebra():
     return HomBialgebra(algebra, dual_coalgebra_of_algebra(algebra))
 
 
-@pytest.mark.parametrize("n, seed", [(2, 0), (2, 1), (3, 2), (3, None)])
-def test_convolution_check_agrees_with_basis_triples_without_premises(monkeypatch, n, seed):
-    """With the premises waived, the identity fails on random structures, and
-    the tensor comparison must say so with no samples at all; it holds on a
-    noncommutative associative one."""
-    import homalg.bialgebra
-    from homalg import DefectReport
-    from homalg.sampling import random_comul_tensor, random_mul_tensor
-
-    passing = lambda structure: DefectReport("premise", ())
-    monkeypatch.setattr(homalg.bialgebra, "check_hom_associative", passing)
-    monkeypatch.setattr(homalg.bialgebra, "check_hom_coassociative", passing)
-    if seed is None:
-        b = _upper_triangular_bialgebra()
-    else:
-        rng = random.Random(seed)
-        b = HomBialgebra(
-            HomAlgebra(random_mul_tensor(n, rng), random_linear_map(n, rng),
-                       Vector.basis(n, 0)),
-            HomCoalgebra(random_comul_tensor(n, rng), random_linear_map(n, rng),
-                         Vector.basis(n, 0)))
-    verdict = check_convolution_hom_associative(b, samples=0)
-    assert verdict is _convolution_holds_on_basis_triples(b) is (seed is None)
+def _random_bialgebra(n, seed):
+    rng = random.Random(seed)
+    return HomBialgebra(
+        HomAlgebra(random_mul_tensor(n, rng), random_linear_map(n, rng), Vector.basis(n, 0)),
+        HomCoalgebra(random_comul_tensor(n, rng), random_linear_map(n, rng), Vector.basis(n, 0)))
 
 
-def test_outer_products_equal_against_the_definition():
-    from homalg.bialgebra import _outer_products_equal
+def _row_2_breaking(side):
+    """Row 2 with one side broken: e2.e2 gains an e1 term, which fails only
+    Hom-associativity, or beta becomes [[1, 1], [1, 1]], which fails only
+    Hom-coassociativity."""
+    b = bialgebra_row(2, b1=2, b3=5, a1=3, a2=-1)
+    if side == "mul":
+        c = [[list(row) for row in plane] for plane in b.algebra.mul.c]
+        c[1][1][0] += 1
+        return HomBialgebra(HomAlgebra(MulTensor(c), b.algebra.alpha, b.algebra.unit),
+                            b.coalgebra)
+    return HomBialgebra(b.algebra, HomCoalgebra(b.coalgebra.comul, LinearMap([[1, 1], [1, 1]]),
+                                                b.coalgebra.counit))
 
-    rng = random.Random(9)
 
-    def vector(n):
-        return [rng.choice((0, 0, 1, -1, 2, Fraction(1, 2))) for _ in range(n)]
-
-    for _ in range(2000):
-        x, y = vector(rng.randint(1, 3)), vector(rng.randint(1, 3))
-        if rng.random() < 0.5:
-            # a rescaled pair: the same outer product
-            c = rng.choice((1, -1, 2, Fraction(1, 3)))
-            z, w = [Fraction(a) / c for a in x], [c * b for b in y]
-        else:
-            z, w = vector(len(x)), vector(len(y))
-        want = all(a * b == p * q for a, p in zip(x, z) for b, q in zip(y, w))
-        assert _outer_products_equal(x, y, z, w) is want, (x, y, z, w)
+@pytest.mark.parametrize("make, premises", [
+    pytest.param(lambda: _random_bialgebra(2, 0), False, id="seed-2-0"),
+    pytest.param(lambda: _random_bialgebra(2, 1), False, id="seed-2-1"),
+    pytest.param(lambda: _random_bialgebra(3, 2), False, id="seed-3-2"),
+    *(pytest.param(lambda row=row: bialgebra_row(row, b1=2, b3=5, a1=3, a2=-1), True,
+                   id=f"row-{row}") for row in (1, 2, 3)),
+    pytest.param(cyclic_group_bialgebra, True, id="twisted-z3"),
+    pytest.param(_upper_triangular_bialgebra, True, id="upper-triangular"),
+    pytest.param(lambda: _row_2_breaking("mul"), False, id="row-2-not-hom-associative"),
+    pytest.param(lambda: _row_2_breaking("beta"), False, id="row-2-not-hom-coassociative"),
+])
+def test_convolution_verdict_agrees_with_basis_triples(make, premises):
+    """The verdict is read from the two premises: True, and the identity
+    holds on every basis-matrix triple, exactly when both pass; None
+    otherwise, and on these structures the identity then fails."""
+    b = make()
+    assert (check_hom_associative(b.algebra).ok
+            and check_hom_coassociative(b.coalgebra).ok) is premises
+    assert check_convolution_hom_associative(b, samples=0) is (True if premises else None)
+    assert _convolution_holds_on_basis_triples(b) is premises
 
 
 def test_convolution_premises_not_met():

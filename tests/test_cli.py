@@ -10,9 +10,11 @@ import pytest
 import homalg
 from homalg import (
     ComulTensor,
+    HomAlgebra,
     HomBialgebra,
     HomCoalgebra,
     LinearMap,
+    MulTensor,
     Vector,
     parse_structure,
     registry,
@@ -182,6 +184,22 @@ def test_module_comodule_suites(files):
     assert cli_main(["check", files["mu1.json"], "--suite", "module"]) == 0
     assert cli_main(["check", files["bialgebra-2.json"],
                      "--suite", "comodule"]) == 0
+
+
+@pytest.mark.parametrize("suite, structure, line", [
+    ("module", HomAlgebra(MulTensor.from_entries(2, {(0, 1, 0): 1}), LinearMap.identity(2)),
+     "self-module (M=V, f=alpha, gamma=mu): violated"),
+    ("comodule", HomCoalgebra(ComulTensor.from_entries(2, {(0, 0, 1): 1}), LinearMap.identity(2)),
+     "self-comodule (M=V, g=beta, rho=Delta): violated"),
+], ids=["module", "comodule"])
+def test_module_comodule_suites_fail_off_hom_associativity(tmp_path, capsys, suite, structure,
+                                                          line):
+    # e1.e2 = e1 has the associator (e1.e2).e2 - e1.(e2.e2) = e1; Delta(e1) = e1 (x) e2
+    # has the coassociator e1 (x) e2 (x) e2
+    p = tmp_path / f"{suite}.json"
+    p.write_text(serialize_structure(structure))
+    assert cli_main(["check", str(p), "--suite", suite]) == 1
+    assert capsys.readouterr().out == f"[FAIL] {p}: {line}\n"
 
 
 def test_G_suites(files):

@@ -30,7 +30,7 @@ from homalg.linsolve import linear_solve
 from homalg.sampling import random_comul_tensor, random_linear_map, random_scalar
 from homalg.tensors import S3
 
-from conftest import bialgebra_row, grouplike_coalgebra
+from conftest import bialgebra_row, grouplike_coalgebra, registry_parts
 
 E1 = Vector.basis(2, 0)
 E2 = Vector.basis(2, 1)
@@ -333,6 +333,20 @@ def test_self_comodule():
     rho = [[[c.comul.d[m][q][i] for i in range(n)] for q in range(n)]
            for m in range(n)]
     assert check_comodule(c, n, c.beta, rho)
+
+
+def test_self_comodule_is_hom_coassociativity():
+    """At M = V, g = beta and rho = Delta the comodule axiom is the
+    Hom-coassociativity equation, so the two checks agree: on the registry's
+    coalgebra sides, which pass, and on seeded random coalgebras, which fail
+    from dim 2 on (every dim-1 coalgebra is Hom-coassociative)."""
+    registered = [p.coalgebra for p in registry_parts() if p.coalgebra is not None]
+    rng = random.Random(12)
+    randoms = [random_coalgebra(n, rng) for n in (1, 2, 3) for _ in range(10)]
+    cases = [(c, True) for c in registered] + [(c, c.dim == 1) for c in randoms]
+    for c, want in cases:
+        assert check_comodule(c, c.dim, c.beta, c.comul.d) is \
+            check_hom_coassociative(c).ok is want
 
 
 def test_zero_coaction_is_comodule():
