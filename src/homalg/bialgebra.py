@@ -95,7 +95,7 @@ class HomHopf:
 def bullet(bialgebra: HomBialgebra, s: Tensor2, t: Tensor2) -> Tensor2:
     """Factor-wise product on V (x) V: (a (x) b) * (c (x) d) = a.c (x) b.d."""
     mul = bialgebra.algebra.mul
-    return Tensor2.contracted("cd,aci,ab,bdj->ij", t, mul, s, mul)
+    return Tensor2.contracted("ab,cd,aci,bdj->ij", s, t, mul, mul)
 
 
 @lru_cache(maxsize=1)

@@ -24,14 +24,19 @@ Contraction specs.  ``contract(spec, *operands)`` takes an einsum-style spec
 such as ``"lb,kab,aij->kijl"``:
 
 * Each comma-separated group names the legs of one operand, outermost index
-  first, one letter per leg; the letters of one operand are distinct.  An
-  operand is a tensor of this module or a nested sequence of that depth.
+  first, one letter per leg; the letters of one operand are distinct, and so
+  are the output's (a repeat raises ValueError).  An operand is a tensor of
+  this module, a nested sequence of that depth, or a ``tabled`` one.
 * A letter shared by operands is one index: its entries are multiplied, and
   the letter is summed over unless it appears after ``->``.  One letter must
   have one size everywhere.
-* Operands are contracted pairwise from left to right, and a letter is summed
-  out as soon as no later operand and no output leg names it.  So the
-  operand order is the contraction order: list the cheapest pair first.
+* Operands are contracted pairwise as a tree, cheapest pair first: the pair
+  whose join makes the fewest products on dense operands (the product of the
+  sizes of the letters the two name), then the smaller result, then the
+  leftmost pair, as opt_einsum's greedy path orders them.  The pair leaves
+  the operand list and its result joins the end; a letter is summed out as
+  soon as no other operand and no output leg names it.  So a spec is written
+  in reading order; the operand order only breaks ties.
 * The letters after ``->`` are the output legs in order.  The result is a
   nested list in that layout (a bare scalar for an empty output), where an
   entry no product reached is the integer 0; nonzero entries are Fractions
@@ -40,7 +45,7 @@ such as ``"lb,kab,aij->kijl"``:
 
 Stored form.  A tensor holds the int numerators of its nonzero entries by
 index tuple over one denominator, the lcm of their reduced denominators, so
-equal tensors have equal tables.  ``_tabled`` clears outside entries and
+equal tensors have equal tables.  ``tabled`` clears outside entries and
 nested-sequence operands once.  Contraction (``+``, ``*`` and truthiness
 only), ``+``, ``-``, scalar ``*``, ``==``, hashing and the S3 action run on
 those ints.  A polynomial entry is its own numerator over denominator 1.
@@ -53,10 +58,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm, prod
 from operator import getitem, itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .polysolve import Poly
 from .rational import ONE, ZERO, rat
@@ -76,27 +81,35 @@ def contract(spec: str, *operands):
 
 def _contraction(spec: str, operands) -> tuple[tuple[int, ...], dict, int, bool]:
     """(output shape, numerators, denominator, whether an operand held a Fraction)"""
-    parts = [((op.dim,) * op.order, None, op._num, op._den) if isinstance(op, _Tensor)
-             else _tabled(op, len(letters))
+    parts = [Table((op.dim,) * op.order, None, op._num, op._den) if isinstance(op, _Tensor)
+             else op if isinstance(op, Table) else tabled(op, len(letters))
              for letters, op in zip(spec.partition("->")[0].split(","), operands)]
-    steps, out_shape = _plan(spec, tuple(part[0] for part in parts))
-    acc: dict = {(): 1}
-    for (_, _, table, _), (acc_key, table_key, pick) in zip(parts, steps):
-        acc = table if pick is None else _join(acc, acc_key, table, table_key, pick)
+    steps, out_shape = _plan(spec, tuple(part.shape for part in parts))
+    live = [part.num for part in parts]
+    for i, j, key_i, key_j, pick in steps:
+        right = {(): 1} if j is None else live.pop(j)
+        live.append(_join(live.pop(i), key_i, right, key_j, pick))
+    (table,) = live
     # a tensor (exact entries None) always reads as Fractions
-    fractional = any(exact is None or any(isinstance(v, Fraction) for v in exact.values())
-                     for _, exact, _, _ in parts)
-    return out_shape, acc, prod(part[3] for part in parts), fractional
+    fractional = any(part.exact is None or any(isinstance(v, Fraction) for v in part.exact.values())
+                     for part in parts)
+    return out_shape, table, prod(part.den for part in parts), fractional
 
 
 @lru_cache(maxsize=512)
 def _plan(spec: str, shapes: tuple[tuple[int, ...], ...]):
-    """Per operand: keys of the letters it shares with the running product, and
-    the picker of the letters kept (None: keep the first operand as it is)."""
+    """The joins that contract the spec, cheapest pair first (see the module
+    docstring), and the output shape.  A join (i, j, key_i, key_j, pick) takes
+    live operands i < j out of the list, multiplies their entries that agree
+    on the shared letters (read by key_i and key_j) and appends the sums, keyed
+    by pick of the concatenated index tuples; j None joins operand i with the
+    scalar 1, which only sums out or reorders its legs."""
     inputs, arrow, output = spec.partition("->")
     legs = inputs.split(",")
     if not arrow or len(legs) != len(shapes):
         raise ValueError(f"spec {spec!r} does not name {len(shapes)} operand(s)")
+    if any(len(set(letters)) != len(letters) for letters in legs + [output]):
+        raise ValueError(f"spec {spec!r} repeats a letter within an operand or the output")
     sizes: dict[str, int] = {}
     for letters, shape in zip(legs, shapes):
         if len(letters) != len(shape):
@@ -106,25 +119,44 @@ def _plan(spec: str, shapes: tuple[tuple[int, ...], ...]):
                 raise ValueError(f"index {ch!r} has sizes {sizes[ch]} and {size}")
     if not set(output) <= set(sizes):
         raise ValueError(f"output indices {set(output) - set(sizes)} name no leg in {spec!r}")
-    steps, letters = [], ""
-    for step, other in enumerate(legs):
-        both = letters + other
-        later = set(output).union(*legs[step + 1:])
-        keep = output if step == len(legs) - 1 else \
-            "".join(ch for ch in dict.fromkeys(both) if ch in later)
-        shared = [ch for ch in other if ch in letters]
-        pick = None if not step and keep == other else _picker([both.index(ch) for ch in keep])
-        steps.append((_picker([letters.index(ch) for ch in shared], bare=True),
-                      _picker([other.index(ch) for ch in shared], bare=True), pick))
-        letters = keep
+    steps, live = [], legs
+    if len(legs) == 1 and legs[0] != output:
+        empty = _picker([], bare=True)
+        steps.append((0, None, empty, empty, _picker([legs[0].index(ch) for ch in output])))
+    while len(live) > 1:
+        options = []
+        for i, j in combinations(range(len(live)), 2):
+            both = live[i] + live[j]
+            rest = set(output).union(*(live[m] for m in range(len(live)) if m not in (i, j)))
+            keep = "".join(ch for ch in dict.fromkeys(both) if ch in rest) \
+                if len(live) > 2 else output
+            options.append((prod(sizes[ch] for ch in set(both)),
+                            prod(sizes[ch] for ch in keep), i, j, both, keep))
+        _, _, i, j, both, keep = min(options)
+        shared = [ch for ch in live[j] if ch in live[i]]
+        steps.append((i, j, _picker([live[i].index(ch) for ch in shared], bare=True),
+                      _picker([live[j].index(ch) for ch in shared], bare=True),
+                      _picker([both.index(ch) for ch in keep])))
+        live = [letters for m, letters in enumerate(live) if m not in (i, j)] + [keep]
     return tuple(steps), tuple(sizes[ch] for ch in output)
 
 
-def _tabled(data, depth: int) -> tuple[tuple[int, ...], dict, dict, int]:
-    """Nested sequences as (shape, nonzero exact entries by index tuple, their
-    numerators, their denominator).  Outside entries come in only here: ints,
-    Fractions and "p/q" strings through ``rat``; a polynomial is its own
-    numerator."""
+class Table(NamedTuple):
+    """A contraction operand as data: its shape, its nonzero exact entries by
+    index tuple (None for a tensor, whose entries are Fractions), their
+    numerators and their denominator."""
+
+    shape: tuple[int, ...]
+    exact: dict | None
+    num: dict
+    den: int
+
+
+def tabled(data, depth: int) -> Table:
+    """Nested sequences of that depth as a ``Table``, which ``contract`` takes
+    as is, so an operand of several contractions is cleared once.  Outside
+    entries come in only here: ints, Fractions and "p/q" strings through
+    ``rat``; a polynomial is its own numerator."""
     shape, flat = [], [data]
     for _ in range(depth):
         rows = [list(row) for row in flat]
@@ -139,7 +171,7 @@ def _tabled(data, depth: int) -> tuple[tuple[int, ...], dict, dict, int]:
             exact[key] = value
     ratios = [(v, 1) if isinstance(v, Poly) else v.as_integer_ratio() for v in exact.values()]
     den = lcm(*[d for _, d in ratios])
-    return tuple(shape), exact, dict(zip(exact, [n * (den // d) for n, d in ratios])), den
+    return Table(tuple(shape), exact, dict(zip(exact, [n * (den // d) for n, d in ratios])), den)
 
 
 def _reduced(table: dict, den: int) -> tuple[dict, int]:
@@ -206,7 +238,7 @@ class _Tensor:
     kind = "tensor"
 
     def __init__(self, data):
-        shape, exact, table, den = _tabled(data, self.order)
+        shape, exact, table, den = tabled(data, self.order)
         self._set(shape, table, den)
         self.nonzero = {key: Fraction(v) if isinstance(v, int) else v for key, v in exact.items()}
 
@@ -291,7 +323,7 @@ class _Tensor:
         return self._of(self.dim, {key: -value for key, value in self._num.items()}, self._den)
 
     def __rmul__(self, scalar):
-        _, _, table, den = _tabled([scalar], 1)
+        _, _, table, den = tabled([scalar], 1)
         s = table.get((0,), 0)
         return self._of(self.dim, {key: s * value for key, value in self._num.items()} if s else {},
                         self._den * den)
@@ -452,6 +484,7 @@ def subgroup(name: str) -> tuple[Perm3, ...]:
         raise ValueError(f"unknown subgroup {name!r}; expected G1..G6") from None
 
 
+@lru_cache(maxsize=len(S3))
 def _leg_picker(sigma: Perm3):
     """Index triple of Phi_sigma(e_p (x) e_q (x) e_s) from (p, q, s)."""
     return _picker([i - 1 for i in sigma.inverse().images])

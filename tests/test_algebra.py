@@ -374,6 +374,25 @@ def test_self_module_is_hom_associativity():
         assert check_module(a, a.dim, a.alpha, a.mul.c) is check_hom_associative(a).ok is want
 
 
+def test_module_action_is_tabled_once(monkeypatch):
+    import homalg.algebra
+    import homalg.tensors
+
+    a = mu1_algebra(2, 3)
+    # the action as nested lists, not the algebra's own tensor
+    gamma = [[list(row) for row in plane] for plane in a.mul.c]
+    calls = []
+
+    def counted(data, depth, tabled=homalg.tensors.tabled):
+        calls.append(depth)
+        return tabled(data, depth)
+
+    for module in (homalg.algebra, homalg.tensors):
+        monkeypatch.setattr(module, "tabled", counted)
+    assert check_module(a, a.dim, a.alpha, gamma)
+    assert calls == [3]
+
+
 def test_zero_action_is_module():
     algebra = mu1_algebra()
     gamma = [[[0] * 3 for _ in range(3)] for _ in range(2)]

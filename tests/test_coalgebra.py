@@ -349,6 +349,25 @@ def test_self_comodule_is_hom_coassociativity():
             check_hom_coassociative(c).ok is want
 
 
+def test_comodule_coaction_is_tabled_once(monkeypatch):
+    import homalg.coalgebra
+    import homalg.tensors
+
+    c = bialgebra_row(2).coalgebra
+    # the coaction as nested lists, not the coalgebra's own tensor
+    rho = [[list(row) for row in plane] for plane in c.comul.d]
+    calls = []
+
+    def counted(data, depth, tabled=homalg.tensors.tabled):
+        calls.append(depth)
+        return tabled(data, depth)
+
+    for module in (homalg.coalgebra, homalg.tensors):
+        monkeypatch.setattr(module, "tabled", counted)
+    assert check_comodule(c, c.dim, c.beta, rho)
+    assert calls == [3]
+
+
 def test_zero_coaction_is_comodule():
     c = bialgebra_row(2).coalgebra
     rho = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]

@@ -2,14 +2,20 @@
 over all values of the summed letters of the product of operand entries."""
 
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import mul
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+import homalg
 from homalg import LinearMap, MulTensor, Poly, Vector
+from homalg import tensors
 from homalg.sampling import random_scalar
 from homalg.tensors import contract
 
@@ -175,3 +181,104 @@ def test_integer_kernel_drops_cancelled_entries():
     assert scalar_zero == 0 and type(scalar_zero) is int
     scalar = contract("i,i->", [Fraction(1, 3), Fraction(1, 6)], [Fraction(1, 2), 1])
     assert scalar == Fraction(1, 3) and type(scalar) is Fraction
+
+
+def test_contract_rejects_repeated_letters():
+    grid2 = [[1, 2], [3, 4]]
+    for spec, operands in (("ii->i", [grid2]), ("ii->", [grid2]), ("ij,jj->i", [grid2, grid2]),
+                           ("ij->ii", [grid2])):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            contract(spec, *operands)
+
+
+def nest(flat, shape):
+    """The flat entries as nested lists of that shape."""
+    for size in reversed(shape[1:]):
+        flat = [flat[i:i + size] for i in range(0, len(flat), size)]
+    return flat if shape else flat[0]
+
+
+@st.composite
+def contractions(draw):
+    """A spec of 1-4 operands over letters a-d of sizes 1-3, and int or
+    Fraction grids for it."""
+    sizes = {ch: draw(st.integers(1, 3)) for ch in "abcd"}
+    legs = draw(st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3, unique=True)
+                         .map("".join), min_size=1, max_size=4))
+    used = sorted(set("".join(legs)))
+    output = "".join(draw(st.permutations(used))[:draw(st.integers(0, len(used)))])
+    scalars = st.integers(-3, 3) | st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    operands = []
+    for letters in legs:
+        shape = [sizes[ch] for ch in letters]
+        count = reduce(mul, shape, 1)
+        operands.append(nest(draw(st.lists(scalars, min_size=count, max_size=count)), shape))
+    return ",".join(legs) + "->" + output, operands
+
+
+@given(contractions())
+def test_contract_matches_brute_force_on_any_plan(case):
+    spec, operands = case
+    assert same(contract(spec, *operands), oracle(spec, operands)), spec
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The number of entry products every pairwise join of ``contract`` makes."""
+    count = [0]
+    join = tensors._join
+
+    def counted(acc, acc_key, table, table_key, pick):
+        matches = Counter(map(table_key, table))
+        count[0] += sum(matches[acc_key(key)] for key in acc)
+        return join(acc, acc_key, table, table_key, pick)
+
+    monkeypatch.setattr(tensors, "_join", counted)
+    return count
+
+
+def ones(order, dim=3):
+    """A dense grid: no product is skipped and no sum cancels."""
+    return nest([1] * dim ** order, [dim] * order)
+
+
+def left_to_right(spec, dim=3):
+    """Products of contracting a dense spec pairwise from left to right,
+    summing a letter as soon as no later operand or output leg names it."""
+    inputs, output = spec.split("->")
+    legs = inputs.split(",")
+    total, running = 0, legs[0]
+    for step, other in enumerate(legs[1:], 1):
+        total += dim ** len(set(running + other))
+        later = set(output).union(*legs[step + 1:])
+        running = "".join(ch for ch in dict.fromkeys(running + other) if ch in later)
+    return total
+
+
+def test_weak_compatibility_product_takes_1215_products_on_dense_dim_3(products):
+    rng = random.Random(9)
+    comul, mul3 = ([[[rng.randint(1, 5) for _ in range(3)] for _ in range(3)] for _ in range(3)]
+                   for _ in range(2))
+    spec = "qcd,aci,pab,bdj->pqij"
+    result = contract(spec, comul, mul3, comul, mul3)
+    assert products[0] == 1215 and left_to_right(spec) == 1701
+    # the same sum, joined pairwise from left to right by hand
+    step = contract("qcd,aci->qdai", comul, mul3)
+    step = contract("qdai,pab->qdipb", step, comul)
+    assert result == contract("qdipb,bdj->pqij", step, mul3)
+
+
+def package_specs():
+    """Every multi-operand spec written in the package's source."""
+    found = {spec for path in Path(homalg.__file__).parent.glob("*.py")
+             for spec in re.findall(r'"([a-z,]+->[a-z]*)"', path.read_text())}
+    return sorted(spec for spec in found if "," in spec)
+
+
+def test_no_package_spec_plans_more_products_than_left_to_right(products):
+    specs = package_specs()
+    assert "qcd,aci,pab,bdj->pqij" in specs and len(specs) >= 30
+    for spec in specs:
+        products[0] = 0
+        contract(spec, *[ones(len(letters)) for letters in spec.split("->")[0].split(",")])
+        assert products[0] <= left_to_right(spec), spec

@@ -1,6 +1,7 @@
 """The one-entry memos of the associator, the coassociator and the weak
-bialgebra witnesses: keyed on the structure's value, never stale, never
-growing."""
+bialgebra witnesses, and the per-group memos of the G-defect witnesses:
+keyed on the structure's value, never stale, never growing past their
+bound."""
 
 import random
 
@@ -25,13 +26,16 @@ from homalg import (
     check_hom_lie_admissible,
     search_bialgebra_extension,
 )
+from homalg import algebra, coalgebra
 from homalg.algebra import _associator_tensors
 from homalg.bialgebra import weak_witnesses
 from homalg.sampling import random_scalar
 
 from conftest import mu1_algebra
 
-MEMOS = (_associator_tensors, beta_coassociator, weak_witnesses)
+ONE_ENTRY = (_associator_tensors, beta_coassociator, weak_witnesses)
+PER_GROUP = (algebra._G_witnesses, coalgebra._G_witnesses)
+MEMOS = ONE_ENTRY + PER_GROUP
 
 
 @pytest.fixture(autouse=True)
@@ -104,6 +108,7 @@ def test_alternating_structures_get_their_own_witnesses():
                 want[id(b)][2 + 2 * list(SUBGROUPS).index(g)]
             assert check_G_hom_coalgebra(b.coalgebra, g) == \
                 want[id(b)][3 + 2 * list(SUBGROUPS).index(g)]
+    assert all(memo.cache_info().currsize <= len(SUBGROUPS) for memo in PER_GROUP)
 
 
 def test_equal_but_distinct_structures_give_equal_reports():
@@ -116,16 +121,45 @@ def test_equal_but_distinct_structures_give_equal_reports():
 def test_each_structure_computes_its_associator_and_coassociator_once():
     b = build(random_bialgebra_data(3, 4))
     reports(b)
-    for memo in MEMOS:
+    for memo in ONE_ENTRY:
         info = memo.cache_info()
         assert info.misses == 1 and info.hits >= 1, memo
         assert info.maxsize == 1 and info.currsize == 1, memo
+    # one signed sum per group and side; G1 and G6 are asked for twice
+    for memo in PER_GROUP:
+        info = memo.cache_info()
+        assert info.misses == len(SUBGROUPS) and info.hits >= 1, memo
+        assert info.maxsize == info.currsize == len(SUBGROUPS), memo
 
 
 def test_memo_holds_one_structure():
     for seed in range(5):
         reports(build(random_bialgebra_data(2, seed)))
-    assert all(memo.cache_info().currsize == 1 for memo in MEMOS)
+    assert all(memo.cache_info().currsize == 1 for memo in ONE_ENTRY)
+    assert all(memo.cache_info().currsize <= len(SUBGROUPS) for memo in PER_GROUP)
+
+
+def test_one_condition_under_two_names_is_one_witness_tuple():
+    b = build(random_bialgebra_data(3, 5))
+    a, c = b.algebra, b.coalgebra
+    # a no-instance: empty tuples would be one object anyway
+    assert check_hom_associative(a).witnesses and check_hom_coassociative(c).witnesses
+    assert check_G_hom_associative(a, "G1").witnesses is check_hom_associative(a).witnesses
+    assert check_G_hom_coalgebra(c, "G1").witnesses is check_hom_coassociative(c).witnesses
+    alternating = check_hom_lie_admissible(c).alternating
+    assert alternating.witnesses
+    assert alternating.witnesses is check_G_hom_coalgebra(c, "G6").witnesses
+
+
+def test_hom_associativity_alone_sums_no_group(monkeypatch):
+    sums = []
+    for module in (algebra, coalgebra):
+        monkeypatch.setattr(module, "signed_leg_sum", lambda perms, t: sums.append(perms))
+    b = build(random_bialgebra_data(3, 6))
+    check_hom_associative(b.algebra)
+    check_hom_coassociative(b.coalgebra)
+    assert sums == []
+    assert all(memo.cache_info().currsize == 1 for memo in PER_GROUP)
 
 
 def test_strict_extension_search_reuses_the_weak_witnesses():
