@@ -371,7 +371,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="certify (non)existence of a bialgebra extension")
     p.add_argument("file")
     p.add_argument("--degree-cap", type=_int_at_least(0), default=6)
-    p.add_argument("--pair-cap", type=_int_at_least(1), default=10000)
+    p.add_argument("--pair-cap", type=_int_at_least(1), default=10000,
+                   help="most S-pairs to reduce; only pairs that survive the Gebauer-Moller "
+                        "criteria count, and coprime pairs are never queued")
     p.add_argument("--strict-alpha", action="store_true")
 
     p = sub.add_parser("examples", help="list or emit built-in structures")

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
-from itertools import combinations, count
+from heapq import heapify, heappop, heappush
+from itertools import count
 from math import gcd, lcm
 from operator import add, le, sub
 from typing import Callable, Mapping, Sequence
@@ -260,6 +260,14 @@ def _mono_coprime(a: Monomial, b: Monomial) -> bool:
     return not any(map(min, a, b))
 
 
+def _chained(h: Monomial, a: Monomial, b: Monomial) -> bool:
+    """The chain criterion: the pair with leading monomials a, b is redundant
+    once h is in the basis, when h divides their lcm and the lcms of h with
+    a and with b both differ from it."""
+    m = _mono_lcm(a, b)
+    return _mono_divides(h, m) and _mono_lcm(a, h) != m and _mono_lcm(b, h) != m
+
+
 class _Tracked:
     """A nonzero polynomial with cofactors over the original generator list.
 
@@ -360,11 +368,24 @@ def buchberger(
 ) -> GroebnerResult:
     """Buchberger's algorithm with degree/pair caps and cofactor tracking.
 
+    Pairs go through the Gebauer-Moller update (Becker and Weispfenning,
+    *Groebner Bases*, 1993, UPDATE) as each entry joins the basis, the
+    generators included, in order.  A pair whose leading monomials are
+    coprime is never queued (product criterion); of the new entry's pairs,
+    one whose lcm another's lcm properly divides is dropped (M), and of
+    those with equal lcm only the last is kept, none if one of them is
+    coprime (F); a queued pair with leading monomials a, b is dropped when
+    the new leading monomial h divides lcm(a, b) and lcm(a, h), lcm(b, h)
+    both differ from it (B, the chain criterion); and pairs are formed only
+    with entries whose leading monomial no later entry divides.  Division
+    still runs over the whole basis, in list order.
+
     Pairs are selected by the normal strategy: the pending pair whose
     leading monomials have the lcm of lowest total degree comes next, and
-    among pairs of equal degree the one queued most recently.  Every
-    selected pair counts toward ``pair_cap``, including pairs skipped by
-    the coprime-leading-monomial criterion.
+    among pairs of equal degree the one queued most recently; the pairs
+    among the generators are queued in ascending (i, j) order.  Only pairs
+    that survive the criteria are selected, and each counts toward
+    ``pair_cap``.
     """
     if order not in ORDER_KEYS:
         raise ValueError(f"unknown monomial order {order!r}")
@@ -388,6 +409,29 @@ def buchberger(
     if not basis:
         return GroebnerResult("ok", (), (), order, 0)
 
+    # entries whose leading monomial no later entry divides: new pairs' partners
+    active: list[int] = []
+
+    def join(new: int, pending: list) -> list[tuple[int, int]]:
+        """Drops from ``pending`` (entries ending in i, j) the pairs that
+        basis[new] chains, and returns the new entry's surviving pairs."""
+        h = basis[new].lm
+        pending[:] = [p for p in pending if not _chained(h, basis[p[-2]].lm, basis[p[-1]].lm)]
+        # per lcm of a new pair, its last partner (F), and the lcms that a
+        # coprime pair has (product criterion)
+        last: dict[Monomial, int] = {}
+        coprime: set[Monomial] = set()
+        for t in active:
+            m = _mono_lcm(basis[t].lm, h)
+            last[m] = t
+            if _mono_coprime(basis[t].lm, h):
+                coprime.add(m)
+        active[:] = [t for t in active if not _mono_divides(h, basis[t].lm)] + [new]
+        return sorted(
+            (t, new) for m, t in last.items()
+            if m not in coprime and not any(o != m and _mono_divides(o, m) for o in last)
+        )
+
     # (lcm degree, -queue position, i, j): a pair's key never goes stale,
     # since basis entries never change
     queue: list[tuple[int, int, int, int]] = []
@@ -397,7 +441,10 @@ def buchberger(
         degree = sum(_mono_lcm(basis[i].lm, basis[j].lm))
         heappush(queue, (degree, -next(tick), i, j))
 
-    for i, j in combinations(range(len(basis)), 2):
+    initial: list[tuple[int, int]] = []
+    for new in range(len(basis)):
+        initial += join(new, initial)
+    for i, j in sorted(initial):
         push(i, j)
     processed = 0
     while queue:
@@ -406,8 +453,6 @@ def buchberger(
         if processed > pair_cap:
             return GroebnerResult("capped", (), (), order, processed, ("pair_cap", processed))
         fi, fj = basis[i], basis[j]
-        if _mono_coprime(fi.lm, fj.lm):
-            continue
         lcm = _mono_lcm(fi.lm, fj.lm)
         # the S-polynomial is si * fi + sj * fj
         si = {_mono_div(lcm, fi.lm): ONE / fi.lc}
@@ -422,9 +467,10 @@ def buchberger(
             return GroebnerResult("capped", (), (), order, processed, ("degree_cap", degree))
         combination = [(si, fi), (sj, fj)] + [(q, basis[k]) for k, q in quotients.items()]
         basis.append(_Tracked(poly, _cofactors(combination, variables, ngens), order))
-        new_idx = len(basis) - 1
-        for t in range(new_idx):
-            push(t, new_idx)
+        new_pairs = join(len(basis) - 1, queue)
+        heapify(queue)
+        for t, new in new_pairs:
+            push(t, new)
 
     # minimalize: drop entries whose leading monomial another one divides
     lms = [t.lm for t in basis]
@@ -630,7 +676,9 @@ class SystemVerdict:
     when the set is infinite), "inconsistent" (certificate recombines to 1),
     or "inconclusive" (caps exhausted, or a certificate that fails its
     check; reason says which).
-    pairs_processed: the S-pairs Buchberger selected, capped runs included.
+    pairs_processed: the S-pairs Buchberger selected, capped runs included;
+    only pairs that survive the Gebauer-Moller criteria are selected, and
+    pairs with coprime leading monomials are never queued.
     """
 
     status: str

@@ -25,7 +25,7 @@ from homalg import (
     generic_coalgebra,
     lemma_identities_check,
 )
-from homalg.coalgebra import _compositions, _phi
+from homalg.coalgebra import _compositions, _phi, _tensor_witnesses
 from homalg.linsolve import linear_solve
 from homalg.sampling import random_comul_tensor, random_linear_map, random_scalar
 from homalg.tensors import S3
@@ -248,6 +248,24 @@ def test_admissibility_routes_agree_and_factor_two():
                 assert t_cyc == Fraction(2) * t_alt
             report = check_hom_lie_admissible(c)
             assert report.methods_agree
+
+
+def test_cyclic_report_is_doubled_g6_and_agrees_with_its_definition():
+    # check_hom_lie_admissible doubles the G6 witnesses; admissibility_defects
+    # still builds the cyclic sum of c_beta(Delta_L), and the two agree
+    rng = random.Random(31)
+    coalgebras = [p.coalgebra for p in registry_parts() if p.coalgebra is not None]
+    coalgebras += [random_coalgebra(rng.randint(1, 4), rng) for _ in range(30)]
+    failing = 0
+    for c in coalgebras:
+        report = check_hom_lie_admissible(c)
+        g6 = check_G_hom_coalgebra(c, "G6").witnesses
+        assert [(w.indices, w.value) for w in report.cyclic.witnesses] == \
+            [(w.indices, 2 * w.value) for w in g6]
+        cyclic, _ = admissibility_defects(c)
+        assert report.cyclic.witnesses == _tensor_witnesses(cyclic)
+        failing += not report.ok
+    assert failing >= 10
 
 
 def test_coassociative_is_admissible():

@@ -278,14 +278,16 @@ def test_poly_scalar_product_and_truthiness():
 # --- solver parity pins, caps and counters ------------------------------------------
 
 # Pairs processed and reduced lex bases of the extension systems at a1=2, a2=3.
-# The pair counts pin the selection order (lowest lcm degree, newest first);
-# a new strategy or pair criterion must re-pin them on purpose.
+# The pair counts pin the selection order (lowest lcm degree, newest first)
+# and the Gebauer-Moller criteria, which left 5/14/7/14 of the 45/190/66/190
+# pairs selected without them; a new strategy or pair criterion must re-pin
+# them on purpose.
 EXTENSION_PINS = {
-    ("mu1", False): (45, ["y^2 - y", "x22^2 - 6*x22*y + 3*x22 + 2", "x22*y + x21 - 1",
-                          "x22*y + x12 - 1", "-x22*y + x11 + y"]),
-    ("mu1", True): (190, ["1"]),
-    ("mu2", False): (66, ["1"]),
-    ("mu2", True): (190, ["1"]),
+    ("mu1", False): (5, ["y^2 - y", "x22^2 - 6*x22*y + 3*x22 + 2", "x22*y + x21 - 1",
+                         "x22*y + x12 - 1", "-x22*y + x11 + y"]),
+    ("mu1", True): (14, ["1"]),
+    ("mu2", False): (7, ["1"]),
+    ("mu2", True): (14, ["1"]),
 }
 
 
@@ -394,6 +396,82 @@ def test_buchberger_returns_reduced_groebner_basis_with_cofactors(order):
                 acc = acc + g * c
             assert acc == p
     assert solved >= 30
+
+
+# --- buchberger against a criterion-free textbook Buchberger -------------------------
+
+def _reference_basis(gens, order):
+    """The reduced Groebner basis by textbook Buchberger: every pair of the
+    growing basis is reduced, with no criterion, lowest lcm degree first, on
+    plain Poly arithmetic.  The systems below stay within 200 pairs and
+    degree 8; the budget keeps a wrong answer from the solver under test
+    from sending the reference on a search that the solver's caps stop."""
+    basis = [Poly(g.variables, {m: Fraction(c) for m, c in g.terms.items()})
+             for g in gens if g]
+    lms = [p.leading_monomial(order) for p in basis]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    for _ in range(1000):
+        if not pairs:
+            break
+        i, j = min(pairs, key=lambda p: sum(map(max, lms[p[0]], lms[p[1]])))
+        pairs.remove((i, j))
+        rem = _remainder(_s_polynomial(basis[i], basis[j], order), basis, order)
+        if rem:
+            assert rem.total_degree() <= 12, "the reference Buchberger passed degree 12"
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(rem)
+            lms.append(rem.leading_monomial(order))
+    assert not pairs, "the reference Buchberger ran past 1,000 pairs"
+    minimal = [p for i, p in enumerate(basis)
+               if not any(_divides(lms[k], lms[i]) and (lms[k] != lms[i] or k < i)
+                          for k in range(len(basis)) if k != i)]
+    reduced = [_remainder(p, minimal[:i] + minimal[i + 1:], order)
+               for i, p in enumerate(minimal)]
+    return {p.scale(1 / p.leading_coefficient(order)) for p in reduced}
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_buchberger_matches_reference_on_random_systems(order):
+    rng = random.Random(20261018)
+    solved = 0
+    for _ in range(40):
+        gens = _random_system(rng)
+        if all(g.is_zero() for g in gens):
+            continue
+        result = buchberger(gens, order=order, degree_cap=5, pair_cap=300)
+        if result.status == "capped":
+            continue
+        solved += 1
+        expected = _reference_basis(gens, order)
+        assert set(result.basis) == expected, [str(g) for g in gens]
+        reverse = buchberger(gens[::-1], order=order, degree_cap=5, pair_cap=300)
+        assert reverse.status == "capped" or set(reverse.basis) == expected
+        if result.inconsistent:
+            assert verify_certificate(gens, result.certificate())
+    assert solved >= 30
+
+
+EXTENSION_BINDINGS = [(Fraction(a), Fraction(b)) for a, b in [
+    (1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (-1, 1), (1, -1), (-1, -1), (-2, 3), (3, -2),
+    ("1/2", 2), (2, "1/2"), ("1/3", "2/3"), ("-3/2", 1), (1, "-3/2"), ("2/3", "2/3"),
+    ("-1/2", "-1/3"), (3, 3), ("-2/3", 2), ("3/2", "-1/2"),
+]]
+
+
+@pytest.mark.parametrize("name", ["mu1", "mu2"])
+@pytest.mark.parametrize("strict", [False, True])
+def test_extension_bases_match_reference_and_certificates_verify(name, strict):
+    build = mu1_algebra if name == "mu1" else mu2_algebra
+    for a1, a2 in EXTENSION_BINDINGS:
+        algebra = build(a1, a2)
+        gens = bialgebra_extension_system(algebra, strict_alpha=strict)
+        result = buchberger(gens, order="lex")
+        assert result.status == "ok"
+        assert set(result.basis) == _reference_basis(gens, "lex"), (a1, a2)
+        verdict = search_bialgebra_extension(algebra, strict_alpha=strict)
+        assert verdict.status == ("inconsistent" if result.inconsistent else "solutions")
+        if verdict.status == "inconsistent":
+            assert verify_certificate(gens, verdict.certificate)
 
 
 # --- rational roots against divisor enumeration ---------------------------------------
