@@ -15,6 +15,16 @@ Monomials are dense exponent tuples over a fixed variable list.  The
 canonical order is graded reverse lexicographic; elimination runs use plain
 lexicographic order, under which back-substitution plus univariate rational
 root extraction enumerates the rational points of zero-dimensional ideals.
+
+Buchberger runs on integers.  Each basis entry is a primitive integer
+polynomial, division is fraction-free, and each entry's cofactors are
+integer polynomials over one denominator.  Every entry is a fixed rational
+multiple of the entry rational division would build, and division picks
+the same divisors, so the basis, the cofactors and the pair counts are
+those of rational Buchberger.  Rationals appear only at the end, when the
+reduced entries are made monic and their cofactors are written over the
+original generators (Becker and Weispfenning, *Groebner Bases*, 1993;
+Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*, 1992).
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from typing import Callable, Mapping, Sequence
 from .rational import ONE, ZERO, rat
 
 Monomial = tuple[int, ...]
-Terms = dict[Monomial, Fraction]
+Terms = dict[Monomial, int]
 
 
 def grevlex_key(m: Monomial):
@@ -61,10 +71,10 @@ class Poly:
         self.variables: tuple[str, ...] = tuple(variables)
         clean: dict[Monomial, Fraction | int] = {}
         for mono, coeff in (terms or {}).items():
+            if len(mono) != len(self.variables):
+                raise ValueError("monomial arity differs from variable count")
             c = coeff if type(coeff) is int else rat(coeff)
             if c != 0:
-                if len(mono) != len(self.variables):
-                    raise ValueError("monomial arity differs from variable count")
                 clean[tuple(mono)] = c
         self.terms = clean
 
@@ -182,20 +192,32 @@ class Poly:
 
     # -- evaluation --------------------------------------------------------
     def substitute(self, assignment: Mapping[str, object]) -> "Poly":
-        """Partially evaluate; remaining variables keep their positions."""
-        values = {self.variables.index(k): rat(v) for k, v in assignment.items()}
-        terms: dict[Monomial, Fraction] = {}
+        """Partially evaluate; remaining variables keep their positions.
+
+        Each term is computed as an integer numerator over an integer
+        denominator, and each output monomial is summed once, over the lcm of
+        its terms' denominators."""
+        values = []
+        for name, value in assignment.items():
+            value = rat(value)
+            values.append((self.variables.index(name), value.numerator, value.denominator))
+        parts: dict[Monomial, list[tuple[int, int]]] = {}
         for mono, coeff in self.terms.items():
-            c = coeff
+            num, den = coeff.numerator, coeff.denominator
             new = list(mono)
-            for idx, val in values.items():
-                if mono[idx]:
-                    c *= val ** mono[idx]
+            for idx, vnum, vden in values:
+                if e := mono[idx]:
+                    num *= vnum ** e
+                    den *= vden ** e
                     new[idx] = 0
-            if c != 0:
-                key = tuple(new)
-                terms[key] = terms.get(key, ZERO) + c
-        return Poly(self.variables, terms)
+            if num:
+                parts.setdefault(tuple(new), []).append((num, den))
+        terms: dict[Monomial, Fraction | int] = {}
+        for mono, fractions in parts.items():
+            den = lcm(*(d for _, d in fractions))
+            total = Fraction(sum(n * (den // d) for n, d in fractions), den)
+            terms[mono] = total.numerator if total.denominator == 1 else total
+        return Poly._raw(self.variables, terms)
 
     def evaluate(self, point: Mapping[str, object]) -> Fraction:
         res = self.substitute(point)
@@ -268,67 +290,129 @@ def _chained(h: Monomial, a: Monomial, b: Monomial) -> bool:
     return _mono_divides(h, m) and _mono_lcm(a, h) != m and _mono_lcm(b, h) != m
 
 
-class _Tracked:
-    """A nonzero polynomial with cofactors over the original generator list.
+def _primitive(terms: Terms, lm: Monomial) -> tuple[Terms, int]:
+    """The primitive part of integer terms, its coefficient at ``lm``
+    positive, and the signed content the terms were divided by."""
+    content = gcd(*terms.values())
+    if terms[lm] < 0:
+        content = -content
+    if content == 1:
+        return terms, 1
+    return {m: c // content for m, c in terms.items()}, content
 
-    Its leading monomial ``lm`` and coefficient ``lc`` under the run's order
-    are computed once: entries are never changed after they are built.
+
+class _Tracked:
+    """A basis entry: a primitive integer polynomial whose leading
+    coefficient is positive, with sparse integer cofactors over one
+    denominator.
+
+    With c_i * g_i the primitive multiple of generator i, the entry satisfies
+    ``den * poly = sum_i cofactors[i] * (c_i * g_i)``; ``cofactors`` holds
+    only the generators that occur, ``den`` is positive, and the gcd of
+    ``den`` and all cofactor coefficients is 1.  The leading monomial ``lm``
+    and coefficient ``lc`` under the run's order are computed once: entries
+    are never changed after they are built.
     """
 
-    __slots__ = ("poly", "cofactors", "lm", "lc")
+    __slots__ = ("poly", "cofactors", "den", "lm", "lc")
 
-    def __init__(self, poly: Poly, cofactors: list[Poly], order: str):
+    def __init__(self, poly: Poly, cofactors: dict[int, Poly], den: int, lm: Monomial):
         self.poly = poly
         self.cofactors = cofactors
-        self.lm = poly.leading_monomial(order)
-        self.lc = poly.terms[self.lm]
+        self.den = den
+        self.lm = lm
+        self.lc = poly.terms[lm]
+
+    @classmethod
+    def normalized(
+        cls, terms: Terms, cofactors: dict[int, Poly], den: int,
+        key: Callable[[Monomial], object], variables: tuple[str, ...],
+    ) -> "_Tracked":
+        """The entry for nonzero integer terms with ``den * terms = sum_i
+        cofactors[i] * (c_i * g_i)``: the content of the terms moves into the
+        denominator, and the gcd of the denominator and the cofactor
+        coefficients is divided out."""
+        lm = max(terms, key=key)
+        terms, content = _primitive(terms, lm)
+        den *= content
+        common = gcd(den, *(c for row in cofactors.values() for c in row.terms.values()))
+        if den < 0:
+            common = -common
+        if common != 1:
+            den //= common
+            cofactors = {i: Poly._raw(variables, {m: c // common for m, c in row.terms.items()})
+                         for i, row in cofactors.items()}
+        return cls(Poly._raw(variables, terms), cofactors, den, lm)
 
 
 def _reduce(
-    terms: Mapping[Monomial, Fraction],
+    terms: Mapping[Monomial, int],
     basis: Sequence[_Tracked],
     key: Callable[[Monomial], object],
-) -> tuple[Terms, dict[int, Terms]]:
-    """Full multivariate division of the polynomial with these terms by the
-    basis; each step divides the leading term by the first basis element
-    whose leading monomial divides it.
+) -> tuple[Terms, dict[int, Terms], int]:
+    """Fraction-free multivariate division of the integer polynomial with
+    these terms by the basis; each step divides the leading term by the
+    first basis element whose leading monomial divides it.
 
-    Returns the remainder's terms and, per basis index used, the negated
-    quotient: remainder = terms + sum_k quotients[k] * basis[k].
+    A step with leading coefficient lc by g, d = gcd(lc, g.lc), multiplies
+    the work and the remainder by g.lc/d and subtracts (lc/d) * x^shift * g.
+    Returns the remainder's terms, per basis index used the negated
+    quotient, and the positive integer scale s, the product of the step
+    multipliers: remainder = s * terms + sum_k quotients[k] * basis[k].
+    The remainder is s times the rational remainder of the same division.
     """
     work = dict(terms)
-    remainder: Terms = {}
-    quotients: dict[int, Terms] = {}
+    # what leaves the work is recorded with the scale of its step, and
+    # brought to the final scale once at the end
+    moved: list[tuple[Monomial, int, int]] = []
+    steps: list[tuple[int, Monomial, int, int]] = []
+    scale = 1
     while work:
         lm = max(work, key=key)
         lc = work[lm]
         for k, g in enumerate(basis):
             if _mono_divides(g.lm, lm):
                 shift = _mono_div(lm, g.lm)
-                ratio = Fraction(lc, g.lc)
+                d = gcd(lc, g.lc)
+                mult, ratio = g.lc // d, lc // d
+                if mult != 1:
+                    scale *= mult
+                    work = {m: mult * c for m, c in work.items()}
                 # the leading monomial falls at every step, so shifts never repeat
-                quotients.setdefault(k, {})[shift] = -ratio
+                steps.append((k, shift, -ratio, scale))
                 for m, c in g.poly.terms.items():
                     m = _mono_mul(m, shift)
-                    v = work.get(m, ZERO) - ratio * c
+                    v = work.get(m, 0) - ratio * c
                     if v:
                         work[m] = v
                     else:
                         del work[m]
                 break
         else:
-            remainder[lm] = work.pop(lm)
-    return remainder, quotients
+            moved.append((lm, work.pop(lm), scale))
+    remainder = {m: c * (scale // at) for m, c, at in moved}
+    quotients: dict[int, Terms] = {}
+    for k, shift, c, at in steps:
+        quotients.setdefault(k, {})[shift] = c * (scale // at)
+    return remainder, quotients, scale
 
 
 def _cofactors(
-    combination: Sequence[tuple[Terms, _Tracked]], variables: tuple[str, ...], ngens: int
-) -> list[Poly]:
-    """Cofactors over the generators of sum_t multiplier * t, for the
-    (multiplier terms, t) pairs of the combination."""
-    pairs = [(Poly._raw(variables, mult), t) for mult, t in combination]
-    return [sum((m * t.cofactors[idx] for m, t in pairs), Poly.zero(variables))
-            for idx in range(ngens)]
+    combination: Sequence[tuple[Terms, _Tracked]], variables: tuple[str, ...]
+) -> tuple[dict[int, Poly], int]:
+    """Integer cofactors over the scaled generators of sum_t multiplier * t,
+    for the (integer multiplier terms, t) pairs of the combination, and
+    their denominator, the lcm of the entries' denominators:
+    ``den * sum_t multiplier * t = sum_i cofactors[i] * (c_i * g_i)``."""
+    den = lcm(*(t.den for _, t in combination))
+    acc: dict[int, Poly] = {}
+    for mult, t in combination:
+        f = den // t.den
+        mult = Poly._raw(variables, {m: f * c for m, c in mult.items()})
+        for i, row in t.cofactors.items():
+            term = mult * row
+            acc[i] = acc[i] + term if i in acc else term
+    return {i: row for i, row in acc.items() if row}, den
 
 
 @dataclass(frozen=True)
@@ -386,6 +470,13 @@ def buchberger(
     among the generators are queued in ascending (i, j) order.  Only pairs
     that survive the criteria are selected, and each counts toward
     ``pair_cap``.
+
+    The arithmetic is on integers.  Generator i enters as its primitive
+    multiple c_i * g_i.  The S-polynomial of fi and fj, with d the gcd of
+    their leading coefficients, is (fj.lc/d) x^a fi - (fi.lc/d) x^b fj; it
+    is divided fraction-free (``_reduce``), and a nonzero remainder joins
+    the basis with its content divided out.  The reduced entries are made
+    monic at the end, where their cofactors are written over the g_i.
     """
     if order not in ORDER_KEYS:
         raise ValueError(f"unknown monomial order {order!r}")
@@ -399,13 +490,18 @@ def buchberger(
         if g.variables != variables:
             raise ValueError("generators over different variable lists")
     key = ORDER_KEYS[order]
-    ngens = len(gens)
+    one = (0,) * len(variables)
 
+    # each generator enters as its primitive multiple c_i * g_i
     basis: list[_Tracked] = []
+    scales: dict[int, Fraction] = {}
     for idx, g in enumerate(gens):
-        cof = [Poly.const(variables, 1 if i == idx else 0) for i in range(ngens)]
-        if not g.is_zero():
-            basis.append(_Tracked(g, cof, order))
+        if g:
+            lm = max(g.terms, key=key)
+            terms, _ = _primitive(dict(zip(g.terms, _clear_denominators(g.terms.values()))), lm)
+            basis.append(_Tracked(Poly._raw(variables, terms),
+                                  {idx: Poly.const(variables, 1)}, 1, lm))
+            scales[idx] = Fraction(terms[lm]) / g.terms[lm]
     if not basis:
         return GroebnerResult("ok", (), (), order, 0)
 
@@ -453,20 +549,21 @@ def buchberger(
         if processed > pair_cap:
             return GroebnerResult("capped", (), (), order, processed, ("pair_cap", processed))
         fi, fj = basis[i], basis[j]
-        lcm = _mono_lcm(fi.lm, fj.lm)
-        # the S-polynomial is si * fi + sj * fj
-        si = {_mono_div(lcm, fi.lm): ONE / fi.lc}
-        sj = {_mono_div(lcm, fj.lm): -ONE / fj.lc}
-        spair = Poly._raw(variables, si) * fi.poly + Poly._raw(variables, sj) * fj.poly
-        rem, quotients = _reduce(spair.terms, basis, key)
+        m = _mono_lcm(fi.lm, fj.lm)
+        # the S-polynomial is ci x^ai fi + cj x^aj fj, on integers
+        d = gcd(fi.lc, fj.lc)
+        ai, ci = _mono_div(m, fi.lm), fj.lc // d
+        aj, cj = _mono_div(m, fj.lm), -(fi.lc // d)
+        spair = fi.poly.scale(ci, ai) + fj.poly.scale(cj, aj)
+        rem, quotients, s = _reduce(spair.terms, basis, key)
         if not rem:
             continue
-        poly = Poly._raw(variables, rem)
-        degree = poly.total_degree()
+        degree = max(map(sum, rem))
         if degree > degree_cap:
             return GroebnerResult("capped", (), (), order, processed, ("degree_cap", degree))
-        combination = [(si, fi), (sj, fj)] + [(q, basis[k]) for k, q in quotients.items()]
-        basis.append(_Tracked(poly, _cofactors(combination, variables, ngens), order))
+        combination = [({ai: s * ci}, fi), ({aj: s * cj}, fj)]
+        combination += [(q, basis[k]) for k, q in quotients.items()]
+        basis.append(_Tracked.normalized(rem, *_cofactors(combination, variables), key, variables))
         new_pairs = join(len(basis) - 1, queue)
         heapify(queue)
         for t, new in new_pairs:
@@ -482,25 +579,25 @@ def buchberger(
         )
     ]
 
-    # interreduce tails and normalize to monic
-    one = (0,) * len(variables)
-    reduced: list[_Tracked] = []
+    # interreduce tails, then make each entry monic and write its cofactors
+    # over the original generators: the only rational step
+    reduced: list[tuple[Monomial, Poly, tuple[Poly, ...]]] = []
     for i, t in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
         # minimal: no other leading monomial divides t.lm, so it stays in rem
-        rem, quotients = _reduce(t.poly.terms, others, key)
-        inv = ONE / rem[max(rem, key=key)]
-        combination = [({one: inv}, t)] + [
-            ({m: inv * c for m, c in q.items()}, others[k]) for k, q in quotients.items()
-        ]
-        poly = Poly._raw(variables, {m: inv * c for m, c in rem.items()})
-        reduced.append(_Tracked(poly, _cofactors(combination, variables, ngens), order))
-    reduced.sort(key=lambda t: key(t.lm))
+        rem, quotients, s = _reduce(t.poly.terms, others, key)
+        combination = [({one: s}, t)] + [(q, others[k]) for k, q in quotients.items()]
+        cofactors, den = _cofactors(combination, variables)
+        lc = rem[t.lm]
+        row = tuple(cofactors[idx].scale(scales[idx] / (den * lc)) if idx in cofactors
+                    else Poly.zero(variables) for idx in range(len(gens)))
+        reduced.append((t.lm, Poly._raw(variables, rem).scale(Fraction(1, lc)), row))
+    reduced.sort(key=lambda r: key(r[0]))
 
     return GroebnerResult(
         "ok",
-        tuple(t.poly for t in reduced),
-        tuple(tuple(t.cofactors) for t in reduced),
+        tuple(poly for _, poly, _ in reduced),
+        tuple(row for _, _, row in reduced),
         order,
         processed,
     )

@@ -155,6 +155,24 @@ def test_search_extension_strict_alpha(files, capsys):
     assert "inconsistent" in capsys.readouterr().out
 
 
+def test_search_extension_certificate_pinned(tmp_path, capsys):
+    # the whole certificate, byte for byte: a change of solver arithmetic that
+    # keeps the computation's path must print the same cofactors
+    path = tmp_path / "mu1-2-3.json"
+    path.write_text(serialize_structure(registry()["algebra-mu1"].build({"a1": 2, "a2": 3})))
+    assert cli_main(["search-extension", str(path), "--strict-alpha"]) == 0
+    assert capsys.readouterr().out == (
+        "inconsistent: no Hom-bialgebra extension exists\n"
+        "certificate cofactors (recombine with the generators to 1):\n"
+        "  (-1/10) * (x22*y + x21 - 1)\n"
+        "  (-1/5) * (x22*y + x12 - 1)\n"
+        "  (3/10*y - 2/5) * (x22 - 1)\n"
+        "  (3/10) * (y + 1)\n"
+        "  (1/30) * (-2*x11 - 3*x21)\n"
+        "  (-1/15) * (-x11 - 3*x12 - 3*x21 - 6*x22)\n"
+    )
+
+
 def test_examples_listing(capsys):
     assert cli_main(["examples"]) == 0
     out = capsys.readouterr().out

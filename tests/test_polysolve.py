@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -20,6 +20,7 @@ from homalg import (
     search_bialgebra_extension,
     verify_certificate,
 )
+import homalg.polysolve
 from homalg.polysolve import (
     EXTENSION_VARIABLES,
     bialgebra_extension_system,
@@ -62,6 +63,27 @@ def test_poly_str_renders():
     v = ("x", "y")
     p = P(v, {(2, 0): Fraction(5, 2), (0, 0): -3})
     assert str(p) == "5/2*x^2 - 3"
+
+
+def test_poly_checks_monomial_arity_before_dropping_zeros():
+    for coeff in (3, 0, Fraction(0)):
+        with pytest.raises(ValueError, match="arity"):
+            Poly(XY, {(1,): coeff})
+    assert Poly(XY, {(1, 0): 0}) == Poly.zero(XY)
+
+
+def test_substitute_sums_each_monomial_exactly():
+    x, y = Poly.var(XY, "x"), Poly.var(XY, "y")
+    p = Fraction(1, 6) * x * x * y - Fraction(5, 6) * x * y + y - 7
+    # the y terms sum to (x - 2)(x - 3)/6 * y
+    assert p.substitute({"x": Fraction(2, 3)}) == Fraction(14, 27) * y - 7
+    assert p.substitute({"x": 1}) == Fraction(1, 3) * y - 7
+    assert p.substitute({"x": "2"}) == Poly.const(XY, -7)
+    assert p.evaluate({"x": Fraction(1, 2), "y": 3}) == Fraction(-41, 8)
+    # an integer sum comes back as an int, the rest as reduced Fractions
+    half = (2 * x * y - Fraction(1, 2) * y).substitute({"y": Fraction(1, 2)})
+    assert half.terms == {(1, 0): 1, (0, 0): Fraction(-1, 4)}
+    assert type(half.terms[1, 0]) is int
 
 
 # --- buchberger ------------------------------------------------------------------
@@ -403,7 +425,7 @@ def test_buchberger_returns_reduced_groebner_basis_with_cofactors(order):
 def _reference_basis(gens, order):
     """The reduced Groebner basis by textbook Buchberger: every pair of the
     growing basis is reduced, with no criterion, lowest lcm degree first, on
-    plain Poly arithmetic.  The systems below stay within 200 pairs and
+    plain Poly arithmetic.  The systems below stay within 220 pairs and
     degree 8; the budget keeps a wrong answer from the solver under test
     from sending the reference on a search that the solver's caps stop."""
     basis = [Poly(g.variables, {m: Fraction(c) for m, c in g.terms.items()})
@@ -472,6 +494,136 @@ def test_extension_bases_match_reference_and_certificates_verify(name, strict):
         assert verdict.status == ("inconsistent" if result.inconsistent else "solutions")
         if verdict.status == "inconsistent":
             assert verify_certificate(gens, verdict.certificate)
+
+
+# --- the integer kernel: fraction-free division over one denominator ----------------
+
+def _standard_systems():
+    """cyclic-4 and katsura-3, whose coefficients grow more under division
+    than those of the extension systems."""
+    V = ("a", "b", "c", "d")
+    a, b, c, d = (Poly.var(V, v) for v in V)
+    U = ("u0", "u1", "u2", "u3")
+    u0, u1, u2, u3 = (Poly.var(U, v) for v in U)
+    return {
+        "cyclic-4": [a + b + c + d, a * b + b * c + c * d + d * a,
+                     a * b * c + b * c * d + c * d * a + d * a * b, a * b * c * d - 1],
+        "katsura-3": [u0 + 2 * u1 + 2 * u2 + 2 * u3 - 1,
+                      u0 * u0 + 2 * u1 * u1 + 2 * u2 * u2 + 2 * u3 * u3 - u0,
+                      2 * u0 * u1 + 2 * u1 * u2 + 2 * u2 * u3 - u1,
+                      u1 * u1 + 2 * u0 * u2 + 2 * u1 * u3 - u2],
+    }
+
+
+@pytest.mark.parametrize("name", ["cyclic-4", "katsura-3"])
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_standard_systems_match_reference_and_cofactors_recombine(name, order):
+    gens = _standard_systems()[name]
+    # both lex bases reach degree 8
+    result = buchberger(gens, order=order, degree_cap=8)
+    assert result.status == "ok"
+    assert set(result.basis) == _reference_basis(gens, order)
+    for p, row in zip(result.basis, result.cofactors):
+        acc = Poly.zero(p.variables)
+        for g, c in zip(gens, row):
+            acc = acc + g * c
+        assert acc == p
+
+
+def _primitive_multiple(g, order):
+    """c * g with integer coefficients of gcd 1, the leading one positive."""
+    scale = lcm(*(Fraction(c).denominator for c in g.terms.values()))
+    ints = {m: int(c * scale) for m, c in g.terms.items()}
+    content = gcd(*ints.values())
+    if ints[g.leading_monomial(order)] < 0:
+        content = -content
+    return Poly(g.variables, {m: c // content for m, c in ints.items()})
+
+
+@pytest.fixture
+def kernel(monkeypatch):
+    """Records every ``_reduce`` call, as (terms, basis, result), and every
+    basis entry that ``buchberger`` builds while the fixture is active."""
+    calls, entries = [], []
+    reduce = homalg.polysolve._reduce
+
+    def recording_reduce(terms, basis, key):
+        result = reduce(terms, basis, key)
+        calls.append((dict(terms), list(basis), result))
+        return result
+
+    class Recording(homalg.polysolve._Tracked):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            entries.append(self)
+
+    monkeypatch.setattr(homalg.polysolve, "_reduce", recording_reduce)
+    monkeypatch.setattr(homalg.polysolve, "_Tracked", Recording)
+    return calls, entries
+
+
+def _assert_kernel_invariants(gens, order, calls, entries):
+    """Division: remainder = s * terms + sum_k q_k * basis_k with an integer
+    s > 0.  Entries: primitive integer polynomials with a positive leading
+    coefficient, and den * poly = sum_i cof_i * (c_i * g_i), where c_i * g_i
+    is the primitive multiple of g_i and gcd(den, cofactor coefficients) = 1."""
+    assert calls and entries
+    variables = gens[0].variables
+    for terms, basis, (rem, quotients, s) in calls:
+        assert type(s) is int and s > 0
+        assert all(type(c) is int for q in (rem, *quotients.values()) for c in q.values())
+        acc = Poly(variables, terms).scale(s)
+        for k, q in quotients.items():
+            acc = acc + Poly(variables, q) * basis[k].poly
+        assert acc == Poly(variables, rem)
+    scaled = [_primitive_multiple(g, order) if g else g for g in gens]
+    for t in entries:
+        coeffs = list(t.poly.terms.values())
+        assert all(type(c) is int for c in coeffs) and gcd(*coeffs) == 1
+        assert t.lm == t.poly.leading_monomial(order) and t.lc == t.poly.terms[t.lm] > 0
+        assert type(t.den) is int and t.den > 0
+        assert gcd(t.den, *(c for row in t.cofactors.values() for c in row.terms.values())) == 1
+        acc = Poly.zero(variables)
+        for i, row in t.cofactors.items():
+            assert row and all(type(c) is int for c in row.terms.values())
+            acc = acc + row * scaled[i]
+        assert acc == t.poly.scale(t.den)
+    calls.clear()
+    entries.clear()
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_kernel_invariants_on_random_systems(order, kernel):
+    rng = random.Random(20261018)
+    checked = 0
+    for _ in range(40):
+        gens = _random_system(rng)
+        if all(g.is_zero() for g in gens):
+            continue
+        buchberger(gens, order=order, degree_cap=5, pair_cap=300)
+        _assert_kernel_invariants(gens, order, *kernel)
+        checked += 1
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("name", ["mu1", "mu2"])
+@pytest.mark.parametrize("strict", [False, True])
+def test_kernel_invariants_on_extension_systems(name, strict, kernel):
+    build = mu1_algebra if name == "mu1" else mu2_algebra
+    for a1, a2 in EXTENSION_BINDINGS:
+        gens = bialgebra_extension_system(build(a1, a2), strict_alpha=strict)
+        buchberger(gens, order="lex")
+        _assert_kernel_invariants(gens, "lex", *kernel)
+
+
+@pytest.mark.parametrize("name", ["cyclic-4", "katsura-3"])
+def test_kernel_invariants_on_standard_systems(name, kernel):
+    gens = _standard_systems()[name]
+    for order in ("lex", "grevlex"):
+        buchberger(gens, order=order, degree_cap=8)
+        _assert_kernel_invariants(gens, order, *kernel)
 
 
 # --- rational roots against divisor enumeration ---------------------------------------
