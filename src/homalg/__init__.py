@@ -37,7 +37,6 @@ from .bialgebra import (
     convolution_twist,
     convolution_unit,
     counit_expansion_check,
-    dual_hopf,
     generalized_primitive_subspace,
     primitive_subspace,
     solve_antipode,
@@ -63,6 +62,7 @@ from .coalgebra import (
 from .duality import (
     dual_algebra_of_coalgebra,
     dual_coalgebra_of_algebra,
+    dual_hopf,
     duality_defect_correspondence,
 )
 from .linsolve import LinearSolution, linear_solve

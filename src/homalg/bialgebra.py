@@ -21,7 +21,6 @@ convolution inverse of the identity, found here by exact linear solving
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -235,12 +234,8 @@ class AntipodeResult:
     counit_compatible: bool | None
 
 
-def solve_antipode(bialgebra: HomBialgebra, row_order_seed: int | None = None) -> AntipodeResult:
-    """Solve the 2*dim^2 linear antipode equations in the dim^2 entries of S.
-
-    ``row_order_seed`` shuffles the equation rows before elimination; any
-    seed must produce the same unique solution (pinned by tests).
-    """
+def solve_antipode(bialgebra: HomBialgebra) -> AntipodeResult:
+    """Solve the 2*dim^2 linear antipode equations in the dim^2 entries of S."""
     n = bialgebra.dim
     d, c = bialgebra.coalgebra.comul, bialgebra.algebra.mul
     u, eps = bialgebra.unit, bialgebra.counit
@@ -252,12 +247,6 @@ def solve_antipode(bialgebra: HomBialgebra, row_order_seed: int | None = None) -
     rows = [[v for row in grid for v in row]
             for coeffs in (left, right) for plane in coeffs for grid in plane]
     rhs = [eps[k] * u[m] for k, m in product(range(n), repeat=2)] * 2
-
-    if row_order_seed is not None:
-        order = list(range(len(rows)))
-        random.Random(row_order_seed).shuffle(order)
-        rows = [rows[i] for i in order]
-        rhs = [rhs[i] for i in order]
 
     solution = linear_solve(rows, rhs)
     if not solution.consistent:
@@ -273,14 +262,6 @@ def solve_antipode(bialgebra: HomBialgebra, row_order_seed: int | None = None) -
     counit_compatible = Vector.contracted("i,ik->k", eps, s) == eps
     hopf = HomHopf(bialgebra=bialgebra, antipode=s)
     return AntipodeResult("unique", s, 0, hopf, unit_fixed, counit_compatible)
-
-
-def dual_hopf(hopf: HomHopf) -> HomHopf:
-    """Dualize both sides and transpose the antipode; construction re-verifies
-    the antipode equations on the dual."""
-    from .duality import dual
-
-    return dual(hopf)
 
 
 # ---------------------------------------------------------------------------

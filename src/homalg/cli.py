@@ -170,8 +170,6 @@ def _run_suite(name: str, structure, suite: str | None) -> bool:
         elif s == "comodule":
             ok &= _print_bool(name, "self-comodule (M=V, g=beta, rho=Delta)",
                               check_hom_coassociative(coalgebra).ok)
-        else:
-            raise _Failure(f"unknown suite {s!r}")
     if p.antipode is not None:
         ok &= _print_bool(name, "antipode equations", not antipode_defect(p.bialgebra, p.antipode))
     return bool(ok)
@@ -408,9 +406,6 @@ def cli_main(argv: list[str] | None = None) -> int:
     except _Failure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

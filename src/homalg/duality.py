@@ -54,6 +54,12 @@ def dual(structure: Structure) -> Structure:
     return HomHopf(bialgebra=bialgebra, antipode=p.antipode.transpose())
 
 
+def dual_hopf(hopf: HomHopf) -> HomHopf:
+    """Dualize both sides and transpose the antipode; construction re-verifies
+    the antipode equations on the dual."""
+    return dual(hopf)
+
+
 def duality_defect_correspondence(coalgebra: HomCoalgebra, group: str) -> bool:
     """Whether the G-defect booleans of a coalgebra and its dual algebra agree.
 

@@ -81,7 +81,7 @@ def contract(spec: str, *operands):
 
 def _contraction(spec: str, operands) -> tuple[tuple[int, ...], dict, int, bool]:
     """(output shape, numerators, denominator, whether an operand held a Fraction)"""
-    parts = [Table((op.dim,) * op.order, None, op._num, op._den) if isinstance(op, _Tensor)
+    parts = [Table((op.dim,) * op.order, True, op._num, op._den) if isinstance(op, _Tensor)
              else op if isinstance(op, Table) else tabled(op, len(letters))
              for letters, op in zip(spec.partition("->")[0].split(","), operands)]
     steps, out_shape = _plan(spec, tuple(part.shape for part in parts))
@@ -90,10 +90,7 @@ def _contraction(spec: str, operands) -> tuple[tuple[int, ...], dict, int, bool]
         right = {(): 1} if j is None else live.pop(j)
         live.append(_join(live.pop(i), key_i, right, key_j, pick))
     (table,) = live
-    # a tensor (exact entries None) always reads as Fractions
-    fractional = any(part.exact is None or any(isinstance(v, Fraction) for v in part.exact.values())
-                     for part in parts)
-    return out_shape, table, prod(part.den for part in parts), fractional
+    return out_shape, table, prod(part.den for part in parts), any(p.fractional for p in parts)
 
 
 @lru_cache(maxsize=512)
@@ -142,12 +139,12 @@ def _plan(spec: str, shapes: tuple[tuple[int, ...], ...]):
 
 
 class Table(NamedTuple):
-    """A contraction operand as data: its shape, its nonzero exact entries by
-    index tuple (None for a tensor, whose entries are Fractions), their
-    numerators and their denominator."""
+    """A contraction operand as data: its shape, whether a nonzero entry is a
+    Fraction (always for a tensor, whose entries read as Fractions), the
+    numerators of its nonzero entries by index tuple and their denominator."""
 
     shape: tuple[int, ...]
-    exact: dict | None
+    fractional: bool
     num: dict
     den: int
 
@@ -171,7 +168,8 @@ def tabled(data, depth: int) -> Table:
             exact[key] = value
     ratios = [(v, 1) if isinstance(v, Poly) else v.as_integer_ratio() for v in exact.values()]
     den = lcm(*[d for _, d in ratios])
-    return Table(tuple(shape), exact, dict(zip(exact, [n * (den // d) for n, d in ratios])), den)
+    return Table(tuple(shape), any(isinstance(v, Fraction) for v in exact.values()),
+                 dict(zip(exact, [n * (den // d) for n, d in ratios])), den)
 
 
 def _reduced(table: dict, den: int) -> tuple[dict, int]:
@@ -238,9 +236,8 @@ class _Tensor:
     kind = "tensor"
 
     def __init__(self, data):
-        shape, exact, table, den = tabled(data, self.order)
+        shape, _, table, den = tabled(data, self.order)
         self._set(shape, table, den)
-        self.nonzero = {key: Fraction(v) if isinstance(v, int) else v for key, v in exact.items()}
 
     def _set(self, shape: tuple[int, ...], table: dict, den: int) -> None:
         if not shape[0] or len(set(shape)) != 1:
