@@ -57,6 +57,14 @@ ORDER_KEYS: dict[str, Callable[[Monomial], object]] = {
 }
 
 
+def _variable_index(variables: Sequence[str], name: str) -> int:
+    """Position of name in the variable list."""
+    try:
+        return variables.index(name)
+    except ValueError:
+        raise ValueError(f"unknown variable {name!r}; the variables are {tuple(variables)}") from None
+
+
 class Poly:
     """Multivariate polynomial with exact rational coefficients.
 
@@ -101,7 +109,7 @@ class Poly:
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "Poly":
-        idx = list(variables).index(name)
+        idx = _variable_index(variables, name)
         mono = tuple(1 if i == idx else 0 for i in range(len(variables)))
         return cls(variables, {mono: 1})
 
@@ -200,7 +208,8 @@ class Poly:
         values = []
         for name, value in assignment.items():
             value = rat(value)
-            values.append((self.variables.index(name), value.numerator, value.denominator))
+            values.append((_variable_index(self.variables, name), value.numerator,
+                           value.denominator))
         parts: dict[Monomial, list[tuple[int, int]]] = {}
         for mono, coeff in self.terms.items():
             num, den = coeff.numerator, coeff.denominator

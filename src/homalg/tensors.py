@@ -214,6 +214,13 @@ def _picker(positions: list[int], bare: bool = False):
     return itemgetter(*positions) if positions else (lambda key: ())
 
 
+def _in_range(index: int, dim: int) -> int:
+    """index, if it is a basis index of a dim-dimensional space."""
+    if not 0 <= index < dim:
+        raise ValueError(f"index {index} out of range for dim {dim}")
+    return index
+
+
 def _dense(shape: tuple[int, ...], entries: Mapping, fill=0, seq=list):
     """Nested ``seq``s of that shape: entries at their index tuples, fill elsewhere."""
     cells = [entries.get(index, fill) for index in product(*map(range, shape))]
@@ -287,6 +294,9 @@ class _Tensor:
 
     @classmethod
     def from_entries(cls, dim: int, entries: Mapping[tuple[int, ...], object]):
+        for key in entries:
+            if len(key) != cls.order or not all(0 <= i < dim for i in key):
+                raise ValueError(f"index {key} does not fit a {cls.kind} of dim {dim}")
         return cls(_dense((dim,) * cls.order, entries))
 
     def entry(self, *index: int):
@@ -353,6 +363,7 @@ class Vector(_Tensor):
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "Vector":
+        _in_range(index, dim)
         return cls([ONE if i == index else ZERO for i in range(dim)])
 
     def __getitem__(self, i: int) -> Fraction:
@@ -381,6 +392,7 @@ class LinearMap(_Tensor):
         return cls.from_entries(dim, {(row, col): ONE})
 
     def column(self, j: int) -> Vector:
+        _in_range(j, self.dim)
         return Vector._of(self.dim, {(i,): v for (i, c), v in self._num.items() if c == j},
                           self._den)
 
@@ -541,6 +553,7 @@ class ComulTensor(_Tensor):
         return self._data
 
     def image(self, k: int) -> Tensor2:
+        _in_range(k, self.dim)
         return Tensor2._of(self.dim, {key[1:]: v for key, v in self._num.items() if key[0] == k},
                            self._den)
 

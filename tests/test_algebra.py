@@ -354,6 +354,22 @@ def test_diagonal_rescaling_breaks_mu1_morphism():
     assert not check_algebra_morphism(f, algebra, algebra)
 
 
+def test_identity_between_mu1_twists_fails_only_the_twist_condition():
+    source, target = mu1_algebra(1, 2), mu1_algebra(1, 3)
+    assert source.mul == target.mul and source.unit == target.unit
+    assert source.alpha != target.alpha
+    assert not check_algebra_morphism(LinearMap.identity(2), source, target)
+
+
+def test_unit_on_one_side_only_fails_morphism():
+    unital = mu1_algebra()
+    bare = HomAlgebra(unital.mul, unital.alpha)
+    ident = LinearMap.identity(2)
+    assert check_algebra_morphism(ident, bare, bare)
+    assert not check_algebra_morphism(ident, unital, bare)
+    assert not check_algebra_morphism(ident, bare, unital)
+
+
 def test_self_module():
     for algebra in (mu1_algebra(2, 3), mu2_algebra(1, 4)):
         gamma = [[list(algebra.mul.c[i][m]) for m in range(2)] for i in range(2)]
@@ -405,6 +421,28 @@ def test_corrupted_action_detected():
     gamma = [[list(algebra.mul.c[i][m]) for m in range(2)] for i in range(2)]
     gamma[1][1][1] = Fraction(5)
     assert not check_module(algebra, 2, algebra.alpha, gamma)
+
+
+def test_construction_rejects_mismatched_dimensions():
+    mul, alpha = MulTensor.zero(2), LinearMap.identity(3)
+    with pytest.raises(ValueError, match="^mul and alpha dimensions differ$"):
+        HomAlgebra(mul, alpha)
+    with pytest.raises(ValueError, match="^unit dimension differs from mul$"):
+        HomAlgebra(mul, LinearMap.identity(2), Vector.basis(3, 0))
+    with pytest.raises(ValueError, match="^bracket and alpha dimensions differ$"):
+        HomBracket(bracket=mul, alpha=alpha)
+
+
+@pytest.mark.parametrize("gamma, m_dim, message", [
+    ([[[0] * 2] * 2], 2, "action tensor must have shape dim x m_dim x m_dim"),
+    ([[[0] * 2] * 3] * 2, 2, "action tensor must have shape dim x m_dim x m_dim"),
+    ([[[0] * 3] * 2] * 2, 2, "action tensor must have shape dim x m_dim x m_dim"),
+    ([[[0] * 3] * 3] * 2, 3, "f must act on the module"),
+], ids=["dim", "m-dim", "row", "f"])
+def test_module_rejects_mismatched_shapes(gamma, m_dim, message):
+    algebra = mu1_algebra()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_module(algebra, m_dim, LinearMap.identity(2), gamma)
 
 
 def test_module_rejects_malformed_entry():

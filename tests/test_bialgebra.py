@@ -135,6 +135,15 @@ def test_construction_requires_unit_and_counit():
         )
 
 
+def test_construction_rejects_mismatched_dimensions():
+    base = bialgebra_row(2)
+    dim3 = cyclic_group_bialgebra()
+    with pytest.raises(ValueError, match="^algebra and coalgebra dimensions differ$"):
+        HomBialgebra(algebra=base.algebra, coalgebra=dim3.coalgebra)
+    with pytest.raises(ValueError, match="^antipode dimension differs from bialgebra$"):
+        HomHopf(bialgebra=base, antipode=LinearMap.identity(3))
+
+
 # --- convolution --------------------------------------------------------------
 
 def test_convolution_unit_idempotent():

@@ -457,6 +457,24 @@ def test_search_extension_caps_below_their_minimum_are_usage_errors(
     assert f"argument {flag}: must be at least {minimum}, got {value}" in err
 
 
+def test_search_extension_non_integer_pair_cap_is_a_usage_error(files, capsys):
+    err = _usage_error(["search-extension", files["mu2.json"], "--pair-cap", "abc"], capsys)
+    assert "argument --pair-cap: invalid int value: 'abc'" in err
+
+
+def test_unknown_example_is_a_usage_error(capsys):
+    err = _usage_error(["examples", "nope"], capsys)
+    assert err == "error: unknown example 'nope'; run `examples` to list\n"
+
+
+def test_bialgebra_file_without_unit_exits_two(files, tmp_path, capsys):
+    data = json.loads(Path(files["bialgebra-2.json"]).read_text())
+    data["unit"] = None
+    p = tmp_path / "nounit.json"
+    p.write_text(json.dumps(data))
+    assert _usage_error(["check", str(p)], capsys) == f"error: {p}: bialgebra needs a unit\n"
+
+
 def test_search_extension_degree_cap_zero_is_accepted(files, capsys):
     assert cli_main(["search-extension", files["mu2.json"], "--degree-cap", "0"]) == 3
     captured = capsys.readouterr()

@@ -402,6 +402,26 @@ def test_corrupted_coaction_detected():
     assert not check_comodule(c, n, c.beta, rho)
 
 
+def test_construction_rejects_mismatched_dimensions():
+    comul = ComulTensor.zero(2)
+    with pytest.raises(ValueError, match="^comul and beta dimensions differ$"):
+        HomCoalgebra(comul, LinearMap.identity(3))
+    with pytest.raises(ValueError, match="^counit dimension differs from comul$"):
+        HomCoalgebra(comul, LinearMap.identity(2), Vector.basis(3, 0))
+
+
+@pytest.mark.parametrize("rho, m_dim, message", [
+    ([[[0] * 2] * 2], 2, "coaction tensor must have shape m_dim x m_dim x dim"),
+    ([[[0] * 2] * 3] * 2, 2, "coaction tensor must have shape m_dim x m_dim x dim"),
+    ([[[0] * 3] * 2] * 2, 2, "coaction tensor must have shape m_dim x m_dim x dim"),
+    ([[[0] * 2] * 3] * 3, 3, "g must act on the comodule"),
+], ids=["m-dim", "plane", "dim", "g"])
+def test_comodule_rejects_mismatched_shapes(rho, m_dim, message):
+    c = bialgebra_row(2).coalgebra
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_comodule(c, m_dim, LinearMap.identity(2), rho)
+
+
 def test_identity_coalgebra_morphism():
     c = bialgebra_row(2).coalgebra
     assert check_coalgebra_morphism(LinearMap.identity(2), c, c)
@@ -416,6 +436,30 @@ def test_diagonal_rescaling_coalgebra_morphism():
     # on the grouplike coalgebra f = diag(1,2) breaks (f (x) f) o Delta = Delta o f
     c = grouplike_coalgebra(2)
     assert not check_coalgebra_morphism(LinearMap([[1, 0], [0, 2]]), c, c)
+
+
+def test_identity_between_rows_2_and_3_fails_only_the_comul_condition():
+    source = bialgebra_row(2, b1=2, b2=0, b3=2).coalgebra
+    target = bialgebra_row(3, b1=2, b2=0, b3=2).coalgebra
+    assert source.beta == target.beta and source.counit == target.counit
+    assert source.comul != target.comul
+    assert not check_coalgebra_morphism(LinearMap.identity(2), source, target)
+
+
+def test_identity_between_row_1_twists_fails_only_the_twist_condition():
+    source, target = bialgebra_row(1, b2=3).coalgebra, bialgebra_row(1, b2=5).coalgebra
+    assert source.comul == target.comul and source.counit == target.counit
+    assert source.beta != target.beta
+    assert not check_coalgebra_morphism(LinearMap.identity(2), source, target)
+
+
+def test_counit_on_one_side_only_fails_morphism():
+    counital = bialgebra_row(2).coalgebra
+    bare = HomCoalgebra(counital.comul, counital.beta)
+    ident = LinearMap.identity(2)
+    assert check_coalgebra_morphism(ident, bare, bare)
+    assert not check_coalgebra_morphism(ident, counital, bare)
+    assert not check_coalgebra_morphism(ident, bare, counital)
 
 
 # --- the lemma layer as a proof: one generic coalgebra per dimension ---------

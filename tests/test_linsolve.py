@@ -64,5 +64,7 @@ def test_random_systems_substitute_back():
 
 
 def test_dimension_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^matrix has 1 rows but rhs has 2 entries$"):
         linear_solve([[1, 2]], [1, 2])
+    with pytest.raises(ValueError, match="^ragged coefficient matrix$"):
+        linear_solve([[1, 2], [3]], [1, 2])

@@ -86,6 +86,16 @@ def test_substitute_sums_each_monomial_exactly():
     assert type(half.terms[1, 0]) is int
 
 
+@pytest.mark.parametrize("call", [
+    lambda: Poly(XY, {(1, 0): 1}).substitute({"q": 1}),
+    lambda: Poly(XY, {(1, 0): 1}).evaluate({"q": 1, "x": 1}),
+    lambda: Poly.var(XY, "q"),
+], ids=["substitute", "evaluate", "var"])
+def test_unknown_variable_is_named_with_the_variable_list(call):
+    with pytest.raises(ValueError, match=r"^unknown variable 'q'; the variables are \('x', 'y'\)$"):
+        call()
+
+
 # --- buchberger ------------------------------------------------------------------
 
 def test_inconsistent_pair():

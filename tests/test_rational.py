@@ -20,6 +20,11 @@ def test_parse_rejects_garbage():
             rat(bad)
 
 
+def test_float_is_not_a_rational():
+    with pytest.raises(ValueError, match=r"^not a rational number: 1\.5$"):
+        rat(1.5)
+
+
 def test_render_round_trip():
     values = [Fraction(0), Fraction(5), Fraction(-3, 7), Fraction(22, 4)]
     for v in values:

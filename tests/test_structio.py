@@ -91,6 +91,23 @@ def test_dimension_mismatch_is_schema_error():
         parse_structure(json.dumps(data))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "top level must be a JSON object"),
+    ('{"kind": "algebra", "dim": 1, "convention": "columns-are-images", '
+     '"mul": [[["1"]]], "alpha": [["1"]], "unit": ["1"], "params": 3}', "params: expected an object"),
+], ids=["top-level", "params"])
+def test_non_object_is_parse_error(text, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_structure(text)
+
+
+def test_bialgebra_without_unit_is_parse_error():
+    data = json.loads(serialize_structure(bialgebra_row(2)))
+    data["unit"] = None
+    with pytest.raises(ParseError, match="^bialgebra needs a unit$"):
+        parse_structure(json.dumps(data))
+
+
 def test_bad_json_names_line():
     with pytest.raises(ParseError, match="line"):
         parse_structure("{\n  broken\n}")

@@ -10,7 +10,9 @@ from homalg import (
     PERMS,
     S3,
     SUBGROUPS,
+    ComulTensor,
     LinearMap,
+    MulTensor,
     Poly,
     Tensor2,
     Tensor3,
@@ -170,6 +172,27 @@ def test_linear_map_rejects_ragged():
 def test_apply_dim_mismatch():
     with pytest.raises(ValueError):
         LinearMap.identity(2).apply(Vector.basis(3, 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MulTensor.from_entries(2, {(0, 0, 5): 1}),
+     r"index \(0, 0, 5\) does not fit a multiplication tensor of dim 2"),
+    (lambda: MulTensor.from_entries(2, {(0, 0, -1): 1}),
+     r"index \(0, 0, -1\) does not fit a multiplication tensor of dim 2"),
+    (lambda: MulTensor.from_entries(2, {(0, 0): 1}),
+     r"index \(0, 0\) does not fit a multiplication tensor of dim 2"),
+    (lambda: MulTensor.from_entries(2, {(0, 0, 0, 0): 1}),
+     r"index \(0, 0, 0, 0\) does not fit a multiplication tensor of dim 2"),
+    (lambda: Vector.basis(2, 5), "index 5 out of range for dim 2"),
+    (lambda: Vector.basis(2, -1), "index -1 out of range for dim 2"),
+    (lambda: LinearMap.basis_matrix(2, 3, 0), r"index \(3, 0\) does not fit a linear map of dim 2"),
+    (lambda: LinearMap.identity(2).column(9), "index 9 out of range for dim 2"),
+    (lambda: ComulTensor.zero(2).image(7), "index 7 out of range for dim 2"),
+], ids=["from-entries-high", "from-entries-negative", "from-entries-short", "from-entries-long",
+        "basis-high", "basis-negative", "basis-matrix", "column", "image"])
+def test_out_of_range_indices_are_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 # --- the stored form against an entrywise Fraction reference ----------------
