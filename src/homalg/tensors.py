@@ -214,11 +214,10 @@ def _picker(positions: list[int], bare: bool = False):
     return itemgetter(*positions) if positions else (lambda key: ())
 
 
-def _in_range(index: int, dim: int) -> int:
-    """index, if it is a basis index of a dim-dimensional space."""
+def _in_range(index: int, dim: int) -> None:
+    """Raise ValueError unless index is a basis index of a dim-dimensional space."""
     if not 0 <= index < dim:
         raise ValueError(f"index {index} out of range for dim {dim}")
-    return index
 
 
 def _dense(shape: tuple[int, ...], entries: Mapping, fill=0, seq=list):
