@@ -102,8 +102,8 @@ def weak_witnesses(bialgebra: HomBialgebra) -> tuple[Witness, ...]:
     """Every nonzero defect of the four weak compatibility conditions, on
     basis pairs, in report order.
 
-    Remembered for the last bialgebra (by value), so the strict suite and a
-    strict extension system reuse the weak witnesses."""
+    Remembered for the last bialgebra (by value), so the strict suite
+    reuses the weak witnesses."""
     n = bialgebra.dim
     u = bialgebra.unit
     eps = bialgebra.counit

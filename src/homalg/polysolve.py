@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import count
 from math import gcd, lcm
@@ -69,8 +70,9 @@ class Poly:
     """Multivariate polynomial with exact rational coefficients.
 
     ``terms`` maps dense exponent tuples to nonzero coefficients, ints kept
-    as ints and the rest Fractions; the variable list is fixed per system
-    and shared by all polynomials that interact.
+    as ints (``scale`` included, where a product is whole) and the rest
+    Fractions; the variable list is fixed per system and shared by all
+    polynomials that interact.
     """
 
     __slots__ = ("variables", "terms")
@@ -165,10 +167,17 @@ class Poly:
         c0 = coeff if type(coeff) is int else rat(coeff)
         if c0 == 0:
             return Poly.zero(self.variables)
+        if type(c0) is not int and c0.denominator == 1:
+            c0 = c0.numerator
         if mono:
             terms = {_mono_mul(m, mono): c0 * c for m, c in self.terms.items()}
         else:
             terms = {m: c0 * c for m, c in self.terms.items()}
+        if type(c0) is not int:
+            # an int coefficient stays an int where its product is whole
+            for c, (m, v) in zip(self.terms.values(), list(terms.items())):
+                if type(c) is int and v.denominator == 1:
+                    terms[m] = v.numerator
         return Poly._raw(self.variables, terms)
 
     def __eq__(self, other) -> bool:
@@ -600,7 +609,9 @@ def buchberger(
         lc = rem[t.lm]
         row = tuple(cofactors[idx].scale(scales[idx] / (den * lc)) if idx in cofactors
                     else Poly.zero(variables) for idx in range(len(gens)))
-        reduced.append((t.lm, Poly._raw(variables, rem).scale(Fraction(1, lc)), row))
+        # the monic entry keeps Fraction coefficients, as rational division builds it
+        monic = Poly._raw(variables, {m: Fraction(c, lc) for m, c in rem.items()})
+        reduced.append((t.lm, monic, row))
     reduced.sort(key=lambda r: key(r[0]))
 
     return GroebnerResult(
@@ -799,6 +810,46 @@ class SystemVerdict:
 EXTENSION_VARIABLES = ("x11", "x12", "x21", "x22", "y")
 
 
+def _extension_bialgebra(algebra):
+    """The algebra with Delta(e1) = e1 (x) e1, eps(e1) = 1, and Delta(e2) and
+    eps(e2) the polynomial variables of ``EXTENSION_VARIABLES``."""
+    # imported here because tensors imports this module for Poly
+    from .bialgebra import HomBialgebra
+    from .coalgebra import HomCoalgebra
+    from .tensors import ComulTensor, LinearMap, Vector
+
+    V = EXTENSION_VARIABLES
+    one, zero = Poly.const(V, 1), Poly.zero(V)
+    delta = ComulTensor([
+        [[one, zero], [zero, zero]],
+        [[Poly.var(V, f"x{i}{j}") for j in (1, 2)] for i in (1, 2)],
+    ])
+    eps = Vector([one, Poly.var(V, "y")])
+    return HomBialgebra(algebra, HomCoalgebra(delta, LinearMap.identity(2), eps))
+
+
+@lru_cache(maxsize=8)
+def _weak_generators(mul, unit) -> tuple[Poly, ...]:
+    """The weak-compatibility and counit generators of the extension system
+    over (mul, unit): nonzero, repeats dropped, first occurrence first.
+
+    Neither set of equations involves the twist, so they are built on the
+    algebra with the identity twist and remembered by (mul, unit), by value.
+    A batch of searches over the paper's families asks for mu1, mu1, mu2,
+    mu2, ... at fresh twists: two structures alternate, so the bound must be
+    at least 2; 8 leaves room for a few more."""
+    from .algebra import HomAlgebra
+    from .bialgebra import weak_witnesses
+    from .coalgebra import counit_defects
+    from .tensors import LinearMap
+
+    bialgebra = _extension_bialgebra(HomAlgebra(mul, LinearMap.identity(2), unit))
+    values = [w.value for w in weak_witnesses(bialgebra)]
+    right, left = counit_defects(bialgebra.coalgebra)
+    values += [m.entry(i, k) for k in range(2) for i in range(2) for m in (right, left)]
+    return tuple(dict.fromkeys(v for v in values if v))
+
+
 def bialgebra_extension_system(algebra, strict_alpha: bool = False) -> tuple[Poly, ...]:
     """Polynomial conditions for a dim-2 unital Hom-associative algebra to
     carry a weak-compatible counital comultiplication.
@@ -809,32 +860,43 @@ def bialgebra_extension_system(algebra, strict_alpha: bool = False) -> tuple[Pol
     weak-compatibility witnesses, then the two-sided counit law per basis
     vector and component, then, with ``strict_alpha``, the alpha
     compatibilities of the strict reading (using the algebra's own twist).
-    Repeats are dropped; the first occurrence keeps its place.
+    Repeats are dropped; the first occurrence keeps its place.  The weak and
+    counit part does not involve the twist and is built once per
+    (mul, unit) (``_weak_generators``); only the alpha part is built per call.
     """
-    # imported here because tensors imports this module for Poly
-    from .bialgebra import HomBialgebra, alpha_witnesses, weak_witnesses
-    from .coalgebra import HomCoalgebra, counit_defects
-    from .tensors import ComulTensor, LinearMap, Vector
+    from .bialgebra import alpha_witnesses
+    from .tensors import Vector
 
     if algebra.dim != 2:
         raise ValueError("extension search is specified for dimension 2")
     if algebra.unit is None or algebra.unit != Vector.basis(2, 0):
         raise ValueError("extension search requires the unit to be e1")
-    V = EXTENSION_VARIABLES
-    one, zero = Poly.const(V, 1), Poly.zero(V)
-    delta = ComulTensor([
-        [[one, zero], [zero, zero]],
-        [[Poly.var(V, f"x{i}{j}") for j in (1, 2)] for i in (1, 2)],
-    ])
-    eps = Vector([one, Poly.var(V, "y")])
-    bialgebra = HomBialgebra(algebra, HomCoalgebra(delta, LinearMap.identity(2), eps))
+    weak = _weak_generators(algebra.mul, algebra.unit)
+    if not strict_alpha:
+        return weak
+    alpha = tuple(w.value for w in alpha_witnesses(_extension_bialgebra(algebra)))
+    return tuple(dict.fromkeys(weak + alpha))
 
-    values = [w.value for w in weak_witnesses(bialgebra)]
-    right, left = counit_defects(bialgebra.coalgebra)
-    values += [m.entry(i, k) for k in range(2) for i in range(2) for m in (right, left)]
-    if strict_alpha:
-        values += [w.value for w in alpha_witnesses(bialgebra)]
-    return tuple(dict.fromkeys(v for v in values if v))
+
+@lru_cache(maxsize=8)
+def _lex_solve(
+    generators: tuple[Poly, ...], degree_cap: int, pair_cap: int
+) -> tuple[GroebnerResult, tuple[tuple[tuple[str, Fraction], ...], ...] | None]:
+    """The lex Groebner basis of the generators under the caps and, for a
+    consistent zero-dimensional ideal, its rational points as (variable,
+    value) pairs; None in place of the points otherwise.
+
+    Remembered by value.  A batch of searches over the paper's families
+    solves mu1-weak, mu1-strict, mu2-weak, mu2-strict, ... at fresh twists:
+    each weak system comes back after three other solves, so a bound below 4
+    never hits; 8 leaves room for a few more.  The points are stored as
+    tuples, so each caller builds its own dicts; the caller checks the
+    certificate and the points on every call."""
+    result = buchberger(generators, order="lex", degree_cap=degree_cap, pair_cap=pair_cap)
+    if result.status == "capped" or result.inconsistent \
+            or not is_zero_dimensional(result.basis, order="lex"):
+        return result, None
+    return result, tuple(tuple(pt.items()) for pt in enumerate_rational_points(result.basis))
 
 
 def search_bialgebra_extension(
@@ -844,9 +906,15 @@ def search_bialgebra_extension(
     strict_alpha: bool = False,
 ) -> SystemVerdict:
     """Certify existence or nonexistence of a weak Hom-bialgebra structure
-    over a dim-2 unital Hom-associative algebra."""
+    over a dim-2 unital Hom-associative algebra.
+
+    The system is solved once per (generators, caps) (``_lex_solve``), so
+    the weak system of one (mul, unit) is built and solved once across twist
+    bindings.  Every call, repeat or not, checks that the certificate
+    recombines the generators to 1 and that each point zeroes every
+    generator."""
     gens = bialgebra_extension_system(algebra, strict_alpha=strict_alpha)
-    result = buchberger(gens, order="lex", degree_cap=degree_cap, pair_cap=pair_cap)
+    result, solved = _lex_solve(gens, degree_cap, pair_cap)
     pairs = result.pairs_processed
     if result.status == "capped":
         cap, reached = result.cap
@@ -866,13 +934,12 @@ def search_bialgebra_extension(
                        "does not recombine the generators to 1")
         return SystemVerdict(status="inconsistent", generators=gens, certificate=cert,
                              pairs_processed=pairs)
-    if not is_zero_dimensional(result.basis, order="lex"):
+    if solved is None:
         return SystemVerdict(
             status="solutions", generators=gens, positive_dimensional=True,
             pairs_processed=pairs,
         )
-    points = enumerate_rational_points(result.basis)
-    points = [pt for pt in points if all(g.evaluate(pt) == 0 for g in gens)]
+    points = [pt for pt in map(dict, solved) if all(g.evaluate(pt) == 0 for g in gens)]
     points.sort(key=lambda pt: tuple(pt[v] for v in EXTENSION_VARIABLES))
     return SystemVerdict(
         status="solutions", generators=gens, points=tuple(points), pairs_processed=pairs

@@ -292,13 +292,19 @@ class _Tensor:
         return cls._of(dim, {})
 
     @classmethod
+    def _fits(cls, index: tuple, dim: int) -> None:
+        """Raise ValueError unless index names an entry of a dim-dimensional tensor."""
+        if len(index) != cls.order or not all(0 <= i < dim for i in index):
+            raise ValueError(f"index {index} does not fit a {cls.kind} of dim {dim}")
+
+    @classmethod
     def from_entries(cls, dim: int, entries: Mapping[tuple[int, ...], object]):
         for key in entries:
-            if len(key) != cls.order or not all(0 <= i < dim for i in key):
-                raise ValueError(f"index {key} does not fit a {cls.kind} of dim {dim}")
+            cls._fits(key, dim)
         return cls(_dense((dim,) * cls.order, entries))
 
     def entry(self, *index: int):
+        self._fits(index, self.dim)
         return reduce(getitem, index, self._data)
 
     def nonzero_entries(self) -> list[tuple[tuple[int, ...], object]]:
@@ -366,7 +372,12 @@ class Vector(_Tensor):
         return cls([ONE if i == index else ZERO for i in range(dim)])
 
     def __getitem__(self, i: int) -> Fraction:
+        _in_range(i, self.dim)
         return self._data[i]
+
+    def __iter__(self):
+        # iteration would otherwise run through __getitem__ until it raises
+        return iter(self._data)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self._data) + ")"

@@ -1,7 +1,7 @@
 """The one-entry memos of the associator, the coassociator and the weak
-bialgebra witnesses, and the per-group memos of the G-defect witnesses:
-keyed on the structure's value, never stale, never growing past their
-bound."""
+bialgebra witnesses, the per-group memos of the G-defect witnesses, and the
+extension search's memos of the weak system and the lex solve: keyed on the
+structure's value, never stale, never growing past their bound."""
 
 import random
 
@@ -26,16 +26,18 @@ from homalg import (
     check_hom_lie_admissible,
     search_bialgebra_extension,
 )
-from homalg import algebra, coalgebra
+from homalg import algebra, coalgebra, polysolve
 from homalg.algebra import _associator_tensors
 from homalg.bialgebra import weak_witnesses
+from homalg.polysolve import _lex_solve, _weak_generators
 from homalg.sampling import random_scalar
 
-from conftest import mu1_algebra
+from conftest import mu1_algebra, mu2_algebra
 
 ONE_ENTRY = (_associator_tensors, beta_coassociator, weak_witnesses)
 PER_GROUP = (algebra._G_witnesses, coalgebra._G_witnesses)
-MEMOS = ONE_ENTRY + PER_GROUP
+EXTENSION = (_weak_generators, _lex_solve)
+MEMOS = ONE_ENTRY + PER_GROUP + EXTENSION
 
 
 @pytest.fixture(autouse=True)
@@ -165,7 +167,119 @@ def test_hom_associativity_alone_sums_no_group(monkeypatch):
 def test_strict_extension_search_reuses_the_weak_witnesses():
     algebra = mu1_algebra(2, 3)
     weak = search_bialgebra_extension(algebra)
-    assert weak_witnesses.cache_info().misses == 1
     strict = search_bialgebra_extension(algebra, strict_alpha=True)
-    assert weak_witnesses.cache_info().hits == 1
+    # the weak witnesses are computed once: the strict search takes the weak
+    # generators from their memo and computes no weak witness at all
+    info = weak_witnesses.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    info = _weak_generators.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     assert strict.generators[:len(weak.generators)] == weak.generators
+
+
+# --- the extension search's memos ----------------------------------------------------
+
+def bindings(count, seed):
+    """Distinct twist bindings (a1, a2) away from a1 = 1 and a2 = a1."""
+    rng, seen = random.Random(seed), set()
+    while len(seen) < count:
+        a1, a2 = random_scalar(rng), random_scalar(rng)
+        if a1 not in (0, 1) and a2 not in (0, a1):
+            seen.add((a1, a2))
+    return sorted(seen)
+
+
+def test_equal_but_distinct_multiplications_share_the_weak_system():
+    one = mu1_algebra(2, 3)
+    other = HomAlgebra(MulTensor(one.mul.c), LinearMap(one.alpha.entries), Vector(one.unit.coords))
+    assert other.mul is not one.mul and other.mul == one.mul
+    first, second = search_bialgebra_extension(one), search_bialgebra_extension(other)
+    for memo in EXTENSION:
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (1, 1), memo
+    assert first == second
+
+
+def test_alternating_families_hit_the_weak_solve_from_the_second_round():
+    for round, (a1, a2) in enumerate(bindings(6, 17)):
+        for family in (mu1_algebra, mu2_algebra):
+            for strict in (False, True):
+                hits = _lex_solve.cache_info().hits
+                search_bialgebra_extension(family(a1, a2), strict_alpha=strict)
+                if round and not strict:
+                    assert _lex_solve.cache_info().hits == hits + 1, (round, family)
+    # two weak systems, each built once
+    assert _weak_generators.cache_info().misses == 2
+
+
+def test_extension_memos_stay_within_their_bound():
+    for a1, a2 in bindings(50, 18):
+        for family in (mu1_algebra, mu2_algebra):
+            for strict in (False, True):
+                search_bialgebra_extension(family(a1, a2), strict_alpha=strict)
+                for memo in EXTENSION:
+                    info = memo.cache_info()
+                    assert info.currsize <= info.maxsize, memo
+    assert _lex_solve.cache_info().currsize == _lex_solve.cache_info().maxsize
+
+
+def test_caps_are_part_of_the_solve_key():
+    algebra = mu2_algebra(2, 3)
+    warm = search_bialgebra_extension(algebra)
+    assert warm.status == "inconsistent"
+    capped = search_bialgebra_extension(algebra, pair_cap=1)
+    assert capped.status == "inconclusive" and "pair_cap=1" in capped.reason
+    capped = search_bialgebra_extension(algebra, degree_cap=1)
+    assert capped.status == "inconclusive" and "degree_cap=1" in capped.reason
+    assert search_bialgebra_extension(algebra) == warm
+    assert _lex_solve.cache_info().hits == 1
+
+
+def test_a_warm_hit_still_checks_the_certificate(monkeypatch):
+    algebra = mu2_algebra(2, 3)
+    assert search_bialgebra_extension(algebra).status == "inconsistent"
+    monkeypatch.setattr(polysolve, "verify_certificate", lambda generators, certificate: False)
+    verdict = search_bialgebra_extension(algebra)
+    assert _lex_solve.cache_info().hits == 1
+    assert verdict.status == "inconclusive" and verdict.certificate is None
+    assert "certificate does not recombine" in verdict.reason
+
+
+def test_a_warm_hit_still_checks_the_points(monkeypatch):
+    algebra = mu1_algebra(2, 3)
+    assert search_bialgebra_extension(algebra).points
+    # a point that some generator does not vanish at is dropped, hit or not
+    monkeypatch.setattr(polysolve.Poly, "evaluate", lambda poly, point: 1)
+    verdict = search_bialgebra_extension(algebra)
+    assert _lex_solve.cache_info().hits == 1
+    assert verdict.status == "solutions" and verdict.points == ()
+
+
+def test_mutating_a_verdict_leaves_the_next_verdict_unchanged():
+    algebra = mu1_algebra(2, 3)
+    first = search_bialgebra_extension(algebra)
+    want = [dict(point) for point in first.points]
+    for point in first.points:
+        point["x11"] = 99
+        point.pop("y")
+    second = search_bialgebra_extension(algebra)
+    assert _lex_solve.cache_info().hits == 1
+    assert [dict(point) for point in second.points] == want
+
+
+def test_warm_searches_equal_cold_ones():
+    cases = [(family, a1, a2, strict) for a1, a2 in bindings(12, 19)
+             for family in (mu1_algebra, mu2_algebra) for strict in (False, True)]
+    cold = []
+    for family, a1, a2, strict in cases:
+        for memo in MEMOS:
+            memo.cache_clear()
+        cold.append(search_bialgebra_extension(family(a1, a2), strict_alpha=strict))
+    for memo in MEMOS:
+        memo.cache_clear()
+    warm = [search_bialgebra_extension(family(a1, a2), strict_alpha=strict)
+            for family, a1, a2, strict in cases]
+    assert _lex_solve.cache_info().hits >= 2 * 11
+    # status, generators, points, certificate, pairs and reason, field by field
+    for case, c, w in zip(cases, cold, warm):
+        assert w == c, case

@@ -26,6 +26,7 @@ from homalg.polysolve import (
     bialgebra_extension_system,
     is_zero_dimensional,
 )
+from homalg.tensors import contract
 
 from conftest import mu1_algebra, mu2_algebra
 
@@ -84,6 +85,21 @@ def test_substitute_sums_each_monomial_exactly():
     half = (2 * x * y - Fraction(1, 2) * y).substitute({"y": Fraction(1, 2)})
     assert half.terms == {(1, 0): 1, (0, 0): Fraction(-1, 4)}
     assert type(half.terms[1, 0]) is int
+
+
+def test_scaling_keeps_whole_products_of_int_coefficients_as_ints():
+    x = Poly.var(X, "x")
+    assert Poly(X, {(1,): 3}).scale(Fraction(4, 2)).terms == {(1,): 6}
+    for p in (3 * x * Fraction(4, 2), Fraction(4, 2) * (3 * x), (6 * x + 3) * Fraction(1, 2),
+              Poly(XY, {(1, 0): 4, (0, 0): -2}).scale(Fraction(1, 2), (0, 1))):
+        assert all(type(c) is int for c in p.terms.values() if c.denominator == 1), p
+    half = (6 * x + 3) * Fraction(1, 2)
+    assert half.terms == {(1,): 3, (0,): Fraction(3, 2)} and str(half) == "3*x + 3/2"
+    # a Fraction coefficient stays a Fraction
+    assert type((Fraction(1, 2) * x).scale(2).terms[1,]) is Fraction
+    # a contraction that mixes polynomial and rational entries, through its denominator
+    value = contract("i,i->", [2 * x, 0], [Fraction(1, 2), Fraction(1, 3)])
+    assert value == x and type(value.terms[1,]) is int
 
 
 @pytest.mark.parametrize("call", [

@@ -195,6 +195,26 @@ def test_out_of_range_indices_are_rejected(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: LinearMap([[1, 2], [3, 4]]).entry(-1, -1),
+     r"index \(-1, -1\) does not fit a linear map of dim 2"),
+    (lambda: LinearMap([[1, 2], [3, 4]]).entry(0),
+     r"index \(0,\) does not fit a linear map of dim 2"),
+    (lambda: LinearMap([[1, 2], [3, 4]]).entry(0, 2),
+     r"index \(0, 2\) does not fit a linear map of dim 2"),
+    (lambda: MulTensor.zero(2).entry(0, 0, 0, 0),
+     r"index \(0, 0, 0, 0\) does not fit a multiplication tensor of dim 2"),
+    (lambda: Vector([1, 2])[-1], "index -1 out of range for dim 2"),
+    (lambda: Vector([1, 2])[2], "index 2 out of range for dim 2"),
+], ids=["entry-negative", "entry-partial", "entry-high", "entry-long", "item-negative",
+        "item-high"])
+def test_entry_and_vector_item_reject_indices_outside_the_tensor(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+    assert LinearMap([[1, 2], [3, 4]]).entry(1, 1) == 4 and Vector([1, 2])[1] == 2
+    assert list(Vector([1, 2])) == [1, 2]
+
+
 # --- the stored form against an entrywise Fraction reference ----------------
 
 CLASSES = {1: Vector, 2: LinearMap, 3: Tensor3}
