@@ -38,7 +38,17 @@ from .coalgebra import (
 from .linsolve import linear_solve
 from .rational import ONE, ZERO
 from .reports import DefectReport, Witness
-from .tensors import ComulTensor, LinearMap, PERM_13, Tensor2, Vector, contract, phi_apply
+from .tensors import (
+    ComulTensor,
+    LinearMap,
+    PERM_13,
+    Table,
+    Tensor2,
+    Vector,
+    contract,
+    phi_apply,
+    tabled,
+)
 
 
 @dataclass(frozen=True)
@@ -268,16 +278,19 @@ def solve_antipode(bialgebra: HomBialgebra) -> AntipodeResult:
 # primitive and generalized primitive elements
 
 
-def _solves(rows, x: Vector) -> bool:
+def _solves(rows: Table, x: Vector) -> bool:
     """Whether x lies in the kernel of the homogeneous system ``rows``."""
     return not any(contract("rc,c->r", rows, x))
 
 
-def _check_commutators(mul, basis, rows, failure: str) -> None:
+def _check_commutators(mul, basis, rows: Table, failure: str) -> None:
     """Raise ValueError unless the commutator of any two members of
-    ``basis`` solves ``rows`` again; ``failure`` ends the message."""
-    for v in basis:
-        for w in basis:
+    ``basis`` solves ``rows`` again; ``failure`` ends the message.
+
+    Each unordered pair is checked once: [v, v] = 0 and [w, v] = -[v, w],
+    and the solutions of ``rows`` form a subspace."""
+    for i, v in enumerate(basis):
+        for w in basis[i + 1:]:
             if not _solves(rows, mul.apply(v, w) - mul.apply(w, v)):
                 raise ValueError(f"commutator [{v}, {w}] {failure}")
 
@@ -305,7 +318,8 @@ def primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...]:
         if contract("k,k->", v, eps):
             raise ValueError(f"counit does not vanish on primitive element {v}")
 
-    _check_commutators(bialgebra.algebra.mul, basis, rows, "fails the primitive equation")
+    _check_commutators(bialgebra.algebra.mul, basis, tabled(rows, 2),
+                       "fails the primitive equation")
     return basis
 
 
@@ -334,11 +348,12 @@ def generalized_primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...
     sol = linear_solve(rows, [ZERO] * len(rows))
     basis = tuple(Vector(v) for v in sol.kernel)
 
+    table = tabled(rows, 2)
     for p in primitive_subspace(bialgebra):
-        if not _solves(rows, p):
+        if not _solves(table, p):
             raise ValueError(f"primitive element {p} is not generalized primitive")
 
-    _check_commutators(bialgebra.algebra.mul, basis, rows,
+    _check_commutators(bialgebra.algebra.mul, basis, table,
                        "leaves the generalized primitive space")
     return basis
 

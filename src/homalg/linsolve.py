@@ -3,12 +3,24 @@
 ``linear_solve`` returns the full affine solution set of A x = b: one
 particular solution plus a kernel basis, or a distinguished inconsistent
 result (never an exception for unsolvable systems).
+
+The elimination runs on integers, fraction-free (Bareiss, Math. Comp.
+1968).  Each augmented row is scaled by the lcm of its denominators, a row
+update multiplies by the pivot instead of dividing by it, and every updated
+row is divided by the gcd of its entries, where Bareiss divides by the
+previous pivot.  The pivot choice is that of
+Gauss-Jordan over the rationals, and row i of the final integer matrix is
+a nonzero multiple of row i of the reduced row echelon form.  That form is
+unique, so the pivot columns, the particular solution (free variables 0)
+and the kernel basis (one vector per free column) are those of rational
+elimination; ``Fraction``s are built only when they are read out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .rational import ONE, ZERO, rat
@@ -37,9 +49,10 @@ class LinearSolution:
 def linear_solve(
     matrix: Sequence[Sequence], rhs: Sequence
 ) -> LinearSolution:
-    """Solve A x = b exactly; A is m x n, b has length m."""
-    rows = [[rat(v) for v in row] for row in matrix]
-    b = [rat(v) for v in rhs]
+    """Solve A x = b exactly; A is m x n, b has length m.  Entries are ints,
+    Fractions or "p/q" strings (through ``rat``)."""
+    rows = [[v if type(v) is int else rat(v) for v in row] for row in matrix]
+    b = [v if type(v) is int else rat(v) for v in rhs]
     m = len(rows)
     if len(b) != m:
         raise ValueError(f"matrix has {m} rows but rhs has {len(b)} entries")
@@ -47,40 +60,56 @@ def linear_solve(
     if any(len(row) != n for row in rows):
         raise ValueError("ragged coefficient matrix")
 
-    aug = [rows[i] + [b[i]] for i in range(m)]
+    aug = [_integral(rows[i] + [b[i]]) for i in range(m)]
     pivot_cols: list[int] = []
     r = 0
     for col in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        pivot = next((i for i in range(r, m) if aug[i][col]), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][col]
-        aug[r] = [v / pv for v in aug[r]]
+        prow = aug[r]
+        pv = prow[col]
         for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * p for a, p in zip(aug[i], aug[r])]
+            if i != r and aug[i][col]:
+                # (pv * row_i - row_i[col] * row_r) / g, zero at col, then its content out
+                g = gcd(pv, aug[i][col])
+                a, f = pv // g, aug[i][col] // g
+                aug[i] = _primitive([a * x - f * p for x, p in zip(aug[i], prow)])
         pivot_cols.append(col)
         r += 1
         if r == m:
             break
 
     for i in range(r, m):
-        if aug[i][n] != 0:
+        if aug[i][n]:
             return LinearSolution(particular=None, kernel=())
 
     particular = [ZERO] * n
     for row_idx, col in enumerate(pivot_cols):
-        particular[col] = aug[row_idx][n]
+        particular[col] = Fraction(aug[row_idx][n], aug[row_idx][col])
 
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+    pivots = set(pivot_cols)
     kernel = []
-    for free in free_cols:
+    for free in (c for c in range(n) if c not in pivots):
         vec = [ZERO] * n
         vec[free] = ONE
         for row_idx, col in enumerate(pivot_cols):
-            vec[col] = -aug[row_idx][free]
+            vec[col] = Fraction(-aug[row_idx][free], aug[row_idx][col])
         kernel.append(tuple(vec))
 
     return LinearSolution(particular=tuple(particular), kernel=tuple(kernel))
+
+
+def _integral(row: list) -> list[int]:
+    """The row scaled by the lcm of its denominators, over the gcd of the
+    resulting integers: a primitive integer row with the same solutions."""
+    ratios = [v.as_integer_ratio() for v in row]
+    den = lcm(*[d for _, d in ratios])
+    return _primitive([num * (den // d) for num, d in ratios])
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by the gcd of its entries (a zero row as is)."""
+    common = gcd(*row)
+    return row if common <= 1 else [v // common for v in row]

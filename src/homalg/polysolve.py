@@ -36,6 +36,7 @@ from heapq import heapify, heappop, heappush
 from itertools import count
 from math import gcd, lcm
 from operator import add, le, sub
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .rational import ONE, ZERO, rat
@@ -72,10 +73,12 @@ class Poly:
     ``terms`` maps dense exponent tuples to nonzero coefficients, ints kept
     as ints (``scale`` included, where a product is whole) and the rest
     Fractions; the variable list is fixed per system and shared by all
-    polynomials that interact.
+    polynomials that interact.  ``terms`` is a read-only view, so a
+    polynomial never changes after it is built (memos hand theirs out) and
+    its hash is computed once.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_hash")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, object] | None = None):
         self.variables: tuple[str, ...] = tuple(variables)
@@ -86,19 +89,23 @@ class Poly:
             c = coeff if type(coeff) is int else rat(coeff)
             if c != 0:
                 clean[tuple(mono)] = c
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
+        self._hash = None
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def _raw(cls, variables: tuple[str, ...], terms: dict[Monomial, Fraction | int]) -> "Poly":
         """Wrap terms that this module's arithmetic produced: int or Fraction
         coefficients on monomials of the right arity.  The polynomial takes the
-        dict and deletes its zeros in place; nothing is checked or converted."""
+        dict, deletes its zeros in place and keeps it behind a read-only view,
+        so the caller must not change it afterwards; nothing is checked or
+        converted."""
         for m in [m for m, c in terms.items() if not c]:
             del terms[m]
         poly = cls.__new__(cls)
         poly.variables = variables
-        poly.terms = terms
+        poly.terms = MappingProxyType(terms)
+        poly._hash = None
         return poly
 
     @classmethod
@@ -127,7 +134,7 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         other = self._operand(other)
-        terms = dict(self.terms)
+        terms = self.terms.copy()
         for m, c in other.terms.items():
             terms[m] = terms.get(m, 0) + c
         return Poly._raw(self.variables, terms)
@@ -136,7 +143,7 @@ class Poly:
 
     def __sub__(self, other) -> "Poly":
         other = self._operand(other)
-        terms = dict(self.terms)
+        terms = self.terms.copy()
         for m, c in other.terms.items():
             terms[m] = terms.get(m, 0) - c
         return Poly._raw(self.variables, terms)
@@ -185,7 +192,9 @@ class Poly:
             and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.variables, tuple(sorted(self.terms.items()))))
+        if self._hash is None:
+            self._hash = hash((self.variables, tuple(sorted(self.terms.items()))))
+        return self._hash
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -364,7 +373,7 @@ class _Tracked:
 
 
 def _reduce(
-    terms: Mapping[Monomial, int],
+    terms: MappingProxyType[Monomial, int],
     basis: Sequence[_Tracked],
     key: Callable[[Monomial], object],
 ) -> tuple[Terms, dict[int, Terms], int]:
@@ -379,7 +388,7 @@ def _reduce(
     multipliers: remainder = s * terms + sum_k quotients[k] * basis[k].
     The remainder is s times the rational remainder of the same division.
     """
-    work = dict(terms)
+    work = terms.copy()
     # what leaves the work is recorded with the scale of its step, and
     # brought to the final scale once at the end
     moved: list[tuple[Monomial, int, int]] = []

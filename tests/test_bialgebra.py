@@ -466,3 +466,79 @@ def test_primitive_commutator_outside_the_subspace_raises():
         LinearMap.identity(3), Vector.basis(3, 0))
     with pytest.raises(ValueError, match=r"^commutator \[.*\] fails the primitive equation$"):
         primitive_subspace(HomBialgebra(algebra, coalgebra))
+
+
+def test_primitive_commutator_message_names_the_first_failing_pair():
+    algebra = HomAlgebra(MulTensor.from_entries(3, {(1, 2, 0): 1}),
+                         LinearMap.identity(3), Vector.basis(3, 0))
+    coalgebra = HomCoalgebra(
+        ComulTensor.from_entries(3, {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1,
+                                     (2, 0, 2): 1, (2, 2, 0): 1}),
+        LinearMap.identity(3), Vector.basis(3, 0))
+    with pytest.raises(ValueError) as info:
+        primitive_subspace(HomBialgebra(algebra, coalgebra))
+    assert str(info.value) == "commutator [(0, 1, 0), (0, 0, 1)] fails the primitive equation"
+
+
+def test_primitive_outside_the_generalized_primitive_space_raises():
+    # e2 is primitive, but Delta(e1) = e1 (x) e2 is not symmetric, so the
+    # first generalized-primitive condition fails at e2: only possible
+    # without weak (B3)
+    algebra = HomAlgebra(MulTensor.from_entries(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}),
+                         LinearMap.identity(2), Vector.basis(2, 0))
+    coalgebra = HomCoalgebra(ComulTensor.from_entries(2, {(0, 0, 1): 1, (1, 0, 1): 1,
+                                                          (1, 1, 0): 1}),
+                             LinearMap.identity(2), Vector.basis(2, 0))
+    b = HomBialgebra(algebra, coalgebra)
+    assert primitive_subspace(b) == (Vector.basis(2, 1),)
+    with pytest.raises(ValueError) as info:
+        generalized_primitive_subspace(b)
+    assert str(info.value) == "primitive element (0, 1) is not generalized primitive"
+
+
+def test_generalized_primitive_commutator_outside_the_subspace_raises():
+    # e2 and e3 are grouplike, so generalized primitive; e1 is not
+    # (Delta(e1) = e1 (x) e2 is not symmetric), and [e2, e3] = e1
+    algebra = HomAlgebra(MulTensor.from_entries(3, {(1, 2, 0): 1}),
+                         LinearMap.identity(3), Vector.basis(3, 0))
+    coalgebra = HomCoalgebra(ComulTensor.from_entries(3, {(0, 0, 1): 1, (1, 1, 1): 1,
+                                                          (2, 2, 2): 1}),
+                             LinearMap.identity(3), Vector.basis(3, 0))
+    with pytest.raises(ValueError) as info:
+        generalized_primitive_subspace(HomBialgebra(algebra, coalgebra))
+    assert str(info.value) == \
+        "commutator [(0, 1, 0), (0, 0, 1)] leaves the generalized primitive space"
+
+
+def primitive_span_bialgebra(n):
+    """Unit e1, grouplike; e2..en primitive, with every product among them
+    zero.  Prim = span(e2, ..., en) and every vector is generalized
+    primitive."""
+    mul = {(0, 0, 0): 1}
+    comul = {(0, 0, 0): 1}
+    for k in range(1, n):
+        mul.update({(0, k, k): 1, (k, 0, k): 1})
+        comul.update({(k, 0, k): 1, (k, k, 0): 1})
+    return HomBialgebra(
+        HomAlgebra(MulTensor.from_entries(n, mul), LinearMap.identity(n), Vector.basis(n, 0)),
+        HomCoalgebra(ComulTensor.from_entries(n, comul), LinearMap.identity(n),
+                     Vector.basis(n, 0)))
+
+
+def test_each_commutator_pair_is_checked_once(monkeypatch):
+    calls = []
+    solves = homalg.bialgebra._solves
+
+    def counted(rows, x):
+        calls.append(x)
+        return solves(rows, x)
+
+    monkeypatch.setattr(homalg.bialgebra, "_solves", counted)
+    b = primitive_span_bialgebra(4)
+    assert len(primitive_subspace(b)) == 3
+    assert len(calls) == 3 * 2 // 2
+    calls.clear()
+    assert len(generalized_primitive_subspace(b)) == 4
+    # the primitive solve inside it again, Prim in GPrim per primitive, and
+    # the 4-dim basis's pairs
+    assert len(calls) == 3 + 3 + 4 * 3 // 2

@@ -267,6 +267,22 @@ def test_mutating_a_verdict_leaves_the_next_verdict_unchanged():
     assert [dict(point) for point in second.points] == want
 
 
+def test_a_verdicts_generators_cannot_be_changed():
+    # the weak generators are the memo's own polynomials, shared by every
+    # binding of mu1: clearing one would make a later search list the zero
+    # polynomial
+    first = search_bialgebra_extension(mu1_algebra(2, 3))
+    want = [dict(g.terms) for g in first.generators]
+    with pytest.raises(AttributeError):
+        first.generators[0].terms.clear()
+    with pytest.raises(TypeError):
+        first.generators[0].terms[next(iter(want[0]))] = 0
+    later = search_bialgebra_extension(mu1_algebra(5, 7))
+    assert _weak_generators.cache_info().hits == 1
+    assert all(later.generators)
+    assert [dict(g.terms) for g in later.generators] == want
+
+
 def test_warm_searches_equal_cold_ones():
     cases = [(family, a1, a2, strict) for a1, a2 in bindings(12, 19)
              for family in (mu1_algebra, mu2_algebra) for strict in (False, True)]

@@ -102,6 +102,22 @@ def test_scaling_keeps_whole_products_of_int_coefficients_as_ints():
     assert value == x and type(value.terms[1,]) is int
 
 
+def test_terms_are_read_only_and_equal_polynomials_hash_alike():
+    x, y = Poly.var(XY, "x"), Poly.var(XY, "y")
+    built = Poly(XY, {(1, 0): 2, (0, 1): Fraction(-1, 3)})
+    for p in (built, 2 * x - Fraction(1, 3) * y):
+        with pytest.raises(TypeError):
+            p.terms[0, 0] = 1
+        with pytest.raises(AttributeError):
+            p.terms.pop((1, 0))
+    # the hash is computed once and agrees with that of an equal polynomial
+    assert hash(built) == hash(built) == hash(2 * x - Fraction(1, 3) * y)
+    assert len({built, 2 * x - Fraction(1, 3) * y, x}) == 2
+    # arithmetic copies the terms, so the operands stay as they were
+    total = built + x
+    assert built.terms == {(1, 0): 2, (0, 1): Fraction(-1, 3)} and total.terms[1, 0] == 3
+
+
 @pytest.mark.parametrize("call", [
     lambda: Poly(XY, {(1, 0): 1}).substitute({"q": 1}),
     lambda: Poly(XY, {(1, 0): 1}).evaluate({"q": 1, "x": 1}),
