@@ -22,9 +22,9 @@ convolution inverse of the identity, found here by exact linear solving
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from .algebra import HomAlgebra, check_hom_associative
 from .coalgebra import (
@@ -323,14 +323,21 @@ def primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...]:
     return basis
 
 
-def _gprim_rows(bialgebra: HomBialgebra) -> list[list[Fraction]]:
-    """Linear system whose kernel is the generalized primitive subspace."""
+def _gprim_rows(bialgebra: HomBialgebra) -> list[list]:
+    """Linear system whose kernel is the generalized primitive subspace.  The
+    dim^3 rows of the symmetry condition are integers, the numerators of its
+    defect tensors over the lcm of their denominators: a positive multiple of
+    the rational rows."""
     comul = bialgebra.coalgebra.comul
     beta = bialgebra.coalgebra.beta
     left = expand_beta_outer(comul, comul, beta)     # (beta (x) Delta) o Delta
     right = expand_outer_beta(comul, comul, beta)    # (Delta (x) beta) o Delta
-    defect = [(a - phi_apply(PERM_13, b)).coeffs for a, b in zip(left, right)]
-    rows = [row for plane in contract("cijl->ijlc", defect) for line in plane for row in line]
+    defect = [(a - phi_apply(PERM_13, b)).table for a, b in zip(left, right)]
+    den = lcm(*(t.den for t in defect))
+    stacked = {(c, *key): v * (den // t.den)
+               for c, t in enumerate(defect) for key, v in t.num.items()}
+    cube = contract("cijl->ijlc", Table((comul.dim,) * 4, False, stacked, 1))
+    rows = [row for plane in cube for line in plane for row in line]
     rows += [row for plane in contract("cij->ijc", comul - comul.op()) for row in plane]
     return rows
 

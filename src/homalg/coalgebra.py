@@ -33,7 +33,7 @@ from itertools import product
 from operator import sub
 from typing import Sequence
 
-from .polysolve import Poly
+from .rational import Poly
 from .reports import DefectReport, Witness
 from .tensors import (
     ComulTensor,

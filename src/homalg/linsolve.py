@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
-from .rational import ONE, ZERO, rat
+from .rational import ONE, ZERO, numerators, primitive, rat
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def linear_solve(
     if any(len(row) != n for row in rows):
         raise ValueError("ragged coefficient matrix")
 
-    aug = [_integral(rows[i] + [b[i]]) for i in range(m)]
+    aug = [primitive(numerators(rows[i] + [b[i]])[0]) for i in range(m)]
     pivot_cols: list[int] = []
     r = 0
     for col in range(n):
@@ -75,7 +75,7 @@ def linear_solve(
                 # (pv * row_i - row_i[col] * row_r) / g, zero at col, then its content out
                 g = gcd(pv, aug[i][col])
                 a, f = pv // g, aug[i][col] // g
-                aug[i] = _primitive([a * x - f * p for x, p in zip(aug[i], prow)])
+                aug[i] = primitive([a * x - f * p for x, p in zip(aug[i], prow)])
         pivot_cols.append(col)
         r += 1
         if r == m:
@@ -100,16 +100,3 @@ def linear_solve(
 
     return LinearSolution(particular=tuple(particular), kernel=tuple(kernel))
 
-
-def _integral(row: list) -> list[int]:
-    """The row scaled by the lcm of its denominators, over the gcd of the
-    resulting integers: a primitive integer row with the same solutions."""
-    ratios = [v.as_integer_ratio() for v in row]
-    den = lcm(*[d for _, d in ratios])
-    return _primitive([num * (den // d) for num, d in ratios])
-
-
-def _primitive(row: list[int]) -> list[int]:
-    """The integer row divided by the gcd of its entries (a zero row as is)."""
-    common = gcd(*row)
-    return row if common <= 1 else [v // common for v in row]

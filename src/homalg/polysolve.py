@@ -11,7 +11,9 @@ Hom-bialgebra.  The solver either
 * gives up ("capped") when the degree or S-pair budget is exhausted; a cap
   never produces a wrong certificate.
 
-Monomials are dense exponent tuples over a fixed variable list.  The
+Polynomials are ``rational.Poly``s, whose monomials are dense exponent tuples
+over a fixed variable list; the extension system is built by the structures'
+own checkers, from ``algebra``, ``coalgebra`` and ``bialgebra``.  The
 canonical order is graded reverse lexicographic; elimination runs use plain
 lexicographic order, under which back-substitution plus univariate rational
 root extraction enumerates the rational points of zero-dimensional ideals.
@@ -35,262 +37,17 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import count
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import le, sub
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .rational import ONE, ZERO, rat
+from .algebra import HomAlgebra
+from .bialgebra import HomBialgebra, alpha_witnesses, weak_witnesses
+from .coalgebra import HomCoalgebra, counit_defects
+from .rational import ONE, ORDER_KEYS, ZERO, Monomial, Poly, _mono_mul, numerators, primitive, rat
+from .tensors import ComulTensor, LinearMap, Vector
 
-Monomial = tuple[int, ...]
 Terms = dict[Monomial, int]
-
-
-def grevlex_key(m: Monomial):
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def lex_key(m: Monomial):
-    return m
-
-
-ORDER_KEYS: dict[str, Callable[[Monomial], object]] = {
-    "grevlex": grevlex_key,
-    "lex": lex_key,
-}
-
-
-def _variable_index(variables: Sequence[str], name: str) -> int:
-    """Position of name in the variable list."""
-    try:
-        return variables.index(name)
-    except ValueError:
-        raise ValueError(f"unknown variable {name!r}; the variables are {tuple(variables)}") from None
-
-
-class Poly:
-    """Multivariate polynomial with exact rational coefficients.
-
-    ``terms`` maps dense exponent tuples to nonzero coefficients, ints kept
-    as ints (``scale`` included, where a product is whole) and the rest
-    Fractions; the variable list is fixed per system and shared by all
-    polynomials that interact.  ``terms`` is a read-only view, so a
-    polynomial never changes after it is built (memos hand theirs out) and
-    its hash is computed once.
-    """
-
-    __slots__ = ("variables", "terms", "_hash")
-
-    def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, object] | None = None):
-        self.variables: tuple[str, ...] = tuple(variables)
-        clean: dict[Monomial, Fraction | int] = {}
-        for mono, coeff in (terms or {}).items():
-            if len(mono) != len(self.variables):
-                raise ValueError("monomial arity differs from variable count")
-            c = coeff if type(coeff) is int else rat(coeff)
-            if c != 0:
-                clean[tuple(mono)] = c
-        self.terms = MappingProxyType(clean)
-        self._hash = None
-
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def _raw(cls, variables: tuple[str, ...], terms: dict[Monomial, Fraction | int]) -> "Poly":
-        """Wrap terms that this module's arithmetic produced: int or Fraction
-        coefficients on monomials of the right arity.  The polynomial takes the
-        dict, deletes its zeros in place and keeps it behind a read-only view,
-        so the caller must not change it afterwards; nothing is checked or
-        converted."""
-        for m in [m for m, c in terms.items() if not c]:
-            del terms[m]
-        poly = cls.__new__(cls)
-        poly.variables = variables
-        poly.terms = MappingProxyType(terms)
-        poly._hash = None
-        return poly
-
-    @classmethod
-    def zero(cls, variables: Sequence[str]) -> "Poly":
-        return cls(variables, {})
-
-    @classmethod
-    def const(cls, variables: Sequence[str], value) -> "Poly":
-        return cls(variables, {(0,) * len(variables): value})
-
-    @classmethod
-    def var(cls, variables: Sequence[str], name: str) -> "Poly":
-        idx = _variable_index(variables, name)
-        mono = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {mono: 1})
-
-    # -- ring operations ---------------------------------------------------
-    # An int or Fraction operand acts as a constant polynomial, so polynomial
-    # and rational entries can share one tensor.
-    def _operand(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            return Poly.const(self.variables, other)
-        if self.variables != other.variables:
-            raise ValueError("polynomials over different variable lists")
-        return other
-
-    def __add__(self, other) -> "Poly":
-        other = self._operand(other)
-        terms = self.terms.copy()
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return Poly._raw(self.variables, terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Poly":
-        other = self._operand(other)
-        terms = self.terms.copy()
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) - c
-        return Poly._raw(self.variables, terms)
-
-    def __rsub__(self, other) -> "Poly":
-        return self._operand(other) - self
-
-    def __neg__(self) -> "Poly":
-        return Poly._raw(self.variables, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            return self.scale(other)
-        other = self._operand(other)
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return Poly._raw(self.variables, terms)
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def scale(self, coeff, mono: Monomial | None = None) -> "Poly":
-        c0 = coeff if type(coeff) is int else rat(coeff)
-        if c0 == 0:
-            return Poly.zero(self.variables)
-        if type(c0) is not int and c0.denominator == 1:
-            c0 = c0.numerator
-        if mono:
-            terms = {_mono_mul(m, mono): c0 * c for m, c in self.terms.items()}
-        else:
-            terms = {m: c0 * c for m, c in self.terms.items()}
-        if type(c0) is not int:
-            # an int coefficient stays an int where its product is whole
-            for c, (m, v) in zip(self.terms.values(), list(terms.items())):
-                if type(c) is int and v.denominator == 1:
-                    terms[m] = v.numerator
-        return Poly._raw(self.variables, terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.variables == other.variables \
-            and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.variables, tuple(sorted(self.terms.items()))))
-        return self._hash
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
-    def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
-
-    def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), ZERO)
-
-    def leading_monomial(self, order: str = "grevlex") -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=ORDER_KEYS[order])
-
-    def leading_coefficient(self, order: str = "grevlex") -> Fraction:
-        return self.terms[self.leading_monomial(order)]
-
-    # -- evaluation --------------------------------------------------------
-    def substitute(self, assignment: Mapping[str, object]) -> "Poly":
-        """Partially evaluate; remaining variables keep their positions.
-
-        Each term is computed as an integer numerator over an integer
-        denominator, and each output monomial is summed once, over the lcm of
-        its terms' denominators."""
-        values = []
-        for name, value in assignment.items():
-            value = rat(value)
-            values.append((_variable_index(self.variables, name), value.numerator,
-                           value.denominator))
-        parts: dict[Monomial, list[tuple[int, int]]] = {}
-        for mono, coeff in self.terms.items():
-            num, den = coeff.numerator, coeff.denominator
-            new = list(mono)
-            for idx, vnum, vden in values:
-                if e := mono[idx]:
-                    num *= vnum ** e
-                    den *= vden ** e
-                    new[idx] = 0
-            if num:
-                parts.setdefault(tuple(new), []).append((num, den))
-        terms: dict[Monomial, Fraction | int] = {}
-        for mono, fractions in parts.items():
-            den = lcm(*(d for _, d in fractions))
-            total = Fraction(sum(n * (den // d) for n, d in fractions), den)
-            terms[mono] = total.numerator if total.denominator == 1 else total
-        return Poly._raw(self.variables, terms)
-
-    def evaluate(self, point: Mapping[str, object]) -> Fraction:
-        res = self.substitute(point)
-        if not res.is_constant():
-            missing = [v for i, v in enumerate(self.variables)
-                       if any(m[i] for m in res.terms)]
-            raise ValueError(f"point does not bind variables {missing}")
-        return res.constant_value()
-
-    def used_variable_indices(self) -> set[int]:
-        return {i for m in self.terms for i, e in enumerate(m) if e}
-
-    def univariate_coefficients(self, index: int) -> list[Fraction]:
-        """Ascending coefficient list in variable `index`; requires the poly
-        to involve no other variable."""
-        if not self.used_variable_indices() <= {index}:
-            raise ValueError("polynomial is not univariate in that variable")
-        degree = max((m[index] for m in self.terms), default=0)
-        coeffs = [ZERO] * (degree + 1)
-        for m, c in self.terms.items():
-            coeffs[m[index]] += c
-        return coeffs
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, key=grevlex_key, reverse=True):
-            coeff = self.terms[mono]
-            factors = [
-                f"{self.variables[i]}^{e}" if e > 1 else self.variables[i]
-                for i, e in enumerate(mono) if e
-            ]
-            body = "*".join(factors)
-            if body:
-                prefix = "" if coeff == 1 else ("-" if coeff == -1 else f"{coeff}*")
-                parts.append(f"{prefix}{body}")
-            else:
-                parts.append(str(coeff))
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
 
 
 def _mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -525,7 +282,7 @@ def buchberger(
     for idx, g in enumerate(gens):
         if g:
             lm = max(g.terms, key=key)
-            terms, _ = _primitive(dict(zip(g.terms, _clear_denominators(g.terms.values()))), lm)
+            terms, _ = _primitive(dict(zip(g.terms, numerators(g.terms.values())[0])), lm)
             basis.append(_Tracked(Poly._raw(variables, terms),
                                   {idx: Poly.const(variables, 1)}, 1, lm))
             scales[idx] = Fraction(terms[lm]) / g.terms[lm]
@@ -618,7 +375,6 @@ def buchberger(
         lc = rem[t.lm]
         row = tuple(cofactors[idx].scale(scales[idx] / (den * lc)) if idx in cofactors
                     else Poly.zero(variables) for idx in range(len(gens)))
-        # the monic entry keeps Fraction coefficients, as rational division builds it
         monic = Poly._raw(variables, {m: Fraction(c, lc) for m, c in rem.items()})
         reduced.append((t.lm, monic, row))
     reduced.sort(key=lambda r: key(r[0]))
@@ -634,6 +390,8 @@ def buchberger(
 
 def verify_certificate(generators: Sequence[Poly], certificate: Sequence[Poly]) -> bool:
     """The inconsistency certificate must recombine to the constant 1 exactly."""
+    if not generators:
+        raise ValueError("no generators")
     variables = generators[0].variables
     acc = Poly.zero(variables)
     for g, c in zip(generators, certificate):
@@ -667,12 +425,6 @@ def _poly_divmod(
             num[shift + i] -= factor * dv
         num = _strip(num)
     return quot, num
-
-
-def _clear_denominators(coeffs: Sequence[Fraction]) -> list[int]:
-    """The coefficients times the lcm of their denominators."""
-    scale = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (scale // c.denominator) for c in coeffs]
 
 
 def _horner(coeffs: Sequence[Fraction | int], x: Fraction | int) -> Fraction | int:
@@ -717,9 +469,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
         roots.append(-cs[0] / cs[1])
     if len(cs) <= 2:
         return sorted(roots)
-    a = _clear_denominators(cs)
-    content = gcd(*a)
-    a = [c // content for c in a]
+    a = primitive(numerators(cs)[0])
     d = len(a) - 1
     q = [c * a[-1] ** (d - 1 - i) for i, c in enumerate(a[:-1])] + [1]
 
@@ -730,7 +480,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
         sturm.append([-c for c in rem])
     if len(sturm[-1]) > 1:
         sturm = [_poly_divmod(p, sturm[-1])[0] for p in sturm]
-    sturm = [_clear_denominators(p) for p in sturm]
+    sturm = [numerators(p)[0] for p in sturm]
 
     # every root of the monic q lies strictly inside (-bound, bound) (Cauchy);
     # sign changes at lo minus those at hi count the distinct roots in (lo, hi]
@@ -752,6 +502,8 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
 
 def is_zero_dimensional(basis: Sequence[Poly], order: str = "lex") -> bool:
     """Every variable must head some basis element as a pure power."""
+    if not basis:
+        raise ValueError("empty basis")
     if any(p.is_constant() and not p.is_zero() for p in basis):
         return True  # inconsistent: empty variety counts as zero-dimensional
     heads = [p.leading_monomial(order) for p in basis]
@@ -766,6 +518,8 @@ def enumerate_rational_points(
     ideal; returns every rational point, verified against the basis.  Each
     element is solved at its level, its first variable: with the later
     variables bound, the elements of a level are univariate in it."""
+    if not basis:
+        raise ValueError("empty basis")
     variables = basis[0].variables
     levels: dict[int, list[Poly]] = {}
     for p in basis:
@@ -822,11 +576,6 @@ EXTENSION_VARIABLES = ("x11", "x12", "x21", "x22", "y")
 def _extension_bialgebra(algebra):
     """The algebra with Delta(e1) = e1 (x) e1, eps(e1) = 1, and Delta(e2) and
     eps(e2) the polynomial variables of ``EXTENSION_VARIABLES``."""
-    # imported here because tensors imports this module for Poly
-    from .bialgebra import HomBialgebra
-    from .coalgebra import HomCoalgebra
-    from .tensors import ComulTensor, LinearMap, Vector
-
     V = EXTENSION_VARIABLES
     one, zero = Poly.const(V, 1), Poly.zero(V)
     delta = ComulTensor([
@@ -847,11 +596,6 @@ def _weak_generators(mul, unit) -> tuple[Poly, ...]:
     A batch of searches over the paper's families asks for mu1, mu1, mu2,
     mu2, ... at fresh twists: two structures alternate, so the bound must be
     at least 2; 8 leaves room for a few more."""
-    from .algebra import HomAlgebra
-    from .bialgebra import weak_witnesses
-    from .coalgebra import counit_defects
-    from .tensors import LinearMap
-
     bialgebra = _extension_bialgebra(HomAlgebra(mul, LinearMap.identity(2), unit))
     values = [w.value for w in weak_witnesses(bialgebra)]
     right, left = counit_defects(bialgebra.coalgebra)
@@ -873,9 +617,6 @@ def bialgebra_extension_system(algebra, strict_alpha: bool = False) -> tuple[Pol
     counit part does not involve the twist and is built once per
     (mul, unit) (``_weak_generators``); only the alpha part is built per call.
     """
-    from .bialgebra import alpha_witnesses
-    from .tensors import Vector
-
     if algebra.dim != 2:
         raise ValueError("extension search is specified for dimension 2")
     if algebra.unit is None or algebra.unit != Vector.basis(2, 0):

@@ -48,7 +48,8 @@ index tuple over one denominator, the lcm of their reduced denominators, so
 equal tensors have equal tables.  ``tabled`` clears outside entries and
 nested-sequence operands once.  Contraction (``+``, ``*`` and truthiness
 only), ``+``, ``-``, scalar ``*``, ``==``, hashing and the S3 action run on
-those ints.  A polynomial entry is its own numerator over denominator 1.
+those ints, which ``table`` hands out.  A polynomial entry is its own
+numerator over denominator 1.
 Fractions appear only at the boundary (``nonzero``, ``entry``, ``coords``,
 ``entries``, ``coeffs``, ``c``, ``d``), built lazily and cached.
 """
@@ -63,8 +64,7 @@ from math import gcd, lcm, prod
 from operator import getitem, itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from .polysolve import Poly
-from .rational import ONE, ZERO, rat
+from .rational import ONE, ZERO, Poly, numerators, rat
 
 # ---------------------------------------------------------------------------
 # the contraction primitive
@@ -81,8 +81,8 @@ def contract(spec: str, *operands):
 
 def _contraction(spec: str, operands) -> tuple[tuple[int, ...], dict, int, bool]:
     """(output shape, numerators, denominator, whether an operand held a Fraction)"""
-    parts = [Table((op.dim,) * op.order, True, op._num, op._den) if isinstance(op, _Tensor)
-             else op if isinstance(op, Table) else tabled(op, len(letters))
+    parts = [op.table if isinstance(op, _Tensor) else op if isinstance(op, Table)
+             else tabled(op, len(letters))
              for letters, op in zip(spec.partition("->")[0].split(","), operands)]
     steps, out_shape = _plan(spec, tuple(part.shape for part in parts))
     live = [part.num for part in parts]
@@ -166,10 +166,9 @@ def tabled(data, depth: int) -> Table:
         value = value if isinstance(value, (Fraction, int, Poly)) else rat(value)
         if value:
             exact[key] = value
-    ratios = [(v, 1) if isinstance(v, Poly) else v.as_integer_ratio() for v in exact.values()]
-    den = lcm(*[d for _, d in ratios])
+    nums, den = numerators(exact.values())
     return Table(tuple(shape), any(isinstance(v, Fraction) for v in exact.values()),
-                 dict(zip(exact, [n * (den // d) for n, d in ratios])), den)
+                 dict(zip(exact, nums)), den)
 
 
 def _reduced(table: dict, den: int) -> tuple[dict, int]:
@@ -276,6 +275,11 @@ class _Tensor:
         """``contract(spec, *operands)`` as a tensor of this class."""
         (tensor,) = cls.slices(spec, *operands)
         return tensor
+
+    @property
+    def table(self) -> Table:
+        """The entries as a contraction operand, without building a Fraction."""
+        return Table((self.dim,) * self.order, True, self._num, self._den)
 
     @cached_property
     def nonzero(self) -> dict[tuple[int, ...], object]:

@@ -33,7 +33,10 @@ from homalg import (
     primitive_subspace,
     solve_antipode,
 )
+from homalg.coalgebra import expand_beta_outer, expand_outer_beta
+from homalg.linsolve import linear_solve
 from homalg.sampling import random_comul_tensor, random_linear_map, random_mul_tensor, random_scalar
+from homalg.tensors import PERM_13, contract, phi_apply
 
 from conftest import bialgebra_row, cyclic_group_bialgebra, truncated_primitive_bialgebra
 
@@ -418,6 +421,43 @@ def test_gprim_grouplike_scaled_beta():
     basis = generalized_primitive_subspace(b)
     coords = [v.coords for v in basis]
     assert (Fraction(1), Fraction(0)) in coords
+
+
+def _gprim_rows_through_fractions(b):
+    """The generalized primitive system built through the tensors' Fraction
+    views, as the rational reference for ``_gprim_rows``."""
+    comul, beta = b.coalgebra.comul, b.coalgebra.beta
+    left = expand_beta_outer(comul, comul, beta)
+    right = expand_outer_beta(comul, comul, beta)
+    defect = [(x - phi_apply(PERM_13, y)).coeffs for x, y in zip(left, right)]
+    rows = [row for plane in contract("cijl->ijlc", defect) for line in plane for row in line]
+    rows += [row for plane in contract("cij->ijc", comul - comul.op()) for row in plane]
+    return rows
+
+
+def test_gprim_rows_are_integer_multiples_of_the_fraction_rows():
+    structures = [truncated_primitive_bialgebra(), cyclic_group_bialgebra(),
+                  _upper_triangular_bialgebra(), primitive_span_bialgebra(4)]
+    for seed in range(12):
+        rng = random.Random(seed)
+        structures += [_random_bialgebra(1 + seed % 3, seed),
+                       bialgebra_row(1 + seed % 3, *(random_scalar(rng) for _ in range(5)))]
+    for b in structures:
+        rows, reference = homalg.bialgebra._gprim_rows(b), _gprim_rows_through_fractions(b)
+        assert len(rows) == len(reference)
+        assert all(type(v) is int for row in rows[:b.dim ** 3] for v in row)
+        for new, old in zip(rows, reference):
+            assert [v == 0 for v in new] == [w == 0 for w in old]
+            ratios = {Fraction(v) / w for v, w in zip(new, old) if w}
+            assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+        zeros = [0] * len(rows)
+        solution = linear_solve(rows, zeros)
+        assert solution == linear_solve(reference, zeros)
+        try:
+            basis = generalized_primitive_subspace(b)
+        except ValueError:
+            continue
+        assert basis == tuple(Vector(v) for v in solution.kernel)
 
 
 def test_zero_vector_always_primitive():

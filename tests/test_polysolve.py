@@ -89,14 +89,20 @@ def test_substitute_sums_each_monomial_exactly():
 
 def test_scaling_keeps_whole_products_of_int_coefficients_as_ints():
     x = Poly.var(X, "x")
+    u, v = Poly.var(XY, "x"), Poly.var(XY, "y")
     assert Poly(X, {(1,): 3}).scale(Fraction(4, 2)).terms == {(1,): 6}
+    # the monic basis of the ideal (x + 1/2, y)
+    monic = buchberger([2 * u * v - 4 * v, 3 * u + Fraction(3, 2)]).basis
+    assert monic == (v, u + Fraction(1, 2))
     for p in (3 * x * Fraction(4, 2), Fraction(4, 2) * (3 * x), (6 * x + 3) * Fraction(1, 2),
-              Poly(XY, {(1, 0): 4, (0, 0): -2}).scale(Fraction(1, 2), (0, 1))):
+              Poly(XY, {(1, 0): 4, (0, 0): -2}).scale(Fraction(1, 2), (0, 1)),
+              (2 * u) * (Fraction(1, 2) * v), Fraction(1, 2) * x + Fraction(1, 2) * x,
+              (Fraction(1, 2) * u * v + v).substitute({"x": 2}), *monic):
         assert all(type(c) is int for c in p.terms.values() if c.denominator == 1), p
     half = (6 * x + 3) * Fraction(1, 2)
     assert half.terms == {(1,): 3, (0,): Fraction(3, 2)} and str(half) == "3*x + 3/2"
-    # a Fraction coefficient stays a Fraction
-    assert type((Fraction(1, 2) * x).scale(2).terms[1,]) is Fraction
+    # a Fraction coefficient whose product is whole becomes an int too
+    assert type((Fraction(1, 2) * x).scale(2).terms[1,]) is int
     # a contraction that mixes polynomial and rational entries, through its denominator
     value = contract("i,i->", [2 * x, 0], [Fraction(1, 2), Fraction(1, 3)])
     assert value == x and type(value.terms[1,]) is int
@@ -402,7 +408,7 @@ def _remainder(f, basis, order):
             glm = g.leading_monomial(order)
             if _divides(glm, lm):
                 shift = tuple(x - y for x, y in zip(lm, glm))
-                f = f - g.scale(f.terms[lm] / g.terms[glm], shift)
+                f = f - g.scale(Fraction(f.terms[lm], g.terms[glm]), shift)
                 break
         else:
             head = Poly(f.variables, {lm: f.terms[lm]})
@@ -413,8 +419,8 @@ def _remainder(f, basis, order):
 def _s_polynomial(f, g, order):
     fl, gl = f.leading_monomial(order), g.leading_monomial(order)
     lcm = tuple(max(x, y) for x, y in zip(fl, gl))
-    return (f.scale(1 / f.terms[fl], tuple(x - y for x, y in zip(lcm, fl)))
-            - g.scale(1 / g.terms[gl], tuple(x - y for x, y in zip(lcm, gl))))
+    return (f.scale(Fraction(1, f.terms[fl]), tuple(x - y for x, y in zip(lcm, fl)))
+            - g.scale(Fraction(1, g.terms[gl]), tuple(x - y for x, y in zip(lcm, gl))))
 
 
 def _random_system(rng):
@@ -491,7 +497,7 @@ def _reference_basis(gens, order):
                           for k in range(len(basis)) if k != i)]
     reduced = [_remainder(p, minimal[:i] + minimal[i + 1:], order)
                for i, p in enumerate(minimal)]
-    return {p.scale(1 / p.leading_coefficient(order)) for p in reduced}
+    return {p.scale(Fraction(1, p.leading_coefficient(order))) for p in reduced}
 
 
 @pytest.mark.parametrize("order", ["lex", "grevlex"])
@@ -756,6 +762,17 @@ def test_positive_dimensional_basis_is_not_zero_dimensional():
     assert not is_zero_dimensional((x - y,), order="lex")
     with pytest.raises(ValueError, match="no univariate constraint for y"):
         enumerate_rational_points((x - y,))
+
+
+@pytest.mark.parametrize("call, message", [
+    # the reduced basis of the zero ideal is empty
+    (lambda: is_zero_dimensional(buchberger([Poly.zero(X)]).basis), "empty basis"),
+    (lambda: enumerate_rational_points(()), "empty basis"),
+    (lambda: verify_certificate([], []), "no generators"),
+], ids=["is_zero_dimensional", "enumerate_rational_points", "verify_certificate"])
+def test_empty_input_is_named(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_inconsistent_basis_has_no_points():
