@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import lcm
 
 from .algebra import HomAlgebra, check_hom_associative
 from .coalgebra import (
@@ -32,23 +31,11 @@ from .coalgebra import (
     check_counital,
     check_hom_coassociative,
     comul_morphism_defect,
-    expand_beta_outer,
-    expand_outer_beta,
 )
 from .linsolve import linear_solve
 from .rational import ONE, ZERO
 from .reports import DefectReport, Witness
-from .tensors import (
-    ComulTensor,
-    LinearMap,
-    PERM_13,
-    Table,
-    Tensor2,
-    Vector,
-    contract,
-    phi_apply,
-    tabled,
-)
+from .tensors import ComulTensor, LinearMap, Table, Tensor2, Vector, contract, tabled
 
 
 @dataclass(frozen=True)
@@ -278,6 +265,13 @@ def solve_antipode(bialgebra: HomBialgebra) -> AntipodeResult:
 # primitive and generalized primitive elements
 
 
+def _kernel(rows: list[list]) -> tuple[tuple[Vector, ...], Table]:
+    """Kernel basis of the homogeneous system ``rows``, and the rows tabled
+    once for the membership checks."""
+    solution = linear_solve(rows, [ZERO] * len(rows))
+    return tuple(Vector(v) for v in solution.kernel), tabled(rows, 2)
+
+
 def _solves(rows: Table, x: Vector) -> bool:
     """Whether x lies in the kernel of the homogeneous system ``rows``."""
     return not any(contract("rc,c->r", rows, x))
@@ -310,34 +304,27 @@ def primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...]:
     defect = bialgebra.coalgebra.comul - ComulTensor.contracted("i,cj->cij", u, ident) \
         - ComulTensor.contracted("j,ci->cij", u, ident)
     rows = [row for plane in contract("cij->ijc", defect) for row in plane]
-    sol = linear_solve(rows, [ZERO] * (n * n))
-    basis = tuple(Vector(v) for v in sol.kernel)
+    basis, table = _kernel(rows)
 
     eps = bialgebra.counit
     for v in basis:
         if contract("k,k->", v, eps):
             raise ValueError(f"counit does not vanish on primitive element {v}")
 
-    _check_commutators(bialgebra.algebra.mul, basis, tabled(rows, 2),
-                       "fails the primitive equation")
+    _check_commutators(bialgebra.algebra.mul, basis, table, "fails the primitive equation")
     return basis
 
 
 def _gprim_rows(bialgebra: HomBialgebra) -> list[list]:
-    """Linear system whose kernel is the generalized primitive subspace.  The
-    dim^3 rows of the symmetry condition are integers, the numerators of its
-    defect tensors over the lcm of their denominators: a positive multiple of
-    the rational rows."""
+    """Linear system whose kernel is the generalized primitive subspace: row
+    (i, j, l), column c of the symmetry condition, then row (i, j), column c
+    of Delta - Delta^op."""
     comul = bialgebra.coalgebra.comul
     beta = bialgebra.coalgebra.beta
-    left = expand_beta_outer(comul, comul, beta)     # (beta (x) Delta) o Delta
-    right = expand_outer_beta(comul, comul, beta)    # (Delta (x) beta) o Delta
-    defect = [(a - phi_apply(PERM_13, b)).table for a, b in zip(left, right)]
-    den = lcm(*(t.den for t in defect))
-    stacked = {(c, *key): v * (den // t.den)
-               for c, t in enumerate(defect) for key, v in t.num.items()}
-    cube = contract("cijl->ijlc", Table((comul.dim,) * 4, False, stacked, 1))
-    rows = [row for plane in cube for line in plane for row in line]
+    left = contract("ia,cab,bjl->ijlc", beta, comul, comul)    # (beta (x) Delta) o Delta
+    right = contract("ib,cab,alj->ijlc", beta, comul, comul)   # tau_13 o (Delta (x) beta) o Delta
+    flat = [[row for plane in cube for line in plane for row in line] for cube in (left, right)]
+    rows = [[x - y for x, y in zip(a, b)] for a, b in zip(*flat)]
     rows += [row for plane in contract("cij->ijc", comul - comul.op()) for row in plane]
     return rows
 
@@ -351,11 +338,7 @@ def generalized_primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...
     Verifies that every primitive element satisfies both conditions and
     that the commutator of any two members stays in the solution set.
     """
-    rows = _gprim_rows(bialgebra)
-    sol = linear_solve(rows, [ZERO] * len(rows))
-    basis = tuple(Vector(v) for v in sol.kernel)
-
-    table = tabled(rows, 2)
+    basis, table = _kernel(_gprim_rows(bialgebra))
     for p in primitive_subspace(bialgebra):
         if not _solves(table, p):
             raise ValueError(f"primitive element {p} is not generalized primitive")

@@ -43,7 +43,7 @@ from .coalgebra import (
     admissibility_defects,
 )
 from .duality import dual
-from .polysolve import search_bialgebra_extension
+from .polysolve import DEGREE_CAP, PAIR_CAP, search_bialgebra_extension
 from .rational import rat, rat_str
 from .reports import DefectReport
 from .structio import (
@@ -368,8 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-extension",
                        help="certify (non)existence of a bialgebra extension")
     p.add_argument("file")
-    p.add_argument("--degree-cap", type=_int_at_least(0), default=6)
-    p.add_argument("--pair-cap", type=_int_at_least(1), default=10000,
+    p.add_argument("--degree-cap", type=_int_at_least(0), default=DEGREE_CAP)
+    p.add_argument("--pair-cap", type=_int_at_least(1), default=PAIR_CAP,
                    help="most S-pairs to reduce; only pairs that survive the Gebauer-Moller "
                         "criteria count, and coprime pairs are never queued")
     p.add_argument("--strict-alpha", action="store_true")

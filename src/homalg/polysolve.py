@@ -49,6 +49,10 @@ from .tensors import ComulTensor, LinearMap, Vector
 
 Terms = dict[Monomial, int]
 
+# default budgets: the highest remainder degree and the most selected S-pairs
+DEGREE_CAP = 6
+PAIR_CAP = 10000
+
 
 def _mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
@@ -231,8 +235,8 @@ class GroebnerResult:
 def buchberger(
     generators: Sequence[Poly],
     order: str = "grevlex",
-    degree_cap: int = 6,
-    pair_cap: int = 10000,
+    degree_cap: int = DEGREE_CAP,
+    pair_cap: int = PAIR_CAP,
 ) -> GroebnerResult:
     """Buchberger's algorithm with degree/pair caps and cofactor tracking.
 
@@ -651,8 +655,8 @@ def _lex_solve(
 
 def search_bialgebra_extension(
     algebra,
-    degree_cap: int = 6,
-    pair_cap: int = 10000,
+    degree_cap: int = DEGREE_CAP,
+    pair_cap: int = PAIR_CAP,
     strict_alpha: bool = False,
 ) -> SystemVerdict:
     """Certify existence or nonexistence of a weak Hom-bialgebra structure

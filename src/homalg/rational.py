@@ -112,41 +112,43 @@ def _variable_index(variables: Sequence[str], name: str) -> int:
         raise ValueError(f"unknown variable {name!r}; the variables are {tuple(variables)}") from None
 
 
+def _canonical(terms: Mapping[Monomial, Fraction | int]) -> Mapping[Monomial, Fraction | int]:
+    """The nonzero terms as a read-only view, every whole coefficient an int."""
+    return MappingProxyType({m: c if type(c) is int or c.denominator != 1 else c.numerator
+                             for m, c in terms.items() if c})
+
+
 class Poly:
     """Multivariate polynomial with exact rational coefficients.
 
     ``terms`` maps dense exponent tuples to nonzero coefficients, ints or
-    Fractions; arithmetic and evaluation make every whole coefficient they
-    produce an int.  The variable list is fixed per system and shared by all
-    polynomials that interact.  ``terms`` is a read-only view, so a
-    polynomial never changes after it is built (memos hand theirs out) and
-    its hash is computed once.
+    Fractions; every whole coefficient is an int, whether it was given to
+    the constructor or produced by arithmetic or evaluation.  The variable
+    list is fixed per system and shared by all polynomials that interact.
+    ``terms`` is a read-only view, so a polynomial never changes after it is
+    built (memos hand theirs out) and its hash is computed once.
     """
 
     __slots__ = ("variables", "terms", "_hash")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, object] | None = None):
         self.variables: tuple[str, ...] = tuple(variables)
-        clean: dict[Monomial, Fraction | int] = {}
+        exact: dict[Monomial, Fraction | int] = {}
         for mono, coeff in (terms or {}).items():
             if len(mono) != len(self.variables):
                 raise ValueError("monomial arity differs from variable count")
-            c = coeff if type(coeff) is int else rat(coeff)
-            if c != 0:
-                clean[tuple(mono)] = c
-        self.terms = MappingProxyType(clean)
+            exact[tuple(mono)] = coeff if type(coeff) is int else rat(coeff)
+        self.terms = _canonical(exact)
         self._hash = None
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def _raw(cls, variables: tuple[str, ...], terms: dict[Monomial, Fraction | int]) -> "Poly":
         """Wrap terms that exact arithmetic produced: int or Fraction
-        coefficients on monomials of the right arity, not checked.  Zeros are
-        dropped and every whole coefficient becomes an int."""
+        coefficients on monomials of the right arity, not checked."""
         poly = cls.__new__(cls)
         poly.variables = variables
-        poly.terms = MappingProxyType({m: c if type(c) is int or c.denominator != 1 else c.numerator
-                                       for m, c in terms.items() if c})
+        poly.terms = _canonical(terms)
         poly._hash = None
         return poly
 

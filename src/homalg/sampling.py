@@ -1,4 +1,4 @@
-"""Seeded random structure generation for the identity test suites.
+"""Seeded random structure generation for the tests and the benchmark.
 
 Constants are drawn uniformly from {-3, ..., 3} over denominators from
 {1, 2, 3}; small exact rationals keep the identity checks fast and

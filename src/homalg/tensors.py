@@ -48,7 +48,7 @@ index tuple over one denominator, the lcm of their reduced denominators, so
 equal tensors have equal tables.  ``tabled`` clears outside entries and
 nested-sequence operands once.  Contraction (``+``, ``*`` and truthiness
 only), ``+``, ``-``, scalar ``*``, ``==``, hashing and the S3 action run on
-those ints, which ``table`` hands out.  A polynomial entry is its own
+those ints, and no other module reads them.  A polynomial entry is its own
 numerator over denominator 1.
 Fractions appear only at the boundary (``nonzero``, ``entry``, ``coords``,
 ``entries``, ``coeffs``, ``c``, ``d``), built lazily and cached.
@@ -81,8 +81,8 @@ def contract(spec: str, *operands):
 
 def _contraction(spec: str, operands) -> tuple[tuple[int, ...], dict, int, bool]:
     """(output shape, numerators, denominator, whether an operand held a Fraction)"""
-    parts = [op.table if isinstance(op, _Tensor) else op if isinstance(op, Table)
-             else tabled(op, len(letters))
+    parts = [Table((op.dim,) * op.order, True, op._num, op._den) if isinstance(op, _Tensor)
+             else op if isinstance(op, Table) else tabled(op, len(letters))
              for letters, op in zip(spec.partition("->")[0].split(","), operands)]
     steps, out_shape = _plan(spec, tuple(part.shape for part in parts))
     live = [part.num for part in parts]
@@ -275,11 +275,6 @@ class _Tensor:
         """``contract(spec, *operands)`` as a tensor of this class."""
         (tensor,) = cls.slices(spec, *operands)
         return tensor
-
-    @property
-    def table(self) -> Table:
-        """The entries as a contraction operand, without building a Fraction."""
-        return Table((self.dim,) * self.order, True, self._num, self._den)
 
     @cached_property
     def nonzero(self) -> dict[tuple[int, ...], object]:

@@ -433,6 +433,17 @@ def test_construction_rejects_mismatched_dimensions():
         HomBracket(bracket=mul, alpha=alpha)
 
 
+def test_bracket_dim_is_its_space():
+    assert HomBracket(bracket=MulTensor.zero(3), alpha=LinearMap.identity(3)).dim == 3
+
+
+def test_algebra_morphism_check_rejects_mismatched_dimensions():
+    dim2, dim3 = mu1_algebra(1, 1), HomAlgebra(MulTensor.zero(3), LinearMap.identity(3))
+    for f, target in ((LinearMap.identity(3), dim2), (LinearMap.identity(2), dim3)):
+        with pytest.raises(ValueError, match="^dimension mismatch in morphism check$"):
+            check_algebra_morphism(f, dim2, target)
+
+
 @pytest.mark.parametrize("gamma, m_dim, message", [
     ([[[0] * 2] * 2], 2, "action tensor must have shape dim x m_dim x m_dim"),
     ([[[0] * 2] * 3] * 2, 2, "action tensor must have shape dim x m_dim x m_dim"),

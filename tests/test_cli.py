@@ -475,6 +475,28 @@ def test_bialgebra_file_without_unit_exits_two(files, tmp_path, capsys):
     assert _usage_error(["check", str(p)], capsys) == f"error: {p}: bialgebra needs a unit\n"
 
 
+def test_bialgebra_file_without_counit_exits_two(files, tmp_path, capsys):
+    data = json.loads(Path(files["bialgebra-2.json"]).read_text())
+    data["counit"] = None
+    p = tmp_path / "nocounit.json"
+    p.write_text(json.dumps(data))
+    assert _usage_error(["check", str(p)], capsys) == f"error: {p}: bialgebra needs a counit\n"
+
+
+@pytest.mark.parametrize("strict", [[], ["--strict-alpha"]], ids=["weak", "strict"])
+def test_search_extension_positive_dimensional_exit_zero(tmp_path, capsys, strict):
+    # e1 . e1 = e1 is the only product: e1 is no unit for e2, and the system
+    # leaves a curve of solutions
+    algebra = HomAlgebra(MulTensor.from_entries(2, {(0, 0, 0): 1}), LinearMap.identity(2),
+                         Vector.basis(2, 0))
+    p = tmp_path / "idempotent.json"
+    p.write_text(serialize_structure(algebra))
+    assert cli_main(["search-extension", str(p), *strict]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "solutions exist (positive-dimensional); not enumerated\n"
+    assert captured.err == ""
+
+
 def test_search_extension_degree_cap_zero_is_accepted(files, capsys):
     assert cli_main(["search-extension", files["mu2.json"], "--degree-cap", "0"]) == 3
     captured = capsys.readouterr()

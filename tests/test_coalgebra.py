@@ -410,6 +410,13 @@ def test_construction_rejects_mismatched_dimensions():
         HomCoalgebra(comul, LinearMap.identity(2), Vector.basis(3, 0))
 
 
+def test_coalgebra_morphism_check_rejects_mismatched_dimensions():
+    dim2, dim3 = grouplike_coalgebra(2), grouplike_coalgebra(3)
+    for f, target in ((LinearMap.identity(3), dim2), (LinearMap.identity(2), dim3)):
+        with pytest.raises(ValueError, match="^dimension mismatch in morphism check$"):
+            check_coalgebra_morphism(f, dim2, target)
+
+
 @pytest.mark.parametrize("rho, m_dim, message", [
     ([[[0] * 2] * 2], 2, "coaction tensor must have shape m_dim x m_dim x dim"),
     ([[[0] * 2] * 3] * 2, 2, "coaction tensor must have shape m_dim x m_dim x dim"),

@@ -191,6 +191,16 @@ def test_contract_rejects_repeated_letters():
             contract(spec, *operands)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("i,j->ij", r"spec 'i,j->ij' does not name 1 operand\(s\)"),
+    ("ij->i", "legs 'ij' do not fit an order-1 tensor"),
+    ("i->j", r"output indices \{'j'\} name no leg in 'i->j'"),
+], ids=["operand-count", "order", "output"])
+def test_contract_rejects_a_spec_that_does_not_fit_its_operands(spec, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        contract(spec, Vector([1, 2]))
+
+
 def nest(flat, shape):
     """The flat entries as nested lists of that shape."""
     for size in reversed(shape[1:]):

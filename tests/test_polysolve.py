@@ -11,6 +11,7 @@ from homalg import (
     ComulTensor,
     GroebnerResult,
     LinearMap,
+    MulTensor,
     Poly,
     Vector,
     buchberger,
@@ -106,6 +107,13 @@ def test_scaling_keeps_whole_products_of_int_coefficients_as_ints():
     # a contraction that mixes polynomial and rational entries, through its denominator
     value = contract("i,i->", [2 * x, 0], [Fraction(1, 2), Fraction(1, 3)])
     assert value == x and type(value.terms[1,]) is int
+
+
+def test_constructor_stores_a_whole_fraction_as_an_int():
+    built = Poly(XY, {(1, 0): Fraction(2), (0, 1): Fraction(6, 3), (0, 0): "4/2"})
+    assert built.terms == {(1, 0): 2, (0, 1): 2, (0, 0): 2}
+    assert all(type(c) is int for c in built.terms.values())
+    assert built.terms == (built + 0).terms and built == Poly(XY, {(1, 0): 2, (0, 1): 2, (0, 0): 2})
 
 
 def test_terms_are_read_only_and_equal_polynomials_hash_alike():
@@ -775,6 +783,44 @@ def test_empty_input_is_named(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Poly.var(XY, "x") + Poly.var(X, "x"), "polynomials over different variable lists"),
+    (lambda: Poly.zero(XY).leading_monomial(), "zero polynomial has no leading monomial"),
+    (lambda: Poly.var(XY, "y").evaluate({"x": 1}), r"point does not bind variables \['y'\]"),
+    (lambda: (Poly.var(XY, "x") * Poly.var(XY, "y")).univariate_coefficients(0),
+     "polynomial is not univariate in that variable"),
+    (lambda: buchberger([Poly.var(X, "x")], order="deglex"), "unknown monomial order 'deglex'"),
+    (lambda: buchberger([]), "no generators"),
+    (lambda: buchberger([Poly.var(X, "x"), Poly.var(XY, "x")]),
+     "generators over different variable lists"),
+    (lambda: rational_roots([0, 0]), "zero polynomial"),
+], ids=["add", "leading-monomial", "evaluate", "univariate", "order", "no-generators",
+        "variable-lists", "roots"])
+def test_malformed_input_is_named(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_zero_polynomial_inconsistent_basis_and_consistent_certificate():
+    assert str(Poly.zero(XY)) == "0"
+    # the basis (1) has an empty variety, which counts as zero-dimensional
+    assert is_zero_dimensional((Poly.const(XY, 1),))
+    consistent = buchberger([Poly.var(XY, "x") - 1, Poly.var(XY, "y")])
+    assert consistent.status == "ok" and not consistent.inconsistent
+    assert consistent.certificate() is None
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_positive_dimensional_extension_is_reported(strict):
+    # e1 . e1 = e1 is the only product, so e1 is no unit for e2 (the search
+    # does not check that premise), and the system leaves a curve of solutions
+    algebra = HomAlgebra(MulTensor.from_entries(2, {(0, 0, 0): 1}), LinearMap.identity(2),
+                         Vector.basis(2, 0))
+    verdict = search_bialgebra_extension(algebra, strict_alpha=strict)
+    assert verdict.status == "solutions" and verdict.positive_dimensional
+    assert verdict.points == () and verdict.certificate is None and verdict.reason is None
+
+
 def test_inconsistent_basis_has_no_points():
     assert enumerate_rational_points((Poly.const(XY, 1),)) == []
 
@@ -789,12 +835,14 @@ def test_inconsistent_basis_has_no_points():
 @pytest.mark.parametrize("order", ["lex", "grevlex"])
 def test_int_coefficients_reduce_exactly(system, order):
     ints = [P(XY, terms) for terms in system]
-    fractions = [P(XY, {m: Fraction(c) for m, c in terms.items()}) for terms in system]
+    sevenths = [P(XY, {m: Fraction(c, 7) for m, c in terms.items()}) for terms in system]
     assert all(type(c) is int for g in ints for c in g.terms.values())
-    assert all(type(c) is Fraction for g in fractions for c in g.terms.values())
-    result, expected = buchberger(ints, order=order), buchberger(fractions, order=order)
+    assert all(type(c) is Fraction for g in sevenths for c in g.terms.values())
+    result, expected = buchberger(ints, order=order), buchberger(sevenths, order=order)
     assert result.basis == expected.basis
-    assert result.cofactors == expected.cofactors
+    assert result.pairs_processed == expected.pairs_processed
+    # each generator is a seventh of its int counterpart, so each cofactor is seven times
+    assert expected.cofactors == tuple(tuple(7 * c for c in cofs) for cofs in result.cofactors)
     polys = [*result.basis, *(c for cofs in result.cofactors for c in cofs)]
     assert all(type(c) in (int, Fraction) for p in polys for c in p.terms.values())
     assert any(c.denominator > 1 for p in polys for c in p.terms.values())

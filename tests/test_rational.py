@@ -69,6 +69,16 @@ def test_huge_integer_names_the_digit_limit():
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_exponent_at_the_digit_limit_names_the_value_size():
+    # the exponent itself is within the limit, but 10**limit has limit + 1 digits
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError) as info:
+        rat(f"1e{limit}")
+    assert str(info.value) == (f"'1e{limit}' has a numerator or denominator of more digits, "
+                               f"over Python's limit of {limit} digits "
+                               "(sys.get_int_max_str_digits())")
+
+
 def test_long_bad_value_is_truncated_in_message():
     with pytest.raises(ValueError, match=r"^not a rational number: 'xxx") as info:
         rat("x" * 5000)

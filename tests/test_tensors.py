@@ -215,6 +215,17 @@ def test_entry_and_vector_item_reject_indices_outside_the_tensor(call, message):
     assert list(Vector([1, 2])) == [1, 2]
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: LinearMap([[1, 2]]), "linear map must be nonempty with every leg of one length"),
+    (lambda: LinearMap.contracted("i,j->i", Vector([1, 2]), Vector([1, 2])),
+     "output legs of 'i,j->i' do not end in a linear map"),
+    (lambda: Vector([1, 2]) + Vector([1, 2, 3]), "dimensions 2 and 3 differ"),
+], ids=["non-square", "contracted-order", "sum-dims"])
+def test_shape_mismatches_are_named(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 # --- the stored form against an entrywise Fraction reference ----------------
 
 CLASSES = {1: Vector, 2: LinearMap, 3: Tensor3}
