@@ -289,6 +289,7 @@ def _check_commutators(mul, basis, rows: Table, failure: str) -> None:
                 raise ValueError(f"commutator [{v}, {w}] {failure}")
 
 
+@lru_cache(maxsize=1)
 def primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...]:
     """Kernel basis of Delta(x) = e1 (x) x + x (x) e1 (e1 the unit vector).
 
@@ -296,6 +297,9 @@ def primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...]:
     members solves the primitive equation again; both follow from (C2) and
     weak (B3), and a violation (possible only on structures breaking those
     premises) raises ValueError.
+
+    Remembered for the last bialgebra (by value), so the Prim-in-GPrim check
+    of ``generalized_primitive_subspace`` reuses it; a ValueError is not.
     """
     n = bialgebra.dim
     u = bialgebra.unit

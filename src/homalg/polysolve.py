@@ -41,7 +41,7 @@ from operator import le, sub
 from types import MappingProxyType
 from typing import Callable, Sequence
 
-from .algebra import HomAlgebra
+from .algebra import HomAlgebra, check_unital
 from .bialgebra import HomBialgebra, alpha_witnesses, weak_witnesses
 from .coalgebra import HomCoalgebra, counit_defects
 from .rational import ONE, ORDER_KEYS, ZERO, Monomial, Poly, _mono_mul, numerators, primitive, rat
@@ -599,8 +599,16 @@ def _weak_generators(mul, unit) -> tuple[Poly, ...]:
     algebra with the identity twist and remembered by (mul, unit), by value.
     A batch of searches over the paper's families asks for mu1, mu1, mu2,
     mu2, ... at fresh twists: two structures alternate, so the bound must be
-    at least 2; 8 leaves room for a few more."""
-    bialgebra = _extension_bialgebra(HomAlgebra(mul, LinearMap.identity(2), unit))
+    at least 2; 8 leaves room for a few more.
+
+    Raises ValueError unless the unit is two-sided (``check_unital``), a
+    premise that does not involve the twist either; a raise is not
+    remembered."""
+    algebra = HomAlgebra(mul, LinearMap.identity(2), unit)
+    if not check_unital(algebra):
+        raise ValueError("extension search requires a unital algebra: "
+                         "the unit e1 is not two-sided")
+    bialgebra = _extension_bialgebra(algebra)
     values = [w.value for w in weak_witnesses(bialgebra)]
     right, left = counit_defects(bialgebra.coalgebra)
     values += [m.entry(i, k) for k in range(2) for i in range(2) for m in (right, left)]

@@ -37,6 +37,12 @@ such as ``"lb,kab,aij->kijl"``:
   the operand list and its result joins the end; a letter is summed out as
   soon as no other operand and no output leg names it.  So a spec is written
   in reading order; the operand order only breaks ties.
+* A join sums row by row (Gustavson's sparse product): the left operand's
+  kept letters name a row, the right operand's other kept letters one int
+  in that row, so a product costs an int-keyed dict update and an index
+  tuple is built once per nonzero sum.  Where a left entry makes at most
+  one product, it is summed under its index tuple at once.  A lone operand
+  is re-keyed instead, which reorders its legs or sums some out.
 * The letters after ``->`` are the output legs in order.  The result is a
   nested list in that layout (a bare scalar for an empty output), where an
   entry no product reached is the integer 0; nonzero entries are Fractions
@@ -86,21 +92,31 @@ def _contraction(spec: str, operands) -> tuple[tuple[int, ...], dict, int, bool]
              for letters, op in zip(spec.partition("->")[0].split(","), operands)]
     steps, out_shape = _plan(spec, tuple(part.shape for part in parts))
     live = [part.num for part in parts]
-    for i, j, key_i, key_j, pick in steps:
-        right = {(): 1} if j is None else live.pop(j)
-        live.append(_join(live.pop(i), key_i, right, key_j, pick))
+    for i, j, key_i, key_j, layout in steps:
+        if j is None:
+            live.append(_rekey(live.pop(i), layout))
+        else:
+            right = live.pop(j)
+            live.append(_join(live.pop(i), key_i, right, key_j, layout))
     (table,) = live
     return out_shape, table, prod(part.den for part in parts), any(p.fractional for p in parts)
 
 
 @lru_cache(maxsize=512)
 def _plan(spec: str, shapes: tuple[tuple[int, ...], ...]):
-    """The joins that contract the spec, cheapest pair first (see the module
-    docstring), and the output shape.  A join (i, j, key_i, key_j, pick) takes
-    live operands i < j out of the list, multiplies their entries that agree
-    on the shared letters (read by key_i and key_j) and appends the sums, keyed
-    by pick of the concatenated index tuples; j None joins operand i with the
-    scalar 1, which only sums out or reorders its legs."""
+    """The steps that contract the spec, cheapest pair first (see the module
+    docstring), and the output shape.
+
+    A join (i, j, key_i, key_j, layout) takes live operands i < j out of the
+    list, multiplies their entries that agree on the shared letters (read by
+    key_i and key_j) and appends the sums, placed by layout = (row, column,
+    decode, order).  The left operand's kept letters name a row: ``row``
+    reads them as a tuple.  The right operand's other kept letters name a
+    column in it: ``column`` reads them as one mixed-radix int, and
+    ``decode`` lists their tuples by that int.  ``order`` puts row + decoded
+    column in output order, None when they already are.  A step (0, None,
+    None, None, pick) re-keys a lone operand by pick, which only sums out or
+    reorders its legs."""
     inputs, arrow, output = spec.partition("->")
     legs = inputs.split(",")
     if not arrow or len(legs) != len(shapes):
@@ -118,8 +134,7 @@ def _plan(spec: str, shapes: tuple[tuple[int, ...], ...]):
         raise ValueError(f"output indices {set(output) - set(sizes)} name no leg in {spec!r}")
     steps, live = [], legs
     if len(legs) == 1 and legs[0] != output:
-        empty = _picker([], bare=True)
-        steps.append((0, None, empty, empty, _picker([legs[0].index(ch) for ch in output])))
+        steps.append((0, None, None, None, _picker([legs[0].index(ch) for ch in output])))
     while len(live) > 1:
         options = []
         for i, j in combinations(range(len(live)), 2):
@@ -128,12 +143,19 @@ def _plan(spec: str, shapes: tuple[tuple[int, ...], ...]):
             keep = "".join(ch for ch in dict.fromkeys(both) if ch in rest) \
                 if len(live) > 2 else output
             options.append((prod(sizes[ch] for ch in set(both)),
-                            prod(sizes[ch] for ch in keep), i, j, both, keep))
-        _, _, i, j, both, keep = min(options)
-        shared = [ch for ch in live[j] if ch in live[i]]
-        steps.append((i, j, _picker([live[i].index(ch) for ch in shared], bare=True),
-                      _picker([live[j].index(ch) for ch in shared], bare=True),
-                      _picker([both.index(ch) for ch in keep])))
+                            prod(sizes[ch] for ch in keep), i, j, keep))
+        _, _, i, j, keep = min(options)
+        left, right = live[i], live[j]
+        shared = [ch for ch in right if ch in left]
+        rows = "".join(ch for ch in left if ch in keep)
+        cols = "".join(ch for ch in right if ch in keep and ch not in left)
+        layout = (_picker([left.index(ch) for ch in rows]),
+                  _radix([right.index(ch) for ch in cols], [sizes[ch] for ch in cols]),
+                  list(product(*(range(sizes[ch]) for ch in cols))),
+                  None if rows + cols == keep
+                  else _picker([(rows + cols).index(ch) for ch in keep]))
+        steps.append((i, j, _picker([left.index(ch) for ch in shared], bare=True),
+                      _picker([right.index(ch) for ch in shared], bare=True), layout))
         live = [letters for m, letters in enumerate(live) if m not in (i, j)] + [keep]
     return tuple(steps), tuple(sizes[ch] for ch in output)
 
@@ -190,18 +212,56 @@ def _value(numerator, den: int):
     return Fraction(numerator, den) if isinstance(numerator, int) else numerator
 
 
-def _join(acc: dict, acc_key, table: dict, table_key, pick) -> dict:
+def _join(acc: dict, acc_key, table: dict, table_key, layout: tuple) -> dict:
     """Sums of the products of the entries of two tables that agree on their
-    shared letters, keyed by pick of the concatenated index tuples."""
+    shared letters, row by row (Gustavson's sparse product): each entry of
+    acc adds its products into the dict of its row, keyed by the column int,
+    and an index tuple is built once per nonzero sum.  When each shared key
+    names one entry of table, each entry of acc makes at most one product,
+    which is summed under its index tuple at once."""
+    row_of, column_of, decode, order = layout
     groups: dict[object, list] = {}
     for key, value in table.items():
-        groups.setdefault(table_key(key), []).append((key, value))
-    out: dict[tuple, object] = {}
+        groups.setdefault(table_key(key), []).append((column_of(key), value))
+    if len(groups) == len(table):
+        # at most one product per entry of acc (a vector, or sparse
+        # operands): a dict per row costs more than the tuples it saves
+        out: dict[tuple, object] = {}
+        for akey, avalue in acc.items():
+            group = groups.get(acc_key(akey))
+            if group is not None:
+                ((column, bvalue),) = group
+                key = row_of(akey) + decode[column]
+                value = avalue * bvalue
+                out[key] = out[key] + value if key in out else value
+        if order is None:
+            return {key: value for key, value in out.items() if value}
+        return {order(key): value for key, value in out.items() if value}
+    rows: dict[tuple, dict] = {}
     for akey, avalue in acc.items():
-        for bkey, bvalue in groups.get(acc_key(akey), ()):
-            key = pick(akey + bkey)
+        group = groups.get(acc_key(akey))
+        if group is None:
+            continue
+        head = row_of(akey)
+        row = rows.get(head)
+        if row is None:
+            row = rows[head] = {}
+        for column, bvalue in group:
             value = avalue * bvalue
-            out[key] = out[key] + value if key in out else value
+            row[column] = row[column] + value if column in row else value
+    if order is None:
+        return {head + decode[column]: value
+                for head, row in rows.items() for column, value in row.items() if value}
+    return {order(head + decode[column]): value
+            for head, row in rows.items() for column, value in row.items() if value}
+
+
+def _rekey(table: dict, pick) -> dict:
+    """The entries of one table summed under pick of their index tuples."""
+    out: dict[tuple, object] = {}
+    for key, value in table.items():
+        key = pick(key)
+        out[key] = out[key] + value if key in out else value
     return {key: value for key, value in out.items() if value}
 
 
@@ -211,6 +271,20 @@ def _picker(positions: list[int], bare: bool = False):
         (p,) = positions
         return lambda key: (key[p],)
     return itemgetter(*positions) if positions else (lambda key: ())
+
+
+def _radix(positions: list[int], sizes: list[int]):
+    """Index tuple -> the mixed-radix int of its entries at positions, the
+    last fastest: the place of their tuple in product(*map(range, sizes))."""
+    if not positions:
+        return lambda key: 0
+    if len(positions) == 1:
+        return itemgetter(positions[0])
+    if len(positions) == 2:
+        (p, q), size = positions, sizes[1]
+        return lambda key: key[p] * size + key[q]
+    places = tuple(zip(positions, [prod(sizes[m + 1:]) for m in range(len(sizes))]))
+    return lambda key: sum(key[p] * place for p, place in places)
 
 
 def _in_range(index: int, dim: int) -> None:

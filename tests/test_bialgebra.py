@@ -581,11 +581,28 @@ def test_each_commutator_pair_is_checked_once(monkeypatch):
         return solves(rows, x)
 
     monkeypatch.setattr(homalg.bialgebra, "_solves", counted)
+    primitive_subspace.cache_clear()
     b = primitive_span_bialgebra(4)
     assert len(primitive_subspace(b)) == 3
     assert len(calls) == 3 * 2 // 2
     calls.clear()
     assert len(generalized_primitive_subspace(b)) == 4
-    # the primitive solve inside it again, Prim in GPrim per primitive, and
+    # the primitive subspace is remembered: Prim in GPrim per primitive, and
     # the 4-dim basis's pairs
+    assert len(calls) == 3 + 4 * 3 // 2
+
+
+def test_generalized_primitives_of_a_fresh_bialgebra_solve_prim_first(monkeypatch):
+    calls = []
+    solves = homalg.bialgebra._solves
+
+    def counted(rows, x):
+        calls.append(x)
+        return solves(rows, x)
+
+    monkeypatch.setattr(homalg.bialgebra, "_solves", counted)
+    primitive_subspace.cache_clear()
+    assert len(generalized_primitive_subspace(primitive_span_bialgebra(4))) == 4
+    # the primitive solve's pairs, Prim in GPrim per primitive, and the
+    # 4-dim basis's pairs
     assert len(calls) == 3 + 3 + 4 * 3 // 2

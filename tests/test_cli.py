@@ -485,16 +485,17 @@ def test_bialgebra_file_without_counit_exits_two(files, tmp_path, capsys):
 
 @pytest.mark.parametrize("strict", [[], ["--strict-alpha"]], ids=["weak", "strict"])
 def test_search_extension_positive_dimensional_exit_zero(tmp_path, capsys, strict):
-    # e1 . e1 = e1 is the only product: e1 is no unit for e2, and the system
-    # leaves a curve of solutions
+    # e1 . e1 = e1 is the only product: e1 is no unit for e2, so the search
+    # exits 2 naming the unital premise
     algebra = HomAlgebra(MulTensor.from_entries(2, {(0, 0, 0): 1}), LinearMap.identity(2),
                          Vector.basis(2, 0))
     p = tmp_path / "idempotent.json"
     p.write_text(serialize_structure(algebra))
-    assert cli_main(["search-extension", str(p), *strict]) == 0
+    assert cli_main(["search-extension", str(p), *strict]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "solutions exist (positive-dimensional); not enumerated\n"
-    assert captured.err == ""
+    assert captured.out == ""
+    assert captured.err == ("error: extension search requires a unital algebra: "
+                            "the unit e1 is not two-sided\n")
 
 
 def test_search_extension_degree_cap_zero_is_accepted(files, capsys):

@@ -210,14 +210,16 @@ def nest(flat, shape):
 
 @st.composite
 def contractions(draw):
-    """A spec of 1-4 operands over letters a-d of sizes 1-3, and int or
-    Fraction grids for it."""
+    """A spec of 1-4 operands over letters a-d of sizes 1-3, and grids for
+    it of ints, Fractions and linear polynomials in x and y."""
     sizes = {ch: draw(st.integers(1, 3)) for ch in "abcd"}
     legs = draw(st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3, unique=True)
                          .map("".join), min_size=1, max_size=4))
     used = sorted(set("".join(legs)))
     output = "".join(draw(st.permutations(used))[:draw(st.integers(0, len(used)))])
-    scalars = st.integers(-3, 3) | st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    polys = st.builds(lambda x, y: Poly(XY, {(1, 0): x, (0, 1): y}), fractions, fractions)
+    scalars = st.integers(-3, 3) | fractions | polys
     operands = []
     for letters in legs:
         shape = [sizes[ch] for ch in letters]
@@ -292,3 +294,66 @@ def test_no_package_spec_plans_more_products_than_left_to_right(products):
         products[0] = 0
         contract(spec, *[ones(len(letters)) for letters in spec.split("->")[0].split(",")])
         assert products[0] <= left_to_right(spec), spec
+
+
+@pytest.mark.parametrize("spec, operands", [
+    ("ij,ij->ij", ([[1, Fraction(1, 2)], [0, 3]], [[2, 4], [5, Fraction(-1, 3)]])),
+    ("i,ij->ij", ([2, Fraction(1, 3)], [[1, 0, -1], [3, 6, 9]])),
+    ("ijk,k->i", ([[[1, 2], [3, 4]], [[0, 5], [Fraction(1, 2), -1]]], [3, -2])),
+    ("ijk->kji", ([[[1, 2], [3, 4]], [[0, 5], [Fraction(1, 2), -1]]],)),
+    ("ij->", ([[1, Fraction(1, 2), 3], [-4, 0, Fraction(-1, 2)]],)),
+    ("ij,jk->ik", ([[0, 0], [0, 0]], [[1, 2], [3, 4]])),
+    ("ij,jk,k->i", ([[1, 2], [3, 4]], [[0, 0], [0, 0]], [1, 1])),
+    # the plan joins ia with ib, sharing and keeping i; then abc with iab,
+    # summing a and b; then ic with ci, sharing both kept letters in the
+    # other order
+    ("ia,ib,ic,abc->ci", ([[1, 2], [0, -1]], [[3, Fraction(1, 2)], [1, 1]],
+                          [[2, 0], [Fraction(-1, 3), 5]],
+                          [[[1, -1], [2, 0]], [[0, 3], [4, Fraction(1, 7)]]])),
+], ids=["shared-kept", "vector-into-kept", "summed-by-one", "transpose", "sum-all",
+        "zero-operand", "zero-middle", "kept-across-joins"])
+def test_contract_matches_brute_force_on_each_layout(spec, operands):
+    assert same(contract(spec, *operands), oracle(spec, operands)), spec
+
+
+def reference_join(acc, acc_key, table, table_key, layout):
+    """The join as one sum per output index tuple, built and hashed for every
+    product: the reference the row-by-row join must equal."""
+    row, column, decode, order = layout
+    order = order or tuple
+
+    def pick(akey, bkey):
+        return order(row(akey) + decode[column(bkey)])
+
+    groups = {}
+    for key, value in table.items():
+        groups.setdefault(table_key(key), []).append((key, value))
+    out = {}
+    for akey, avalue in acc.items():
+        for bkey, bvalue in groups.get(acc_key(akey), ()):
+            key = pick(akey, bkey)
+            value = avalue * bvalue
+            out[key] = out[key] + value if key in out else value
+    return {key: value for key, value in out.items() if value}
+
+
+def diagonal(order, rng, dim=3):
+    """Nonzero only where every index is equal, as a grouplike coalgebra's
+    comultiplication: each shared key of a join names one entry."""
+    return nest([rng.randint(1, 5) if len(set(index)) == 1 else 0
+                 for index in product(range(dim), repeat=order)], [dim] * order)
+
+
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "fraction", "poly"])
+def test_row_join_equals_the_reference_on_every_package_spec(kind, monkeypatch):
+    rng = random.Random({"dense": 10, "diagonal": 13, "fraction": 11, "poly": 12}[kind])
+    make = {"dense": lambda order: ones(order),
+            "diagonal": lambda order: diagonal(order, rng)}.get(
+        kind, lambda order: grid([3] * order, kind, rng))
+    cases = []
+    for spec in package_specs():
+        cases.append((spec, [make(len(letters)) for letters in spec.split("->")[0].split(",")]))
+    rows = [tensors._contraction(spec, operands) for spec, operands in cases]
+    monkeypatch.setattr(tensors, "_join", reference_join)
+    for (spec, operands), got in zip(cases, rows):
+        assert got == tensors._contraction(spec, operands), spec

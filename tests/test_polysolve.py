@@ -812,13 +812,14 @@ def test_zero_polynomial_inconsistent_basis_and_consistent_certificate():
 
 @pytest.mark.parametrize("strict", [False, True])
 def test_positive_dimensional_extension_is_reported(strict):
-    # e1 . e1 = e1 is the only product, so e1 is no unit for e2 (the search
-    # does not check that premise), and the system leaves a curve of solutions
+    # e1 . e1 = e1 is the only product, so e1 is no unit for e2: the search
+    # names the unital premise instead of solving a system that leaves a
+    # curve of solutions
     algebra = HomAlgebra(MulTensor.from_entries(2, {(0, 0, 0): 1}), LinearMap.identity(2),
                          Vector.basis(2, 0))
-    verdict = search_bialgebra_extension(algebra, strict_alpha=strict)
-    assert verdict.status == "solutions" and verdict.positive_dimensional
-    assert verdict.points == () and verdict.certificate is None and verdict.reason is None
+    with pytest.raises(ValueError, match="^extension search requires a unital algebra: "
+                                         "the unit e1 is not two-sided$"):
+        search_bialgebra_extension(algebra, strict_alpha=strict)
 
 
 def test_inconsistent_basis_has_no_points():
