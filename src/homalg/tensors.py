@@ -40,9 +40,8 @@ such as ``"lb,kab,aij->kijl"``:
 * A join sums row by row (Gustavson's sparse product): the left operand's
   kept letters name a row, the right operand's other kept letters one int
   in that row, so a product costs an int-keyed dict update and an index
-  tuple is built once per nonzero sum.  Where a left entry makes at most
-  one product, it is summed under its index tuple at once.  A lone operand
-  is re-keyed instead, which reorders its legs or sums some out.
+  tuple is built once per nonzero sum.  A lone operand is re-keyed
+  instead, which reorders its legs or sums some out.
 * The letters after ``->`` are the output legs in order.  The result is a
   nested list in that layout (a bare scalar for an empty output), where an
   entry no product reached is the integer 0; nonzero entries are Fractions
@@ -216,27 +215,11 @@ def _join(acc: dict, acc_key, table: dict, table_key, layout: tuple) -> dict:
     """Sums of the products of the entries of two tables that agree on their
     shared letters, row by row (Gustavson's sparse product): each entry of
     acc adds its products into the dict of its row, keyed by the column int,
-    and an index tuple is built once per nonzero sum.  When each shared key
-    names one entry of table, each entry of acc makes at most one product,
-    which is summed under its index tuple at once."""
+    and an index tuple is built once per nonzero sum."""
     row_of, column_of, decode, order = layout
     groups: dict[object, list] = {}
     for key, value in table.items():
         groups.setdefault(table_key(key), []).append((column_of(key), value))
-    if len(groups) == len(table):
-        # at most one product per entry of acc (a vector, or sparse
-        # operands): a dict per row costs more than the tuples it saves
-        out: dict[tuple, object] = {}
-        for akey, avalue in acc.items():
-            group = groups.get(acc_key(akey))
-            if group is not None:
-                ((column, bvalue),) = group
-                key = row_of(akey) + decode[column]
-                value = avalue * bvalue
-                out[key] = out[key] + value if key in out else value
-        if order is None:
-            return {key: value for key, value in out.items() if value}
-        return {order(key): value for key, value in out.items() if value}
     rows: dict[tuple, dict] = {}
     for akey, avalue in acc.items():
         group = groups.get(acc_key(akey))

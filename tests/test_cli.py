@@ -23,7 +23,7 @@ from homalg import (
 from homalg.cli import cli_main
 from homalg.duality import dual_coalgebra_of_algebra
 
-from conftest import bialgebra_row, cyclic_group_bialgebra
+from conftest import bialgebra_row, cyclic_group_bialgebra, mu1_algebra
 
 
 @pytest.fixture
@@ -484,7 +484,24 @@ def test_bialgebra_file_without_counit_exits_two(files, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("strict", [[], ["--strict-alpha"]], ids=["weak", "strict"])
-def test_search_extension_positive_dimensional_exit_zero(tmp_path, capsys, strict):
+def test_search_extension_positive_dimensional_exit_zero(tmp_path, capsys, monkeypatch, strict):
+    # no unital dim-2 algebra is known to leave a curve of solutions, so the
+    # consistent mu1 system at a1 = a2 = 1 stands in for one
+    monkeypatch.setattr(homalg.polysolve, "is_zero_dimensional", lambda basis, order: False)
+    homalg.polysolve._lex_solve.cache_clear()
+    p = tmp_path / "mu1.json"
+    p.write_text(serialize_structure(mu1_algebra(1, 1)))
+    try:
+        assert cli_main(["search-extension", str(p), *strict]) == 0
+    finally:
+        homalg.polysolve._lex_solve.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.out == "solutions exist (positive-dimensional); not enumerated\n"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("strict", [[], ["--strict-alpha"]], ids=["weak", "strict"])
+def test_search_extension_non_unital_exits_two(tmp_path, capsys, strict):
     # e1 . e1 = e1 is the only product: e1 is no unit for e2, so the search
     # exits 2 naming the unital premise
     algebra = HomAlgebra(MulTensor.from_entries(2, {(0, 0, 0): 1}), LinearMap.identity(2),

@@ -1,7 +1,8 @@
-"""The one-entry memos of the associator, the coassociator and the weak
-bialgebra witnesses, the per-group memos of the G-defect witnesses, and the
-extension search's memos of the weak system and the lex solve: keyed on the
-structure's value, never stale, never growing past their bound."""
+"""The one-entry memos of the associator, the coassociator, the weak
+bialgebra witnesses and the primitive subspace, the per-group memos of the
+G-defect witnesses, and the extension search's memos of the weak system and
+the lex solve: keyed on the structure's value, never stale, never growing
+past their bound."""
 
 import random
 
@@ -28,16 +29,18 @@ from homalg import (
 )
 from homalg import algebra, coalgebra, polysolve
 from homalg.algebra import _associator_tensors
-from homalg.bialgebra import weak_witnesses
+from homalg.bialgebra import primitive_subspace, weak_witnesses
 from homalg.polysolve import _lex_solve, _weak_generators
 from homalg.sampling import random_scalar
 
-from conftest import mu1_algebra, mu2_algebra
+from conftest import bialgebra_row, mu1_algebra, mu2_algebra, truncated_primitive_bialgebra
 
 ONE_ENTRY = (_associator_tensors, beta_coassociator, weak_witnesses)
 PER_GROUP = (algebra._G_witnesses, coalgebra._G_witnesses)
 EXTENSION = (_weak_generators, _lex_solve)
-MEMOS = ONE_ENTRY + PER_GROUP + EXTENSION
+# one entry too, but no checker of reports() reaches it
+PRIMITIVE = (primitive_subspace,)
+MEMOS = ONE_ENTRY + PER_GROUP + EXTENSION + PRIMITIVE
 
 
 @pytest.fixture(autouse=True)
@@ -151,6 +154,27 @@ def test_one_condition_under_two_names_is_one_witness_tuple():
     alternating = check_hom_lie_admissible(c).alternating
     assert alternating.witnesses
     assert alternating.witnesses is check_G_hom_coalgebra(c, "G6").witnesses
+
+
+def test_alternating_bialgebras_get_their_own_primitives():
+    first, second = truncated_primitive_bialgebra(), bialgebra_row(2)
+    want = {}
+    for b in (first, second):
+        primitive_subspace.cache_clear()
+        want[id(b)] = primitive_subspace(b)
+    assert want[id(first)] != want[id(second)]
+    primitive_subspace.cache_clear()
+    for b in (first, second, second, first, first, second):
+        assert primitive_subspace(b) == want[id(b)]
+    info = primitive_subspace.cache_info()
+    assert (info.misses, info.hits, info.maxsize, info.currsize) == (4, 2, 1, 1)
+    # an equal but distinct bialgebra is a hit
+    again = truncated_primitive_bialgebra()
+    assert again is not first and again == first
+    assert primitive_subspace(again) == want[id(first)]
+    assert primitive_subspace.cache_info().misses == 5
+    assert primitive_subspace(again) == want[id(first)]
+    assert primitive_subspace.cache_info().hits == 3
 
 
 def test_hom_associativity_alone_sums_no_group(monkeypatch):

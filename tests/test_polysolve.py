@@ -810,8 +810,28 @@ def test_zero_polynomial_inconsistent_basis_and_consistent_certificate():
     assert consistent.certificate() is None
 
 
+@pytest.fixture
+def positive_dimensional(monkeypatch):
+    """Every consistent extension system reads as positive-dimensional.  The
+    lex-solve memo is emptied around the test, so no stubbed answer stays."""
+    monkeypatch.setattr(homalg.polysolve, "is_zero_dimensional", lambda basis, order: False)
+    homalg.polysolve._lex_solve.cache_clear()
+    yield
+    homalg.polysolve._lex_solve.cache_clear()
+
+
 @pytest.mark.parametrize("strict", [False, True])
-def test_positive_dimensional_extension_is_reported(strict):
+def test_positive_dimensional_extension_is_reported(positive_dimensional, strict):
+    # no unital dim-2 algebra is known to leave a curve of solutions, so the
+    # consistent mu1 system at a1 = a2 = 1 stands in for one
+    verdict = search_bialgebra_extension(mu1_algebra(1, 1), strict_alpha=strict)
+    assert verdict.status == "solutions" and verdict.positive_dimensional
+    assert verdict.points == () and verdict.certificate is None and verdict.reason is None
+    assert verdict.generators
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_extension_search_requires_a_unital_algebra(strict):
     # e1 . e1 = e1 is the only product, so e1 is no unit for e2: the search
     # names the unital premise instead of solving a system that leaves a
     # curve of solutions
