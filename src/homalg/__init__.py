@@ -36,7 +36,6 @@ from .bialgebra import (
     convolution,
     convolution_twist,
     convolution_unit,
-    counit_expansion_check,
     generalized_primitive_subspace,
     primitive_subspace,
     solve_antipode,
@@ -97,7 +96,6 @@ from .tensors import (
     Tensor2,
     Tensor3,
     Vector,
-    flip_tau,
     phi_apply,
     subgroup,
 )

@@ -98,12 +98,13 @@ def _associator_parts(
             Tensor3.slices("up,utk,qst->kpqs", alpha, mul, mul))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _associator_tensors(algebra: HomAlgebra) -> tuple[Tensor3, ...]:
     """The alpha-associator, one cube [p][q][s] per output component k.
 
-    Remembered for the last algebra (by value), which every checker of one
-    structure in a row then shares."""
+    Remembered for the last two algebras (by value), so a bialgebra's algebra
+    and the transpose of its coalgebra, on which the coalgebra checkers
+    decide, are each computed once for every checker of one structure."""
     left, right = _associator_parts(algebra.mul, algebra.alpha)
     return tuple(a - b for a, b in zip(left, right))
 
@@ -115,18 +116,23 @@ def _component_witnesses(tensors: Sequence[Tensor3]) -> tuple[Witness, ...]:
     return tuple(Witness(indices=idx, value=entries[idx]) for idx in sorted(entries))
 
 
-@lru_cache(maxsize=len(SUBGROUPS))
-def _G_witnesses(algebra: HomAlgebra, group: str) -> tuple[Witness, ...]:
-    """Witnesses of sum_{sigma in G} (-1)^eps(sigma) a o Phi_sigma; for G1
-    that is the alpha-associator a itself.
-
-    Remembered by value for the last len(SUBGROUPS) (algebra, group) pairs,
-    so Hom-associativity and G1, which are one condition, share one tuple."""
+def _G_defects(algebra: HomAlgebra, group: str) -> Sequence[Tensor3]:
+    """sum_{sigma in G} (-1)^eps(sigma) a o Phi_sigma, one cube [p][q][s] per
+    output component k; for G1 that is the alpha-associator a itself."""
     perms = subgroup(group)
     defects = _associator_tensors(algebra)
     if len(perms) > 1:
         defects = [signed_leg_sum(perms, t) for t in defects]
-    return _component_witnesses(defects)
+    return defects
+
+
+@lru_cache(maxsize=len(SUBGROUPS))
+def _G_witnesses(algebra: HomAlgebra, group: str) -> tuple[Witness, ...]:
+    """Witnesses of the G-defect.
+
+    Remembered by value for the last len(SUBGROUPS) (algebra, group) pairs,
+    so Hom-associativity and G1, which are one condition, share one tuple."""
+    return _component_witnesses(_G_defects(algebra, group))
 
 
 def check_hom_associative(algebra: HomAlgebra) -> DefectReport:

@@ -26,12 +26,7 @@ from functools import lru_cache
 from itertools import product
 
 from .algebra import HomAlgebra, check_hom_associative
-from .coalgebra import (
-    HomCoalgebra,
-    check_counital,
-    check_hom_coassociative,
-    comul_morphism_defect,
-)
+from .coalgebra import HomCoalgebra, check_hom_coassociative
 from .linsolve import linear_solve
 from .rational import ONE, ZERO
 from .reports import DefectReport, Witness
@@ -134,7 +129,9 @@ def alpha_witnesses(bialgebra: HomBialgebra) -> list[Witness]:
     alpha = bialgebra.algebra.alpha
     comul = bialgebra.coalgebra.comul
     eps = bialgebra.counit
-    comul_alpha = comul_morphism_defect(alpha, comul, comul)
+    # Delta o alpha - (alpha (x) alpha) o Delta, one plane per basis vector
+    comul_alpha = ComulTensor.contracted("tk,tij->kij", alpha, comul) \
+        - ComulTensor.contracted("ia,kab,jb->kij", alpha, comul, alpha)
     counit_alpha = Vector.contracted("ik,i->k", alpha, eps) - eps
     witnesses = []
     for k in range(bialgebra.dim):
@@ -351,12 +348,3 @@ def generalized_primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...
                        "leaves the generalized primitive space")
     return basis
 
-
-def counit_expansion_check(bialgebra: HomBialgebra, samples: int = 5, seed: int = 0) -> bool:
-    """x = sum x1 eps(x2) = sum eps(x1) x2 on the basis, which is the counit law.
-
-    The expansions through an endomorphism, f(x) = sum f(x1) eps(x2) =
-    sum eps(x1) f(x2), follow from these because f is linear, so no map is
-    sampled and ``samples`` and ``seed`` have no effect.
-    """
-    return bool(check_counital(bialgebra.coalgebra))

@@ -2,11 +2,13 @@
 
 The central object is the beta-coassociator
 
-    c_beta(Delta) = (Delta (x) beta) o Delta - (beta (x) Delta) o Delta,
+    c_beta(Delta) = (Delta (x) beta) o Delta - (beta (x) Delta) o Delta.
 
-materialized per basis vector as an order-3 coefficient tensor; every
-identity in this module is then an exact tensor equality.  Axiom (C1) is the
-vanishing of c_beta(Delta), (C2) the two-sided counit law.  The structure
+Every condition is decided on the transpose :func:`dual_algebra_of_coalgebra`:
+c_beta(Delta) at basis vector k is the transpose's alpha-associator at output
+component k (the same two contraction networks), the counit law (C2) is its
+unit law, and comodules and morphisms transpose to modules and algebra
+morphisms.  Axiom (C1) is the vanishing of c_beta(Delta).  The structure
 carries no compatibility axiom between beta and the counit (nothing like
 eps o beta = eps is demanded, and none is enforced here).
 
@@ -18,7 +20,9 @@ is Hom-Lie admissible when the cyclic sum
 vanishes, equivalently (and always exactly twice) the alternating sum of
 Phi_sigma o c_beta(Delta) over all of S3.  :func:`check_hom_lie_admissible`
 reports both routes from the alternating witnesses;
-:func:`admissibility_defects` computes each route on its own.
+:func:`admissibility_defects` computes each route on its own.  The direct
+expansions of Delta followed by Delta and beta (:func:`expand_outer_beta`,
+:func:`expand_beta_outer`) serve the lemma identities.
 
 Some presentations write the comultiplication of the G2/G3 (Vinberg /
 pre-Lie) variants as a map "mu: V -> V x V"; here it is always
@@ -33,11 +37,22 @@ from itertools import product
 from operator import sub
 from typing import Sequence
 
+from .algebra import (
+    HomAlgebra,
+    _associator_parts,
+    _associator_tensors,
+    _G_defects,
+    check_algebra_morphism,
+    check_module,
+    check_unital,
+    commutator_bracket,
+)
 from .rational import Poly
 from .reports import DefectReport, Witness
 from .tensors import (
     ComulTensor,
     LinearMap,
+    MulTensor,
     PERM_12,
     PERM_13,
     PERM_23,
@@ -51,7 +66,6 @@ from .tensors import (
     phi_apply,
     signed_leg_sum,
     subgroup,
-    tabled,
 )
 
 
@@ -124,20 +138,39 @@ def expand_beta_outer(
     return Tensor3.slices("ia,kab,bjl->kijl", beta, inner, outer)
 
 
-def coassociator_tensors(comul: ComulTensor, beta: LinearMap) -> tuple[Tensor3, ...]:
-    """c_beta for an arbitrary comultiplication tensor, per basis vector."""
-    right = expand_outer_beta(comul, comul, beta)
-    left = expand_beta_outer(comul, comul, beta)
-    return tuple(r - l for r, l in zip(right, left))
+# ---------------------------------------------------------------------------
+# the transpose, on which every condition is decided
 
 
 @lru_cache(maxsize=1)
-def beta_coassociator(coalgebra: HomCoalgebra) -> tuple[Tensor3, ...]:
-    """c_beta(Delta) = (Delta (x) beta) o Delta - (beta (x) Delta) o Delta.
+def dual_algebra_of_coalgebra(coalgebra: HomCoalgebra) -> HomAlgebra:
+    """C_{ij}^k := D_k^{ij}, alpha := beta transposed, unit := counit weights.
 
     Remembered for the last coalgebra (by value), which every checker of one
     structure in a row then shares."""
-    return coassociator_tensors(coalgebra.comul, coalgebra.beta)
+    return HomAlgebra(MulTensor.contracted("kij->ijk", coalgebra.comul),
+                      coalgebra.beta.transpose(), coalgebra.counit)
+
+
+def dual_coalgebra_of_algebra(algebra: HomAlgebra) -> HomCoalgebra:
+    """D_k^{ij} := C_{ij}^k, beta := alpha transposed, counit := unit coords."""
+    return HomCoalgebra(ComulTensor.contracted("ijk->kij", algebra.mul),
+                        algebra.alpha.transpose(), algebra.unit)
+
+
+def beta_coassociator(coalgebra: HomCoalgebra) -> tuple[Tensor3, ...]:
+    """c_beta(Delta) = (Delta (x) beta) o Delta - (beta (x) Delta) o Delta, one
+    cube [i][j][l] per basis vector k: the alpha-associator of the transpose,
+    remembered with it."""
+    return _associator_tensors(dual_algebra_of_coalgebra(coalgebra))
+
+
+def _cocommutator_coassociator(coalgebra: HomCoalgebra) -> tuple[Tensor3, ...]:
+    """c_beta(Delta_L), remembered nowhere: Delta_L transposes to the
+    commutator bracket of the transpose, and this is that bracket's
+    alpha-associator."""
+    bracket = commutator_bracket(dual_algebra_of_coalgebra(coalgebra))
+    return tuple(map(sub, *_associator_parts(bracket.bracket, bracket.alpha)))
 
 
 def _tensor_witnesses(tensors: Sequence[Tensor3]) -> tuple[Witness, ...]:
@@ -151,17 +184,13 @@ def _tensor_witnesses(tensors: Sequence[Tensor3]) -> tuple[Witness, ...]:
 
 @lru_cache(maxsize=len(SUBGROUPS))
 def _G_witnesses(coalgebra: HomCoalgebra, group: str) -> tuple[Witness, ...]:
-    """Witnesses of sum_{sigma in G} (-1)^eps(sigma) Phi_sigma o c_beta(Delta);
-    for G1 that is c_beta(Delta) itself.
+    """Witnesses of sum_{sigma in G} (-1)^eps(sigma) Phi_sigma o c_beta(Delta),
+    the G-defect of the transpose; for G1 that is c_beta(Delta) itself.
 
     Remembered by value for the last len(SUBGROUPS) (coalgebra, group) pairs,
     so Hom-coassociativity and G1, and the alternating admissibility route and
     G6, which are one condition each, share one tuple."""
-    perms = subgroup(group)
-    defects = beta_coassociator(coalgebra)
-    if len(perms) > 1:
-        defects = [signed_leg_sum(perms, t) for t in defects]
-    return _tensor_witnesses(defects)
+    return _tensor_witnesses(_G_defects(dual_algebra_of_coalgebra(coalgebra), group))
 
 
 def check_hom_coassociative(coalgebra: HomCoalgebra) -> DefectReport:
@@ -181,10 +210,9 @@ def counit_defects(coalgebra: HomCoalgebra) -> tuple[LinearMap, LinearMap]:
 
 
 def check_counital(coalgebra: HomCoalgebra) -> bool | None:
-    """(C2): (id (x) eps) o Delta = id = (eps (x) id) o Delta; None if no counit."""
-    if coalgebra.counit is None:
-        return None
-    return all(m.is_zero() for m in counit_defects(coalgebra))
+    """(C2): (id (x) eps) o Delta = id = (eps (x) id) o Delta; None if no counit.
+    The transpose's unit law."""
+    return check_unital(dual_algebra_of_coalgebra(coalgebra))
 
 
 def check_G_hom_coalgebra(coalgebra: HomCoalgebra, group: str) -> DefectReport:
@@ -205,10 +233,12 @@ def admissibility_defects(
     These always satisfy cyclic = 2 * alternating, which the test suite pins
     as a universal identity.
     """
-    alternating = tuple(signed_leg_sum(S3, t) for t in beta_coassociator(coalgebra))
-    c_L = coassociator_tensors(coalgebra.comul - coalgebra.comul.op(), coalgebra.beta)
+    dual = dual_algebra_of_coalgebra(coalgebra)
+    alternating = tuple(signed_leg_sum(S3, a - b)
+                        for a, b in zip(*_associator_parts(dual.mul, dual.alpha)))
     # G5 = {id, (213), (231)}, all of sign +1: its signed sum is the cyclic sum
-    return tuple(signed_leg_sum(subgroup("G5"), t) for t in c_L), alternating
+    return (tuple(signed_leg_sum(subgroup("G5"), t)
+                  for t in _cocommutator_coassociator(coalgebra)), alternating)
 
 
 @dataclass(frozen=True)
@@ -286,7 +316,7 @@ def coassociator_expansion_check(coalgebra: HomCoalgebra) -> tuple[bool, bool]:
     """
     ob, bo = _compositions(coalgebra)
     c, c_op = (tuple(map(sub, ob[x, x], bo[x, x])) for x in ("d", "op"))
-    c_L = coassociator_tensors(coalgebra.comul - coalgebra.comul.op(), coalgebra.beta)
+    c_L = _cocommutator_coassociator(coalgebra)
     # x = (Delta (x) beta) o Delta^op, y = (Delta^op (x) beta) o Delta
     first = tuple(a + a_op - x - y + phi_apply(PERM_13, x) + phi_apply(PERM_13, y)
                   for a, a_op, x, y in zip(c, c_op, ob["d", "op"], ob["op", "d"]))
@@ -308,7 +338,9 @@ def check_comodule(
 
     ``rho[m][p][i]`` is the coefficient of u_p (x) e_i in rho(u_m).  At M = V,
     g = beta, rho = Delta this is Hom-coassociativity,
-    ``check_hom_coassociative(coalgebra).ok``.
+    ``check_hom_coassociative(coalgebra).ok``.  It is the left module axiom
+    of the opposite of the transpose, with action gamma[i][p][m] = rho[m][p][i]
+    and g transposed.
     """
     n = coalgebra.dim
     if len(rho) != m_dim or any(len(plane) != m_dim for plane in rho) or \
@@ -316,33 +348,17 @@ def check_comodule(
         raise ValueError("coaction tensor must have shape m_dim x m_dim x dim")
     if g.dim != m_dim:
         raise ValueError("g must act on the comodule")
-    # both sides live in M (x) V (x) V, indexed [m][p][j][l]: one order-2
-    # tensor per pair (m, p)
-    rho = tabled(rho, 3)
-    lhs = Tensor2.slices("li,mqi,qpj->mpjl", coalgebra.beta, rho, rho)
-    rhs = Tensor2.slices("pq,mqi,ijl->mpjl", g, rho, coalgebra.comul)
-    return lhs == rhs
-
-
-def comul_morphism_defect(f: LinearMap, source: ComulTensor, target: ComulTensor) -> ComulTensor:
-    """Delta' o f - (f (x) f) o Delta, one plane per basis vector."""
-    return ComulTensor.contracted("tk,tij->kij", f, target) \
-        - ComulTensor.contracted("ia,kab,jb->kij", f, source, f)
+    dual = dual_algebra_of_coalgebra(coalgebra)
+    opposite = HomAlgebra(MulTensor.contracted("jik->ijk", dual.mul), dual.alpha)
+    gamma = [[[rho[m][p][i] for m in range(m_dim)] for p in range(m_dim)] for i in range(n)]
+    return check_module(opposite, m_dim, g.transpose(), gamma)
 
 
 def check_coalgebra_morphism(
     f: LinearMap, source: HomCoalgebra, target: HomCoalgebra
 ) -> bool:
-    """(f (x) f) o Delta = Delta' o f, eps = eps' o f, f o beta = beta' o f."""
-    if f.dim != source.dim or source.dim != target.dim:
-        raise ValueError("dimension mismatch in morphism check")
-    if not comul_morphism_defect(f, source.comul, target.comul).is_zero():
-        return False
-    if f.compose(source.beta) != target.beta.compose(f):
-        return False
-    if source.counit is not None and target.counit is not None:
-        if Vector.contracted("i,ik->k", target.counit, f) != source.counit:
-            return False
-    elif (source.counit is None) != (target.counit is None):
-        return False
-    return True
+    """(f (x) f) o Delta = Delta' o f, eps = eps' o f, f o beta = beta' o f: the
+    transpose of f is an algebra morphism from the target's transpose to the
+    source's."""
+    return check_algebra_morphism(f.transpose(), dual_algebra_of_coalgebra(target),
+                                  dual_algebra_of_coalgebra(source))

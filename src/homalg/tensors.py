@@ -490,6 +490,7 @@ class Tensor2(_Tensor):
         return cls.contracted("i,j->ij", x, y)
 
     def flip(self) -> "Tensor2":
+        """The usual flip tau(x (x) y) = y (x) x."""
         return Tensor2.contracted("ji->ij", self)
 
 
@@ -501,11 +502,6 @@ class Tensor3(_Tensor):
     @property
     def coeffs(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         return self._data
-
-
-def flip_tau(t: Tensor2) -> Tensor2:
-    """The usual flip tau(x (x) y) = y (x) x on coefficient grids."""
-    return t.flip()
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +581,6 @@ def signed_leg_sum(perms: Iterable[Perm3], t: Tensor3) -> Tensor3:
             key = pick(key)
             total[key] = total[key] + value if key in total else value
     return Tensor3._of(t.dim, {key: value for key, value in total.items() if value}, t._den)
-
-
-def permute_triple(sigma: Perm3, triple: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Index triple of Phi_sigma(e_p (x) e_q (x) e_s) for triple = (p, q, s)."""
-    return _leg_picker(sigma)(triple)
 
 
 # ---------------------------------------------------------------------------

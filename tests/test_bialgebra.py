@@ -27,7 +27,6 @@ from homalg import (
     convolution,
     convolution_twist,
     convolution_unit,
-    counit_expansion_check,
     dual_hopf,
     generalized_primitive_subspace,
     primitive_subspace,
@@ -480,11 +479,11 @@ def test_zero_vector_always_primitive():
 
 def test_counit_expansion_rows():
     for row in (1, 2, 3):
-        assert counit_expansion_check(bialgebra_row(row), samples=4, seed=0)
+        assert check_counital(bialgebra_row(row).coalgebra) is True
 
 
 def test_counit_expansion_dim3():
-    assert counit_expansion_check(truncated_primitive_bialgebra(), samples=4, seed=1)
+    assert check_counital(truncated_primitive_bialgebra().coalgebra) is True
 
 
 def test_bullet_product_matches_hand_value():

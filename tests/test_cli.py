@@ -623,10 +623,13 @@ def test_identities_above_dim_3_follow_from_dim_3_at_once(dim, capsys):
 def test_identities_hold_little_memory_afterwards(capsys):
     import tracemalloc
 
+    import homalg.algebra
     import homalg.coalgebra
 
-    homalg.coalgebra._compositions.cache_clear()
-    homalg.coalgebra.beta_coassociator.cache_clear()
+    memos = (homalg.coalgebra._compositions, homalg.coalgebra.dual_algebra_of_coalgebra,
+             homalg.algebra._associator_tensors)
+    for memo in memos:
+        memo.cache_clear()
     tracemalloc.start()
     try:
         assert cli_main(["identities", "--dim", "50"]) == 0
@@ -634,6 +637,9 @@ def test_identities_hold_little_memory_afterwards(capsys):
     finally:
         tracemalloc.stop()
     assert held < 8 * 2 ** 20
+    # the generic coalgebra's Poly cubes stay out of the associator memo that
+    # every checker shares
+    assert homalg.algebra._associator_tensors.cache_info().currsize == 0
 
 
 def test_identities_counts_a_failing_identity(monkeypatch, capsys):

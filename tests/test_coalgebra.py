@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from homalg import (
     ComulTensor,
+    HomAlgebra,
     HomCoalgebra,
     LinearMap,
+    MulTensor,
+    SUBGROUPS,
     Tensor2,
     Tensor3,
     Vector,
@@ -22,10 +26,20 @@ from homalg import (
     comultiply,
     delta_L,
     delta_op,
+    dual_coalgebra_of_algebra,
     generic_coalgebra,
     lemma_identities_check,
+    phi_apply,
+    subgroup,
 )
-from homalg.coalgebra import _compositions, _phi, _tensor_witnesses
+from homalg.coalgebra import (
+    _compositions,
+    _phi,
+    _tensor_witnesses,
+    counit_defects,
+    expand_beta_outer,
+    expand_outer_beta,
+)
 from homalg.linsolve import linear_solve
 from homalg.sampling import random_comul_tensor, random_linear_map, random_scalar
 from homalg.tensors import S3
@@ -306,7 +320,6 @@ def test_lemma_identities_zero_comul():
 
 def test_first_identity_reduces_on_cocommutative():
     # with Delta^op = Delta the first identity forces c = -Phi_(13) c
-    from homalg import phi_apply
     from homalg.tensors import PERM_13
 
     rng = random.Random(37)
@@ -368,7 +381,7 @@ def test_self_comodule_is_hom_coassociativity():
 
 
 def test_comodule_coaction_is_tabled_once(monkeypatch):
-    import homalg.coalgebra
+    import homalg.algebra
     import homalg.tensors
 
     c = bialgebra_row(2).coalgebra
@@ -380,7 +393,8 @@ def test_comodule_coaction_is_tabled_once(monkeypatch):
         calls.append(depth)
         return tabled(data, depth)
 
-    for module in (homalg.coalgebra, homalg.tensors):
+    # the comodule axiom is decided as a module axiom, which tables the action
+    for module in (homalg.algebra, homalg.tensors):
         monkeypatch.setattr(module, "tabled", counted)
     assert check_comodule(c, c.dim, c.beta, rho)
     assert calls == [3]
@@ -553,3 +567,197 @@ def test_comodule_rejects_malformed_entry():
     rho = [[[0, 0], [0, 0]], [[0, "x"], [0, 0]]]
     with pytest.raises(ValueError, match="not a rational number"):
         check_comodule(c, 2, c.beta, rho)
+
+
+# --- every condition decided on the transpose, against a direct reference ----
+#
+# The checkers above run on the transpose (dual_algebra_of_coalgebra); these
+# references evaluate each coalgebra condition straight from its definition,
+# with the expansions of Delta followed by Delta and beta, phi_apply and
+# explicit sums over the structure constants.
+
+def reference_coassociator(c):
+    right = expand_outer_beta(c.comul, c.comul, c.beta)
+    left = expand_beta_outer(c.comul, c.comul, c.beta)
+    return [r - l for r, l in zip(right, left)]
+
+
+def reference_signed_sum(perms, t):
+    total = Tensor3.zero(t.dim)
+    for sigma in perms:
+        total = total + sigma.sign * phi_apply(sigma, t)
+    return total
+
+
+def reference_witnesses(cubes):
+    """(indices, value) of each nonzero entry, k first, then in index order."""
+    return [((k,) + idx, value) for k, t in enumerate(cubes)
+            for idx, value in sorted(t.nonzero.items())]
+
+
+def reference_comodule(c, m_dim, g, rho):
+    """(rho (x) beta) o rho = (g (x) Delta) o rho, entry by entry."""
+    n, beta, d, g = c.dim, c.beta.entries, c.comul.d, g.entries
+    for m, p, j, l in product(range(m_dim), range(m_dim), range(n), range(n)):
+        lhs = sum(rho[m][q][i] * rho[q][p][j] * beta[l][i]
+                  for q in range(m_dim) for i in range(n))
+        rhs = sum(rho[m][q][i] * g[p][q] * d[i][j][l] for q in range(m_dim) for i in range(n))
+        if lhs != rhs:
+            return False
+    return True
+
+
+def reference_morphism(f, source, target):
+    """(f (x) f) o Delta = Delta' o f, f o beta = beta' o f, eps = eps' o f."""
+    n, f = source.dim, f.entries
+    for k, i, j in product(range(n), repeat=3):
+        pushed = sum(source.comul.d[k][a][b] * f[i][a] * f[j][b]
+                     for a in range(n) for b in range(n))
+        if pushed != sum(target.comul.d[t][i][j] * f[t][k] for t in range(n)):
+            return False
+    for i, j in product(range(n), repeat=2):
+        if sum(f[i][a] * source.beta.entries[a][j] for a in range(n)) != \
+                sum(target.beta.entries[i][a] * f[a][j] for a in range(n)):
+            return False
+    if (source.counit is None) != (target.counit is None):
+        return False
+    return source.counit is None or all(
+        sum(target.counit[t] * f[t][k] for t in range(n)) == source.counit[k] for k in range(n))
+
+
+def triangular_coalgebra(t):
+    """The dual of the upper triangular 2x2 matrices (E11, E12, E22), Yau-twisted
+    by the automorphism E12 -> t E12: Hom-coassociative, not cocommutative."""
+    alpha = LinearMap([[1, 0, 0], [0, t, 0], [0, 0, 1]])
+    mul = MulTensor.from_entries(3, {(0, 0, 0): 1, (0, 1, 1): t, (1, 2, 1): t, (2, 2, 2): 1})
+    return dual_coalgebra_of_algebra(HomAlgebra(mul, alpha, Vector([1, 0, 1])))
+
+
+def differential_coalgebras():
+    rng = random.Random(2026)
+    cases = [random_coalgebra(dim, rng, counital=bool(seed % 2))
+             for dim in (1, 2, 3, 4) for seed in range(4)]
+    cases += [grouplike_coalgebra(n) for n in (1, 2, 3)]
+    cases += [triangular_coalgebra(t) for t in (1, 2)]
+    cases += [p.coalgebra for p in registry_parts() if p.coalgebra is not None]
+    return cases
+
+
+def test_G_witnesses_match_the_direct_expansion():
+    cases = differential_coalgebras() + [generic_coalgebra(2)]
+    nonzero = 0
+    for c in cases:
+        cubes = reference_coassociator(c)
+        for group in SUBGROUPS:
+            want = reference_witnesses([reference_signed_sum(subgroup(group), t) for t in cubes])
+            got = [(w.indices, w.value) for w in check_G_hom_coalgebra(c, group).witnesses]
+            assert got == want, (c, group)
+            nonzero += bool(want)
+        assert [(w.indices, w.value) for w in check_hom_coassociative(c).witnesses] == \
+            reference_witnesses(cubes)
+    assert nonzero >= 50
+
+
+def test_admissibility_routes_match_the_direct_expansion():
+    for c in differential_coalgebras() + [generic_coalgebra(2)]:
+        c_L = reference_coassociator(delta_L(c))
+        cyclic = [reference_signed_sum(subgroup("G5"), t) for t in c_L]
+        alternating = [reference_signed_sum(S3, t) for t in reference_coassociator(c)]
+        assert admissibility_defects(c) == (tuple(cyclic), tuple(alternating))
+        report = check_hom_lie_admissible(c)
+        assert [(w.indices, w.value) for w in report.cyclic.witnesses] == \
+            reference_witnesses(cyclic)
+        assert [(w.indices, w.value) for w in report.alternating.witnesses] == \
+            reference_witnesses(alternating)
+
+
+def test_counital_matches_the_counit_law():
+    rng = random.Random(61)
+    cases = differential_coalgebras() + [generic_coalgebra(2)]
+    # counits that hold: the grouplike ones and the table rows; and a broken one
+    good = bialgebra_row(2).coalgebra
+    cases.append(HomCoalgebra(good.comul, good.beta, Vector([1, 1])))
+    seen = set()
+    for c in cases:
+        want = None if c.counit is None else all(m.is_zero() for m in counit_defects(c))
+        assert check_counital(c) is want
+        seen.add(want)
+        if c.counit is not None:
+            bent = HomCoalgebra(c.comul, c.beta, c.counit + Vector.basis(c.dim, rng.randrange(c.dim)))
+            assert check_counital(bent) is all(m.is_zero() for m in counit_defects(bent))
+    assert seen == {None, True, False}
+
+
+def test_comodules_match_the_direct_coaction():
+    rng = random.Random(67)
+    results = []
+    # the self case M = V, g = beta, rho = Delta
+    for c in differential_coalgebras() + [generic_coalgebra(2)]:
+        want = reference_comodule(c, c.dim, c.beta, c.comul.d)
+        assert check_comodule(c, c.dim, c.beta, c.comul.d) is want
+        results.append(want)
+    # random M over a grouplike coalgebra: rho(u) = g(u) (x) e_k is a comodule
+    # for every g, and a changed coefficient mostly breaks it
+    for n, m_dim in product((1, 2, 3), (1, 2, 3, 4)):
+        c, k = grouplike_coalgebra(n), rng.randrange(n)
+        g = random_linear_map(m_dim, rng)
+        rho = [[[g.entries[p][m] if i == k else 0 for i in range(n)] for p in range(m_dim)]
+               for m in range(m_dim)]
+        for _ in range(3):
+            want = reference_comodule(c, m_dim, g, rho)
+            assert check_comodule(c, m_dim, g, rho) is want
+            results.append(want)
+            rho[rng.randrange(m_dim)][rng.randrange(m_dim)][rng.randrange(n)] += 1
+    # M = C (+) C over a coalgebra that is not cocommutative, each copy
+    # coacting as Delta does on C
+    for t in (1, 2):
+        c = triangular_coalgebra(t)
+        n = c.dim
+        assert check_hom_coassociative(c).ok and c.comul != c.comul.op()
+        rho = [[[c.comul.d[m % n][p % n][i] if m // n == p // n else 0 for i in range(n)]
+                for p in range(2 * n)] for m in range(2 * n)]
+        g = LinearMap([[c.beta.entries[p % n][q % n] if p // n == q // n else 0
+                        for q in range(2 * n)] for p in range(2 * n)])
+        assert check_comodule(c, 2 * n, g, rho) is reference_comodule(c, 2 * n, g, rho) is True
+        rho[0][n + 1][2] = 1
+        assert check_comodule(c, 2 * n, g, rho) is reference_comodule(c, 2 * n, g, rho) is False
+    # random M and random coaction over random coalgebras
+    for n in (1, 2, 3, 4):
+        c, m_dim = random_coalgebra(n, rng), rng.randint(1, 3)
+        rho = [[[random_scalar(rng) for _ in range(n)] for _ in range(m_dim)]
+               for _ in range(m_dim)]
+        g = random_linear_map(m_dim, rng)
+        assert check_comodule(c, m_dim, g, rho) is reference_comodule(c, m_dim, g, rho)
+    assert True in results and False in results
+
+
+def relabelled(c, perm):
+    """The coalgebra c with basis vector e_k renamed e_perm[k]."""
+    n = c.dim
+    inv = [perm.index(k) for k in range(n)]
+    comul = ComulTensor([[[c.comul.d[inv[k]][inv[i]][inv[j]] for j in range(n)]
+                          for i in range(n)] for k in range(n)])
+    beta = LinearMap([[c.beta.entries[inv[i]][inv[j]] for j in range(n)] for i in range(n)])
+    counit = None if c.counit is None else Vector([c.counit[inv[k]] for k in range(n)])
+    return HomCoalgebra(comul, beta, counit)
+
+
+def test_morphisms_match_the_direct_conditions():
+    rng = random.Random(71)
+    results = []
+    for c in differential_coalgebras():
+        n = c.dim
+        perm = list(range(n))
+        rng.shuffle(perm)
+        # the relabelling map e_k -> e_perm[k] is a morphism onto the relabelled coalgebra
+        f = LinearMap([[1 if perm[j] == i else 0 for j in range(n)] for i in range(n)])
+        target = relabelled(c, perm)
+        bent = HomCoalgebra(target.comul, target.beta + LinearMap.basis_matrix(n, 0, n - 1),
+                            target.counit)
+        for f, source, target in ((f, c, target), (f, c, bent),
+                                  (random_linear_map(n, rng), c, c),
+                                  (LinearMap.identity(n), c, c)):
+            want = reference_morphism(f, source, target)
+            assert check_coalgebra_morphism(f, source, target) is want
+            results.append(want)
+    assert True in results and False in results

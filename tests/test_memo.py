@@ -1,8 +1,9 @@
-"""The one-entry memos of the associator, the coassociator, the weak
-bialgebra witnesses and the primitive subspace, the per-group memos of the
-G-defect witnesses, and the extension search's memos of the weak system and
-the lex solve: keyed on the structure's value, never stale, never growing
-past their bound."""
+"""The associator's two-entry memo (a bialgebra's algebra and its
+coalgebra's transpose, on which the coalgebra checkers decide), the one-entry
+memos of that transpose, the weak bialgebra witnesses and the primitive
+subspace, the per-group memos of the G-defect witnesses, and the extension
+search's memos of the weak system and the lex solve: keyed on the structure's
+value, never stale, never growing past their bound."""
 
 import random
 
@@ -17,7 +18,6 @@ from homalg import (
     MulTensor,
     SUBGROUPS,
     Vector,
-    beta_coassociator,
     check_bialgebra_strict,
     check_bialgebra_weak,
     check_G_hom_associative,
@@ -30,17 +30,18 @@ from homalg import (
 from homalg import algebra, coalgebra, polysolve
 from homalg.algebra import _associator_tensors
 from homalg.bialgebra import primitive_subspace, weak_witnesses
+from homalg.coalgebra import beta_coassociator, dual_algebra_of_coalgebra
 from homalg.polysolve import _lex_solve, _weak_generators
 from homalg.sampling import random_scalar
 
 from conftest import bialgebra_row, mu1_algebra, mu2_algebra, truncated_primitive_bialgebra
 
-ONE_ENTRY = (_associator_tensors, beta_coassociator, weak_witnesses)
+ONE_ENTRY = (dual_algebra_of_coalgebra, weak_witnesses)
 PER_GROUP = (algebra._G_witnesses, coalgebra._G_witnesses)
 EXTENSION = (_weak_generators, _lex_solve)
 # one entry too, but no checker of reports() reaches it
 PRIMITIVE = (primitive_subspace,)
-MEMOS = ONE_ENTRY + PER_GROUP + EXTENSION + PRIMITIVE
+MEMOS = ONE_ENTRY + (_associator_tensors,) + PER_GROUP + EXTENSION + PRIMITIVE
 
 
 @pytest.fixture(autouse=True)
@@ -125,11 +126,21 @@ def test_equal_but_distinct_structures_give_equal_reports():
 
 def test_each_structure_computes_its_associator_and_coassociator_once():
     b = build(random_bialgebra_data(3, 4))
+    # reports() alternates the algebra's checkers and the coalgebra's, group
+    # by group: the transpose is built once, and each side's associator is
+    # computed once and kept beside the other's
     reports(b)
     for memo in ONE_ENTRY:
         info = memo.cache_info()
         assert info.misses == 1 and info.hits >= 1, memo
         assert info.maxsize == 1 and info.currsize == 1, memo
+    info = _associator_tensors.cache_info()
+    assert info.misses == 2 and info.maxsize == info.currsize == 2
+    # both sides are still there
+    assert beta_coassociator(b.coalgebra) is beta_coassociator(b.coalgebra)
+    _associator_tensors(b.algebra)
+    assert _associator_tensors.cache_info().misses == 2
+    assert dual_algebra_of_coalgebra.cache_info().misses == 1
     # one signed sum per group and side; G1 and G6 are asked for twice
     for memo in PER_GROUP:
         info = memo.cache_info()
@@ -141,6 +152,7 @@ def test_memo_holds_one_structure():
     for seed in range(5):
         reports(build(random_bialgebra_data(2, seed)))
     assert all(memo.cache_info().currsize == 1 for memo in ONE_ENTRY)
+    assert _associator_tensors.cache_info().currsize == 2
     assert all(memo.cache_info().currsize <= len(SUBGROUPS) for memo in PER_GROUP)
 
 

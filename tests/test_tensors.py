@@ -17,11 +17,10 @@ from homalg import (
     Tensor2,
     Tensor3,
     Vector,
-    flip_tau,
     phi_apply,
 )
 from homalg.sampling import random_scalar
-from homalg.tensors import permute_triple, signed_leg_sum
+from homalg.tensors import signed_leg_sum
 
 
 def random_tensor3(dim, rng):
@@ -136,10 +135,11 @@ def test_phi_linear():
             a * phi_apply(sigma, t1) + phi_apply(sigma, t2)
 
 
-def test_permute_triple_matches_phi():
+def test_phi_moves_the_legs_of_basis_tensors():
+    # Phi_sigma(x1 (x) x2 (x) x3) = x_{sigma^-1(1)} (x) x_{sigma^-1(2)} (x) x_{sigma^-1(3)}
     for sigma in S3:
         for trip in product(range(2), repeat=3):
-            moved = permute_triple(sigma, trip)
+            moved = tuple(trip[sigma.inverse()(m) - 1] for m in (1, 2, 3))
             assert phi_apply(sigma, basis_tensor3(2, *trip)) == \
                 basis_tensor3(2, *moved)
 
@@ -148,18 +148,18 @@ def test_permute_triple_matches_phi():
 
 def test_flip_pure_tensor():
     t = Tensor2.pure(Vector.basis(2, 0), Vector.basis(2, 1))
-    assert flip_tau(t) == Tensor2.pure(Vector.basis(2, 1), Vector.basis(2, 0))
+    assert t.flip() == Tensor2.pure(Vector.basis(2, 1), Vector.basis(2, 0))
 
 
 def test_flip_involution():
     rng = random.Random(19)
     t = Tensor2([[random_scalar(rng) for _ in range(3)] for _ in range(3)])
-    assert flip_tau(flip_tau(t)) == t
+    assert t.flip().flip() == t
 
 
 def test_flip_fixes_symmetric():
     t = Tensor2.pure(Vector.basis(2, 0), Vector.basis(2, 0))
-    assert flip_tau(t) == t
+    assert t.flip() == t
 
 
 # --- container validation ---------------------------------------------------
