@@ -55,14 +55,10 @@ from .coalgebra import (
     comultiply,
     delta_L,
     delta_op,
-    generic_coalgebra,
-    lemma_identities_check,
-)
-from .duality import (
     dual_algebra_of_coalgebra,
     dual_coalgebra_of_algebra,
-    dual_hopf,
-    duality_defect_correspondence,
+    generic_coalgebra,
+    lemma_identities_check,
 )
 from .linsolve import LinearSolution, linear_solve
 from .polysolve import (
@@ -80,6 +76,7 @@ from .reports import DefectReport, Witness
 from .structio import (
     ParseError,
     RegistryEntry,
+    dual,
     parse_structure,
     parse_structure_file,
     registry,

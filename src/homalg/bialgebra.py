@@ -173,9 +173,7 @@ def convolution_twist(bialgebra: HomBialgebra, f: LinearMap) -> LinearMap:
     return bialgebra.algebra.alpha.compose(f).compose(bialgebra.coalgebra.beta)
 
 
-def check_convolution_hom_associative(
-    bialgebra: HomBialgebra, samples: int = 20, seed: int = 0
-) -> bool | None:
+def check_convolution_hom_associative(bialgebra: HomBialgebra) -> bool | None:
     """gamma(f) * (g * h) = (f * g) * gamma(h) for all endomorphisms: True
     when the algebra side is Hom-associative and the coalgebra side
     Hom-coassociative, None ("premises not met") otherwise.
@@ -189,7 +187,7 @@ def check_convolution_hom_associative(
     and the right side is [(Delta (x) beta) o Delta](e_k)_{q,s,u} *
     [(e_p . e_r) . alpha(e_t)]_m.  Hom-coassociativity makes the first
     factors equal and Hom-associativity the second, so nothing is left to
-    evaluate.  ``samples`` and ``seed`` are accepted and have no effect.
+    evaluate.
     """
     premises = check_hom_associative(bialgebra.algebra).ok and \
         check_hom_coassociative(bialgebra.coalgebra).ok

@@ -42,12 +42,12 @@ from .coalgebra import (
     lemma_identities_check,
     admissibility_defects,
 )
-from .duality import dual
 from .polysolve import DEGREE_CAP, PAIR_CAP, search_bialgebra_extension
 from .rational import rat, rat_str
 from .reports import DefectReport
 from .structio import (
     ParseError,
+    dual,
     parts,
     registry,
     parse_structure,
@@ -225,7 +225,7 @@ def _cmd_subspace(args, generalized: bool) -> int:
 def _cmd_convolution_test(args) -> int:
     structure = _bialgebra(_load(args.file),
                            "convolution-test needs a bialgebra or hopf structure file")
-    if check_convolution_hom_associative(structure, samples=args.samples, seed=args.seed) is None:
+    if check_convolution_hom_associative(structure) is None:
         print("premises not met: the structure must be Hom-associative and "
               "Hom-coassociative")
         return 1
@@ -355,15 +355,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convolution-test",
                        help="verify twisted associativity of the convolution product")
     p.add_argument("file")
-    # accepted and ignored: the check is exact
-    p.add_argument("--samples", type=_int_at_least(0), default=20)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("identities", help="prove the universal identity suites at every dimension")
     p.add_argument("--dim", type=_int_at_least(1), default=2)
-    # accepted and ignored: one generic coalgebra proves the suite exactly
-    p.add_argument("--samples", type=_int_at_least(0), default=200)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("search-extension",
                        help="certify (non)existence of a bialgebra extension")

@@ -359,6 +359,8 @@ def check_coalgebra_morphism(
 ) -> bool:
     """(f (x) f) o Delta = Delta' o f, eps = eps' o f, f o beta = beta' o f: the
     transpose of f is an algebra morphism from the target's transpose to the
-    source's."""
-    return check_algebra_morphism(f.transpose(), dual_algebra_of_coalgebra(target),
-                                  dual_algebra_of_coalgebra(source))
+    source's.  Both transposes are built without the one-entry memo: two
+    coalgebras per call would miss it twice and evict the transpose of the
+    coalgebra the other checkers are working on."""
+    transpose = dual_algebra_of_coalgebra.__wrapped__
+    return check_algebra_morphism(f.transpose(), transpose(target), transpose(source))

@@ -1,4 +1,5 @@
-"""Structure kinds (:func:`parts`), structure files and the example registry.
+"""Structure kinds (:func:`parts`) and their duals (:func:`dual`), structure
+files and the example registry.
 
 Files are JSON with every rational rendered as a string ("p/q" or a bare
 integer).  Multiplication constants are nested as ``mul[i][j][k]`` and
@@ -17,7 +18,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from .algebra import HomAlgebra
 from .bialgebra import HomBialgebra, HomHopf
-from .coalgebra import HomCoalgebra
+from .coalgebra import HomCoalgebra, dual_algebra_of_coalgebra, dual_coalgebra_of_algebra
 from .rational import ONE, brief, rat, rat_str
 from .tensors import ComulTensor, LinearMap, MulTensor, Vector
 
@@ -165,6 +166,22 @@ def parts(structure: Structure) -> Parts:
     if isinstance(structure, HomCoalgebra):
         return Parts("coalgebra", None, structure, None, None)
     raise TypeError(f"not a serializable structure: {type(structure)!r}")
+
+
+def dual(structure: Structure) -> Structure:
+    """The dual of any of the four kinds: each side goes to its dual on the
+    other side, and an antipode transposes (the hopf constructor re-verifies
+    its equations on the dual)."""
+    p = parts(structure)
+    if p.kind == "algebra":
+        return dual_coalgebra_of_algebra(p.algebra)
+    if p.kind == "coalgebra":
+        return dual_algebra_of_coalgebra(p.coalgebra)
+    bialgebra = HomBialgebra(algebra=dual_algebra_of_coalgebra(p.coalgebra),
+                             coalgebra=dual_coalgebra_of_algebra(p.algebra))
+    if p.antipode is None:
+        return bialgebra
+    return HomHopf(bialgebra=bialgebra, antipode=p.antipode.transpose())
 
 
 def _json(view):

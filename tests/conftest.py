@@ -14,9 +14,13 @@ from homalg import (
     LinearMap,
     MulTensor,
     ComulTensor,
+    Tensor3,
     Vector,
+    phi_apply,
     registry,
+    subgroup,
 )
+from homalg.coalgebra import expand_beta_outer, expand_outer_beta
 from homalg.structio import parts
 
 # Property tests draw the same examples on every run: no example database,
@@ -103,3 +107,30 @@ def grouplike_coalgebra(dim: int) -> HomCoalgebra:
     comul = ComulTensor.from_entries(dim, {(k, k, k): 1 for k in range(dim)})
     return HomCoalgebra(comul=comul, beta=LinearMap.identity(dim),
                         counit=Vector([Fraction(1)] * dim))
+
+
+# --- direct references for the coalgebra conditions ---------------------------
+#
+# The checkers decide every coalgebra condition on the transpose
+# (dual_algebra_of_coalgebra); these evaluate c_beta(Delta) straight from its
+# definition, with the expansions of Delta followed by Delta and beta and
+# phi_apply, so a test that compares with them does not go through the
+# transpose.
+
+def reference_coassociator(c):
+    right = expand_outer_beta(c.comul, c.comul, c.beta)
+    left = expand_beta_outer(c.comul, c.comul, c.beta)
+    return [r - l for r, l in zip(right, left)]
+
+
+def reference_signed_sum(perms, t):
+    total = Tensor3.zero(t.dim)
+    for sigma in perms:
+        total = total + sigma.sign * phi_apply(sigma, t)
+    return total
+
+
+def reference_G_defect(c, group):
+    """sum_{sigma in G} (-1)^eps(sigma) Phi_sigma o c_beta(Delta), one cube
+    per basis vector, from the direct expansions."""
+    return [reference_signed_sum(subgroup(group), t) for t in reference_coassociator(c)]

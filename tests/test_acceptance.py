@@ -46,7 +46,7 @@ from homalg import (
 from homalg.cli import cli_main
 from homalg.sampling import random_comul_tensor, random_linear_map, random_scalar
 
-from conftest import bialgebra_row, mu1_algebra, mu2_algebra, \
+from conftest import bialgebra_row, mu1_algebra, mu2_algebra, reference_G_defect, \
     truncated_primitive_bialgebra
 
 
@@ -122,8 +122,10 @@ def test_criterion_03_duality_correspondence():
                     beta=random_linear_map(dim, rng),
                 )
                 dual = dual_algebra_of_coalgebra(c)
-                if check_G_hom_coalgebra(c, group).ok != \
-                        check_G_hom_associative(dual, group).ok:
+                # the reference: c_beta(Delta) expanded directly, not through the dual
+                direct = all(t.is_zero() for t in reference_G_defect(c, group))
+                if check_G_hom_coalgebra(c, group).ok != direct or \
+                        check_G_hom_associative(dual, group).ok != direct:
                     ok = False
                 if dual_coalgebra_of_algebra(dual) != c:
                     ok = False
@@ -134,8 +136,9 @@ def test_criterion_03_duality_correspondence():
     if dual_coalgebra_of_algebra(dual_algebra_of_coalgebra(b.coalgebra)) != \
             b.coalgebra:
         ok = False
-    _report(3, "G-defect booleans agree between 50 random coalgebras and their "
-               "duals per subgroup at dims 2-3; double dual is the identity", ok)
+    _report(3, "G-defect booleans of 50 random coalgebras per subgroup at dims 2-3 "
+               "and of their duals agree with the direct expansion of c_beta(Delta); "
+               "double dual is the identity", ok)
 
 
 def test_criterion_04_two_dim_classification():
@@ -189,7 +192,7 @@ def test_criterion_06_hopf_result():
 
 def test_criterion_07_convolution_proposition():
     b = bialgebra_row(2, b1=1, b2=0, b3=1)
-    ok = check_convolution_hom_associative(b, samples=20, seed=7) is True
+    ok = check_convolution_hom_associative(b) is True
     # plus a direct pass over all 64 basis-matrix triples with explicit maps
     mats = [LinearMap.basis_matrix(2, i, j) for i in range(2) for j in range(2)]
     for f, g, h in product(mats, repeat=3):
@@ -197,8 +200,8 @@ def test_criterion_07_convolution_proposition():
         rhs = convolution(b, convolution(b, f, g), convolution_twist(b, h))
         if lhs != rhs:
             ok = False
-    _report(7, "twisted convolution associativity holds on all 64 basis-matrix "
-               "triples plus 20 random triples over bialgebra (2)", ok)
+    _report(7, "twisted convolution associativity over bialgebra (2): the checked "
+               "premises, plus all 64 basis-matrix triples", ok)
 
 
 def test_criterion_08_primitive_structure():
@@ -286,8 +289,7 @@ def test_criterion_11_cli_and_round_trip(tmp_path, capsys):
 
     ok = cli_main(["check", str(b2_path), "--suite", "bialgebra-weak"]) == 0
     ok &= cli_main(["antipode", str(b1_path)]) == 1
-    ok &= cli_main(["identities", "--dim", "2", "--samples", "200",
-                    "--seed", "7"]) == 0
+    ok &= cli_main(["identities", "--dim", "2"]) == 0
 
     bindings = {
         "algebra-mu1": {"a1": "2", "a2": "1/3"},

@@ -27,7 +27,7 @@ from homalg import (
     convolution,
     convolution_twist,
     convolution_unit,
-    dual_hopf,
+    dual,
     generalized_primitive_subspace,
     primitive_subspace,
     solve_antipode,
@@ -187,18 +187,18 @@ def test_convolution_twist_values():
 
 def test_convolution_hom_associative_row2():
     b = bialgebra_row(2, b1=1, b2=0, b3=1)
-    assert check_convolution_hom_associative(b, samples=20, seed=0) is True
+    assert check_convolution_hom_associative(b) is True
 
 
 def test_convolution_hom_associative_generic_params():
     b = bialgebra_row(2, b1=3, b2=0, b3=-2, a1=Fraction(1, 2), a2=4)
-    assert check_convolution_hom_associative(b, samples=10, seed=1) is True
+    assert check_convolution_hom_associative(b) is True
 
 
 def test_convolution_hom_associative_exact_at_dim_3():
     b = cyclic_group_bialgebra()
     assert check_hom_associative(b.algebra).ok and check_hom_coassociative(b.coalgebra).ok
-    assert check_convolution_hom_associative(b, samples=0) is True
+    assert check_convolution_hom_associative(b) is True
 
 
 def _convolution_holds_on_basis_triples(b):
@@ -261,7 +261,7 @@ def test_convolution_verdict_agrees_with_basis_triples(make, premises):
     b = make()
     assert (check_hom_associative(b.algebra).ok
             and check_hom_coassociative(b.coalgebra).ok) is premises
-    assert check_convolution_hom_associative(b, samples=0) is (True if premises else None)
+    assert check_convolution_hom_associative(b) is (True if premises else None)
     assert _convolution_holds_on_basis_triples(b) is premises
 
 
@@ -362,10 +362,10 @@ def test_hopf_construction_validates():
 def test_dual_hopf_row2():
     hopf = HomHopf(bialgebra=bialgebra_row(2, b1=1, b2=0, b3=1),
                    antipode=LinearMap.identity(2))
-    dual = dual_hopf(hopf)  # construction re-verifies the antipode equations
-    assert dual.antipode == LinearMap.identity(2)
-    assert check_bialgebra_weak(dual.bialgebra).ok
-    assert dual_hopf(dual) == hopf
+    dualized = dual(hopf)  # construction re-verifies the antipode equations
+    assert dualized.antipode == LinearMap.identity(2)
+    assert check_bialgebra_weak(dualized.bialgebra).ok
+    assert dual(dualized) == hopf
 
 
 # --- primitive elements --------------------------------------------------------

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,12 +18,12 @@ from homalg import (
     LinearMap,
     MulTensor,
     Vector,
+    dual_coalgebra_of_algebra,
     parse_structure,
     registry,
     serialize_structure,
 )
-from homalg.cli import cli_main
-from homalg.duality import dual_coalgebra_of_algebra
+from homalg.cli import _build_parser, cli_main
 
 from conftest import bialgebra_row, cyclic_group_bialgebra, mu1_algebra
 
@@ -58,8 +60,7 @@ def test_antipode_bialgebra1_no_solution_exit_one(files, capsys):
 
 
 def test_identities_exit_zero(capsys):
-    assert cli_main(["identities", "--dim", "2", "--samples", "40",
-                     "--seed", "7"]) == 0
+    assert cli_main(["identities", "--dim", "2"]) == 0
     assert "failures=0" in capsys.readouterr().out
 
 
@@ -125,8 +126,7 @@ def test_primitives_and_gprimitives(files, capsys):
 
 
 def test_convolution_test_cli(files, capsys):
-    assert cli_main(["convolution-test", files["bialgebra-2.json"],
-                     "--samples", "5"]) == 0
+    assert cli_main(["convolution-test", files["bialgebra-2.json"]]) == 0
     assert "ok" in capsys.readouterr().out
 
 
@@ -236,13 +236,6 @@ def test_identities_dim_zero_is_usage_error(capsys):
     assert captured.out == "" and "--dim" in captured.err
 
 
-def test_convolution_test_negative_samples_is_usage_error(files, capsys):
-    assert cli_main(["convolution-test", files["bialgebra-2.json"],
-                     "--samples", "-5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "--samples" in captured.err
-
-
 def test_check_deeply_nested_json_is_parse_error(tmp_path, capsys):
     p = tmp_path / "deep.json"
     p.write_text("[" * 10000 + "]" * 10000)
@@ -315,7 +308,7 @@ def test_search_extension_under_python_O(files):
 def test_convolution_test_is_exact_at_dim_3(tmp_path, capsys):
     p = tmp_path / "z3.json"
     p.write_text(serialize_structure(cyclic_group_bialgebra()))
-    assert cli_main(["convolution-test", str(p), "--samples", "0"]) == 0
+    assert cli_main(["convolution-test", str(p)]) == 0
     assert capsys.readouterr().out == \
         "convolution Hom-associativity (exact, all basis-matrix triples): ok\n"
 
@@ -602,11 +595,13 @@ def test_identities_exact_stdout(dim, variables, capsys):
         "failures=0\n")
 
 
-def test_identities_ignores_samples_and_seed(capsys):
-    assert cli_main(["identities"]) == 0
-    default = capsys.readouterr()
-    assert cli_main(["identities", "--samples", "0", "--seed", "9"]) == 0
-    assert capsys.readouterr() == default
+def test_sampling_flags_are_usage_errors(files, capsys):
+    # both checks are exact, so neither command takes --samples or --seed
+    for command in (["convolution-test", files["bialgebra-2.json"]], ["identities"]):
+        for flag in ("--samples", "--seed"):
+            assert cli_main(command + [flag, "5"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"unrecognized arguments: {flag} 5" in captured.err
 
 
 @pytest.mark.parametrize("dim", [4, 6, 50])
@@ -659,3 +654,19 @@ def test_repeated_calls_keep_their_own_params(capsys):
         assert params == {"b1": b1, "b2": "0", "b3": b3}
     assert cli_main(["examples", "bialgebra-2"]) == 2
     assert "b1" in capsys.readouterr().err
+
+
+# --- the README's CLI section and the parser agree ------------------------------
+
+def test_readme_cli_section_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = set()
+    for name, sub in [(None, parser)] + sorted(commands.choices.items()):
+        assert name is None or f"homalg {name}" in section, name
+        accepted |= {o for a in sub._actions for o in a.option_strings if o.startswith("--")}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert sorted(accepted - named) == [], "accepted, not in the README"
+    assert sorted(named - accepted) == [], "in the README, not accepted"

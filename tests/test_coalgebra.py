@@ -37,14 +37,13 @@ from homalg.coalgebra import (
     _phi,
     _tensor_witnesses,
     counit_defects,
-    expand_beta_outer,
-    expand_outer_beta,
 )
 from homalg.linsolve import linear_solve
 from homalg.sampling import random_comul_tensor, random_linear_map, random_scalar
 from homalg.tensors import S3
 
-from conftest import bialgebra_row, grouplike_coalgebra, registry_parts
+from conftest import bialgebra_row, grouplike_coalgebra, reference_coassociator, \
+    reference_signed_sum, registry_parts
 
 E1 = Vector.basis(2, 0)
 E2 = Vector.basis(2, 1)
@@ -573,21 +572,9 @@ def test_comodule_rejects_malformed_entry():
 #
 # The checkers above run on the transpose (dual_algebra_of_coalgebra); these
 # references evaluate each coalgebra condition straight from its definition,
-# with the expansions of Delta followed by Delta and beta, phi_apply and
-# explicit sums over the structure constants.
-
-def reference_coassociator(c):
-    right = expand_outer_beta(c.comul, c.comul, c.beta)
-    left = expand_beta_outer(c.comul, c.comul, c.beta)
-    return [r - l for r, l in zip(right, left)]
-
-
-def reference_signed_sum(perms, t):
-    total = Tensor3.zero(t.dim)
-    for sigma in perms:
-        total = total + sigma.sign * phi_apply(sigma, t)
-    return total
-
+# with the expansions of Delta followed by Delta and beta (conftest's
+# reference_coassociator), phi_apply and explicit sums over the structure
+# constants.
 
 def reference_witnesses(cubes):
     """(indices, value) of each nonzero entry, k first, then in index order."""

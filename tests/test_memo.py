@@ -20,6 +20,7 @@ from homalg import (
     Vector,
     check_bialgebra_strict,
     check_bialgebra_weak,
+    check_coalgebra_morphism,
     check_G_hom_associative,
     check_G_hom_coalgebra,
     check_hom_associative,
@@ -154,6 +155,19 @@ def test_memo_holds_one_structure():
     assert all(memo.cache_info().currsize == 1 for memo in ONE_ENTRY)
     assert _associator_tensors.cache_info().currsize == 2
     assert all(memo.cache_info().currsize <= len(SUBGROUPS) for memo in PER_GROUP)
+
+
+def test_morphism_checks_leave_the_transpose_memo_alone():
+    kept = build(random_bialgebra_data(2, 6)).coalgebra
+    transpose = dual_algebra_of_coalgebra(kept)
+    before = dual_algebra_of_coalgebra.cache_info()
+    source, target = bialgebra_row(2).coalgebra, bialgebra_row(1).coalgebra
+    ident = LinearMap.identity(2)
+    for _ in range(5):
+        assert check_coalgebra_morphism(ident, source, source)
+        assert not check_coalgebra_morphism(ident, source, target)
+    assert dual_algebra_of_coalgebra.cache_info() == before
+    assert dual_algebra_of_coalgebra(kept) is transpose
 
 
 def test_one_condition_under_two_names_is_one_witness_tuple():

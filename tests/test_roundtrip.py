@@ -15,11 +15,11 @@ from homalg import (
     LinearMap,
     MulTensor,
     Vector,
+    dual,
     parse_structure_file,
     registry,
     serialize_structure,
 )
-from homalg.duality import dual
 
 scalars = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 params = st.dictionaries(st.text("ab12", min_size=1, max_size=3), scalars, max_size=3)
