@@ -236,6 +236,13 @@ def test_identities_dim_zero_is_usage_error(capsys):
     assert captured.out == "" and "--dim" in captured.err
 
 
+def test_convolution_test_negative_samples_is_usage_error(files, capsys):
+    assert cli_main(["convolution-test", files["bialgebra-2.json"],
+                     "--samples", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--samples" in captured.err
+
+
 def test_check_deeply_nested_json_is_parse_error(tmp_path, capsys):
     p = tmp_path / "deep.json"
     p.write_text("[" * 10000 + "]" * 10000)
