@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .algebra import (
     HomAlgebra,
-    HomBracket,
     alpha_associator,
     check_algebra_morphism,
     check_G_hom_associative,
@@ -71,7 +70,7 @@ from .polysolve import (
     search_bialgebra_extension,
     verify_certificate,
 )
-from .rational import Scalar, rat, rat_str
+from .rational import rat, rat_str
 from .reports import DefectReport, Witness
 from .structio import (
     ParseError,

@@ -39,7 +39,9 @@ from .tensors import (
 
 @dataclass(frozen=True)
 class HomAlgebra:
-    """Multiplication constants, twisting map, and an optional unit vector."""
+    """Multiplication constants, twisting map, and an optional unit vector.
+
+    A Hom-Lie bracket is such a product too (:func:`commutator_bracket`)."""
 
     mul: MulTensor
     alpha: LinearMap
@@ -54,26 +56,6 @@ class HomAlgebra:
     @property
     def dim(self) -> int:
         return self.mul.dim
-
-
-@dataclass(frozen=True)
-class HomBracket:
-    """Bracket structure constants with a twisting map.
-
-    Intended for skew-symmetric brackets; skew-symmetry is a checked
-    property (:func:`check_skew`), not a construction constraint.
-    """
-
-    bracket: MulTensor
-    alpha: LinearMap
-
-    def __post_init__(self):
-        if self.alpha.dim != self.bracket.dim:
-            raise ValueError("bracket and alpha dimensions differ")
-
-    @property
-    def dim(self) -> int:
-        return self.bracket.dim
 
 
 def multiply(algebra: HomAlgebra, x: Vector, y: Vector) -> Vector:
@@ -170,27 +152,28 @@ def check_G_hom_associative(algebra: HomAlgebra, group: str) -> DefectReport:
     return DefectReport(f"{group}-hom-associative", _G_witnesses(algebra, group))
 
 
-def commutator_bracket(algebra: HomAlgebra) -> HomBracket:
-    """[x, y] = mu(x (x) y) - mu(y (x) x), with the twist carried over."""
-    opposite = MulTensor.contracted("jik->ijk", algebra.mul)
-    return HomBracket(bracket=algebra.mul - opposite, alpha=algebra.alpha)
+def commutator_bracket(algebra: HomAlgebra) -> HomAlgebra:
+    """[x, y] = mu(x (x) y) - mu(y (x) x), with the twist carried over: the
+    commutator Hom-algebra, which has no unit."""
+    return HomAlgebra(mul=algebra.mul - MulTensor.contracted("jik->ijk", algebra.mul),
+                      alpha=algebra.alpha)
 
 
-def check_skew(lie: HomBracket) -> bool:
-    return (lie.bracket + MulTensor.contracted("jik->ijk", lie.bracket)).is_zero()
+def check_skew(lie: HomAlgebra) -> bool:
+    return (lie.mul + MulTensor.contracted("jik->ijk", lie.mul)).is_zero()
 
 
-def check_hom_jacobi(lie: HomBracket) -> DefectReport:
+def check_hom_jacobi(lie: HomAlgebra) -> DefectReport:
     """Cyclic sum [alpha(x), [y, z]] + [alpha(y), [z, x]] + [alpha(z), [x, y]] = 0."""
-    _, nested = _associator_parts(lie.bracket, lie.alpha)
+    _, nested = _associator_parts(lie.mul, lie.alpha)
     # G5 = {id, (213), (231)}, all of sign +1: its signed sum is the cyclic sum
     defects = [signed_leg_sum(subgroup("G5"), t) for t in nested]
     return DefectReport("hom-jacobi", _component_witnesses(defects))
 
 
-def check_hom_leibniz(lie: HomBracket) -> DefectReport:
+def check_hom_leibniz(lie: HomAlgebra) -> DefectReport:
     """[[x, y], alpha(z)] = [[x, z], alpha(y)] + [alpha(x), [y, z]] on basis triples."""
-    outer, nested = _associator_parts(lie.bracket, lie.alpha)
+    outer, nested = _associator_parts(lie.mul, lie.alpha)
     defects = [a - phi_apply(PERM_23, a) - b for a, b in zip(outer, nested)]
     return DefectReport("hom-leibniz", _component_witnesses(defects))
 

@@ -142,14 +142,15 @@ def expand_beta_outer(
 # the transpose, on which every condition is decided
 
 
-@lru_cache(maxsize=1)
 def dual_algebra_of_coalgebra(coalgebra: HomCoalgebra) -> HomAlgebra:
-    """C_{ij}^k := D_k^{ij}, alpha := beta transposed, unit := counit weights.
-
-    Remembered for the last coalgebra (by value), which every checker of one
-    structure in a row then shares."""
+    """C_{ij}^k := D_k^{ij}, alpha := beta transposed, unit := counit weights."""
     return HomAlgebra(MulTensor.contracted("kij->ijk", coalgebra.comul),
                       coalgebra.beta.transpose(), coalgebra.counit)
+
+
+# the checkers' transpose, remembered for the last coalgebra (by value), which
+# every checker of one structure in a row then shares
+_transpose = lru_cache(maxsize=1)(dual_algebra_of_coalgebra)
 
 
 def dual_coalgebra_of_algebra(algebra: HomAlgebra) -> HomCoalgebra:
@@ -162,15 +163,15 @@ def beta_coassociator(coalgebra: HomCoalgebra) -> tuple[Tensor3, ...]:
     """c_beta(Delta) = (Delta (x) beta) o Delta - (beta (x) Delta) o Delta, one
     cube [i][j][l] per basis vector k: the alpha-associator of the transpose,
     remembered with it."""
-    return _associator_tensors(dual_algebra_of_coalgebra(coalgebra))
+    return _associator_tensors(_transpose(coalgebra))
 
 
 def _cocommutator_coassociator(coalgebra: HomCoalgebra) -> tuple[Tensor3, ...]:
     """c_beta(Delta_L), remembered nowhere: Delta_L transposes to the
     commutator bracket of the transpose, and this is that bracket's
     alpha-associator."""
-    bracket = commutator_bracket(dual_algebra_of_coalgebra(coalgebra))
-    return tuple(map(sub, *_associator_parts(bracket.bracket, bracket.alpha)))
+    bracket = commutator_bracket(_transpose(coalgebra))
+    return tuple(map(sub, *_associator_parts(bracket.mul, bracket.alpha)))
 
 
 def _tensor_witnesses(tensors: Sequence[Tensor3]) -> tuple[Witness, ...]:
@@ -190,7 +191,7 @@ def _G_witnesses(coalgebra: HomCoalgebra, group: str) -> tuple[Witness, ...]:
     Remembered by value for the last len(SUBGROUPS) (coalgebra, group) pairs,
     so Hom-coassociativity and G1, and the alternating admissibility route and
     G6, which are one condition each, share one tuple."""
-    return _tensor_witnesses(_G_defects(dual_algebra_of_coalgebra(coalgebra), group))
+    return _tensor_witnesses(_G_defects(_transpose(coalgebra), group))
 
 
 def check_hom_coassociative(coalgebra: HomCoalgebra) -> DefectReport:
@@ -212,7 +213,7 @@ def counit_defects(coalgebra: HomCoalgebra) -> tuple[LinearMap, LinearMap]:
 def check_counital(coalgebra: HomCoalgebra) -> bool | None:
     """(C2): (id (x) eps) o Delta = id = (eps (x) id) o Delta; None if no counit.
     The transpose's unit law."""
-    return check_unital(dual_algebra_of_coalgebra(coalgebra))
+    return check_unital(_transpose(coalgebra))
 
 
 def check_G_hom_coalgebra(coalgebra: HomCoalgebra, group: str) -> DefectReport:
@@ -233,7 +234,7 @@ def admissibility_defects(
     These always satisfy cyclic = 2 * alternating, which the test suite pins
     as a universal identity.
     """
-    dual = dual_algebra_of_coalgebra(coalgebra)
+    dual = _transpose(coalgebra)
     alternating = tuple(signed_leg_sum(S3, a - b)
                         for a, b in zip(*_associator_parts(dual.mul, dual.alpha)))
     # G5 = {id, (213), (231)}, all of sign +1: its signed sum is the cyclic sum
@@ -348,7 +349,7 @@ def check_comodule(
         raise ValueError("coaction tensor must have shape m_dim x m_dim x dim")
     if g.dim != m_dim:
         raise ValueError("g must act on the comodule")
-    dual = dual_algebra_of_coalgebra(coalgebra)
+    dual = _transpose(coalgebra)
     opposite = HomAlgebra(MulTensor.contracted("jik->ijk", dual.mul), dual.alpha)
     gamma = [[[rho[m][p][i] for m in range(m_dim)] for p in range(m_dim)] for i in range(n)]
     return check_module(opposite, m_dim, g.transpose(), gamma)
@@ -359,8 +360,6 @@ def check_coalgebra_morphism(
 ) -> bool:
     """(f (x) f) o Delta = Delta' o f, eps = eps' o f, f o beta = beta' o f: the
     transpose of f is an algebra morphism from the target's transpose to the
-    source's.  Both transposes are built without the one-entry memo: two
-    coalgebras per call would miss it twice and evict the transpose of the
-    coalgebra the other checkers are working on."""
-    transpose = dual_algebra_of_coalgebra.__wrapped__
-    return check_algebra_morphism(f.transpose(), transpose(target), transpose(source))
+    source's."""
+    return check_algebra_morphism(f.transpose(), dual_algebra_of_coalgebra(target),
+                                  dual_algebra_of_coalgebra(source))

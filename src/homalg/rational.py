@@ -18,8 +18,6 @@ from operator import add
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

@@ -6,7 +6,6 @@ import pytest
 
 from homalg import (
     HomAlgebra,
-    HomBracket,
     LinearMap,
     MulTensor,
     Vector,
@@ -221,7 +220,7 @@ def test_unknown_subgroup_rejected():
 def test_commutator_of_commutative_is_zero():
     lie = commutator_bracket(mu1_algebra(2, 7))
     assert all(
-        lie.bracket.entry(i, j, k) == 0 for i, j, k in product(range(2), repeat=3)
+        lie.mul.entry(i, j, k) == 0 for i, j, k in product(range(2), repeat=3)
     )
 
 
@@ -232,7 +231,7 @@ def test_bracket_diagonal_vanishes():
     lie = commutator_bracket(algebra)
     for i in range(3):
         e = Vector.basis(3, i)
-        assert lie.bracket.apply(e, e).is_zero()
+        assert lie.mul.apply(e, e).is_zero()
 
 
 def test_noncommutative_bracket_value():
@@ -241,8 +240,8 @@ def test_noncommutative_bracket_value():
         alpha=LinearMap.identity(2),
     )
     lie = commutator_bracket(algebra)
-    assert lie.bracket.apply(E1, E2) == E2
-    assert lie.bracket.apply(E2, E1) == -E2
+    assert lie.mul.apply(E1, E2) == E2
+    assert lie.mul.apply(E2, E1) == -E2
 
 
 def test_skew_and_jacobi_from_hom_associative():
@@ -275,7 +274,7 @@ def test_bracket_lawful_on_tensor_products_and_duals():
 
 
 def test_zero_bracket_trivially_lawful():
-    lie = HomBracket(bracket=MulTensor.zero(2), alpha=LinearMap.identity(2))
+    lie = HomAlgebra(mul=MulTensor.zero(2), alpha=LinearMap.identity(2))
     assert check_skew(lie)
     assert check_hom_jacobi(lie).ok
     assert check_hom_leibniz(lie).ok
@@ -288,7 +287,7 @@ def test_corrupted_bracket_detected():
     ))
     # flip one sign: set bracket(e2, e1) = +e2 instead of -e2
     bad = MulTensor.from_entries(2, {(0, 1, 1): 1, (1, 0, 1): 1})
-    corrupted = HomBracket(bracket=bad, alpha=lie.alpha)
+    corrupted = HomAlgebra(mul=bad, alpha=lie.alpha)
     assert not check_skew(corrupted)
     leib = check_hom_leibniz(corrupted)
     assert not leib.ok and leib.witnesses
@@ -303,7 +302,7 @@ def test_skew_plus_leibniz_implies_jacobi():
         v = random_vector(2, rng)
         cube[0][1] = [v[0], v[1]]
         cube[1][0] = [-v[0], -v[1]]
-        lie = HomBracket(bracket=MulTensor(cube), alpha=random_linear_map(2, rng))
+        lie = HomAlgebra(mul=MulTensor(cube), alpha=random_linear_map(2, rng))
         assert check_skew(lie)
         if check_hom_leibniz(lie).ok:
             found += 1
@@ -429,12 +428,6 @@ def test_construction_rejects_mismatched_dimensions():
         HomAlgebra(mul, alpha)
     with pytest.raises(ValueError, match="^unit dimension differs from mul$"):
         HomAlgebra(mul, LinearMap.identity(2), Vector.basis(3, 0))
-    with pytest.raises(ValueError, match="^bracket and alpha dimensions differ$"):
-        HomBracket(bracket=mul, alpha=alpha)
-
-
-def test_bracket_dim_is_its_space():
-    assert HomBracket(bracket=MulTensor.zero(3), alpha=LinearMap.identity(3)).dim == 3
 
 
 def test_algebra_morphism_check_rejects_mismatched_dimensions():

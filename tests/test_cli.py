@@ -76,6 +76,25 @@ def test_check_default_suites(files):
     assert cli_main(["check", files["hopf-2.json"]]) == 0
 
 
+def test_hopf_check_reads_the_constructors_antipode_verdict(files, monkeypatch, capsys):
+    import homalg.bialgebra
+    import homalg.cli
+
+    calls = []
+    original = homalg.bialgebra.antipode_defect
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(homalg.bialgebra, "antipode_defect", counted)
+    monkeypatch.setattr(homalg.cli, "antipode_defect", counted, raising=False)
+    assert cli_main(["check", files["hopf-2.json"]]) == 0
+    # the parse builds the HomHopf, which verifies the antipode once
+    assert len(calls) == 1
+    assert f"[PASS] {files['hopf-2.json']}: antipode equations: ok\n" in capsys.readouterr().out
+
+
 def test_check_failure_exit_one(tmp_path, capsys):
     # corrupt the counit so the coassoc suite fails
     b = bialgebra_row(2)
@@ -628,7 +647,7 @@ def test_identities_hold_little_memory_afterwards(capsys):
     import homalg.algebra
     import homalg.coalgebra
 
-    memos = (homalg.coalgebra._compositions, homalg.coalgebra.dual_algebra_of_coalgebra,
+    memos = (homalg.coalgebra._compositions, homalg.coalgebra._transpose,
              homalg.algebra._associator_tensors)
     for memo in memos:
         memo.cache_clear()
@@ -664,6 +683,14 @@ def test_repeated_calls_keep_their_own_params(capsys):
 
 
 # --- the README's CLI section and the parser agree ------------------------------
+
+def test_readme_library_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
 
 def test_readme_cli_section_matches_the_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

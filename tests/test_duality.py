@@ -6,6 +6,7 @@ import pytest
 
 from homalg import (
     ComulTensor,
+    HomAlgebra,
     HomBialgebra,
     HomCoalgebra,
     HomHopf,
@@ -19,6 +20,8 @@ from homalg import (
     check_hom_coassociative,
     check_unital,
     check_counital,
+    commutator_bracket,
+    delta_L,
     dual,
     dual_algebra_of_coalgebra,
     dual_coalgebra_of_algebra,
@@ -29,7 +32,12 @@ from homalg import (
 )
 from homalg.algebra import _associator_parts
 from homalg.coalgebra import beta_coassociator, expand_beta_outer, expand_outer_beta
-from homalg.sampling import random_comul_tensor, random_linear_map, random_scalar
+from homalg.sampling import (
+    random_comul_tensor,
+    random_linear_map,
+    random_mul_tensor,
+    random_scalar,
+)
 
 from conftest import bialgebra_row, grouplike_coalgebra, mu1_algebra, reference_G_defect
 
@@ -126,6 +134,23 @@ def test_defect_correspondence_random():
                 verdicts[direct_verdict(c, group)] += 1
     # not vacuous: G6 vanishes on every dim-2 coalgebra, the rest fail
     assert verdicts == {True: 10, False: 110}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_commutator_bracket_and_cocommutator_are_duals(dim):
+    # the bracket and Delta_L are one structure type seen from either side; a
+    # declared (co)unit is dropped by both
+    rng = random.Random(60 + dim)
+    for counital in (False, True):
+        c = random_coalgebra(dim, rng, counital=counital)
+        assert commutator_bracket(dual_algebra_of_coalgebra(c)) == \
+            dual_algebra_of_coalgebra(delta_L(c))
+        unit = Vector([random_scalar(rng) for _ in range(dim)]) if counital else None
+        a = HomAlgebra(mul=random_mul_tensor(dim, rng), alpha=random_linear_map(dim, rng),
+                       unit=unit)
+        assert dual_coalgebra_of_algebra(commutator_bracket(a)) == \
+            delta_L(dual_coalgebra_of_algebra(a))
+        assert commutator_bracket(a).unit is None
 
 
 def test_dual_covers_all_four_kinds():

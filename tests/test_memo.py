@@ -26,18 +26,20 @@ from homalg import (
     check_hom_associative,
     check_hom_coassociative,
     check_hom_lie_admissible,
+    dual,
+    dual_algebra_of_coalgebra,
     search_bialgebra_extension,
 )
 from homalg import algebra, coalgebra, polysolve
 from homalg.algebra import _associator_tensors
 from homalg.bialgebra import primitive_subspace, weak_witnesses
-from homalg.coalgebra import beta_coassociator, dual_algebra_of_coalgebra
+from homalg.coalgebra import _transpose, beta_coassociator
 from homalg.polysolve import _lex_solve, _weak_generators
 from homalg.sampling import random_scalar
 
 from conftest import bialgebra_row, mu1_algebra, mu2_algebra, truncated_primitive_bialgebra
 
-ONE_ENTRY = (dual_algebra_of_coalgebra, weak_witnesses)
+ONE_ENTRY = (_transpose, weak_witnesses)
 PER_GROUP = (algebra._G_witnesses, coalgebra._G_witnesses)
 EXTENSION = (_weak_generators, _lex_solve)
 # one entry too, but no checker of reports() reaches it
@@ -141,7 +143,7 @@ def test_each_structure_computes_its_associator_and_coassociator_once():
     assert beta_coassociator(b.coalgebra) is beta_coassociator(b.coalgebra)
     _associator_tensors(b.algebra)
     assert _associator_tensors.cache_info().misses == 2
-    assert dual_algebra_of_coalgebra.cache_info().misses == 1
+    assert _transpose.cache_info().misses == 1
     # one signed sum per group and side; G1 and G6 are asked for twice
     for memo in PER_GROUP:
         info = memo.cache_info()
@@ -159,15 +161,26 @@ def test_memo_holds_one_structure():
 
 def test_morphism_checks_leave_the_transpose_memo_alone():
     kept = build(random_bialgebra_data(2, 6)).coalgebra
-    transpose = dual_algebra_of_coalgebra(kept)
-    before = dual_algebra_of_coalgebra.cache_info()
+    transpose = _transpose(kept)
+    before = _transpose.cache_info()
     source, target = bialgebra_row(2).coalgebra, bialgebra_row(1).coalgebra
     ident = LinearMap.identity(2)
     for _ in range(5):
         assert check_coalgebra_morphism(ident, source, source)
         assert not check_coalgebra_morphism(ident, source, target)
-    assert dual_algebra_of_coalgebra.cache_info() == before
-    assert dual_algebra_of_coalgebra(kept) is transpose
+    assert _transpose.cache_info() == before
+    assert _transpose(kept) is transpose
+
+
+def test_dualizing_leaves_the_transpose_memo_alone():
+    checked, other = (build(random_bialgebra_data(2, seed)).coalgebra for seed in (7, 8))
+    assert not check_hom_coassociative(checked).ok
+    before = _transpose.cache_info()
+    assert dual(other) == dual_algebra_of_coalgebra(other)
+    # G2 is a new signed sum, so it asks the memo for the transpose again
+    assert not check_G_hom_coalgebra(checked, "G2").ok
+    after = _transpose.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 1
 
 
 def test_one_condition_under_two_names_is_one_witness_tuple():
