@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 from typing import Sequence
 
-from .reports import DefectReport, Witness
+from .reports import DefectReport, Witness, witnesses
 from .tensors import (
     PERM_23,
     SUBGROUPS,
@@ -80,22 +81,23 @@ def _associator_parts(
             Tensor3.slices("up,utk,qst->kpqs", alpha, mul, mul))
 
 
-@lru_cache(maxsize=2)
-def _associator_tensors(algebra: HomAlgebra) -> tuple[Tensor3, ...]:
-    """The alpha-associator, one cube [p][q][s] per output component k.
-
-    Remembered for the last two algebras (by value), so a bialgebra's algebra
-    and the transpose of its coalgebra, on which the coalgebra checkers
-    decide, are each computed once for every checker of one structure."""
-    left, right = _associator_parts(algebra.mul, algebra.alpha)
-    return tuple(a - b for a, b in zip(left, right))
+def _associator(algebra: HomAlgebra) -> tuple[Tensor3, ...]:
+    """The alpha-associator, one cube [p][q][s] per output component k."""
+    return tuple(map(sub, *_associator_parts(algebra.mul, algebra.alpha)))
 
 
-def _component_witnesses(tensors: Sequence[Tensor3]) -> tuple[Witness, ...]:
-    """Witnesses (p, q, s, k) of per-component defect cubes, in index order."""
-    entries = {idx + (k,): value
-               for k, tensor in enumerate(tensors) for idx, value in tensor.nonzero.items()}
-    return tuple(Witness(indices=idx, value=entries[idx]) for idx in sorted(entries))
+# the checkers' associator, remembered for the last two algebras (by value): a
+# bialgebra's algebra and the transpose of its coalgebra, on which the
+# coalgebra checkers decide, are each computed once for every checker of one
+# structure
+_associator_tensors = lru_cache(maxsize=2)(_associator)
+
+
+def _component_witnesses(tensors: Sequence[Tensor3], k_first: bool = False) -> tuple[Witness, ...]:
+    """Witnesses (p, q, s, k) of per-component defect cubes [p][q][s], in index
+    order; (k, p, q, s) with ``k_first``, the order of the coalgebra side."""
+    return witnesses({(k,) + idx if k_first else idx + (k,): value
+                      for k, tensor in enumerate(tensors) for idx, value in tensor.nonzero.items()})
 
 
 def _G_defects(algebra: HomAlgebra, group: str) -> Sequence[Tensor3]:
@@ -108,13 +110,16 @@ def _G_defects(algebra: HomAlgebra, group: str) -> Sequence[Tensor3]:
     return defects
 
 
-@lru_cache(maxsize=len(SUBGROUPS))
-def _G_witnesses(algebra: HomAlgebra, group: str) -> tuple[Witness, ...]:
-    """Witnesses of the G-defect.
+@lru_cache(maxsize=2 * len(SUBGROUPS))
+def _G_witnesses(algebra: HomAlgebra, group: str, k_first: bool = False) -> tuple[Witness, ...]:
+    """Witnesses of the G-defect, k first for the coalgebra checkers, which
+    ask on the transpose.
 
-    Remembered by value for the last len(SUBGROUPS) (algebra, group) pairs,
-    so Hom-associativity and G1, which are one condition, share one tuple."""
-    return _component_witnesses(_G_defects(algebra, group))
+    Remembered by value for the last 2 * len(SUBGROUPS) calls, every group
+    of an algebra and of a coalgebra's transpose, so one condition under two
+    names (Hom-associativity and G1, Hom-coassociativity and G1, the
+    alternating admissibility route and G6) shares one tuple."""
+    return _component_witnesses(_G_defects(algebra, group), k_first)
 
 
 def check_hom_associative(algebra: HomAlgebra) -> DefectReport:

@@ -29,7 +29,7 @@ from .algebra import HomAlgebra, check_hom_associative
 from .coalgebra import HomCoalgebra, check_hom_coassociative
 from .linsolve import linear_solve
 from .rational import ONE, ZERO
-from .reports import DefectReport, Witness
+from .reports import DefectReport, Witness, witnesses
 from .tensors import ComulTensor, LinearMap, Table, Tensor2, Vector, contract, tabled
 
 
@@ -102,13 +102,11 @@ def weak_witnesses(bialgebra: HomBialgebra) -> tuple[Witness, ...]:
     comul = bialgebra.coalgebra.comul
     mul = bialgebra.algebra.mul
 
-    grouplike_defect = comul.apply(u) - Tensor2.pure(u, u)
-    witnesses = [Witness(idx, v, "unit-grouplike")
-                 for idx, v in grouplike_defect.nonzero_entries()]
+    found = list(witnesses((comul.apply(u) - Tensor2.pure(u, u)).nonzero, "unit-grouplike"))
 
     eps_unit = contract("k,k->", u, eps) - ONE
     if eps_unit:
-        witnesses.append(Witness((), eps_unit, "counit-on-unit"))
+        found.append(Witness((), eps_unit, "counit-on-unit"))
 
     # Delta(e_p . e_q) and the factor-wise product Delta(e_p) * Delta(e_q),
     # one order-2 tensor per pair (p, q), and eps(e_p . e_q) - eps(e_p) eps(e_q)
@@ -117,10 +115,10 @@ def weak_witnesses(bialgebra: HomBialgebra) -> tuple[Witness, ...]:
     eps_diff = (LinearMap.contracted("pqk,k->pq", mul, eps)
                 - LinearMap.contracted("p,q->pq", eps, eps)).nonzero
     for pq, a, b in zip(product(range(n), repeat=2), comul_of_product, product_of_comul):
-        witnesses += [Witness(pq + idx, v, "comul-mult") for idx, v in (a - b).nonzero_entries()]
+        found += witnesses((a - b).nonzero, "comul-mult", pq)
         if pq in eps_diff:
-            witnesses.append(Witness(pq, eps_diff[pq], "counit-mult"))
-    return tuple(witnesses)
+            found.append(Witness(pq, eps_diff[pq], "counit-mult"))
+    return tuple(found)
 
 
 def alpha_witnesses(bialgebra: HomBialgebra) -> list[Witness]:
@@ -133,13 +131,12 @@ def alpha_witnesses(bialgebra: HomBialgebra) -> list[Witness]:
     comul_alpha = ComulTensor.contracted("tk,tij->kij", alpha, comul) \
         - ComulTensor.contracted("ia,kab,jb->kij", alpha, comul, alpha)
     counit_alpha = Vector.contracted("ik,i->k", alpha, eps) - eps
-    witnesses = []
+    found = []
     for k in range(bialgebra.dim):
-        witnesses += [Witness((k,) + idx, v, "comul-alpha")
-                      for idx, v in comul_alpha.image(k).nonzero_entries()]
+        found += witnesses(comul_alpha.image(k).nonzero, "comul-alpha", (k,))
         if counit_alpha[k]:
-            witnesses.append(Witness((k,), counit_alpha[k], "counit-alpha"))
-    return witnesses
+            found.append(Witness((k,), counit_alpha[k], "counit-alpha"))
+    return found
 
 
 def check_bialgebra_weak(bialgebra: HomBialgebra) -> DefectReport:

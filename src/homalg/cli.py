@@ -281,6 +281,9 @@ def _cmd_search_extension(args) -> int:
 def _cmd_examples(args) -> int:
     entries = registry()
     if not args.name:
+        if args.output is not None or args.param:
+            flag = "-o/--output" if args.output is not None else "--param"
+            raise _Failure(f"{flag} needs an example name; the listing takes neither flag")
         for name in sorted(entries):
             e = entries[name]
             required = ", ".join(e.required)
@@ -296,8 +299,11 @@ def _cmd_examples(args) -> int:
         if "=" not in item:
             raise _Failure(f"--param expects name=value, got {item!r}")
         key, _, value = item.partition("=")
+        key = key.strip()
+        if key in bindings:
+            raise _Failure(f"--param {key} given more than once")
         try:
-            bindings[key.strip()] = rat(value.strip())
+            bindings[key] = rat(value.strip())
         except ValueError as exc:
             raise _Failure(f"--param {item!r}: {exc}") from exc
     try:

@@ -39,16 +39,16 @@ from typing import Sequence
 
 from .algebra import (
     HomAlgebra,
-    _associator_parts,
+    _associator,
     _associator_tensors,
-    _G_defects,
+    _G_witnesses,
     check_algebra_morphism,
     check_module,
     check_unital,
     commutator_bracket,
 )
 from .rational import Poly
-from .reports import DefectReport, Witness
+from .reports import DefectReport
 from .tensors import (
     ComulTensor,
     LinearMap,
@@ -59,7 +59,6 @@ from .tensors import (
     PERM_213,
     PERM_231,
     S3,
-    SUBGROUPS,
     Tensor2,
     Tensor3,
     Vector,
@@ -170,33 +169,13 @@ def _cocommutator_coassociator(coalgebra: HomCoalgebra) -> tuple[Tensor3, ...]:
     """c_beta(Delta_L), remembered nowhere: Delta_L transposes to the
     commutator bracket of the transpose, and this is that bracket's
     alpha-associator."""
-    bracket = commutator_bracket(_transpose(coalgebra))
-    return tuple(map(sub, *_associator_parts(bracket.mul, bracket.alpha)))
-
-
-def _tensor_witnesses(tensors: Sequence[Tensor3]) -> tuple[Witness, ...]:
-    """Witnesses (k, i, j, l) of per-basis-vector defect cubes, in index order."""
-    return tuple(
-        Witness(indices=(k,) + idx, value=value)
-        for k, tensor in enumerate(tensors)
-        for idx, value in tensor.nonzero_entries()
-    )
-
-
-@lru_cache(maxsize=len(SUBGROUPS))
-def _G_witnesses(coalgebra: HomCoalgebra, group: str) -> tuple[Witness, ...]:
-    """Witnesses of sum_{sigma in G} (-1)^eps(sigma) Phi_sigma o c_beta(Delta),
-    the G-defect of the transpose; for G1 that is c_beta(Delta) itself.
-
-    Remembered by value for the last len(SUBGROUPS) (coalgebra, group) pairs,
-    so Hom-coassociativity and G1, and the alternating admissibility route and
-    G6, which are one condition each, share one tuple."""
-    return _tensor_witnesses(_G_defects(_transpose(coalgebra), group))
+    return _associator(commutator_bracket(_transpose(coalgebra)))
 
 
 def check_hom_coassociative(coalgebra: HomCoalgebra) -> DefectReport:
     """(C1): the beta-coassociator vanishes on every basis vector."""
-    return DefectReport("hom-coassociative", _G_witnesses(coalgebra, "G1"))
+    return DefectReport("hom-coassociative",
+                        _G_witnesses(_transpose(coalgebra), "G1", k_first=True))
 
 
 def counit_defects(coalgebra: HomCoalgebra) -> tuple[LinearMap, LinearMap]:
@@ -222,7 +201,8 @@ def check_G_hom_coalgebra(coalgebra: HomCoalgebra, group: str) -> DefectReport:
     G1 is Hom-coassociativity, G2 the Vinberg variant, G3 the pre-Lie
     variant, G6 Hom-Lie admissibility.
     """
-    return DefectReport(f"{group}-hom-coalgebra", _G_witnesses(coalgebra, group))
+    return DefectReport(f"{group}-hom-coalgebra",
+                        _G_witnesses(_transpose(coalgebra), group, k_first=True))
 
 
 def admissibility_defects(
@@ -234,9 +214,7 @@ def admissibility_defects(
     These always satisfy cyclic = 2 * alternating, which the test suite pins
     as a universal identity.
     """
-    dual = _transpose(coalgebra)
-    alternating = tuple(signed_leg_sum(S3, a - b)
-                        for a, b in zip(*_associator_parts(dual.mul, dual.alpha)))
+    alternating = tuple(signed_leg_sum(S3, t) for t in _associator(_transpose(coalgebra)))
     # G5 = {id, (213), (231)}, all of sign +1: its signed sum is the cyclic sum
     return (tuple(signed_leg_sum(subgroup("G5"), t)
                   for t in _cocommutator_coassociator(coalgebra)), alternating)
@@ -262,7 +240,7 @@ def check_hom_lie_admissible(coalgebra: HomCoalgebra) -> AdmissibilityReport:
     """Both routes.  The alternating one is the G6 condition and shares its
     witnesses; the cyclic one is those witnesses doubled, since cyclic =
     2 * alternating on every coalgebra (``identities`` proves it)."""
-    alternating = _G_witnesses(coalgebra, "G6")
+    alternating = _G_witnesses(_transpose(coalgebra), "G6", k_first=True)
     return AdmissibilityReport(
         cyclic=DefectReport("hom-lie-admissible (cyclic)",
                             tuple(replace(w, value=2 * w.value) for w in alternating)),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -23,6 +24,14 @@ class Witness:
         idx = ",".join(str(i + 1) for i in self.indices)
         head = f"{self.label}({idx})" if self.label else f"({idx})"
         return f"{head} = {self.value}"
+
+
+def witnesses(entries: Mapping[tuple[int, ...], Fraction], label: str = "",
+              prefix: tuple[int, ...] = ()) -> tuple[Witness, ...]:
+    """One witness per entry of ``entries``, the nonzero defect values by index
+    tuple, at ``prefix`` + that tuple, in index order: the one way every
+    checker lists its defects."""
+    return tuple(Witness(prefix + idx, entries[idx], label) for idx in sorted(entries))
 
 
 @dataclass(frozen=True)

@@ -363,9 +363,6 @@ class _Tensor:
         self._fits(index, self.dim)
         return reduce(getitem, index, self._data)
 
-    def nonzero_entries(self) -> list[tuple[tuple[int, ...], object]]:
-        return sorted(self.nonzero.items(), key=itemgetter(0))
-
     def is_zero(self) -> bool:
         return not self._num
 

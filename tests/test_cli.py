@@ -486,6 +486,24 @@ def test_unknown_example_is_a_usage_error(capsys):
     assert err == "error: unknown example 'nope'; run `examples` to list\n"
 
 
+def test_examples_listing_rejects_an_output_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    err = _usage_error(["examples", "-o", "out.json", "--param", "a1=1"], capsys)
+    assert err == "error: -o/--output needs an example name; the listing takes neither flag\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_examples_listing_rejects_a_parameter(capsys):
+    err = _usage_error(["examples", "--param", "a1=1"], capsys)
+    assert err == "error: --param needs an example name; the listing takes neither flag\n"
+
+
+def test_examples_rejects_a_repeated_parameter(capsys):
+    err = _usage_error(["examples", "algebra-mu1", "--param", "a1=1", "--param", "a2=1",
+                        "--param", " a1=5"], capsys)
+    assert err == "error: --param a1 given more than once\n"
+
+
 def test_bialgebra_file_without_unit_exits_two(files, tmp_path, capsys):
     data = json.loads(Path(files["bialgebra-2.json"]).read_text())
     data["unit"] = None

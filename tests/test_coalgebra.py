@@ -32,10 +32,10 @@ from homalg import (
     phi_apply,
     subgroup,
 )
+from homalg.algebra import _component_witnesses
 from homalg.coalgebra import (
     _compositions,
     _phi,
-    _tensor_witnesses,
     counit_defects,
 )
 from homalg.linsolve import linear_solve
@@ -276,7 +276,7 @@ def test_cyclic_report_is_doubled_g6_and_agrees_with_its_definition():
         assert [(w.indices, w.value) for w in report.cyclic.witnesses] == \
             [(w.indices, 2 * w.value) for w in g6]
         cyclic, _ = admissibility_defects(c)
-        assert report.cyclic.witnesses == _tensor_witnesses(cyclic)
+        assert report.cyclic.witnesses == _component_witnesses(cyclic, k_first=True)
         failing += not report.ok
     assert failing >= 10
 
