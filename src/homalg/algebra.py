@@ -19,17 +19,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import sub
+from operator import itemgetter
 from typing import Sequence
 
-from .reports import DefectReport, Witness, witnesses
+from .reports import DefectReport, Defects
 from .tensors import (
     PERM_23,
     SUBGROUPS,
     LinearMap,
     MulTensor,
     Tensor3,
+    Tensor4,
     Vector,
+    _contraction,
+    _reduced,
     contract,
     phi_apply,
     signed_leg_sum,
@@ -72,54 +75,47 @@ def alpha_associator(algebra: HomAlgebra, x: Vector, y: Vector, z: Vector) -> Ve
     return left - right
 
 
-def _associator_parts(
-    mul: MulTensor, alpha: LinearMap
-) -> tuple[tuple[Tensor3, ...], tuple[Tensor3, ...]]:
-    """mu(mu(e_p (x) e_q) (x) alpha(e_s)) and mu(alpha(e_p) (x) mu(e_q (x) e_s)),
-    one cube [p][q][s] per output component k."""
-    return (Tensor3.slices("us,tuk,pqt->kpqs", alpha, mul, mul),
-            Tensor3.slices("up,utk,qst->kpqs", alpha, mul, mul))
+# the two products of the alpha-associator, (mu o (mu (x) alpha))(e_p, e_q, e_s)
+# and (mu o (alpha (x) mu))(e_p, e_q, e_s), as whole tables keyed (k, p, q, s)
+_OUTER = "us,tuk,pqt->kpqs"
+_NESTED = "up,utk,qst->kpqs"
+# a witness of the algebra side sits at (p, q, s, k)
+_K_LAST = itemgetter(1, 2, 3, 0)
 
 
-def _associator(algebra: HomAlgebra) -> tuple[Tensor3, ...]:
-    """The alpha-associator, one cube [p][q][s] per output component k."""
-    return tuple(map(sub, *_associator_parts(algebra.mul, algebra.alpha)))
+def _associator(algebra: HomAlgebra) -> Tensor4:
+    """The alpha-associator as one table keyed (k, p, q, s)."""
+    operands = algebra.alpha, algebra.mul, algebra.mul
+    return Tensor4.contracted(_OUTER, *operands) - Tensor4.contracted(_NESTED, *operands)
 
 
 # the checkers' associator, remembered for the last two algebras (by value): a
 # bialgebra's algebra and the transpose of its coalgebra, on which the
 # coalgebra checkers decide, are each computed once for every checker of one
 # structure
-_associator_tensors = lru_cache(maxsize=2)(_associator)
+_associator_table = lru_cache(maxsize=2)(_associator)
 
 
-def _component_witnesses(tensors: Sequence[Tensor3], k_first: bool = False) -> tuple[Witness, ...]:
-    """Witnesses (p, q, s, k) of per-component defect cubes [p][q][s], in index
-    order; (k, p, q, s) with ``k_first``, the order of the coalgebra side."""
-    return witnesses({(k,) + idx if k_first else idx + (k,): value
-                      for k, tensor in enumerate(tensors) for idx, value in tensor.nonzero.items()})
-
-
-def _G_defects(algebra: HomAlgebra, group: str) -> Sequence[Tensor3]:
-    """sum_{sigma in G} (-1)^eps(sigma) a o Phi_sigma, one cube [p][q][s] per
-    output component k; for G1 that is the alpha-associator a itself."""
-    perms = subgroup(group)
-    defects = _associator_tensors(algebra)
-    if len(perms) > 1:
-        defects = [signed_leg_sum(perms, t) for t in defects]
-    return defects
+def _defects(table: Tensor4, k_first: bool = False) -> Defects:
+    """The nonzero entries of a table keyed (k, p, q, s), as witnesses at
+    (p, q, s, k), or at (k, p, q, s) with ``k_first``, the order of the
+    coalgebra side."""
+    return Defects(table._num, table._den, order=None if k_first else _K_LAST)
 
 
 @lru_cache(maxsize=2 * len(SUBGROUPS))
-def _G_witnesses(algebra: HomAlgebra, group: str, k_first: bool = False) -> tuple[Witness, ...]:
-    """Witnesses of the G-defect, k first for the coalgebra checkers, which
-    ask on the transpose.
+def _G_witnesses(algebra: HomAlgebra, group: str, k_first: bool = False) -> Defects:
+    """The witnesses of sum_{sigma in G} (-1)^eps(sigma) a o Phi_sigma, the
+    signed sum on legs (p, q, s) of the associator table a (a itself for
+    G1), listed when read; k first for the coalgebra checkers, which ask on
+    the transpose.
 
     Remembered by value for the last 2 * len(SUBGROUPS) calls, every group
     of an algebra and of a coalgebra's transpose, so one condition under two
     names (Hom-associativity and G1, Hom-coassociativity and G1, the
-    alternating admissibility route and G6) shares one tuple."""
-    return _component_witnesses(_G_defects(algebra, group), k_first)
+    alternating admissibility route and G6) shares one list."""
+    perms, table = subgroup(group), _associator_table(algebra)
+    return _defects(signed_leg_sum(perms, table, 1) if len(perms) > 1 else table, k_first)
 
 
 def check_hom_associative(algebra: HomAlgebra) -> DefectReport:
@@ -170,17 +166,17 @@ def check_skew(lie: HomAlgebra) -> bool:
 
 def check_hom_jacobi(lie: HomAlgebra) -> DefectReport:
     """Cyclic sum [alpha(x), [y, z]] + [alpha(y), [z, x]] + [alpha(z), [x, y]] = 0."""
-    _, nested = _associator_parts(lie.mul, lie.alpha)
+    nested = Tensor4.contracted(_NESTED, lie.alpha, lie.mul, lie.mul)
     # G5 = {id, (213), (231)}, all of sign +1: its signed sum is the cyclic sum
-    defects = [signed_leg_sum(subgroup("G5"), t) for t in nested]
-    return DefectReport("hom-jacobi", _component_witnesses(defects))
+    return DefectReport("hom-jacobi", _defects(signed_leg_sum(subgroup("G5"), nested, 1)))
 
 
 def check_hom_leibniz(lie: HomAlgebra) -> DefectReport:
     """[[x, y], alpha(z)] = [[x, z], alpha(y)] + [alpha(x), [y, z]] on basis triples."""
-    outer, nested = _associator_parts(lie.mul, lie.alpha)
-    defects = [a - phi_apply(PERM_23, a) - b for a, b in zip(outer, nested)]
-    return DefectReport("hom-leibniz", _component_witnesses(defects))
+    operands = lie.alpha, lie.mul, lie.mul
+    outer = Tensor4.contracted(_OUTER, *operands)
+    nested = Tensor4.contracted(_NESTED, *operands)
+    return DefectReport("hom-leibniz", _defects(outer - phi_apply(PERM_23, outer, 1) - nested))
 
 
 def _merge_legs(t, pairs: int):
@@ -240,8 +236,8 @@ def check_module(
     if f.dim != m_dim:
         raise ValueError("f must act on the module")
 
-    # both sides as one m_dim x m_dim matrix per basis pair (x, y)
+    # both sides as one whole table keyed (x, y, m, p), in lowest terms
     gamma = tabled(gamma, 3)
-    lhs = LinearMap.slices("rm,trp,xyt->xymp", f, gamma, algebra.mul)
-    rhs = LinearMap.slices("ax,arp,ymr->xymp", algebra.alpha, gamma, gamma)
-    return lhs == rhs
+    lhs = _contraction("rm,trp,xyt->xymp", (f, gamma, algebra.mul))
+    rhs = _contraction("ax,arp,ymr->xymp", (algebra.alpha, gamma, gamma))
+    return _reduced(lhs.num, lhs.den) == _reduced(rhs.num, rhs.den)

@@ -30,7 +30,7 @@ from .coalgebra import HomCoalgebra, check_hom_coassociative
 from .linsolve import linear_solve
 from .rational import ONE, ZERO
 from .reports import DefectReport, Witness, witnesses
-from .tensors import ComulTensor, LinearMap, Table, Tensor2, Vector, contract, tabled
+from .tensors import ComulTensor, LinearMap, Table, Tensor2, Tensor4, Vector, contract, tabled
 
 
 @dataclass(frozen=True)
@@ -96,29 +96,32 @@ def weak_witnesses(bialgebra: HomBialgebra) -> tuple[Witness, ...]:
 
     Remembered for the last bialgebra (by value), so the strict suite
     reuses the weak witnesses."""
-    n = bialgebra.dim
     u = bialgebra.unit
     eps = bialgebra.counit
     comul = bialgebra.coalgebra.comul
     mul = bialgebra.algebra.mul
 
-    found = list(witnesses((comul.apply(u) - Tensor2.pure(u, u)).nonzero, "unit-grouplike"))
+    found = witnesses((comul.apply(u) - Tensor2.pure(u, u)).nonzero, "unit-grouplike")
 
     eps_unit = contract("k,k->", u, eps) - ONE
     if eps_unit:
-        found.append(Witness((), eps_unit, "counit-on-unit"))
+        found += (Witness((), eps_unit, "counit-on-unit"),)
 
-    # Delta(e_p . e_q) and the factor-wise product Delta(e_p) * Delta(e_q),
-    # one order-2 tensor per pair (p, q), and eps(e_p . e_q) - eps(e_p) eps(e_q)
-    comul_of_product = Tensor2.slices("pqk,kij->pqij", mul, comul)
-    product_of_comul = Tensor2.slices("qcd,aci,pab,bdj->pqij", comul, mul, comul, mul)
-    eps_diff = (LinearMap.contracted("pqk,k->pq", mul, eps)
-                - LinearMap.contracted("p,q->pq", eps, eps)).nonzero
-    for pq, a, b in zip(product(range(n), repeat=2), comul_of_product, product_of_comul):
-        found += witnesses((a - b).nonzero, "comul-mult", pq)
-        if pq in eps_diff:
-            found.append(Witness(pq, eps_diff[pq], "counit-mult"))
-    return tuple(found)
+    # Delta(e_p . e_q) minus the factor-wise product Delta(e_p) * Delta(e_q),
+    # one table keyed (p, q, i, j), and eps(e_p . e_q) - eps(e_p) eps(e_q)
+    comul_mult = Tensor4.contracted("pqk,kij->pqij", mul, comul) \
+        - Tensor4.contracted("qcd,aci,pab,bdj->pqij", comul, mul, comul, mul)
+    counit_mult = LinearMap.contracted("pqk,k->pq", mul, eps) \
+        - LinearMap.contracted("p,q->pq", eps, eps)
+    return found + _by_leading(witnesses(comul_mult.nonzero, "comul-mult"),
+                               witnesses(counit_mult.nonzero, "counit-mult"), 2)
+
+
+def _by_leading(first: tuple[Witness, ...], then: tuple[Witness, ...],
+                legs: int) -> tuple[Witness, ...]:
+    """Two witness lists in index order, merged by their leading ``legs``
+    indices; at equal leading indices, ``first`` before ``then``."""
+    return tuple(sorted(first + then, key=lambda w: w.indices[:legs]))
 
 
 def alpha_witnesses(bialgebra: HomBialgebra) -> list[Witness]:
@@ -127,16 +130,12 @@ def alpha_witnesses(bialgebra: HomBialgebra) -> list[Witness]:
     alpha = bialgebra.algebra.alpha
     comul = bialgebra.coalgebra.comul
     eps = bialgebra.counit
-    # Delta o alpha - (alpha (x) alpha) o Delta, one plane per basis vector
+    # Delta o alpha - (alpha (x) alpha) o Delta, keyed (k, i, j)
     comul_alpha = ComulTensor.contracted("tk,tij->kij", alpha, comul) \
         - ComulTensor.contracted("ia,kab,jb->kij", alpha, comul, alpha)
     counit_alpha = Vector.contracted("ik,i->k", alpha, eps) - eps
-    found = []
-    for k in range(bialgebra.dim):
-        found += witnesses(comul_alpha.image(k).nonzero, "comul-alpha", (k,))
-        if counit_alpha[k]:
-            found.append(Witness((k,), counit_alpha[k], "counit-alpha"))
-    return found
+    return list(_by_leading(witnesses(comul_alpha.nonzero, "comul-alpha"),
+                            witnesses(counit_alpha.nonzero, "counit-alpha"), 1))
 
 
 def check_bialgebra_weak(bialgebra: HomBialgebra) -> DefectReport:

@@ -108,12 +108,14 @@ def _bialgebra(structure, message: str) -> HomBialgebra:
 
 
 def _write(text: str, output: str | None) -> None:
-    """``text`` to the ``-o`` file, then a "wrote" line; to stdout without one."""
-    if not output:
+    """``text`` to the ``-o`` file, then a "wrote" line; to stdout without one.
+    An empty ``-o`` names no file, so it cannot be written either."""
+    if output is None:
         sys.stdout.write(text)
         return
     try:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as out:
+            out.write(text)
     except OSError as exc:
         raise _Failure(f"cannot write {output}: {exc}") from exc
     print(f"wrote {output}")

@@ -31,16 +31,15 @@ Delta: V -> V (x) V, matching the surrounding coalgebra axioms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import sub
 from typing import Sequence
 
 from .algebra import (
     HomAlgebra,
     _associator,
-    _associator_tensors,
+    _associator_table,
     _G_witnesses,
     check_algebra_morphism,
     check_module,
@@ -61,6 +60,7 @@ from .tensors import (
     S3,
     Tensor2,
     Tensor3,
+    Tensor4,
     Vector,
     phi_apply,
     signed_leg_sum,
@@ -120,21 +120,30 @@ def delta_L(coalgebra: HomCoalgebra) -> HomCoalgebra:
 
 
 # ---------------------------------------------------------------------------
-# tensor expansions: the two ways of following Delta with Delta and beta
+# tensor expansions: the two ways of following Delta with Delta and beta, as
+# whole tables keyed (k, i, j, l) over operands (beta, inner, outer)
+
+_OUTER_BETA = "lb,kab,aij->kijl"   # (outer (x) beta) o inner
+_BETA_OUTER = "ia,kab,bjl->kijl"   # (beta (x) outer) o inner
+
+
+def _expansion(spec: str, inner: ComulTensor, outer: ComulTensor, beta: LinearMap) -> Tensor4:
+    """One of the two expansions as a whole table keyed (k, i, j, l)."""
+    return Tensor4.contracted(spec, beta, inner, outer)
 
 
 def expand_outer_beta(
     inner: ComulTensor, outer: ComulTensor, beta: LinearMap
 ) -> tuple[Tensor3, ...]:
     """(outer (x) beta) o inner, one order-3 tensor per basis vector."""
-    return Tensor3.slices("lb,kab,aij->kijl", beta, inner, outer)
+    return Tensor3.parts(_expansion(_OUTER_BETA, inner, outer, beta))
 
 
 def expand_beta_outer(
     inner: ComulTensor, outer: ComulTensor, beta: LinearMap
 ) -> tuple[Tensor3, ...]:
     """(beta (x) outer) o inner, one order-3 tensor per basis vector."""
-    return Tensor3.slices("ia,kab,bjl->kijl", beta, inner, outer)
+    return Tensor3.parts(_expansion(_BETA_OUTER, inner, outer, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +170,14 @@ def dual_coalgebra_of_algebra(algebra: HomAlgebra) -> HomCoalgebra:
 def beta_coassociator(coalgebra: HomCoalgebra) -> tuple[Tensor3, ...]:
     """c_beta(Delta) = (Delta (x) beta) o Delta - (beta (x) Delta) o Delta, one
     cube [i][j][l] per basis vector k: the alpha-associator of the transpose,
-    remembered with it."""
-    return _associator_tensors(_transpose(coalgebra))
+    remembered with it, cut per basis vector."""
+    return Tensor3.parts(_associator_table(_transpose(coalgebra)))
 
 
-def _cocommutator_coassociator(coalgebra: HomCoalgebra) -> tuple[Tensor3, ...]:
-    """c_beta(Delta_L), remembered nowhere: Delta_L transposes to the
-    commutator bracket of the transpose, and this is that bracket's
-    alpha-associator."""
+def _cocommutator_coassociator(coalgebra: HomCoalgebra) -> Tensor4:
+    """c_beta(Delta_L) keyed (k, i, j, l), remembered nowhere: Delta_L
+    transposes to the commutator bracket of the transpose, and this is that
+    bracket's alpha-associator."""
     return _associator(commutator_bracket(_transpose(coalgebra)))
 
 
@@ -214,10 +223,10 @@ def admissibility_defects(
     These always satisfy cyclic = 2 * alternating, which the test suite pins
     as a universal identity.
     """
-    alternating = tuple(signed_leg_sum(S3, t) for t in _associator(_transpose(coalgebra)))
+    alternating = signed_leg_sum(S3, _associator(_transpose(coalgebra)), 1)
     # G5 = {id, (213), (231)}, all of sign +1: its signed sum is the cyclic sum
-    return (tuple(signed_leg_sum(subgroup("G5"), t)
-                  for t in _cocommutator_coassociator(coalgebra)), alternating)
+    cyclic = signed_leg_sum(subgroup("G5"), _cocommutator_coassociator(coalgebra), 1)
+    return Tensor3.parts(cyclic), Tensor3.parts(alternating)
 
 
 @dataclass(frozen=True)
@@ -238,12 +247,11 @@ class AdmissibilityReport:
 
 def check_hom_lie_admissible(coalgebra: HomCoalgebra) -> AdmissibilityReport:
     """Both routes.  The alternating one is the G6 condition and shares its
-    witnesses; the cyclic one is those witnesses doubled, since cyclic =
+    witnesses; the cyclic one is its table doubled, since cyclic =
     2 * alternating on every coalgebra (``identities`` proves it)."""
     alternating = _G_witnesses(_transpose(coalgebra), "G6", k_first=True)
     return AdmissibilityReport(
-        cyclic=DefectReport("hom-lie-admissible (cyclic)",
-                            tuple(replace(w, value=2 * w.value) for w in alternating)),
+        cyclic=DefectReport("hom-lie-admissible (cyclic)", alternating.scaled(2)),
         alternating=DefectReport("hom-lie-admissible (alternating)", alternating),
     )
 
@@ -253,19 +261,19 @@ def _compositions(coalgebra: HomCoalgebra) -> tuple[dict, dict]:
     """The eight ways of following Delta or Delta^op with Delta or Delta^op
     and beta: ``(outer_beta, beta_outer)``, two dicts keyed ``(outer, inner)``
     with "d" for Delta and "op" for Delta^op, holding (outer (x) beta) o inner
-    and (beta (x) outer) o inner per basis vector.
+    and (beta (x) outer) o inner as whole tables keyed (k, i, j, l).
 
     Remembered for the last coalgebra (by value), which both identity checks
     of one structure then share."""
     comuls = {"d": coalgebra.comul, "op": coalgebra.comul.op()}
-    return tuple({(outer, inner): expand(comuls[inner], comuls[outer], coalgebra.beta)
+    return tuple({(outer, inner): _expansion(spec, comuls[inner], comuls[outer], coalgebra.beta)
                   for outer, inner in product(comuls, repeat=2)}
-                 for expand in (expand_outer_beta, expand_beta_outer))
+                 for spec in (_OUTER_BETA, _BETA_OUTER))
 
 
-def _phi(sigma, tensors: Sequence[Tensor3]) -> tuple[Tensor3, ...]:
-    """Phi_sigma on each per-basis-vector tensor."""
-    return tuple(phi_apply(sigma, t) for t in tensors)
+def _phi(sigma, table: Tensor4) -> Tensor4:
+    """Phi_sigma on the legs (i, j, l) of a table keyed (k, i, j, l)."""
+    return phi_apply(sigma, table, 1)
 
 
 def lemma_identities_check(coalgebra: HomCoalgebra) -> tuple[bool, bool, bool, bool, bool]:
@@ -278,8 +286,8 @@ def lemma_identities_check(coalgebra: HomCoalgebra) -> tuple[bool, bool, bool, b
     5. (Delta^op (x) beta) o Delta = Phi_(12) o (Delta (x) beta) o Delta
     """
     ob, bo = _compositions(coalgebra)
-    c, c_op = (tuple(map(sub, ob[x, x], bo[x, x])) for x in ("d", "op"))
-    return (c_op == tuple(-t for t in _phi(PERM_13, c)),
+    c, c_op = (ob[x, x] - bo[x, x] for x in ("d", "op"))
+    return (c_op == -_phi(PERM_13, c),
             bo["op", "d"] == _phi(PERM_13, ob["d", "op"]),
             bo["d", "op"] == _phi(PERM_13, ob["op", "d"]),
             ob["d", "op"] == _phi(PERM_213, bo["d", "d"]),
@@ -294,16 +302,15 @@ def coassociator_expansion_check(coalgebra: HomCoalgebra) -> tuple[bool, bool]:
     Phi_(13), Phi_(213), Phi_(12), Phi_(23), Phi_(231) corrections.
     """
     ob, bo = _compositions(coalgebra)
-    c, c_op = (tuple(map(sub, ob[x, x], bo[x, x])) for x in ("d", "op"))
+    c, c_op = (ob[x, x] - bo[x, x] for x in ("d", "op"))
     c_L = _cocommutator_coassociator(coalgebra)
     # x = (Delta (x) beta) o Delta^op, y = (Delta^op (x) beta) o Delta
-    first = tuple(a + a_op - x - y + phi_apply(PERM_13, x) + phi_apply(PERM_13, y)
-                  for a, a_op, x, y in zip(c, c_op, ob["d", "op"], ob["op", "d"]))
+    x, y = ob["d", "op"], ob["op", "d"]
+    first = c + c_op - x - y + _phi(PERM_13, x) + _phi(PERM_13, y)
     # left = (beta (x) Delta) o Delta, right = (Delta (x) beta) o Delta
-    second = tuple(a - phi_apply(PERM_13, a)
-                   - phi_apply(PERM_213, left) - phi_apply(PERM_12, right)
-                   + phi_apply(PERM_23, left) + phi_apply(PERM_231, right)
-                   for a, left, right in zip(c, bo["d", "d"], ob["d", "d"]))
+    left, right = bo["d", "d"], ob["d", "d"]
+    second = c - _phi(PERM_13, c) - _phi(PERM_213, left) - _phi(PERM_12, right) \
+        + _phi(PERM_23, left) + _phi(PERM_231, right)
     return (c_L == first, c_L == second)
 
 

@@ -46,17 +46,21 @@ such as ``"lb,kab,aij->kijl"``:
   nested list in that layout (a bare scalar for an empty output), where an
   entry no product reached is the integer 0; nonzero entries are Fractions
   when an operand held one (a tensor always does).  A tensor class's
-  ``contracted`` and ``slices`` return tensors instead.
+  ``contracted`` returns a tensor instead, and ``parts`` cuts a whole
+  table, such as an order-4 ``Tensor4`` keyed (k, p, q, s), into one
+  tensor per leading index, for callers that ask per component.
 
 Stored form.  A tensor holds the int numerators of its nonzero entries by
 index tuple over one denominator, the lcm of their reduced denominators, so
 equal tensors have equal tables.  ``tabled`` clears outside entries and
 nested-sequence operands once.  Contraction (``+``, ``*`` and truthiness
-only), ``+``, ``-``, scalar ``*``, ``==``, hashing and the S3 action run on
-those ints, and no other module reads them.  A polynomial entry is its own
-numerator over denominator 1.
+only), ``+``, ``-``, scalar ``*``, ``==``, hashing and the S3 action (on
+any three consecutive legs) run on those ints.  Outside this module only
+the checkers read them, to hand a whole defect table to
+``reports.Defects``, which builds a Fraction for a witness when it is read.
+A polynomial entry is its own numerator over denominator 1.
 Fractions appear only at the boundary (``nonzero``, ``entry``, ``coords``,
-``entries``, ``coeffs``, ``c``, ``d``), built lazily and cached.
+``entries``, ``coeffs``, ``c``, ``d``, witnesses), built lazily and cached.
 """
 
 from __future__ import annotations
@@ -77,15 +81,16 @@ from .rational import ONE, ZERO, Poly, numerators, rat
 
 def contract(spec: str, *operands):
     """Sum of products over shared index letters; see the module docstring."""
-    shape, table, den, fractional = _contraction(spec, operands)
+    shape, fractional, table, den = _contraction(spec, operands)
     table, den = _reduced(table, den)
     if fractional:
         table = {key: _value(value, den) for key, value in table.items()}
     return _dense(shape, table)
 
 
-def _contraction(spec: str, operands) -> tuple[tuple[int, ...], dict, int, bool]:
-    """(output shape, numerators, denominator, whether an operand held a Fraction)"""
+def _contraction(spec: str, operands) -> "Table":
+    """The contraction as a whole ``Table``, its numerators over the product
+    of the operands' denominators, not in lowest terms."""
     parts = [Table((op.dim,) * op.order, True, op._num, op._den) if isinstance(op, _Tensor)
              else op if isinstance(op, Table) else tabled(op, len(letters))
              for letters, op in zip(spec.partition("->")[0].split(","), operands)]
@@ -98,7 +103,8 @@ def _contraction(spec: str, operands) -> tuple[tuple[int, ...], dict, int, bool]
             right = live.pop(j)
             live.append(_join(live.pop(i), key_i, right, key_j, layout))
     (table,) = live
-    return out_shape, table, prod(part.den for part in parts), any(p.fractional for p in parts)
+    return Table(out_shape, any(p.fractional for p in parts), table,
+                 prod(part.den for part in parts))
 
 
 @lru_cache(maxsize=512)
@@ -314,24 +320,23 @@ class _Tensor:
         return tensor
 
     @classmethod
-    def slices(cls, spec: str, *operands) -> tuple:
-        """``contract(spec, *operands)`` cut along its leading output legs,
-        all but the last ``order``, into tensors of this class, one per
-        leading index tuple in index order."""
-        shape, table, den, _ = _contraction(spec, operands)
-        lead = len(shape) - cls.order
-        if lead < 0 or len(set(shape[lead:])) != 1:
-            raise ValueError(f"output legs of {spec!r} do not end in a {cls.kind}")
-        parts: dict[tuple, dict] = {index: {} for index in product(*map(range, shape[:lead]))}
-        for key, value in table.items():
-            parts[key[:lead]][key[lead:]] = value
-        return tuple(cls._of(shape[lead], part, den) for part in parts.values())
-
-    @classmethod
     def contracted(cls, spec: str, *operands):
         """``contract(spec, *operands)`` as a tensor of this class."""
-        (tensor,) = cls.slices(spec, *operands)
-        return tensor
+        shape, _, table, den = _contraction(spec, operands)
+        if len(shape) != cls.order or len(set(shape)) > 1:
+            raise ValueError(f"output legs of {spec!r} do not end in a {cls.kind}")
+        return cls._of(shape[0], table, den)
+
+    @classmethod
+    def parts(cls, whole: "_Tensor") -> tuple:
+        """``whole`` cut along its leading legs, all but the last ``order``,
+        into tensors of this class, one per leading index tuple in index
+        order: the per-component view of a whole table."""
+        lead = whole.order - cls.order
+        cut: dict[tuple, dict] = {index: {} for index in product(range(whole.dim), repeat=lead)}
+        for key, value in whole._num.items():
+            cut[key[:lead]][key[lead:]] = value
+        return tuple(cls._of(whole.dim, part, whole._den) for part in cut.values())
 
     @cached_property
     def nonzero(self) -> dict[tuple[int, ...], object]:
@@ -501,6 +506,14 @@ class Tensor3(_Tensor):
         return self._data
 
 
+class Tensor4(_Tensor):
+    """A whole defect table of four legs, such as the alpha-associator keyed
+    (k, p, q, s): one cube [p][q][s] per output component k
+    (``Tensor3.parts``)."""
+
+    order, kind = 4, "order-4 tensor"
+
+
 # ---------------------------------------------------------------------------
 # the symmetric group S3 and its action on tensor cubes
 
@@ -552,32 +565,40 @@ def subgroup(name: str) -> tuple[Perm3, ...]:
         raise ValueError(f"unknown subgroup {name!r}; expected G1..G6") from None
 
 
-@lru_cache(maxsize=len(S3))
-def _leg_picker(sigma: Perm3):
-    """Index triple of Phi_sigma(e_p (x) e_q (x) e_s) from (p, q, s)."""
-    return _picker([i - 1 for i in sigma.inverse().images])
+@lru_cache(maxsize=4 * len(S3))
+def _leg_picker(sigma: Perm3, lead: int, order: int):
+    """Index tuple of Phi_sigma on legs lead..lead+2 of an order-``order``
+    tensor from the tuple before it; the other legs stay."""
+    if not 0 <= lead <= order - 3:
+        raise ValueError(f"legs {lead}..{lead + 2} do not fit an order-{order} tensor")
+    legs = list(range(order))
+    legs[lead:lead + 3] = [lead + i - 1 for i in sigma.inverse().images]
+    return _picker(legs)
 
 
-def phi_apply(sigma: Perm3, t: Tensor3) -> Tensor3:
-    """Permute tensor legs: leg m of the output is leg sigma^-1(m) of the input."""
-    return Tensor3._of(t.dim, dict(zip(map(_leg_picker(sigma), t._num), t._num.values())), t._den)
+def phi_apply(sigma: Perm3, t: _Tensor, lead: int = 0) -> _Tensor:
+    """Permute legs lead..lead+2 of t (all three of a Tensor3): leg lead + m
+    of the output is leg lead + sigma^-1(m) of the input."""
+    pick = _leg_picker(sigma, lead, t.order)
+    return t._of(t.dim, dict(zip(map(pick, t._num), t._num.values())), t._den)
 
 
-def signed_leg_sum(perms: Iterable[Perm3], t: Tensor3) -> Tensor3:
-    """sum_{sigma in perms} (-1)^eps(sigma) Phi_sigma(t).
+def signed_leg_sum(perms: Iterable[Perm3], t: _Tensor, lead: int = 0) -> _Tensor:
+    """sum_{sigma in perms} (-1)^eps(sigma) Phi_sigma(t), Phi_sigma acting on
+    legs lead..lead+2 as in ``phi_apply``.
 
-    Each numerator of t is added, signed, under its permuted index triple.
+    Each numerator of t is added, signed, under its permuted index tuple.
     Over a subgroup this also equals the signed sum of t o Phi_sigma, since
     sigma and its inverse have one sign and the subgroup holds both."""
     items = list(t._num.items())
     negated = [(key, -value) for key, value in items]
     total: dict[tuple, object] = {}
     for sigma in perms:
-        pick = _leg_picker(sigma)
+        pick = _leg_picker(sigma, lead, t.order)
         for key, value in items if sigma.sign > 0 else negated:
             key = pick(key)
             total[key] = total[key] + value if key in total else value
-    return Tensor3._of(t.dim, {key: value for key, value in total.items() if value}, t._den)
+    return t._of(t.dim, {key: value for key, value in total.items() if value}, t._den)
 
 
 # ---------------------------------------------------------------------------

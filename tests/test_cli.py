@@ -461,6 +461,18 @@ def test_unwritable_output_exits_two(side_files, tmp_path, capsys, argv):
     assert not target.exists()
 
 
+def test_empty_output_path_exits_two_on_dualize(side_files, capsys):
+    # an empty -o names no file: it is not the absent -o that writes to stdout
+    err = _usage_error(["dualize", side_files["bialgebra"], "-o", ""], capsys)
+    assert err.startswith("error: cannot write : ")
+
+
+def test_empty_output_path_exits_two_on_examples(capsys):
+    argv = ["examples", "bialgebra-2", "--param", "b1=1", "--param", "b2=0", "--param", "b3=1"]
+    err = _usage_error(argv + ["-o", ""], capsys)
+    assert err.startswith("error: cannot write : ")
+
+
 def test_non_utf8_file_exits_two(tmp_path, capsys):
     p = tmp_path / "utf16.json"
     p.write_bytes(b"\xff\xfe{\x00}\x00")
@@ -666,7 +678,7 @@ def test_identities_hold_little_memory_afterwards(capsys):
     import homalg.coalgebra
 
     memos = (homalg.coalgebra._compositions, homalg.coalgebra._transpose,
-             homalg.algebra._associator_tensors)
+             homalg.algebra._associator_table)
     for memo in memos:
         memo.cache_clear()
     tracemalloc.start()
@@ -678,7 +690,7 @@ def test_identities_hold_little_memory_afterwards(capsys):
     assert held < 8 * 2 ** 20
     # the generic coalgebra's Poly cubes stay out of the associator memo that
     # every checker shares
-    assert homalg.algebra._associator_tensors.cache_info().currsize == 0
+    assert homalg.algebra._associator_table.cache_info().currsize == 0
 
 
 def test_identities_counts_a_failing_identity(monkeypatch, capsys):

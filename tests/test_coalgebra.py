@@ -32,7 +32,7 @@ from homalg import (
     phi_apply,
     subgroup,
 )
-from homalg.algebra import _component_witnesses
+from homalg.reports import witnesses
 from homalg.coalgebra import (
     _compositions,
     _phi,
@@ -276,7 +276,8 @@ def test_cyclic_report_is_doubled_g6_and_agrees_with_its_definition():
         assert [(w.indices, w.value) for w in report.cyclic.witnesses] == \
             [(w.indices, 2 * w.value) for w in g6]
         cyclic, _ = admissibility_defects(c)
-        assert report.cyclic.witnesses == _component_witnesses(cyclic, k_first=True)
+        assert report.cyclic.witnesses == witnesses(
+            {(k,) + idx: v for k, t in enumerate(cyclic) for idx, v in t.nonzero.items()})
         failing += not report.ok
     assert failing >= 10
 
@@ -512,10 +513,11 @@ def _network(shape, outer, inner, sigma):
     return feed, tuple(sigma.images[leg] - 1 for leg in legs)
 
 
-def _coordinates(tensors):
-    """Each nonzero coefficient of a tuple of Poly tensors, by (k, i, j, l, monomial)."""
-    return {(k,) + idx + (mono,): coeff for k, t in enumerate(tensors)
-            for idx, poly in t.nonzero.items() for mono, coeff in poly.terms.items()}
+def _coordinates(table):
+    """Each nonzero coefficient of a Poly table keyed (k, i, j, l), by
+    (k, i, j, l, monomial)."""
+    return {key + (mono,): coeff
+            for key, poly in table.nonzero.items() for mono, coeff in poly.terms.items()}
 
 
 @pytest.mark.parametrize("dim, rank", [(2, 10), (3, 12)])
@@ -528,10 +530,10 @@ def test_dim_3_decides_the_identities_at_every_dimension(dim, rank):
     ob, bo = _compositions(generic_coalgebra(dim))
     networks = {}
     for shape, compositions in (("ob", ob), ("bo", bo)):
-        for (outer, inner), tensors in compositions.items():
+        for (outer, inner), table in compositions.items():
             for sigma in S3:
                 networks.setdefault(_network(shape, outer, inner, sigma), []).append(
-                    _phi(sigma, tensors))
+                    _phi(sigma, table))
     assert len(networks) == 12
     assert all(terms == [terms[0]] * 4 for terms in networks.values())
     columns = [_coordinates(terms[0]) for terms in networks.values()]
@@ -551,8 +553,7 @@ def test_identity_checks_share_their_compositions(monkeypatch):
             return expand(*args)
         return wrapper
 
-    for name in ("expand_outer_beta", "expand_beta_outer"):
-        monkeypatch.setattr(coalgebra, name, counted(getattr(coalgebra, name)))
+    monkeypatch.setattr(coalgebra, "_expansion", counted(coalgebra._expansion))
     coalgebra._compositions.cache_clear()
     c = random_coalgebra(2, random.Random(47))
     assert lemma_identities_check(c) == (True,) * 5

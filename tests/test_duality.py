@@ -30,8 +30,9 @@ from homalg import (
     registry,
     tensor_product,
 )
-from homalg.algebra import _associator_parts
+from homalg.algebra import _NESTED, _OUTER
 from homalg.coalgebra import beta_coassociator, expand_beta_outer, expand_outer_beta
+from homalg.tensors import Tensor3, Tensor4
 from homalg.sampling import (
     random_comul_tensor,
     random_linear_map,
@@ -176,7 +177,9 @@ def test_dual_associator_is_the_coassociator_on_generic_coalgebra(dim):
     right = expand_outer_beta(c.comul, c.comul, c.beta)
     left = expand_beta_outer(c.comul, c.comul, c.beta)
     dual = dual_algebra_of_coalgebra(c)
-    assert _associator_parts(dual.mul, dual.alpha) == (right, left)
+    operands = dual.alpha, dual.mul, dual.mul
+    assert Tensor3.parts(Tensor4.contracted(_OUTER, *operands)) == right
+    assert Tensor3.parts(Tensor4.contracted(_NESTED, *operands)) == left
     assert beta_coassociator(c) == tuple(r - l for r, l in zip(right, left))
 
 

@@ -31,7 +31,7 @@ from homalg import (
     search_bialgebra_extension,
 )
 from homalg import algebra, coalgebra, polysolve
-from homalg.algebra import _associator_tensors
+from homalg.algebra import _associator_table
 from homalg.bialgebra import primitive_subspace, weak_witnesses
 from homalg.coalgebra import _transpose, beta_coassociator
 from homalg.polysolve import _lex_solve, _weak_generators
@@ -44,7 +44,7 @@ PER_GROUP = (algebra._G_witnesses,)
 EXTENSION = (_weak_generators, _lex_solve)
 # one entry too, but no checker of reports() reaches it
 PRIMITIVE = (primitive_subspace,)
-MEMOS = ONE_ENTRY + (_associator_tensors,) + PER_GROUP + EXTENSION + PRIMITIVE
+MEMOS = ONE_ENTRY + (_associator_table,) + PER_GROUP + EXTENSION + PRIMITIVE
 
 
 @pytest.fixture(autouse=True)
@@ -137,12 +137,12 @@ def test_each_structure_computes_its_associator_and_coassociator_once():
         info = memo.cache_info()
         assert info.misses == 1 and info.hits >= 1, memo
         assert info.maxsize == 1 and info.currsize == 1, memo
-    info = _associator_tensors.cache_info()
+    info = _associator_table.cache_info()
     assert info.misses == 2 and info.maxsize == info.currsize == 2
     # both sides are still there
-    assert beta_coassociator(b.coalgebra) is beta_coassociator(b.coalgebra)
-    _associator_tensors(b.algebra)
-    assert _associator_tensors.cache_info().misses == 2
+    assert beta_coassociator(b.coalgebra) == beta_coassociator(b.coalgebra)
+    _associator_table(b.algebra)
+    assert _associator_table.cache_info().misses == 2
     assert _transpose.cache_info().misses == 1
     # one signed sum per group and side; G1 and G6 are asked for twice
     for memo in PER_GROUP:
@@ -155,7 +155,7 @@ def test_memo_holds_one_structure():
     for seed in range(5):
         reports(build(random_bialgebra_data(2, seed)))
     assert all(memo.cache_info().currsize == 1 for memo in ONE_ENTRY)
-    assert _associator_tensors.cache_info().currsize == 2
+    assert _associator_table.cache_info().currsize == 2
     assert all(memo.cache_info().currsize <= 2 * len(SUBGROUPS) for memo in PER_GROUP)
 
 

@@ -220,7 +220,9 @@ def test_entry_and_vector_item_reject_indices_outside_the_tensor(call, message):
     (lambda: LinearMap.contracted("i,j->i", Vector([1, 2]), Vector([1, 2])),
      "output legs of 'i,j->i' do not end in a linear map"),
     (lambda: Vector([1, 2]) + Vector([1, 2, 3]), "dimensions 2 and 3 differ"),
-], ids=["non-square", "contracted-order", "sum-dims"])
+    (lambda: phi_apply(PERMS["(12)"], Tensor3.zero(2), 1),
+     r"legs 1\.\.3 do not fit an order-3 tensor"),
+], ids=["non-square", "contracted-order", "sum-dims", "phi-legs"])
 def test_shape_mismatches_are_named(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
