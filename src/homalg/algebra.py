@@ -96,13 +96,6 @@ def _associator(algebra: HomAlgebra) -> Tensor4:
 _associator_table = lru_cache(maxsize=2)(_associator)
 
 
-def _defects(table: Tensor4, k_first: bool = False) -> Defects:
-    """The nonzero entries of a table keyed (k, p, q, s), as witnesses at
-    (p, q, s, k), or at (k, p, q, s) with ``k_first``, the order of the
-    coalgebra side."""
-    return Defects(table._num, table._den, order=None if k_first else _K_LAST)
-
-
 @lru_cache(maxsize=2 * len(SUBGROUPS))
 def _G_witnesses(algebra: HomAlgebra, group: str, k_first: bool = False) -> Defects:
     """The witnesses of sum_{sigma in G} (-1)^eps(sigma) a o Phi_sigma, the
@@ -115,7 +108,8 @@ def _G_witnesses(algebra: HomAlgebra, group: str, k_first: bool = False) -> Defe
     names (Hom-associativity and G1, Hom-coassociativity and G1, the
     alternating admissibility route and G6) shares one list."""
     perms, table = subgroup(group), _associator_table(algebra)
-    return _defects(signed_leg_sum(perms, table, 1) if len(perms) > 1 else table, k_first)
+    return Defects.of(signed_leg_sum(perms, table, 1) if len(perms) > 1 else table,
+                      order=None if k_first else _K_LAST)
 
 
 def check_hom_associative(algebra: HomAlgebra) -> DefectReport:
@@ -168,7 +162,8 @@ def check_hom_jacobi(lie: HomAlgebra) -> DefectReport:
     """Cyclic sum [alpha(x), [y, z]] + [alpha(y), [z, x]] + [alpha(z), [x, y]] = 0."""
     nested = Tensor4.contracted(_NESTED, lie.alpha, lie.mul, lie.mul)
     # G5 = {id, (213), (231)}, all of sign +1: its signed sum is the cyclic sum
-    return DefectReport("hom-jacobi", _defects(signed_leg_sum(subgroup("G5"), nested, 1)))
+    cyclic = signed_leg_sum(subgroup("G5"), nested, 1)
+    return DefectReport("hom-jacobi", Defects.of(cyclic, order=_K_LAST))
 
 
 def check_hom_leibniz(lie: HomAlgebra) -> DefectReport:
@@ -176,7 +171,8 @@ def check_hom_leibniz(lie: HomAlgebra) -> DefectReport:
     operands = lie.alpha, lie.mul, lie.mul
     outer = Tensor4.contracted(_OUTER, *operands)
     nested = Tensor4.contracted(_NESTED, *operands)
-    return DefectReport("hom-leibniz", _defects(outer - phi_apply(PERM_23, outer, 1) - nested))
+    defect = outer - phi_apply(PERM_23, outer, 1) - nested
+    return DefectReport("hom-leibniz", Defects.of(defect, order=_K_LAST))
 
 
 def _merge_legs(t, pairs: int):

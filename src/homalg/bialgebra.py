@@ -29,7 +29,7 @@ from .algebra import HomAlgebra, check_hom_associative
 from .coalgebra import HomCoalgebra, check_hom_coassociative
 from .linsolve import linear_solve
 from .rational import ONE, ZERO
-from .reports import DefectReport, Witness, witnesses
+from .reports import DefectReport, Defects, Witness
 from .tensors import ComulTensor, LinearMap, Table, Tensor2, Tensor4, Vector, contract, tabled
 
 
@@ -90,63 +90,61 @@ def bullet(bialgebra: HomBialgebra, s: Tensor2, t: Tensor2) -> Tensor2:
 
 
 @lru_cache(maxsize=1)
-def weak_witnesses(bialgebra: HomBialgebra) -> tuple[Witness, ...]:
+def weak_defects(bialgebra: HomBialgebra) -> Defects:
     """Every nonzero defect of the four weak compatibility conditions, on
-    basis pairs, in report order.
+    basis pairs: unit-grouplike, counit-on-unit, then comul-mult and
+    counit-mult merged by basis pair (p, q).
 
-    Remembered for the last bialgebra (by value), so the strict suite
-    reuses the weak witnesses."""
-    u = bialgebra.unit
-    eps = bialgebra.counit
-    comul = bialgebra.coalgebra.comul
+    Remembered for the last bialgebra (by value), so the strict suite and
+    ``weak_witnesses`` reuse the weak tables."""
+    u, eps, comul = bialgebra.unit, bialgebra.counit, bialgebra.coalgebra.comul
     mul = bialgebra.algebra.mul
-
-    found = witnesses((comul.apply(u) - Tensor2.pure(u, u)).nonzero, "unit-grouplike")
-
     eps_unit = contract("k,k->", u, eps) - ONE
-    if eps_unit:
-        found += (Witness((), eps_unit, "counit-on-unit"),)
-
     # Delta(e_p . e_q) minus the factor-wise product Delta(e_p) * Delta(e_q),
     # one table keyed (p, q, i, j), and eps(e_p . e_q) - eps(e_p) eps(e_q)
     comul_mult = Tensor4.contracted("pqk,kij->pqij", mul, comul) \
         - Tensor4.contracted("qcd,aci,pab,bdj->pqij", comul, mul, comul, mul)
     counit_mult = LinearMap.contracted("pqk,k->pq", mul, eps) \
         - LinearMap.contracted("p,q->pq", eps, eps)
-    return found + _by_leading(witnesses(comul_mult.nonzero, "comul-mult"),
-                               witnesses(counit_mult.nonzero, "counit-mult"), 2)
+    by_pair = Defects.joined(Defects.of(comul_mult, "comul-mult"),
+                             Defects.of(counit_mult, "counit-mult"), legs=2)
+    return Defects.joined(Defects.of(comul.apply(u) - Tensor2.pure(u, u), "unit-grouplike"),
+                          Defects({(): eps_unit} if eps_unit else {}, label="counit-on-unit"),
+                          by_pair)
 
 
-def _by_leading(first: tuple[Witness, ...], then: tuple[Witness, ...],
-                legs: int) -> tuple[Witness, ...]:
-    """Two witness lists in index order, merged by their leading ``legs``
-    indices; at equal leading indices, ``first`` before ``then``."""
-    return tuple(sorted(first + then, key=lambda w: w.indices[:legs]))
+def weak_witnesses(bialgebra: HomBialgebra) -> tuple[Witness, ...]:
+    """The weak defects' witnesses in report order, listed once while the
+    bialgebra is remembered."""
+    return weak_defects(bialgebra).witnesses
 
 
-def alpha_witnesses(bialgebra: HomBialgebra) -> list[Witness]:
+def alpha_defects(bialgebra: HomBialgebra) -> Defects:
     """Every nonzero defect of Delta o alpha = (alpha (x) alpha) o Delta and
-    eps o alpha = eps, per basis vector, in report order."""
-    alpha = bialgebra.algebra.alpha
-    comul = bialgebra.coalgebra.comul
-    eps = bialgebra.counit
+    eps o alpha = eps, merged by basis vector."""
+    alpha, comul, eps = bialgebra.algebra.alpha, bialgebra.coalgebra.comul, bialgebra.counit
     # Delta o alpha - (alpha (x) alpha) o Delta, keyed (k, i, j)
     comul_alpha = ComulTensor.contracted("tk,tij->kij", alpha, comul) \
         - ComulTensor.contracted("ia,kab,jb->kij", alpha, comul, alpha)
     counit_alpha = Vector.contracted("ik,i->k", alpha, eps) - eps
-    return list(_by_leading(witnesses(comul_alpha.nonzero, "comul-alpha"),
-                            witnesses(counit_alpha.nonzero, "counit-alpha"), 1))
+    return Defects.joined(Defects.of(comul_alpha, "comul-alpha"),
+                          Defects.of(counit_alpha, "counit-alpha"), legs=1)
+
+
+def alpha_witnesses(bialgebra: HomBialgebra) -> list[Witness]:
+    """The alpha defects' witnesses, in report order."""
+    return list(alpha_defects(bialgebra).witnesses)
 
 
 def check_bialgebra_weak(bialgebra: HomBialgebra) -> DefectReport:
     """The four weak compatibility conditions, on basis pairs."""
-    return DefectReport("bialgebra-weak", weak_witnesses(bialgebra))
+    return DefectReport("bialgebra-weak", weak_defects(bialgebra))
 
 
 def check_bialgebra_strict(bialgebra: HomBialgebra) -> DefectReport:
     """Weak conditions plus the two alpha compatibilities."""
-    base = check_bialgebra_weak(bialgebra)
-    return DefectReport("bialgebra-strict", base.witnesses + tuple(alpha_witnesses(bialgebra)))
+    return DefectReport("bialgebra-strict",
+                        Defects.joined(weak_defects(bialgebra), alpha_defects(bialgebra)))
 
 
 # ---------------------------------------------------------------------------

@@ -129,11 +129,11 @@ _DEFAULT_SUITES = {
 }
 
 
-def _run_suite(name: str, structure, suite: str | None) -> bool:
+def _run_suite(name: str, structure, suites: list[str] | None) -> bool:
     p = parts(structure)
     algebra, coalgebra = p.algebra, p.coalgebra
     ok = True
-    for s in [suite] if suite else _DEFAULT_SUITES[p.kind]:
+    for s in suites or _DEFAULT_SUITES[p.kind]:
         if s in ("hom-assoc", "module") and algebra is None:
             raise _Failure(f"suite {s} needs an algebra side")
         if s in ("coassoc", "comodule") and coalgebra is None:
@@ -178,8 +178,9 @@ def _run_suite(name: str, structure, suite: str | None) -> bool:
 
 
 def _cmd_check(args) -> int:
-    structure = _load(args.file)
-    return 0 if _run_suite(args.file, structure, args.suite) else 1
+    if len(args.suite or ()) > 1:
+        raise _Failure("--suite given more than once")
+    return 0 if _run_suite(args.file, _load(args.file), args.suite) else 1
 
 
 def _cmd_dualize(args) -> int:
@@ -344,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a check suite on a structure file")
     p.add_argument("file")
-    p.add_argument("--suite", choices=CHECK_SUITES, default=None)
+    p.add_argument("--suite", choices=CHECK_SUITES, action="append")
 
     p = sub.add_parser("dualize", help="write the dual structure file")
     p.add_argument("file")

@@ -4,9 +4,9 @@ A checker either passes (empty witness list) or names every failing basis
 index combination together with the exact nonzero defect value, so a report
 doubles as a debugging tool for hand-entered structure tables.
 
-A checker that decides on a whole defect table hands it over as ``Defects``:
-the verdict and the count read the table as it is, and a witness is built
-only when it is read.
+A checker that decides on whole defect tables hands them over as
+``Defects``: the verdict, the count and a bounded rendering read the integer
+tables as they are, and the witnesses are built only when they are read.
 """
 
 from __future__ import annotations
@@ -14,8 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from typing import Callable, Mapping
+from heapq import merge
+from itertools import islice
+from math import gcd
+from typing import Callable, Iterator, Mapping
+
+
+def _entry(label: str, indices: tuple[int, ...], value) -> str:
+    """One defect entry as a report shows it, basis indices counted from 1."""
+    return f"{label}({','.join(str(i + 1) for i in indices)}) = {value}"
 
 
 @dataclass(frozen=True)
@@ -27,67 +34,87 @@ class Witness:
     label: str = ""
 
     def render(self) -> str:
-        idx = ",".join(str(i + 1) for i in self.indices)
-        head = f"{self.label}({idx})" if self.label else f"({idx})"
-        return f"{head} = {self.value}"
+        return _entry(self.label, self.indices, self.value)
 
 
 class Defects:
-    """The nonzero entries of a defect table, listed as witnesses when read.
+    """The nonzero entries of one or more labelled defect tables, formatted or
+    listed as witnesses when read.
 
-    Witness values are ``table[key] * scale / den`` (a polynomial entry is
-    its own value, over 1), at indices ``order(key)`` (the key itself without
-    ``order``), in index order.  ``len`` is free, ``[:limit]`` builds the
-    witnesses it returns, and ``witnesses`` builds the rest once and keeps
-    the tuple."""
+    A table's entry at ``key`` has the value ``table[key] * scale / den`` (a
+    polynomial entry is its own value, over 1) at the indices ``order(key)``
+    (the key itself without ``order``), and its entries come in index order.
+    ``joined`` lists several holders' entries one after another or, with
+    ``legs``, merged by their leading ``legs`` indices, the earlier holder
+    first at equal leading indices.  ``len`` is free, ``render(limit)``
+    formats the first ``limit`` entries from the numerators, and
+    ``witnesses`` lists every entry once and keeps the tuple."""
+
+    parts: tuple[Defects, ...] = ()
 
     def __init__(self, table: Mapping, den: int = 1, label: str = "", scale: int = 1,
                  order: Callable[[tuple], tuple] | None = None):
         self.table, self.den, self.label, self.scale, self.order = table, den, label, scale, order
-        self._head: tuple[Witness, ...] = ()
 
-    def scaled(self, scale: int) -> "Defects":
+    @classmethod
+    def joined(cls, *parts: Defects, legs: int = 0) -> Defects:
+        joined = cls({})
+        joined.parts, joined.legs = parts, legs
+        return joined
+
+    @classmethod
+    def of(cls, tensor, label: str = "", order: Callable[[tuple], tuple] | None = None) -> Defects:
+        """The nonzero entries of a tensor's integer table."""
+        return cls(tensor._num, tensor._den, label, order=order)
+
+    def scaled(self, scale: int) -> Defects:
+        """One table's values times ``scale``."""
         return Defects(self.table, self.den, self.label, self.scale * scale, self.order)
 
     def __len__(self) -> int:
-        return len(self.table)
+        return sum(map(len, self.parts)) if self.parts else len(self.table)
 
     @cached_property
     def _keys(self) -> list:
         return sorted(self.table, key=self.order)
 
-    def _list(self, keys: list) -> tuple[Witness, ...]:
-        values = [self.table[key] * self.scale if self.scale != 1 else self.table[key]
-                  for key in keys]
-        values = [Fraction(v, self.den) if isinstance(v, int) else v for v in values]
-        indices = map(self.order, keys) if self.order else keys
-        return tuple(map(Witness, indices, values, repeat(self.label)))
+    def _entries(self) -> Iterator[tuple]:
+        """(label, indices, numerator, denominator) of every entry in report
+        order, each made as it is read."""
+        if self.parts:
+            # at equal keys merge takes the earlier part first: legs 0 concatenates
+            return merge(*(part._entries() for part in self.parts),
+                         key=lambda entry: entry[1][:self.legs])
+        table, scale, order = self.table, self.scale, self.order
+        return ((self.label, order(key) if order else key,
+                 table[key] * scale if scale != 1 else table[key], self.den) for key in self._keys)
 
-    def __getitem__(self, head: slice) -> tuple[Witness, ...]:
-        # only leading runs [:limit] are asked for; the longest is kept
-        if "witnesses" in self.__dict__:
-            return self.witnesses[head]
-        self._head += self._list(self._keys[len(self._head):head.stop])
-        return self._head[head]
+    def render(self, limit: int | None = None) -> list[str]:
+        """The first ``limit`` entries (all without a limit), each as its
+        witness renders, with no witness built."""
+        out = []
+        for label, indices, value, den in islice(self._entries(), limit):
+            if isinstance(value, int):
+                common = gcd(value, den)
+                value = value // common if common == den else f"{value // common}/{den // common}"
+            out.append(_entry(label, indices, value))
+        return out
 
     @cached_property
     def witnesses(self) -> tuple[Witness, ...]:
-        return self._head + self._list(self._keys[len(self._head):])
-
-
-def witnesses(entries: Mapping[tuple[int, ...], Fraction],
-              label: str = "") -> tuple[Witness, ...]:
-    """One witness per entry of ``entries``, the nonzero defect values by index
-    tuple, in index order."""
-    return Defects(entries, label=label).witnesses
+        if self.parts and not self.legs:
+            # one part after another: a remembered part lists its witnesses once
+            return sum((part.witnesses for part in self.parts), ())
+        return tuple(Witness(indices, Fraction(value, den) if isinstance(value, int) else value,
+                             label) for label, indices, value, den in self._entries())
 
 
 @dataclass(frozen=True, init=False)
 class DefectReport:
     """A checker's name and its witnesses, given as a tuple or as
     ``Defects``.  ``ok``, the count and ``render(limit)`` build no witness
-    they do not show; equality, hashing and ``repr`` read the witnesses, so a
-    report of a table equals the report of its witness tuple."""
+    from ``Defects``; equality, hashing and ``repr`` read the witnesses, so a
+    report of tables equals the report of its witness tuple."""
 
     check: str
     witnesses: tuple[Witness, ...]
@@ -113,9 +140,14 @@ class DefectReport:
         return len(self._defects)
 
     def render(self, limit: int | None = None) -> str:
+        """The verdict and the first ``limit`` witnesses (all without a
+        limit); a negative ``limit`` is a ValueError."""
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be at least 0, got {limit}")
         if self.ok:
             return f"{self.check}: ok"
-        count = self.count
-        body = "; ".join(w.render() for w in self._defects[:limit])
+        count, defects = self.count, self._defects
+        shown = defects.render(limit) if isinstance(defects, Defects) \
+            else [w.render() for w in defects[:limit]]
         extra = "" if limit is None or count <= limit else f" (+{count - limit} more)"
-        return f"{self.check}: {count} nonzero defect(s): {body}{extra}"
+        return f"{self.check}: {count} nonzero defect(s): {'; '.join(shown)}{extra}"

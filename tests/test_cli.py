@@ -516,6 +516,20 @@ def test_examples_rejects_a_repeated_parameter(capsys):
     assert err == "error: --param a1 given more than once\n"
 
 
+def test_check_rejects_a_repeated_suite(files, tmp_path, capsys):
+    # hom-assoc fails on this file and coassoc passes, so a suite silently
+    # dropped would turn a failure into exit 0
+    data = json.loads(Path(files["bialgebra-2.json"]).read_text())
+    data["mul"][0][1] = data["mul"][1][1] = ["1", "1"]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert cli_main(["check", str(p), "--suite", "hom-assoc"]) == 1
+    assert "[FAIL]" in capsys.readouterr().out
+    for suites in (["hom-assoc", "coassoc"], ["coassoc", "hom-assoc"], ["G1", "G1"]):
+        argv = ["check", str(p)] + [arg for s in suites for arg in ("--suite", s)]
+        assert _usage_error(argv, capsys) == "error: --suite given more than once\n"
+
+
 def test_bialgebra_file_without_unit_exits_two(files, tmp_path, capsys):
     data = json.loads(Path(files["bialgebra-2.json"]).read_text())
     data["unit"] = None

@@ -32,7 +32,7 @@ from homalg import (
     phi_apply,
     subgroup,
 )
-from homalg.reports import witnesses
+from homalg.reports import Defects
 from homalg.coalgebra import (
     _compositions,
     _phi,
@@ -276,8 +276,8 @@ def test_cyclic_report_is_doubled_g6_and_agrees_with_its_definition():
         assert [(w.indices, w.value) for w in report.cyclic.witnesses] == \
             [(w.indices, 2 * w.value) for w in g6]
         cyclic, _ = admissibility_defects(c)
-        assert report.cyclic.witnesses == witnesses(
-            {(k,) + idx: v for k, t in enumerate(cyclic) for idx, v in t.nonzero.items()})
+        assert report.cyclic.witnesses == Defects(
+            {(k,) + idx: v for k, t in enumerate(cyclic) for idx, v in t.nonzero.items()}).witnesses
         failing += not report.ok
     assert failing >= 10
 

@@ -32,14 +32,14 @@ from homalg import (
 )
 from homalg import algebra, coalgebra, polysolve
 from homalg.algebra import _associator_table
-from homalg.bialgebra import primitive_subspace, weak_witnesses
+from homalg.bialgebra import primitive_subspace, weak_defects
 from homalg.coalgebra import _transpose, beta_coassociator
 from homalg.polysolve import _lex_solve, _weak_generators
 from homalg.sampling import random_scalar
 
 from conftest import bialgebra_row, mu1_algebra, mu2_algebra, truncated_primitive_bialgebra
 
-ONE_ENTRY = (_transpose, weak_witnesses)
+ONE_ENTRY = (_transpose, weak_defects)
 PER_GROUP = (algebra._G_witnesses,)
 EXTENSION = (_weak_generators, _lex_solve)
 # one entry too, but no checker of reports() reaches it
@@ -233,7 +233,7 @@ def test_strict_extension_search_reuses_the_weak_witnesses():
     strict = search_bialgebra_extension(algebra, strict_alpha=True)
     # the weak witnesses are computed once: the strict search takes the weak
     # generators from their memo and computes no weak witness at all
-    info = weak_witnesses.cache_info()
+    info = weak_defects.cache_info()
     assert (info.misses, info.hits) == (1, 0)
     info = _weak_generators.cache_info()
     assert (info.misses, info.hits) == (1, 1)
