@@ -24,6 +24,7 @@ from typing import Sequence
 
 from .reports import DefectReport, Defects
 from .tensors import (
+    PERM_12,
     PERM_23,
     SUBGROUPS,
     LinearMap,
@@ -97,19 +98,25 @@ _associator_table = lru_cache(maxsize=2)(_associator)
 
 
 @lru_cache(maxsize=2 * len(SUBGROUPS))
-def _G_witnesses(algebra: HomAlgebra, group: str, k_first: bool = False) -> Defects:
-    """The witnesses of sum_{sigma in G} (-1)^eps(sigma) a o Phi_sigma, the
-    signed sum on legs (p, q, s) of the associator table a (a itself for
-    G1), listed when read; k first for the coalgebra checkers, which ask on
-    the transpose.
+def _G_defect(algebra: HomAlgebra, group: str) -> Tensor4:
+    """sum_{sigma in G} (-1)^eps(sigma) a o Phi_sigma on legs (p, q, s) of the
+    associator table a, remembered by value for every group of the last two
+    algebras.  S3 is G5 and its coset G5 o (12), whose members are all odd,
+    so G6's table is G5's less its Phi_(12) image."""
+    if group == "G6":
+        g5 = _G_defect(algebra, "G5")
+        return g5 - phi_apply(PERM_12, g5, 1)
+    perms, table = subgroup(group), _associator_table(algebra)
+    return signed_leg_sum(perms, table, 1) if len(perms) > 1 else table
 
-    Remembered by value for the last 2 * len(SUBGROUPS) calls, every group
-    of an algebra and of a coalgebra's transpose, so one condition under two
+
+@lru_cache(maxsize=2 * len(SUBGROUPS))
+def _G_witnesses(algebra: HomAlgebra, group: str, k_first: bool = False) -> Defects:
+    """The witnesses of ``_G_defect``, listed when read (k first for the
+    coalgebra checkers) and remembered like it, so one condition under two
     names (Hom-associativity and G1, Hom-coassociativity and G1, the
     alternating admissibility route and G6) shares one list."""
-    perms, table = subgroup(group), _associator_table(algebra)
-    return Defects.of(signed_leg_sum(perms, table, 1) if len(perms) > 1 else table,
-                      order=None if k_first else _K_LAST)
+    return Defects.of(_G_defect(algebra, group), order=None if k_first else _K_LAST)
 
 
 def check_hom_associative(algebra: HomAlgebra) -> DefectReport:

@@ -129,11 +129,11 @@ _DEFAULT_SUITES = {
 }
 
 
-def _run_suite(name: str, structure, suites: list[str] | None) -> bool:
+def _run_suite(name: str, structure, suite: str | None) -> bool:
     p = parts(structure)
     algebra, coalgebra = p.algebra, p.coalgebra
     ok = True
-    for s in suites or _DEFAULT_SUITES[p.kind]:
+    for s in (suite,) if suite else _DEFAULT_SUITES[p.kind]:
         if s in ("hom-assoc", "module") and algebra is None:
             raise _Failure(f"suite {s} needs an algebra side")
         if s in ("coassoc", "comodule") and coalgebra is None:
@@ -178,8 +178,6 @@ def _run_suite(name: str, structure, suites: list[str] | None) -> bool:
 
 
 def _cmd_check(args) -> int:
-    if len(args.suite or ()) > 1:
-        raise _Failure("--suite given more than once")
     return 0 if _run_suite(args.file, _load(args.file), args.suite) else 1
 
 
@@ -333,6 +331,17 @@ def _int_at_least(minimum: int):
     return parse
 
 
+class _Once(argparse.Action):
+    """Store the option's value; a second use is a usage error (exit 2)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("given", set())
+        if self.dest in given:
+            raise _Failure(f"{'/'.join(self.option_strings)} given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -345,11 +354,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a check suite on a structure file")
     p.add_argument("file")
-    p.add_argument("--suite", choices=CHECK_SUITES, action="append")
+    p.add_argument("--suite", choices=CHECK_SUITES, action=_Once)
 
     p = sub.add_parser("dualize", help="write the dual structure file")
     p.add_argument("file")
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("-o", "--output", action=_Once)
 
     p = sub.add_parser("antipode", help="solve the antipode equations")
     p.add_argument("file")
@@ -366,13 +375,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser("identities", help="prove the universal identity suites at every dimension")
-    p.add_argument("--dim", type=_int_at_least(1), default=2)
+    p.add_argument("--dim", type=_int_at_least(1), default=2, action=_Once)
 
     p = sub.add_parser("search-extension",
                        help="certify (non)existence of a bialgebra extension")
     p.add_argument("file")
-    p.add_argument("--degree-cap", type=_int_at_least(0), default=DEGREE_CAP)
-    p.add_argument("--pair-cap", type=_int_at_least(1), default=PAIR_CAP,
+    p.add_argument("--degree-cap", type=_int_at_least(0), default=DEGREE_CAP, action=_Once)
+    p.add_argument("--pair-cap", type=_int_at_least(1), default=PAIR_CAP, action=_Once,
                    help="most S-pairs to reduce; only pairs that survive the Gebauer-Moller "
                         "criteria count, and coprime pairs are never queued")
     p.add_argument("--strict-alpha", action="store_true")
@@ -380,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("examples", help="list or emit built-in structures")
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--param", action="append", default=[])
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("-o", "--output", action=_Once)
 
     return parser
 
@@ -402,10 +411,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return _COMMANDS[args.command](args)
     except _Failure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

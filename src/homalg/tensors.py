@@ -250,7 +250,8 @@ def _rekey(table: dict, pick) -> dict:
     out: dict[tuple, object] = {}
     for key, value in table.items():
         key = pick(key)
-        out[key] = out[key] + value if key in out else value
+        old = out.get(key)
+        out[key] = value if old is None else old + value
     return {key: value for key, value in out.items() if value}
 
 
@@ -377,10 +378,10 @@ class _Tensor:
             raise ValueError(f"dimensions {self.dim} and {other.dim} differ")
         den = lcm(self._den, other._den)
         scale, other_scale = den // self._den, sign * (den // other._den)
-        out = {key: value * scale for key, value in self._num.items()}
+        out = dict(self._num) if scale == 1 else {k: v * scale for k, v in self._num.items()}
         for key, value in other._num.items():
-            value = value * other_scale
-            out[key] = out[key] + value if key in out else value
+            value, old = value * other_scale, out.get(key)
+            out[key] = value if old is None else old + value
         return self._of(self.dim, {key: value for key, value in out.items() if value}, den)
 
     def __add__(self, other):
@@ -587,17 +588,24 @@ def signed_leg_sum(perms: Iterable[Perm3], t: _Tensor, lead: int = 0) -> _Tensor
     """sum_{sigma in perms} (-1)^eps(sigma) Phi_sigma(t), Phi_sigma acting on
     legs lead..lead+2 as in ``phi_apply``.
 
-    Each numerator of t is added, signed, under its permuted index tuple.
-    Over a subgroup this also equals the signed sum of t o Phi_sigma, since
-    sigma and its inverse have one sign and the subgroup holds both."""
-    items = list(t._num.items())
-    negated = [(key, -value) for key, value in items]
+    The identity's term is a copy of t's numerators; each other term's
+    numerators are added, signed, under their permuted index tuples.  Over a
+    subgroup this also equals the signed sum of t o Phi_sigma, since sigma
+    and its inverse have one sign and the subgroup holds both."""
+    rest = list(perms)
     total: dict[tuple, object] = {}
-    for sigma in perms:
+    if PERM_ID in rest:
+        rest.remove(PERM_ID)
+        total.update(t._num)
+    negated = [(key, -value) for key, value in t._num.items()] \
+        if any(s.sign < 0 for s in rest) else ()
+    get = total.get
+    for sigma in rest:
         pick = _leg_picker(sigma, lead, t.order)
-        for key, value in items if sigma.sign > 0 else negated:
+        for key, value in t._num.items() if sigma.sign > 0 else negated:
             key = pick(key)
-            total[key] = total[key] + value if key in total else value
+            old = get(key)
+            total[key] = value if old is None else old + value
     return t._of(t.dim, {key: value for key, value in total.items() if value}, t._den)
 
 

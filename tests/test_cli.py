@@ -530,6 +530,28 @@ def test_check_rejects_a_repeated_suite(files, tmp_path, capsys):
         assert _usage_error(argv, capsys) == "error: --suite given more than once\n"
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["identities", "--dim", "1", "--dim", "2"], "--dim"),
+    (["identities", "--dim=2", "--dim=2"], "--dim"),
+    (["dualize", "{bialgebra}", "-o", "x1.json", "-o", "x2.json"], "-o/--output"),
+    (["dualize", "{bialgebra}", "-o", "x1.json", "--output", "x2.json"], "-o/--output"),
+    (["examples", "bialgebra-2", "--param", "b1=1", "--param", "b2=0", "--param", "b3=1",
+      "-o", "x1.json", "-o", "x2.json"], "-o/--output"),
+    (["search-extension", "{algebra}", "--degree-cap", "4", "--degree-cap", "5"],
+     "--degree-cap"),
+    (["search-extension", "{algebra}", "--pair-cap", "9", "--pair-cap", "9"], "--pair-cap"),
+])
+def test_repeated_single_valued_options_are_usage_errors(side_files, tmp_path, monkeypatch,
+                                                         capsys, argv, option):
+    # argparse would keep the last value silently: a second run or file, not an error
+    workdir = tmp_path / "out"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    argv = [a.format(**side_files) for a in argv]
+    assert _usage_error(argv, capsys) == f"error: {option} given more than once\n"
+    assert list(workdir.iterdir()) == []
+
+
 def test_bialgebra_file_without_unit_exits_two(files, tmp_path, capsys):
     data = json.loads(Path(files["bialgebra-2.json"]).read_text())
     data["unit"] = None

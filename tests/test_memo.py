@@ -1,11 +1,13 @@
 """The associator's two-entry memo (a bialgebra's algebra and its
 coalgebra's transpose, on which the coalgebra checkers decide), the one-entry
 memos of that transpose, the weak bialgebra witnesses and the primitive
-subspace, the one per-group memo of the G-defect witnesses that serves both
-sides, and the extension search's memos of the weak system and the lex solve:
-keyed on the structure's value, never stale, never growing past their bound."""
+subspace, the per-group memos of the G-defect tables and of their witnesses
+that serve both sides (G6's table is built from G5's), and the extension
+search's memos of the weak system and the lex solve: keyed on the
+structure's value, never stale, never growing past their bound."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -36,11 +38,12 @@ from homalg.bialgebra import primitive_subspace, weak_defects
 from homalg.coalgebra import _transpose, beta_coassociator
 from homalg.polysolve import _lex_solve, _weak_generators
 from homalg.sampling import random_scalar
+from homalg.tensors import signed_leg_sum
 
 from conftest import bialgebra_row, mu1_algebra, mu2_algebra, truncated_primitive_bialgebra
 
 ONE_ENTRY = (_transpose, weak_defects)
-PER_GROUP = (algebra._G_witnesses,)
+PER_GROUP = (algebra._G_defect, algebra._G_witnesses)
 EXTENSION = (_weak_generators, _lex_solve)
 # one entry too, but no checker of reports() reaches it
 PRIMITIVE = (primitive_subspace,)
@@ -225,6 +228,25 @@ def test_hom_associativity_alone_sums_no_group(monkeypatch):
     check_hom_coassociative(b.coalgebra)
     assert sums == []
     assert all(memo.cache_info().currsize == 2 for memo in PER_GROUP)
+
+
+def test_each_group_sums_the_associator_once_per_side(monkeypatch):
+    sums = []
+
+    def recorded(perms, t, lead=0):
+        sums.append(tuple(perms))
+        return signed_leg_sum(perms, t, lead)
+
+    for module in (algebra, coalgebra):
+        monkeypatch.setattr(module, "signed_leg_sum", recorded)
+    b = build(random_bialgebra_data(3, 6))
+    want = fresh_reports(b)
+    for memo in MEMOS:
+        memo.cache_clear()
+    sums.clear()
+    assert reports(b) == want
+    # G1 is the associator itself and G6 is built from G5's table
+    assert Counter(sums) == {SUBGROUPS[g]: 2 for g in ("G2", "G3", "G4", "G5")}
 
 
 def test_strict_extension_search_reuses_the_weak_witnesses():

@@ -53,8 +53,8 @@ from homalg.tensors import ComulTensor, LinearMap, Tensor2, Tensor4, contract
 
 from conftest import mu1_algebra, mu2_algebra, registry_parts
 
-MEMOS = (algebra._associator_table, algebra._G_witnesses, coalgebra._transpose,
-         bialgebra.weak_defects)
+MEMOS = (algebra._associator_table, algebra._G_defect, algebra._G_witnesses,
+         coalgebra._transpose, bialgebra.weak_defects)
 
 
 @pytest.fixture(autouse=True)

@@ -328,16 +328,29 @@ def test_phi_and_signed_leg_sum_match_permuted_indices(data):
         inv = sigma.inverse().images
         return tuple(idx[inv[m] - 1] for m in range(3))
 
-    for sigma in S3:
-        assert cells(phi_apply(sigma, t)) == {moved(sigma, i): v for i, v in values.items()}
-    for name, perms in SUBGROUPS.items():
-        want = {idx: Fraction(0) for idx in values}
+    def signed(perms, values):
+        want = {idx: 0 for idx in values}
         for sigma in perms:
             for idx, v in values.items():
                 want[moved(sigma, idx)] += sigma.sign * v
+        return want
+
+    for sigma in S3:
+        assert cells(phi_apply(sigma, t)) == {moved(sigma, i): v for i, v in values.items()}
+    # every subgroup, in order and reversed (the identity last), and the odd
+    # coset, which holds no identity
+    lists = dict(SUBGROUPS)
+    lists.update({f"{name} reversed": perms[::-1] for name, perms in SUBGROUPS.items()})
+    lists["odd"] = (PERMS["(12)"], PERMS["(23)"], PERMS["(13)"])
+    x = Poly.var(("x", "y"), "x")
+    polys = {idx: v * x + v for idx, v in values.items()}
+    p = Tensor3.from_entries(dim, polys)
+    for name, perms in lists.items():
         total = signed_leg_sum(perms, t)
-        assert cells(total) == want, name
+        assert cells(total) == signed(perms, values), name
         assert_canonical(total)
+        want = {idx: v for idx, v in signed(perms, polys).items() if v}
+        assert signed_leg_sum(perms, p).nonzero == want, name
 
 
 def test_poly_valued_tensors_round_trip_through_entry():
