@@ -29,6 +29,7 @@ from .tensors import (
     SUBGROUPS,
     LinearMap,
     MulTensor,
+    Table,
     Tensor3,
     Tensor4,
     Vector,
@@ -220,6 +221,26 @@ def check_algebra_morphism(f: LinearMap, source: HomAlgebra, target: HomAlgebra)
     return True
 
 
+def _tabled_action(action, shape: tuple[int, int, int], message: str) -> Table:
+    """A (co)action tensor as one ``Table``, which both sides of its axiom
+    share; ValueError(message) unless its nested lengths are ``shape``."""
+    if len(action) != shape[0] or any(len(plane) != shape[1] for plane in action) or \
+            any(len(row) != shape[2] for plane in action for row in plane):
+        raise ValueError(message)
+    return tabled(action, 3)
+
+
+def _is_table_of(action: Table, tensor) -> bool:
+    """Whether a tabled (co)action is the structure tensor itself, by value."""
+    return _reduced(action.num, action.den) == (tensor._num, tensor._den)
+
+
+def _sides_agree(lhs: str, lhs_operands, rhs: str, rhs_operands) -> bool:
+    """Whether two contractions give one table, compared in lowest terms."""
+    left, right = _contraction(lhs, lhs_operands), _contraction(rhs, rhs_operands)
+    return _reduced(left.num, left.den) == _reduced(right.num, right.den)
+
+
 def check_module(
     algebra: HomAlgebra,
     m_dim: int,
@@ -229,18 +250,16 @@ def check_module(
     """Left module axiom gamma o (mu (x) f) = gamma o (alpha (x) gamma).
 
     ``gamma[i][m][p]`` is the coefficient of u_p in gamma(e_i (x) u_m), for
-    the V-basis e_i and M-basis u_m.  At M = V, f = alpha, gamma = mu this
-    is Hom-associativity, ``check_hom_associative(algebra).ok``.
+    the V-basis e_i and M-basis u_m.  At M = V, f = alpha, gamma = mu (by
+    value) it is Hom-associativity, read off the remembered associator table,
+    which a cold call computes at the cost of the two sides.
     """
-    n = algebra.dim
-    if len(gamma) != n or any(len(plane) != m_dim for plane in gamma) or \
-            any(len(row) != m_dim for plane in gamma for row in plane):
-        raise ValueError("action tensor must have shape dim x m_dim x m_dim")
+    gamma = _tabled_action(gamma, (algebra.dim, m_dim, m_dim),
+                           "action tensor must have shape dim x m_dim x m_dim")
     if f.dim != m_dim:
         raise ValueError("f must act on the module")
-
-    # both sides as one whole table keyed (x, y, m, p), in lowest terms
-    gamma = tabled(gamma, 3)
-    lhs = _contraction("rm,trp,xyt->xymp", (f, gamma, algebra.mul))
-    rhs = _contraction("ax,arp,ymr->xymp", (algebra.alpha, gamma, gamma))
-    return _reduced(lhs.num, lhs.den) == _reduced(rhs.num, rhs.den)
+    if f == algebra.alpha and _is_table_of(gamma, algebra.mul):
+        return _associator_table(algebra).is_zero()
+    # both sides as one whole table keyed (x, y, m, p)
+    return _sides_agree("rm,trp,xyt->xymp", (f, gamma, algebra.mul),
+                        "ax,arp,ymr->xymp", (algebra.alpha, gamma, gamma))

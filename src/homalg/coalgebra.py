@@ -7,10 +7,10 @@ The central object is the beta-coassociator
 Every condition is decided on the transpose :func:`dual_algebra_of_coalgebra`:
 c_beta(Delta) at basis vector k is the transpose's alpha-associator at output
 component k (the same two contraction networks), the counit law (C2) is its
-unit law, and comodules and morphisms transpose to modules and algebra
-morphisms.  Axiom (C1) is the vanishing of c_beta(Delta).  The structure
-carries no compatibility axiom between beta and the counit (nothing like
-eps o beta = eps is demanded, and none is enforced here).
+unit law, the self-comodule axiom its Hom-associativity, and morphisms
+transpose to algebra morphisms (other comodules read Delta directly).  Axiom
+(C1) is the vanishing of c_beta(Delta).  No compatibility axiom ties beta
+to the counit (nothing like eps o beta = eps is demanded or enforced).
 
 Delta_L = Delta - Delta^op is the cocommutator; the triple (V, Delta, beta)
 is Hom-Lie admissible when the cyclic sum
@@ -41,8 +41,10 @@ from .algebra import (
     _associator,
     _associator_table,
     _G_witnesses,
+    _is_table_of,
+    _sides_agree,
+    _tabled_action,
     check_algebra_morphism,
-    check_module,
     check_unital,
     commutator_bracket,
 )
@@ -323,21 +325,19 @@ def check_comodule(
     """Right comodule axiom (rho (x) beta) o rho = (g (x) Delta) o rho.
 
     ``rho[m][p][i]`` is the coefficient of u_p (x) e_i in rho(u_m).  At M = V,
-    g = beta, rho = Delta this is Hom-coassociativity,
-    ``check_hom_coassociative(coalgebra).ok``.  It is the left module axiom
-    of the opposite of the transpose, with action gamma[i][p][m] = rho[m][p][i]
-    and g transposed.
+    g = beta, rho = Delta (by value) it is Hom-coassociativity, read off the
+    transpose's remembered associator table, which a cold call computes at
+    the cost of the two sides.
     """
-    n = coalgebra.dim
-    if len(rho) != m_dim or any(len(plane) != m_dim for plane in rho) or \
-            any(len(row) != n for plane in rho for row in plane):
-        raise ValueError("coaction tensor must have shape m_dim x m_dim x dim")
+    rho = _tabled_action(rho, (m_dim, m_dim, coalgebra.dim),
+                         "coaction tensor must have shape m_dim x m_dim x dim")
     if g.dim != m_dim:
         raise ValueError("g must act on the comodule")
-    dual = _transpose(coalgebra)
-    opposite = HomAlgebra(MulTensor.contracted("jik->ijk", dual.mul), dual.alpha)
-    gamma = [[[rho[m][p][i] for m in range(m_dim)] for p in range(m_dim)] for i in range(n)]
-    return check_module(opposite, m_dim, g.transpose(), gamma)
+    if g == coalgebra.beta and _is_table_of(rho, coalgebra.comul):
+        return _associator_table(_transpose(coalgebra)).is_zero()
+    # both sides as one whole table keyed (m, p, j, l)
+    return _sides_agree("mqi,qpj,li->mpjl", (rho, rho, coalgebra.beta),
+                        "mqi,pq,ijl->mpjl", (rho, g, coalgebra.comul))
 
 
 def check_coalgebra_morphism(

@@ -20,10 +20,13 @@ from homalg import (
     check_twist_multiplicative,
     check_unital,
     commutator_bracket,
+    dual_algebra_of_coalgebra,
+    generic_coalgebra,
     multiply,
     tensor_product,
 )
-from homalg.sampling import random_linear_map, random_mul_tensor, random_vector
+from homalg.sampling import random_linear_map, random_mul_tensor, random_scalar, \
+    random_vector
 
 from conftest import mu1_algebra, mu2_algebra, registry_parts
 
@@ -454,3 +457,71 @@ def test_module_rejects_malformed_entry():
     gamma = [[[0, 0], [0, 0]], [[0, "x"], [0, 0]]]
     with pytest.raises(ValueError, match="not a rational number"):
         check_module(algebra, 2, algebra.alpha, gamma)
+
+
+def reference_module(a, m_dim, f, gamma):
+    """gamma o (mu (x) f) = gamma o (alpha (x) gamma), entry by entry."""
+    n, mul, alpha, f = a.dim, a.mul.c, a.alpha.entries, f.entries
+    for x, y, m, p in product(range(n), range(n), range(m_dim), range(m_dim)):
+        lhs = sum(mul[x][y][t] * f[r][m] * gamma[t][r][p]
+                  for t in range(n) for r in range(m_dim))
+        rhs = sum(alpha[s][x] * gamma[y][m][r] * gamma[s][r][p]
+                  for s in range(n) for r in range(m_dim))
+        if lhs != rhs:
+            return False
+    return True
+
+
+def block_module(a):
+    """M = V (+) V, each copy acted on as V is by mu, twisted by alpha (+) alpha."""
+    n = a.dim
+    gamma = [[[a.mul.c[i][m % n][p % n] if m // n == p // n else 0 for p in range(2 * n)]
+              for m in range(2 * n)] for i in range(n)]
+    f = LinearMap([[a.alpha.entries[p % n][q % n] if p // n == q // n else 0
+                    for q in range(2 * n)] for p in range(2 * n)])
+    return 2 * n, f, gamma
+
+
+def test_modules_match_the_direct_action():
+    rng = random.Random(71)
+    registered = [p.algebra for p in registry_parts() if p.algebra is not None]
+    randoms = [HomAlgebra(random_mul_tensor(n, rng), random_linear_map(n, rng))
+               for n in (1, 2, 3) for _ in range(4)]
+    generic = dual_algebra_of_coalgebra(generic_coalgebra(2))
+    results = []
+    for a in registered + randoms + [generic]:
+        n = a.dim
+        # the self case M = V, f = alpha, gamma = mu, as nested lists and as
+        # the tensor's own tuples
+        gamma = [[list(row) for row in plane] for plane in a.mul.c]
+        want = reference_module(a, n, a.alpha, gamma)
+        assert check_module(a, n, a.alpha, gamma) is check_module(a, n, a.alpha, a.mul.c) \
+            is want
+        results.append(want)
+        # near it, on the general path: gamma = mu but for one entry, and
+        # f = alpha + E_11
+        i, m, p = (rng.randrange(n) for _ in range(3))
+        gamma[i][m][p] += 1
+        want = reference_module(a, n, a.alpha, gamma)
+        assert check_module(a, n, a.alpha, gamma) is want
+        results.append(want)
+        f = a.alpha + LinearMap.from_entries(n, {(0, 0): 1})
+        want = reference_module(a, n, f, a.mul.c)
+        assert check_module(a, n, f, a.mul.c) is want
+        results.append(want)
+        # M = V (+) V acted on block by block: a module exactly when V is one
+        m_dim, f, gamma = block_module(a)
+        want = reference_module(a, m_dim, f, gamma)
+        assert want is reference_module(a, n, a.alpha, a.mul.c)
+        assert check_module(a, m_dim, f, gamma) is want
+        gamma[rng.randrange(n)][0][m_dim - 1] = 1
+        assert check_module(a, m_dim, f, gamma) is reference_module(a, m_dim, f, gamma)
+    # random M and random action over random algebras
+    for n in (1, 2, 3):
+        a, m_dim = HomAlgebra(random_mul_tensor(n, rng), random_linear_map(n, rng)), \
+            rng.randint(1, 3)
+        gamma = [[[random_scalar(rng) for _ in range(m_dim)] for _ in range(m_dim)]
+                 for _ in range(n)]
+        f = random_linear_map(m_dim, rng)
+        assert check_module(a, m_dim, f, gamma) is reference_module(a, m_dim, f, gamma)
+    assert True in results and False in results

@@ -730,6 +730,46 @@ def relabelled(c, perm):
     return HomCoalgebra(comul, beta, counit)
 
 
+def block_comodule(c):
+    """M = C (+) C, each copy coacted on as C is by Delta, twisted by beta (+) beta."""
+    n = c.dim
+    rho = [[[c.comul.d[m % n][p % n][i] if m // n == p // n else 0 for i in range(n)]
+            for p in range(2 * n)] for m in range(2 * n)]
+    g = LinearMap([[c.beta.entries[p % n][q % n] if p // n == q // n else 0
+                    for q in range(2 * n)] for p in range(2 * n)])
+    return 2 * n, g, rho
+
+
+def test_near_self_comodules_match_the_direct_coaction():
+    rng = random.Random(73)
+    results = []
+    for c in differential_coalgebras() + [generic_coalgebra(2)]:
+        n = c.dim
+        # the self case M = V, g = beta, rho = Delta, as nested lists
+        rho = [[list(row) for row in plane] for plane in c.comul.d]
+        want = reference_comodule(c, n, c.beta, rho)
+        assert check_comodule(c, n, c.beta, rho) is want
+        results.append(want)
+        # near it, on the general path: rho = Delta but for one entry, and
+        # g = beta + E_11
+        m, p, i = (rng.randrange(n) for _ in range(3))
+        rho[m][p][i] += 1
+        want = reference_comodule(c, n, c.beta, rho)
+        assert check_comodule(c, n, c.beta, rho) is want
+        results.append(want)
+        g = c.beta + LinearMap.from_entries(n, {(0, 0): 1})
+        want = reference_comodule(c, n, g, c.comul.d)
+        assert check_comodule(c, n, g, c.comul.d) is want
+        results.append(want)
+        # M = C (+) C coacted on block by block: a comodule exactly when C is one
+        m_dim, g, rho = block_comodule(c)
+        want = reference_comodule(c, m_dim, g, rho)
+        assert want is reference_comodule(c, n, c.beta, c.comul.d)
+        assert check_comodule(c, m_dim, g, rho) is want
+        rho[0][m_dim - 1][rng.randrange(n)] = 1
+        assert check_comodule(c, m_dim, g, rho) is reference_comodule(c, m_dim, g, rho)
+    assert True in results and False in results
+
 def test_morphisms_match_the_direct_conditions():
     rng = random.Random(71)
     results = []

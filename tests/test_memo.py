@@ -4,7 +4,9 @@ memos of that transpose, the weak bialgebra witnesses and the primitive
 subspace, the per-group memos of the G-defect tables and of their witnesses
 that serve both sides (G6's table is built from G5's), and the extension
 search's memos of the weak system and the lex solve: keyed on the
-structure's value, never stale, never growing past their bound."""
+structure's value, never stale, never growing past their bound.  The
+self-module and self-comodule checks read the associator memo and contract
+nothing; any other action is tabled once and contracted."""
 
 import random
 from collections import Counter
@@ -23,16 +25,18 @@ from homalg import (
     check_bialgebra_strict,
     check_bialgebra_weak,
     check_coalgebra_morphism,
+    check_comodule,
     check_G_hom_associative,
     check_G_hom_coalgebra,
     check_hom_associative,
     check_hom_coassociative,
     check_hom_lie_admissible,
+    check_module,
     dual,
     dual_algebra_of_coalgebra,
     search_bialgebra_extension,
 )
-from homalg import algebra, coalgebra, polysolve
+from homalg import algebra, coalgebra, polysolve, tensors
 from homalg.algebra import _associator_table
 from homalg.bialgebra import primitive_subspace, weak_defects
 from homalg.coalgebra import _transpose, beta_coassociator
@@ -247,6 +251,74 @@ def test_each_group_sums_the_associator_once_per_side(monkeypatch):
     assert reports(b) == want
     # G1 is the associator itself and G6 is built from G5's table
     assert Counter(sums) == {SUBGROUPS[g]: 2 for g in ("G2", "G3", "G4", "G5")}
+
+
+def count_calls(monkeypatch, name):
+    """Record the first argument of every call of tensors.<name>, wherever
+    the algebra side binds it."""
+    calls, original = [], getattr(tensors, name)
+
+    def counted(first, *rest):
+        calls.append(first)
+        return original(first, *rest)
+
+    for module in (algebra, tensors):
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_self_module_and_comodule_read_the_remembered_associators(monkeypatch):
+    b = build(random_bialgebra_data(3, 9))
+    a, c = b.algebra, b.coalgebra
+    want = check_hom_associative(a).ok, check_hom_coassociative(c).ok
+    before = _associator_table.cache_info()
+    contractions = count_calls(monkeypatch, "_contraction")
+    # the action as nested lists, so the tensors are compared by value
+    gamma = [[list(row) for row in plane] for plane in a.mul.c]
+    rho = [[list(row) for row in plane] for plane in c.comul.d]
+    assert (check_module(a, a.dim, a.alpha, gamma), check_comodule(c, c.dim, c.beta, rho)) == want
+    assert contractions == []
+    after = _associator_table.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize) == (2, 2)
+    assert after.hits == before.hits + 2
+    # both entries are still there
+    _associator_table(a)
+    _associator_table(_transpose(c))
+    assert _associator_table.cache_info().misses == 2
+
+
+def test_near_self_modules_and_comodules_contract_both_sides(monkeypatch):
+    b = build(random_bialgebra_data(2, 10))
+    a, c = b.algebra, b.coalgebra
+    check_hom_associative(a)
+    check_hom_coassociative(c)
+    contractions = count_calls(monkeypatch, "_contraction")
+    gamma = [[list(row) for row in plane] for plane in a.mul.c]
+    gamma[1][0][1] += 1
+    rho = [[list(row) for row in plane] for plane in c.comul.d]
+    rho[0][1][1] += 1
+    nudge = LinearMap.from_entries(2, {(0, 0): 1})
+    check_module(a, 2, a.alpha, gamma)
+    check_module(a, 2, a.alpha + nudge, a.mul.c)
+    check_comodule(c, 2, c.beta, rho)
+    check_comodule(c, 2, c.beta + nudge, c.comul.d)
+    # two sides per call, and no associator computed
+    assert len(contractions) == 4 * 2
+    assert _associator_table.cache_info().misses == 2
+
+
+def test_any_action_is_tabled_once(monkeypatch):
+    b = build(random_bialgebra_data(2, 11))
+    a, c = b.algebra, b.coalgebra
+    calls = count_calls(monkeypatch, "tabled")
+    # M = V (+) V, each copy acted on as V is
+    gamma = [[[a.mul.c[i][m % 2][p % 2] if m // 2 == p // 2 else 0 for p in range(4)]
+              for m in range(4)] for i in range(2)]
+    rho = [[[c.comul.d[m % 2][p % 2][i] if m // 2 == p // 2 else 0 for i in range(2)]
+            for p in range(4)] for m in range(4)]
+    check_module(a, 4, LinearMap.identity(4), gamma)
+    check_comodule(c, 4, LinearMap.identity(4), rho)
+    assert calls == [gamma, rho] and calls[0] is gamma and calls[1] is rho
 
 
 def test_strict_extension_search_reuses_the_weak_witnesses():
