@@ -66,7 +66,8 @@ BINDINGS = ({"a1": 3, "a2": -1, "b1": 2, "b2": 0, "b3": 5},
             {"a1": "1/2", "a2": 2, "b1": -1, "b2": 0, "b3": "1/3"})
 FILE_COMMANDS = ([["check"]] + [["check", "--suite", s] for s in CHECK_SUITES]
                  + [["dualize"], ["dualize", "-o", "out.json"], ["antipode"], ["primitives"],
-                    ["gprimitives"], ["convolution-test"], ["search-extension"]])
+                    ["gprimitives"], ["convolution-test"], ["search-extension"],
+                    ["search-extension", "--strict-alpha"]])
 
 
 def _digest(text: str) -> str:
