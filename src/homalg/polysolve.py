@@ -208,7 +208,8 @@ class GroebnerResult:
     """status "ok" or "capped"; on "ok" the basis is reduced and each entry
     carries cofactors over the input generators.  On "capped", ``cap`` names
     the cap that tripped and the value reached: ("pair_cap", pairs
-    processed) or ("degree_cap", degree of the remainder that exceeded it)."""
+    processed) or ("degree_cap", degree of the remainder that exceeded it).
+    ``pairs_processed`` stops counting at the first nonzero constant."""
 
     status: str
     basis: tuple[Poly, ...]
@@ -257,7 +258,8 @@ def buchberger(
     among pairs of equal degree the one queued most recently; the pairs
     among the generators are queued in ascending (i, j) order.  Only pairs
     that survive the criteria are selected, and each counts toward
-    ``pair_cap``.
+    ``pair_cap``.  Selection stops at the first nonzero constant (a
+    generator or a remainder): the pairs left are neither reduced nor counted.
 
     The arithmetic is on integers.  Generator i enters as its primitive
     multiple c_i * g_i.  The S-polynomial of fi and fj, with d the gcd of
@@ -331,7 +333,9 @@ def buchberger(
     for i, j in sorted(initial):
         push(i, j)
     processed = 0
-    while queue:
+    # the first nonzero constant is the whole reduced basis (minimalization)
+    unit = any(t.lm == one for t in basis)
+    while queue and not unit:
         _, _, i, j = heappop(queue)
         processed += 1
         if processed > pair_cap:
@@ -352,6 +356,7 @@ def buchberger(
         combination = [({ai: s * ci}, fi), ({aj: s * cj}, fj)]
         combination += [(q, basis[k]) for k, q in quotients.items()]
         basis.append(_Tracked.normalized(rem, *_cofactors(combination, variables), key, variables))
+        unit = basis[-1].lm == one
         new_pairs = join(len(basis) - 1, queue)
         heapify(queue)
         for t, new in new_pairs:
@@ -393,9 +398,12 @@ def buchberger(
 
 
 def verify_certificate(generators: Sequence[Poly], certificate: Sequence[Poly]) -> bool:
-    """The inconsistency certificate must recombine to the constant 1 exactly."""
+    """The certificate, one cofactor per generator, must recombine to 1 exactly."""
     if not generators:
         raise ValueError("no generators")
+    if len(certificate) != len(generators):
+        raise ValueError(f"certificate has {len(certificate)} cofactors "
+                         f"for {len(generators)} generators")
     variables = generators[0].variables
     acc = Poly.zero(variables)
     for g, c in zip(generators, certificate):
@@ -561,8 +569,9 @@ class SystemVerdict:
     or "inconclusive" (caps exhausted, or a certificate that fails its
     check; reason says which).
     pairs_processed: the S-pairs Buchberger selected, capped runs included;
-    only pairs that survive the Gebauer-Moller criteria are selected, and
-    pairs with coprime leading monomials are never queued.
+    only pairs that survive the Gebauer-Moller criteria are selected, pairs
+    with coprime leading monomials are never queued, and none is selected
+    after the first nonzero constant.
     """
 
     status: str

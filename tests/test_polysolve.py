@@ -356,16 +356,18 @@ def test_poly_scalar_product_and_truthiness():
 # --- solver parity pins, caps and counters ------------------------------------------
 
 # Pairs processed and reduced lex bases of the extension systems at a1=2, a2=3.
-# The pair counts pin the selection order (lowest lcm degree, newest first)
-# and the Gebauer-Moller criteria, which left 5/14/7/14 of the 45/190/66/190
-# pairs selected without them; a new strategy or pair criterion must re-pin
+# The pair counts pin the selection order (lowest lcm degree, newest first),
+# the Gebauer-Moller criteria, which left 5/14/7/14 of the 45/190/66/190
+# pairs selected without them, and the stop at the first nonzero constant,
+# which leaves 5/1/4/1 (the three inconsistent systems reach 1 at pairs
+# 1, 4 and 1); a new strategy, pair criterion or stopping rule must re-pin
 # them on purpose.
 EXTENSION_PINS = {
     ("mu1", False): (5, ["y^2 - y", "x22^2 - 6*x22*y + 3*x22 + 2", "x22*y + x21 - 1",
                          "x22*y + x12 - 1", "-x22*y + x11 + y"]),
-    ("mu1", True): (14, ["1"]),
-    ("mu2", False): (7, ["1"]),
-    ("mu2", True): (14, ["1"]),
+    ("mu1", True): (1, ["1"]),
+    ("mu2", False): (4, ["1"]),
+    ("mu2", True): (1, ["1"]),
 }
 
 
@@ -380,10 +382,29 @@ def test_extension_system_basis_and_pair_count_pinned(name, strict):
     assert [str(p) for p in result.basis] == basis
     verdict = search_bialgebra_extension(algebra, strict_alpha=strict)
     assert verdict.pairs_processed == pairs
-    # pair_cap=1 stops at the second selected pair
     capped = buchberger(gens, order="lex", pair_cap=1)
-    assert capped.status == "capped" and capped.pairs_processed == 2
-    assert capped.cap == ("pair_cap", 2)
+    if pairs == 1:
+        # the first pair gives the unit, so pair_cap=1 is enough
+        assert capped.status == "ok" and capped.inconsistent and capped == result
+    else:
+        # pair_cap=1 stops at the second selected pair
+        assert capped.status == "capped" and capped.pairs_processed == 2
+        assert capped.cap == ("pair_cap", 2)
+
+
+def test_a_constant_generator_ends_the_run_before_any_pair():
+    x = Poly.var(X, "x")
+    two, zero = Poly.const(X, 2), Poly.zero(X)
+    # the certificate is the first constant's: 1 = (1/2) * 2
+    result = buchberger([x * x - 1, two, x - 1])
+    assert result.status == "ok" and result.pairs_processed == 0
+    assert result.basis == (Poly.const(X, 1),)
+    assert result.cofactors == ((zero, Poly.const(X, Fraction(1, 2)), zero),)
+    # x - 1 leaves the pair (x^2 - 1, x - 1) queued before the constant
+    # joins; the constant ends the run before it is selected
+    result = buchberger([x * x - 1, x - 1, two])
+    assert result.status == "ok" and result.pairs_processed == 0
+    assert result.cofactors == ((zero, zero, Poly.const(X, Fraction(1, 2))),)
 
 
 def test_capped_reason_names_the_tripped_cap():
@@ -682,6 +703,36 @@ def test_kernel_invariants_on_standard_systems(name, kernel):
         _assert_kernel_invariants(gens, order, *kernel)
 
 
+def test_no_pair_is_reduced_after_the_first_unit(kernel):
+    """Once a nonzero constant is in the basis, no S-pair is divided: every
+    division runs by a basis without one (the unit, interreduced, divides by
+    nothing), an "ok" run divides each selected pair and then each reduced
+    entry once, and no entry is built after the unit but the generators
+    that follow it."""
+    calls, entries = kernel
+    systems = [("extension", bialgebra_extension_system(build(a1, a2), strict_alpha=strict),
+                "lex", {})
+               for build in (mu1_algebra, mu2_algebra) for strict in (False, True)
+               for a1, a2 in EXTENSION_BINDINGS]
+    for order in ("lex", "grevlex"):
+        rng = random.Random(20261018)
+        systems += [("random", gens, order, {"degree_cap": 5, "pair_cap": 300})
+                    for gens in (_random_system(rng) for _ in range(40)) if any(gens)]
+    inconsistent = {"extension": 0, "random": 0}
+    for kind, gens, order, caps in systems:
+        result = buchberger(gens, order=order, **caps)
+        assert not any(t.poly.is_constant() for _, basis, _ in calls for t in basis)
+        if result.status == "ok":
+            assert len(calls) == result.pairs_processed + len(result.basis)
+        if result.inconsistent:
+            inconsistent[kind] += 1
+            first = next(k for k, t in enumerate(entries) if t.poly.is_constant())
+            assert len(entries) == max(first + 1, sum(1 for g in gens if g))
+        calls.clear()
+        entries.clear()
+    assert len(systems) == 160 and inconsistent == {"extension": 57, "random": 7}
+
+
 # --- rational roots against divisor enumeration ---------------------------------------
 
 def _divisor_roots(coeffs):
@@ -794,8 +845,13 @@ def test_empty_input_is_named(call, message):
     (lambda: buchberger([Poly.var(X, "x"), Poly.var(XY, "x")]),
      "generators over different variable lists"),
     (lambda: rational_roots([0, 0]), "zero polynomial"),
+    # zip would stop at the shorter list, and both read as recombining to 1
+    (lambda: verify_certificate([Poly.const(X, 1)], [Poly.const(X, 1), Poly.var(X, "x")]),
+     "certificate has 2 cofactors for 1 generators"),
+    (lambda: verify_certificate([Poly.const(X, 1), Poly.var(X, "x")], [Poly.const(X, 1)]),
+     "certificate has 1 cofactors for 2 generators"),
 ], ids=["add", "leading-monomial", "evaluate", "univariate", "order", "no-generators",
-        "variable-lists", "roots"])
+        "variable-lists", "roots", "certificate-long", "certificate-short"])
 def test_malformed_input_is_named(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
