@@ -18,7 +18,7 @@ predicate :func:`check_twist_multiplicative`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
 
@@ -26,7 +26,6 @@ from .reports import DefectReport, Defects
 from .tensors import (
     PERM_12,
     PERM_23,
-    SUBGROUPS,
     LinearMap,
     MulTensor,
     Table,
@@ -63,6 +62,13 @@ class HomAlgebra:
     def dim(self) -> int:
         return self.mul.dim
 
+    @cached_property
+    def _G_defects(self) -> dict[str, Tensor4]:
+        """The G-defect tables read so far, by group ("G1" is the
+        alpha-associator): each is computed once and lives as long as the
+        algebra does."""
+        return {}
+
 
 def multiply(algebra: HomAlgebra, x: Vector, y: Vector) -> Vector:
     """Bilinear extension of the structure constants."""
@@ -91,32 +97,26 @@ def _associator(algebra: HomAlgebra) -> Tensor4:
     return Tensor4.contracted(_OUTER, *operands) - Tensor4.contracted(_NESTED, *operands)
 
 
-# the checkers' associator, remembered for the last two algebras (by value): a
-# bialgebra's algebra and the transpose of its coalgebra, on which the
-# coalgebra checkers decide, are each computed once for every checker of one
-# structure
-_associator_table = lru_cache(maxsize=2)(_associator)
-
-
-@lru_cache(maxsize=2 * len(SUBGROUPS))
 def _G_defect(algebra: HomAlgebra, group: str) -> Tensor4:
     """sum_{sigma in G} (-1)^eps(sigma) a o Phi_sigma on legs (p, q, s) of the
-    associator table a, remembered by value for every group of the last two
-    algebras.  S3 is G5 and its coset G5 o (12), whose members are all odd,
-    so G6's table is G5's less its Phi_(12) image."""
-    if group == "G6":
-        g5 = _G_defect(algebra, "G5")
-        return g5 - phi_apply(PERM_12, g5, 1)
-    perms, table = subgroup(group), _associator_table(algebra)
-    return signed_leg_sum(perms, table, 1) if len(perms) > 1 else table
+    associator table a, kept on the algebra.  S3 is G5 and its coset
+    G5 o (12), whose members are all odd, so G6's table is G5's less its
+    Phi_(12) image."""
+    tables = algebra._G_defects
+    if group not in tables:
+        if group == "G6":
+            g5 = _G_defect(algebra, "G5")
+            tables[group] = g5 - phi_apply(PERM_12, g5, 1)
+        elif group == "G1":
+            tables[group] = _associator(algebra)
+        else:
+            tables[group] = signed_leg_sum(subgroup(group), _G_defect(algebra, "G1"), 1)
+    return tables[group]
 
 
-@lru_cache(maxsize=2 * len(SUBGROUPS))
 def _G_witnesses(algebra: HomAlgebra, group: str, k_first: bool = False) -> Defects:
     """The witnesses of ``_G_defect``, listed when read (k first for the
-    coalgebra checkers) and remembered like it, so one condition under two
-    names (Hom-associativity and G1, Hom-coassociativity and G1, the
-    alternating admissibility route and G6) shares one list."""
+    coalgebra checkers)."""
     return Defects.of(_G_defect(algebra, group), order=None if k_first else _K_LAST)
 
 
@@ -251,7 +251,7 @@ def check_module(
 
     ``gamma[i][m][p]`` is the coefficient of u_p in gamma(e_i (x) u_m), for
     the V-basis e_i and M-basis u_m.  At M = V, f = alpha, gamma = mu (by
-    value) it is Hom-associativity, read off the remembered associator table,
+    value) it is Hom-associativity, read off the algebra's associator table,
     which a cold call computes at the cost of the two sides.
     """
     gamma = _tabled_action(gamma, (algebra.dim, m_dim, m_dim),
@@ -259,7 +259,7 @@ def check_module(
     if f.dim != m_dim:
         raise ValueError("f must act on the module")
     if f == algebra.alpha and _is_table_of(gamma, algebra.mul):
-        return _associator_table(algebra).is_zero()
+        return _G_defect(algebra, "G1").is_zero()
     # both sides as one whole table keyed (x, y, m, p)
     return _sides_agree("rm,trp,xyt->xymp", (f, gamma, algebra.mul),
                         "ax,arp,ymr->xymp", (algebra.alpha, gamma, gamma))

@@ -22,14 +22,14 @@ convolution inverse of the identity, found here by exact linear solving
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import product
 
 from .algebra import HomAlgebra, check_hom_associative
 from .coalgebra import HomCoalgebra, check_hom_coassociative
 from .linsolve import linear_solve
 from .rational import ONE, ZERO
-from .reports import DefectReport, Defects, Witness
+from .reports import DefectReport, Defects
 from .tensors import ComulTensor, LinearMap, Table, Tensor2, Tensor4, Vector, contract, tabled
 
 
@@ -62,6 +62,42 @@ class HomBialgebra:
         assert self.coalgebra.counit is not None
         return self.coalgebra.counit
 
+    @cached_property
+    def weak_defects(self) -> Defects:
+        """Every nonzero defect of the four weak compatibility conditions, on
+        basis pairs: unit-grouplike, counit-on-unit, then comul-mult and
+        counit-mult merged by basis pair (p, q).  Kept with the bialgebra, so
+        the strict suite reuses the weak tables and their witnesses."""
+        u, eps, comul, mul = self.unit, self.counit, self.coalgebra.comul, self.algebra.mul
+        eps_unit = contract("k,k->", u, eps) - ONE
+        # Delta(e_p . e_q) minus the factor-wise product Delta(e_p) * Delta(e_q),
+        # one table keyed (p, q, i, j), and eps(e_p . e_q) - eps(e_p) eps(e_q)
+        comul_mult = Tensor4.contracted("pqk,kij->pqij", mul, comul) \
+            - Tensor4.contracted("qcd,aci,pab,bdj->pqij", comul, mul, comul, mul)
+        counit_mult = LinearMap.contracted("pqk,k->pq", mul, eps) \
+            - LinearMap.contracted("p,q->pq", eps, eps)
+        by_pair = Defects.joined(Defects.of(comul_mult, "comul-mult"),
+                                 Defects.of(counit_mult, "counit-mult"), legs=2)
+        return Defects.joined(Defects.of(comul.apply(u) - Tensor2.pure(u, u), "unit-grouplike"),
+                              Defects({(): eps_unit} if eps_unit else {}, label="counit-on-unit"),
+                              by_pair)
+
+    @cached_property
+    def _primitives(self) -> tuple[Vector, ...]:
+        """``primitive_subspace``, solved once and kept with the bialgebra; a
+        ValueError is not kept."""
+        n, u, eps = self.dim, self.unit, self.counit
+        ident = LinearMap.identity(n)
+        # row (i, j), column c: coefficient of e_i (x) e_j in Delta(e_c) - e1 (x) e_c - e_c (x) e1
+        defect = self.coalgebra.comul - ComulTensor.contracted("i,cj->cij", u, ident) \
+            - ComulTensor.contracted("j,ci->cij", u, ident)
+        basis, table = _kernel([row for plane in contract("cij->ijc", defect) for row in plane])
+        for v in basis:
+            if contract("k,k->", v, eps):
+                raise ValueError(f"counit does not vanish on primitive element {v}")
+        _check_commutators(self.algebra.mul, basis, table, "fails the primitive equation")
+        return basis
+
 
 @dataclass(frozen=True)
 class HomHopf:
@@ -76,7 +112,8 @@ class HomHopf:
             raise ValueError("antipode dimension differs from bialgebra")
         bad = antipode_defect(self.bialgebra, self.antipode)
         if bad:
-            raise ValueError(f"antipode equations fail at basis indices {bad}")
+            raise ValueError("antipode equations fail at basis indices "
+                             + ",".join(str(k + 1) for k in bad))
 
     @property
     def dim(self) -> int:
@@ -87,36 +124,6 @@ def bullet(bialgebra: HomBialgebra, s: Tensor2, t: Tensor2) -> Tensor2:
     """Factor-wise product on V (x) V: (a (x) b) * (c (x) d) = a.c (x) b.d."""
     mul = bialgebra.algebra.mul
     return Tensor2.contracted("ab,cd,aci,bdj->ij", s, t, mul, mul)
-
-
-@lru_cache(maxsize=1)
-def weak_defects(bialgebra: HomBialgebra) -> Defects:
-    """Every nonzero defect of the four weak compatibility conditions, on
-    basis pairs: unit-grouplike, counit-on-unit, then comul-mult and
-    counit-mult merged by basis pair (p, q).
-
-    Remembered for the last bialgebra (by value), so the strict suite and
-    ``weak_witnesses`` reuse the weak tables."""
-    u, eps, comul = bialgebra.unit, bialgebra.counit, bialgebra.coalgebra.comul
-    mul = bialgebra.algebra.mul
-    eps_unit = contract("k,k->", u, eps) - ONE
-    # Delta(e_p . e_q) minus the factor-wise product Delta(e_p) * Delta(e_q),
-    # one table keyed (p, q, i, j), and eps(e_p . e_q) - eps(e_p) eps(e_q)
-    comul_mult = Tensor4.contracted("pqk,kij->pqij", mul, comul) \
-        - Tensor4.contracted("qcd,aci,pab,bdj->pqij", comul, mul, comul, mul)
-    counit_mult = LinearMap.contracted("pqk,k->pq", mul, eps) \
-        - LinearMap.contracted("p,q->pq", eps, eps)
-    by_pair = Defects.joined(Defects.of(comul_mult, "comul-mult"),
-                             Defects.of(counit_mult, "counit-mult"), legs=2)
-    return Defects.joined(Defects.of(comul.apply(u) - Tensor2.pure(u, u), "unit-grouplike"),
-                          Defects({(): eps_unit} if eps_unit else {}, label="counit-on-unit"),
-                          by_pair)
-
-
-def weak_witnesses(bialgebra: HomBialgebra) -> tuple[Witness, ...]:
-    """The weak defects' witnesses in report order, listed once while the
-    bialgebra is remembered."""
-    return weak_defects(bialgebra).witnesses
 
 
 def alpha_defects(bialgebra: HomBialgebra) -> Defects:
@@ -131,20 +138,15 @@ def alpha_defects(bialgebra: HomBialgebra) -> Defects:
                           Defects.of(counit_alpha, "counit-alpha"), legs=1)
 
 
-def alpha_witnesses(bialgebra: HomBialgebra) -> list[Witness]:
-    """The alpha defects' witnesses, in report order."""
-    return list(alpha_defects(bialgebra).witnesses)
-
-
 def check_bialgebra_weak(bialgebra: HomBialgebra) -> DefectReport:
     """The four weak compatibility conditions, on basis pairs."""
-    return DefectReport("bialgebra-weak", weak_defects(bialgebra))
+    return DefectReport("bialgebra-weak", bialgebra.weak_defects)
 
 
 def check_bialgebra_strict(bialgebra: HomBialgebra) -> DefectReport:
     """Weak conditions plus the two alpha compatibilities."""
     return DefectReport("bialgebra-strict",
-                        Defects.joined(weak_defects(bialgebra), alpha_defects(bialgebra)))
+                        Defects.joined(bialgebra.weak_defects, alpha_defects(bialgebra)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +280,6 @@ def _check_commutators(mul, basis, rows: Table, failure: str) -> None:
                 raise ValueError(f"commutator [{v}, {w}] {failure}")
 
 
-@lru_cache(maxsize=1)
 def primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...]:
     """Kernel basis of Delta(x) = e1 (x) x + x (x) e1 (e1 the unit vector).
 
@@ -287,25 +288,10 @@ def primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...]:
     weak (B3), and a violation (possible only on structures breaking those
     premises) raises ValueError.
 
-    Remembered for the last bialgebra (by value), so the Prim-in-GPrim check
-    of ``generalized_primitive_subspace`` reuses it; a ValueError is not.
+    Solved once per bialgebra, so the Prim-in-GPrim check of
+    ``generalized_primitive_subspace`` reuses it.
     """
-    n = bialgebra.dim
-    u = bialgebra.unit
-    ident = LinearMap.identity(n)
-    # row (i, j), column c: coefficient of e_i (x) e_j in Delta(e_c) - e1 (x) e_c - e_c (x) e1
-    defect = bialgebra.coalgebra.comul - ComulTensor.contracted("i,cj->cij", u, ident) \
-        - ComulTensor.contracted("j,ci->cij", u, ident)
-    rows = [row for plane in contract("cij->ijc", defect) for row in plane]
-    basis, table = _kernel(rows)
-
-    eps = bialgebra.counit
-    for v in basis:
-        if contract("k,k->", v, eps):
-            raise ValueError(f"counit does not vanish on primitive element {v}")
-
-    _check_commutators(bialgebra.algebra.mul, basis, table, "fails the primitive equation")
-    return basis
+    return bialgebra._primitives
 
 
 def _gprim_rows(bialgebra: HomBialgebra) -> list[list]:

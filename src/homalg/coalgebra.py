@@ -32,14 +32,14 @@ Delta: V -> V (x) V, matching the surrounding coalgebra axioms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
 from .algebra import (
     HomAlgebra,
     _associator,
-    _associator_table,
+    _G_defect,
     _G_witnesses,
     _is_table_of,
     _sides_agree,
@@ -90,6 +90,24 @@ class HomCoalgebra:
     @property
     def dim(self) -> int:
         return self.comul.dim
+
+    @cached_property
+    def _transpose(self) -> HomAlgebra:
+        """The transpose every checker decides on, with its G-defect tables:
+        built once and kept as long as the coalgebra is."""
+        return dual_algebra_of_coalgebra(self)
+
+    @cached_property
+    def _compositions(self) -> tuple[dict, dict]:
+        """The eight ways of following Delta or Delta^op with Delta or
+        Delta^op and beta: ``(outer_beta, beta_outer)``, two dicts keyed
+        ``(outer, inner)`` with "d" for Delta and "op" for Delta^op, holding
+        (outer (x) beta) o inner and (beta (x) outer) o inner as whole tables
+        keyed (k, i, j, l), which both identity checks share."""
+        comuls = {"d": self.comul, "op": self.comul.op()}
+        return tuple({(outer, inner): _expansion(spec, comuls[inner], comuls[outer], self.beta)
+                      for outer, inner in product(comuls, repeat=2)}
+                     for spec in (_OUTER_BETA, _BETA_OUTER))
 
 
 def generic_coalgebra(dim: int) -> HomCoalgebra:
@@ -158,11 +176,6 @@ def dual_algebra_of_coalgebra(coalgebra: HomCoalgebra) -> HomAlgebra:
                       coalgebra.beta.transpose(), coalgebra.counit)
 
 
-# the checkers' transpose, remembered for the last coalgebra (by value), which
-# every checker of one structure in a row then shares
-_transpose = lru_cache(maxsize=1)(dual_algebra_of_coalgebra)
-
-
 def dual_coalgebra_of_algebra(algebra: HomAlgebra) -> HomCoalgebra:
     """D_k^{ij} := C_{ij}^k, beta := alpha transposed, counit := unit coords."""
     return HomCoalgebra(ComulTensor.contracted("ijk->kij", algebra.mul),
@@ -172,21 +185,21 @@ def dual_coalgebra_of_algebra(algebra: HomAlgebra) -> HomCoalgebra:
 def beta_coassociator(coalgebra: HomCoalgebra) -> tuple[Tensor3, ...]:
     """c_beta(Delta) = (Delta (x) beta) o Delta - (beta (x) Delta) o Delta, one
     cube [i][j][l] per basis vector k: the alpha-associator of the transpose,
-    remembered with it, cut per basis vector."""
-    return Tensor3.parts(_associator_table(_transpose(coalgebra)))
+    kept with it, cut per basis vector."""
+    return Tensor3.parts(_G_defect(coalgebra._transpose, "G1"))
 
 
 def _cocommutator_coassociator(coalgebra: HomCoalgebra) -> Tensor4:
-    """c_beta(Delta_L) keyed (k, i, j, l), remembered nowhere: Delta_L
+    """c_beta(Delta_L) keyed (k, i, j, l), kept nowhere: Delta_L
     transposes to the commutator bracket of the transpose, and this is that
     bracket's alpha-associator."""
-    return _associator(commutator_bracket(_transpose(coalgebra)))
+    return _associator(commutator_bracket(coalgebra._transpose))
 
 
 def check_hom_coassociative(coalgebra: HomCoalgebra) -> DefectReport:
     """(C1): the beta-coassociator vanishes on every basis vector."""
     return DefectReport("hom-coassociative",
-                        _G_witnesses(_transpose(coalgebra), "G1", k_first=True))
+                        _G_witnesses(coalgebra._transpose, "G1", k_first=True))
 
 
 def counit_defects(coalgebra: HomCoalgebra) -> tuple[LinearMap, LinearMap]:
@@ -203,7 +216,7 @@ def counit_defects(coalgebra: HomCoalgebra) -> tuple[LinearMap, LinearMap]:
 def check_counital(coalgebra: HomCoalgebra) -> bool | None:
     """(C2): (id (x) eps) o Delta = id = (eps (x) id) o Delta; None if no counit.
     The transpose's unit law."""
-    return check_unital(_transpose(coalgebra))
+    return check_unital(coalgebra._transpose)
 
 
 def check_G_hom_coalgebra(coalgebra: HomCoalgebra, group: str) -> DefectReport:
@@ -213,7 +226,7 @@ def check_G_hom_coalgebra(coalgebra: HomCoalgebra, group: str) -> DefectReport:
     variant, G6 Hom-Lie admissibility.
     """
     return DefectReport(f"{group}-hom-coalgebra",
-                        _G_witnesses(_transpose(coalgebra), group, k_first=True))
+                        _G_witnesses(coalgebra._transpose, group, k_first=True))
 
 
 def admissibility_defects(
@@ -225,7 +238,7 @@ def admissibility_defects(
     These always satisfy cyclic = 2 * alternating, which the test suite pins
     as a universal identity.
     """
-    alternating = signed_leg_sum(S3, _associator(_transpose(coalgebra)), 1)
+    alternating = signed_leg_sum(S3, _associator(coalgebra._transpose), 1)
     # G5 = {id, (213), (231)}, all of sign +1: its signed sum is the cyclic sum
     cyclic = signed_leg_sum(subgroup("G5"), _cocommutator_coassociator(coalgebra), 1)
     return Tensor3.parts(cyclic), Tensor3.parts(alternating)
@@ -248,29 +261,14 @@ class AdmissibilityReport:
 
 
 def check_hom_lie_admissible(coalgebra: HomCoalgebra) -> AdmissibilityReport:
-    """Both routes.  The alternating one is the G6 condition and shares its
-    witnesses; the cyclic one is its table doubled, since cyclic =
+    """Both routes.  The alternating one is the G6 condition and reads its
+    table; the cyclic one is its table doubled, since cyclic =
     2 * alternating on every coalgebra (``identities`` proves it)."""
-    alternating = _G_witnesses(_transpose(coalgebra), "G6", k_first=True)
+    alternating = _G_witnesses(coalgebra._transpose, "G6", k_first=True)
     return AdmissibilityReport(
         cyclic=DefectReport("hom-lie-admissible (cyclic)", alternating.scaled(2)),
         alternating=DefectReport("hom-lie-admissible (alternating)", alternating),
     )
-
-
-@lru_cache(maxsize=1)
-def _compositions(coalgebra: HomCoalgebra) -> tuple[dict, dict]:
-    """The eight ways of following Delta or Delta^op with Delta or Delta^op
-    and beta: ``(outer_beta, beta_outer)``, two dicts keyed ``(outer, inner)``
-    with "d" for Delta and "op" for Delta^op, holding (outer (x) beta) o inner
-    and (beta (x) outer) o inner as whole tables keyed (k, i, j, l).
-
-    Remembered for the last coalgebra (by value), which both identity checks
-    of one structure then share."""
-    comuls = {"d": coalgebra.comul, "op": coalgebra.comul.op()}
-    return tuple({(outer, inner): _expansion(spec, comuls[inner], comuls[outer], coalgebra.beta)
-                  for outer, inner in product(comuls, repeat=2)}
-                 for spec in (_OUTER_BETA, _BETA_OUTER))
 
 
 def _phi(sigma, table: Tensor4) -> Tensor4:
@@ -287,7 +285,7 @@ def lemma_identities_check(coalgebra: HomCoalgebra) -> tuple[bool, bool, bool, b
     4. (Delta (x) beta) o Delta^op = Phi_(213) o (beta (x) Delta) o Delta
     5. (Delta^op (x) beta) o Delta = Phi_(12) o (Delta (x) beta) o Delta
     """
-    ob, bo = _compositions(coalgebra)
+    ob, bo = coalgebra._compositions
     c, c_op = (ob[x, x] - bo[x, x] for x in ("d", "op"))
     return (c_op == -_phi(PERM_13, c),
             bo["op", "d"] == _phi(PERM_13, ob["d", "op"]),
@@ -303,7 +301,7 @@ def coassociator_expansion_check(coalgebra: HomCoalgebra) -> tuple[bool, bool]:
     Delta/Delta^op compositions.  Second: entirely in terms of Delta with
     Phi_(13), Phi_(213), Phi_(12), Phi_(23), Phi_(231) corrections.
     """
-    ob, bo = _compositions(coalgebra)
+    ob, bo = coalgebra._compositions
     c, c_op = (ob[x, x] - bo[x, x] for x in ("d", "op"))
     c_L = _cocommutator_coassociator(coalgebra)
     # x = (Delta (x) beta) o Delta^op, y = (Delta^op (x) beta) o Delta
@@ -326,15 +324,15 @@ def check_comodule(
 
     ``rho[m][p][i]`` is the coefficient of u_p (x) e_i in rho(u_m).  At M = V,
     g = beta, rho = Delta (by value) it is Hom-coassociativity, read off the
-    transpose's remembered associator table, which a cold call computes at
-    the cost of the two sides.
+    transpose's associator table, which a cold call computes at the cost of
+    the two sides.
     """
     rho = _tabled_action(rho, (m_dim, m_dim, coalgebra.dim),
                          "coaction tensor must have shape m_dim x m_dim x dim")
     if g.dim != m_dim:
         raise ValueError("g must act on the comodule")
     if g == coalgebra.beta and _is_table_of(rho, coalgebra.comul):
-        return _associator_table(_transpose(coalgebra)).is_zero()
+        return _G_defect(coalgebra._transpose, "G1").is_zero()
     # both sides as one whole table keyed (m, p, j, l)
     return _sides_agree("mqi,qpj,li->mpjl", (rho, rho, coalgebra.beta),
                         "mqi,pq,ijl->mpjl", (rho, g, coalgebra.comul))

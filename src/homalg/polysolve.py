@@ -42,7 +42,7 @@ from types import MappingProxyType
 from typing import Callable, Sequence
 
 from .algebra import HomAlgebra, check_unital
-from .bialgebra import HomBialgebra, alpha_witnesses, weak_witnesses
+from .bialgebra import HomBialgebra, alpha_defects
 from .coalgebra import HomCoalgebra, counit_defects
 from .rational import ONE, ORDER_KEYS, ZERO, Monomial, Poly, _mono_mul, numerators, primitive, rat
 from .tensors import ComulTensor, LinearMap, Vector
@@ -618,7 +618,7 @@ def _weak_generators(mul, unit) -> tuple[Poly, ...]:
         raise ValueError("extension search requires a unital algebra: "
                          "the unit e1 is not two-sided")
     bialgebra = _extension_bialgebra(algebra)
-    values = [w.value for w in weak_witnesses(bialgebra)]
+    values = [w.value for w in bialgebra.weak_defects.witnesses]
     right, left = counit_defects(bialgebra.coalgebra)
     values += [m.entry(i, k) for k in range(2) for i in range(2) for m in (right, left)]
     return tuple(dict.fromkeys(v for v in values if v))
@@ -645,7 +645,7 @@ def bialgebra_extension_system(algebra, strict_alpha: bool = False) -> tuple[Pol
     weak = _weak_generators(algebra.mul, algebra.unit)
     if not strict_alpha:
         return weak
-    alpha = tuple(w.value for w in alpha_witnesses(_extension_bialgebra(algebra)))
+    alpha = tuple(w.value for w in alpha_defects(_extension_bialgebra(algebra)).witnesses)
     return tuple(dict.fromkeys(weak + alpha))
 
 

@@ -1,7 +1,8 @@
 """Exact scalars: rationals, their integer form, and polynomials.
 
-Rationals are :class:`fractions.Fraction`s; ``rat`` / ``rat_str`` fix their
-structure-file form ("p/q", or a bare integer string).  The tensors and both
+Rationals are :class:`fractions.Fraction`s; ``rat`` reads the structure-file
+form (as ``Fraction`` reads a string, but with no underscores) and
+``rat_str`` writes it ("p/q", or a bare integer string).  The tensors and both
 solvers compute on integers: values as numerators over the lcm of their
 denominators (``numerators``), divided by their content (``primitive``).
 ``Poly`` is a polynomial over the rationals whose arithmetic keeps whole
@@ -23,7 +24,12 @@ ONE = Fraction(1)
 
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" / "p" string to an exact rational."""
+    """Coerce an int, a Fraction or a scalar string to an exact rational.
+
+    A string is read as ``Fraction`` reads it, except that no version takes
+    an underscore: "p/q", integers, decimals and exponents such as "1.5" and
+    "1e3" (read exactly), surrounding spaces, and Unicode decimal digits.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -31,11 +37,14 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, str):
         limit = sys.get_int_max_str_digits()
         # Fraction builds 10**exponent before any digit limit applies
-        exponent = re.search(r"[eE][-+]?(\d+(?:_\d+)*)\s*$", value)
-        exponent = exponent[1].replace("_", "") if exponent else "0"
+        exponent = re.search(r"[eE][-+]?(\d+)\s*$", value)
+        exponent = exponent[1] if exponent else "0"
         if limit and len(exponent) <= limit < int(exponent):
             raise _over_limit(value, f"an exponent of {brief(int(exponent))}", limit)
         try:
+            # Fraction reads PEP 515 underscores from Python 3.11 on, 3.10 does not
+            if "_" in value:
+                raise ValueError(value)
             result = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             digits = max(map(len, re.findall(r"\d+", value)), default=0)

@@ -149,5 +149,6 @@ class DefectReport:
         count, defects = self.count, self._defects
         shown = defects.render(limit) if isinstance(defects, Defects) \
             else [w.render() for w in defects[:limit]]
-        extra = "" if limit is None or count <= limit else f" (+{count - limit} more)"
-        return f"{self.check}: {count} nonzero defect(s): {'; '.join(shown)}{extra}"
+        extra = "" if limit is None or count <= limit else f"(+{count - limit} more)"
+        return " ".join(filter(None, (f"{self.check}: {count} nonzero defect(s):",
+                                      "; ".join(shown), extra)))

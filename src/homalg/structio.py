@@ -1,8 +1,10 @@
 """Structure kinds (:func:`parts`) and their duals (:func:`dual`), structure
 files and the example registry.
 
-Files are JSON with every rational rendered as a string ("p/q" or a bare
-integer).  Multiplication constants are nested as ``mul[i][j][k]`` and
+Files are JSON with every rational a string, written "p/q" or as a bare
+integer and read by ``rat``: "p/q", integers, decimals and exponents such as
+"1.5" and "1e3" (read exactly), surrounding spaces, and Unicode decimal
+digits, as ``Fraction`` reads them, but no underscores.  Multiplication constants are nested as ``mul[i][j][k]`` and
 comultiplication constants as ``comul[k][i][j]``; the mandatory
 ``convention`` field is pinned to "columns-are-images" so a file states its
 own matrix convention.  Round trips are lossless: parse(serialize(x)) == x.

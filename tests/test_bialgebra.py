@@ -30,6 +30,7 @@ from homalg import (
     dual,
     generalized_primitive_subspace,
     primitive_subspace,
+    registry,
     solve_antipode,
 )
 from homalg.coalgebra import expand_beta_outer, expand_outer_beta
@@ -142,6 +143,18 @@ def test_construction_without_counit_is_named():
     coalgebra = HomCoalgebra(comul=base.coalgebra.comul, beta=base.coalgebra.beta)
     with pytest.raises(ValueError, match="^bialgebra needs a counit$"):
         HomBialgebra(algebra=base.algebra, coalgebra=coalgebra)
+
+
+@pytest.mark.parametrize("entries, where, named", [([[1, 0], [0, 2]], (1,), "2"),
+                                                   ([[0, 1], [1, 0]], (0, 1), "1,2")])
+def test_a_wrong_antipode_is_named_by_basis_vectors_from_one(entries, where, named):
+    b = registry()["hopf-2"].build({"b1": 1, "b2": 0, "b3": 1}).bialgebra
+    s = LinearMap(entries)
+    # antipode_defect counts from 0, the message from 1, as reports do
+    assert antipode_defect(b, s) == where
+    with pytest.raises(ValueError) as info:
+        HomHopf(b, s)
+    assert str(info.value) == f"antipode equations fail at basis indices {named}"
 
 
 def test_construction_rejects_mismatched_dimensions():
@@ -580,13 +593,12 @@ def test_each_commutator_pair_is_checked_once(monkeypatch):
         return solves(rows, x)
 
     monkeypatch.setattr(homalg.bialgebra, "_solves", counted)
-    primitive_subspace.cache_clear()
     b = primitive_span_bialgebra(4)
     assert len(primitive_subspace(b)) == 3
     assert len(calls) == 3 * 2 // 2
     calls.clear()
     assert len(generalized_primitive_subspace(b)) == 4
-    # the primitive subspace is remembered: Prim in GPrim per primitive, and
+    # the bialgebra keeps its primitive subspace: Prim in GPrim per primitive, and
     # the 4-dim basis's pairs
     assert len(calls) == 3 + 4 * 3 // 2
 
@@ -600,7 +612,6 @@ def test_generalized_primitives_of_a_fresh_bialgebra_solve_prim_first(monkeypatc
         return solves(rows, x)
 
     monkeypatch.setattr(homalg.bialgebra, "_solves", counted)
-    primitive_subspace.cache_clear()
     assert len(generalized_primitive_subspace(primitive_span_bialgebra(4))) == 4
     # the primitive solve's pairs, Prim in GPrim per primitive, and the
     # 4-dim basis's pairs

@@ -33,11 +33,7 @@ from homalg import (
     subgroup,
 )
 from homalg.reports import Defects
-from homalg.coalgebra import (
-    _compositions,
-    _phi,
-    counit_defects,
-)
+from homalg.coalgebra import _phi, counit_defects
 from homalg.linsolve import linear_solve
 from homalg.sampling import random_comul_tensor, random_linear_map, random_scalar
 from homalg.tensors import S3
@@ -527,7 +523,7 @@ def test_dim_3_decides_the_identities_at_every_dimension(dim, rank):
     # at every dim.  Rank 12 at dim 3 means an identity holds there only if each
     # network's net coefficient is 0, so then at every dim; zero padding carries
     # a dim-3 failure to every dim above.  Dim 2 is not enough.
-    ob, bo = _compositions(generic_coalgebra(dim))
+    ob, bo = generic_coalgebra(dim)._compositions
     networks = {}
     for shape, compositions in (("ob", ob), ("bo", bo)):
         for (outer, inner), table in compositions.items():
@@ -554,12 +550,12 @@ def test_identity_checks_share_their_compositions(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(coalgebra, "_expansion", counted(coalgebra._expansion))
-    coalgebra._compositions.cache_clear()
     c = random_coalgebra(2, random.Random(47))
     assert lemma_identities_check(c) == (True,) * 5
     assert coassociator_expansion_check(c) == (True, True)
-    # eight Delta/Delta^op compositions, shared, plus c_beta(Delta_L) directly
-    assert len(calls) <= 10
+    # the eight Delta/Delta^op compositions, each once, kept on the coalgebra
+    # for both checks; c_beta(Delta_L) is the bracket's associator, no expansion
+    assert len(calls) == 8
 
 
 def test_comodule_rejects_malformed_entry():

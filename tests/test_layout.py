@@ -111,3 +111,21 @@ def test_every_imported_name_is_used(module):
     unused = sorted(set(name for node in _imports(tree) for name in _bound_names(node))
                     - _used_names(tree))
     assert not unused, f"{module}.py imports names it never uses: {unused}"
+
+
+# a module-level memo outlives the structures it was computed from, so a
+# table derived from one structure is a cached attribute of that structure;
+# these modules' memos are keyed by spec or by value across structures
+MEMO_MODULES = {"tensors", "polysolve", "cli"}
+
+
+def _memoizes(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom) and node.module == "functools":
+        return any(alias.name in ("lru_cache", "cache") for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache") \
+        and isinstance(node.value, ast.Name) and node.value.id == "functools"
+
+
+def test_module_level_memos_only_where_no_structure_owns_the_table():
+    memoizing = {module for module, tree in TREES.items() if any(map(_memoizes, ast.walk(tree)))}
+    assert memoizing <= MEMO_MODULES, f"module-level memos in {sorted(memoizing - MEMO_MODULES)}"

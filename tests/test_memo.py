@@ -1,15 +1,21 @@
-"""The associator's two-entry memo (a bialgebra's algebra and its
-coalgebra's transpose, on which the coalgebra checkers decide), the one-entry
-memos of that transpose, the weak bialgebra witnesses and the primitive
-subspace, the per-group memos of the G-defect tables and of their witnesses
-that serve both sides (G6's table is built from G5's), and the extension
-search's memos of the weak system and the lex solve: keyed on the
-structure's value, never stale, never growing past their bound.  The
-self-module and self-comodule checks read the associator memo and contract
-nothing; any other action is tabled once and contracted."""
+"""Each structure keeps the tables derived from it for as long as it lives:
+an algebra its G-defect tables ("G1" is the alpha-associator, and G6's
+table is built from G5's), a coalgebra its transpose, on which the
+coalgebra checkers decide, and its eight compositions, a bialgebra its weak
+defects and its primitive subspace.  Each table is computed once per
+structure, whatever order the checkers of several structures run in, never
+stale, and freed with the structure.  The self-module and self-comodule
+checks read the associator table and contract nothing; any other action is
+tabled once and contracted.  The extension search's memos of the weak system
+and the lex solve are keyed by value across structures and stay within their
+bound."""
 
+import gc
 import random
+import weakref
 from collections import Counter
+from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
@@ -34,32 +40,28 @@ from homalg import (
     check_module,
     dual,
     dual_algebra_of_coalgebra,
+    generalized_primitive_subspace,
+    lemma_identities_check,
+    primitive_subspace,
     search_bialgebra_extension,
 )
 from homalg import algebra, coalgebra, polysolve, tensors
-from homalg.algebra import _associator_table
-from homalg.bialgebra import primitive_subspace, weak_defects
-from homalg.coalgebra import _transpose, beta_coassociator
+from homalg.coalgebra import beta_coassociator
 from homalg.polysolve import _lex_solve, _weak_generators
 from homalg.sampling import random_scalar
 from homalg.tensors import signed_leg_sum
 
 from conftest import bialgebra_row, mu1_algebra, mu2_algebra, truncated_primitive_bialgebra
 
-ONE_ENTRY = (_transpose, weak_defects)
-PER_GROUP = (algebra._G_defect, algebra._G_witnesses)
 EXTENSION = (_weak_generators, _lex_solve)
-# one entry too, but no checker of reports() reaches it
-PRIMITIVE = (primitive_subspace,)
-MEMOS = ONE_ENTRY + (_associator_table,) + PER_GROUP + EXTENSION + PRIMITIVE
 
 
 @pytest.fixture(autouse=True)
-def empty_memos():
-    for memo in MEMOS:
+def empty_extension_memos():
+    for memo in EXTENSION:
         memo.cache_clear()
     yield
-    for memo in MEMOS:
+    for memo in EXTENSION:
         memo.cache_clear()
 
 
@@ -83,32 +85,60 @@ def build(data):
                         HomCoalgebra(ComulTensor(comul), LinearMap(beta), Vector(counit)))
 
 
+def fresh(b):
+    """An equal bialgebra with nothing derived from it yet."""
+    return HomBialgebra(replace(b.algebra), replace(b.coalgebra))
+
+
+CHECKERS = [lambda b: check_hom_associative(b.algebra),
+            lambda b: check_hom_coassociative(b.coalgebra)]
+for _g in SUBGROUPS:
+    CHECKERS += [lambda b, g=_g: check_G_hom_associative(b.algebra, g),
+                 lambda b, g=_g: check_G_hom_coalgebra(b.coalgebra, g)]
+CHECKERS += [lambda b: check_hom_lie_admissible(b.coalgebra).cyclic,
+             lambda b: check_hom_lie_admissible(b.coalgebra).alternating,
+             check_bialgebra_weak, check_bialgebra_strict]
+
+
 def reports(b):
-    a, c = b.algebra, b.coalgebra
-    out = [check_hom_associative(a), check_hom_coassociative(c)]
-    for g in SUBGROUPS:
-        out += [check_G_hom_associative(a, g), check_G_hom_coalgebra(c, g)]
-    adm = check_hom_lie_admissible(c)
-    out += [adm.cyclic, adm.alternating, check_bialgebra_weak(b), check_bialgebra_strict(b)]
-    return out
+    return [checker(b) for checker in CHECKERS]
 
 
 def fresh_reports(b):
-    """The reports with every memo emptied before each checker runs."""
-    a, c = b.algebra, b.coalgebra
-    checkers = [lambda: check_hom_associative(a), lambda: check_hom_coassociative(c)]
-    for g in SUBGROUPS:
-        checkers += [lambda g=g: check_G_hom_associative(a, g),
-                     lambda g=g: check_G_hom_coalgebra(c, g)]
-    checkers += [lambda: check_hom_lie_admissible(c).cyclic,
-                 lambda: check_hom_lie_admissible(c).alternating,
-                 lambda: check_bialgebra_weak(b), lambda: check_bialgebra_strict(b)]
-    out = []
-    for checker in checkers:
-        for memo in MEMOS:
-            memo.cache_clear()
-        out.append(checker())
-    return out
+    """The reports, each checker run on its own fresh copy of the structure."""
+    return [checker(fresh(b)) for checker in CHECKERS]
+
+
+def count_property(monkeypatch, cls, name):
+    """Record the instance of every computation of the cached attribute
+    ``cls.<name>``."""
+    calls, compute = [], getattr(cls, name).func
+
+    def counted(self):
+        calls.append(self)
+        return compute(self)
+
+    counted_property = cached_property(counted)
+    counted_property.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, counted_property)
+    return calls
+
+
+def count_associators(monkeypatch):
+    """Record the algebra of every alpha-associator computed, on either side."""
+    calls, original = [], algebra._associator
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    for module in (algebra, coalgebra):
+        monkeypatch.setattr(module, "_associator", counted)
+    return calls
+
+
+def ids(structures):
+    return [id(s) for s in structures]
 
 
 def test_alternating_structures_get_their_own_witnesses():
@@ -117,14 +147,13 @@ def test_alternating_structures_get_their_own_witnesses():
     assert want[id(first)] != want[id(second)]
     for b in (first, second, first, second, second, first):
         assert reports(b) == want[id(b)]
-    # interleaved one checker at a time, so every memo lookup switches structure
+    # interleaved one checker at a time, so every lookup switches structure
     for g in SUBGROUPS:
         for b in (first, second):
             assert check_G_hom_associative(b.algebra, g) == \
                 want[id(b)][2 + 2 * list(SUBGROUPS).index(g)]
             assert check_G_hom_coalgebra(b.coalgebra, g) == \
                 want[id(b)][3 + 2 * list(SUBGROUPS).index(g)]
-    assert all(memo.cache_info().currsize <= 2 * len(SUBGROUPS) for memo in PER_GROUP)
 
 
 def test_equal_but_distinct_structures_give_equal_reports():
@@ -134,93 +163,92 @@ def test_equal_but_distinct_structures_give_equal_reports():
     assert reports(one) == reports(other) == fresh_reports(one)
 
 
-def test_each_structure_computes_its_associator_and_coassociator_once():
+def test_each_structure_computes_its_associator_and_coassociator_once(monkeypatch):
     b = build(random_bialgebra_data(3, 4))
+    associators = count_associators(monkeypatch)
+    transposes = count_property(monkeypatch, HomCoalgebra, "_transpose")
+    weak = count_property(monkeypatch, HomBialgebra, "weak_defects")
     # reports() alternates the algebra's checkers and the coalgebra's, group
     # by group: the transpose is built once, and each side's associator is
-    # computed once and kept beside the other's
+    # computed once and kept on its own structure
     reports(b)
-    for memo in ONE_ENTRY:
-        info = memo.cache_info()
-        assert info.misses == 1 and info.hits >= 1, memo
-        assert info.maxsize == 1 and info.currsize == 1, memo
-    info = _associator_table.cache_info()
-    assert info.misses == 2 and info.maxsize == info.currsize == 2
+    assert ids(associators) == ids([b.algebra, b.coalgebra._transpose])
+    assert ids(transposes) == ids([b.coalgebra]) and ids(weak) == ids([b])
     # both sides are still there
     assert beta_coassociator(b.coalgebra) == beta_coassociator(b.coalgebra)
-    _associator_table(b.algebra)
-    assert _associator_table.cache_info().misses == 2
-    assert _transpose.cache_info().misses == 1
-    # one signed sum per group and side; G1 and G6 are asked for twice
-    for memo in PER_GROUP:
-        info = memo.cache_info()
-        assert info.misses == 2 * len(SUBGROUPS) and info.hits >= 1, memo
-        assert info.maxsize == info.currsize == 2 * len(SUBGROUPS), memo
+    check_hom_associative(b.algebra)
+    assert len(associators) == 2 and len(transposes) == 1
+    # one table per group and side
+    assert set(b.algebra._G_defects) == set(b.coalgebra._transpose._G_defects) == set(SUBGROUPS)
 
 
-def test_memo_holds_one_structure():
-    for seed in range(5):
-        reports(build(random_bialgebra_data(2, seed)))
-    assert all(memo.cache_info().currsize == 1 for memo in ONE_ENTRY)
-    assert _associator_table.cache_info().currsize == 2
-    assert all(memo.cache_info().currsize <= 2 * len(SUBGROUPS) for memo in PER_GROUP)
+def test_interleaved_algebras_compute_each_associator_once(monkeypatch):
+    algebras = [build(random_bialgebra_data(3, seed)).algebra for seed in (21, 22, 23)]
+    associators = count_associators(monkeypatch)
+    for g in SUBGROUPS:
+        for a in algebras:
+            assert not check_G_hom_associative(a, g).ok
+    assert ids(associators) == ids(algebras)
+
+
+def test_a_dropped_structure_frees_its_tables():
+    b = build(random_bialgebra_data(3, 12))
+    reports(b)
+    assert lemma_identities_check(b.coalgebra) == (True,) * 5
+    transpose = b.coalgebra._transpose
+    tables = [b.algebra._G_defects["G1"], b.algebra._G_defects["G6"], transpose,
+              transpose._G_defects["G1"], b.coalgebra._compositions[0]["d", "d"], b.weak_defects]
+    refs = [weakref.ref(table) for table in tables]
+    del b, transpose, tables
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_morphism_checks_leave_the_transpose_memo_alone():
     kept = build(random_bialgebra_data(2, 6)).coalgebra
-    transpose = _transpose(kept)
-    before = _transpose.cache_info()
+    transpose = kept._transpose
     source, target = bialgebra_row(2).coalgebra, bialgebra_row(1).coalgebra
     ident = LinearMap.identity(2)
     for _ in range(5):
         assert check_coalgebra_morphism(ident, source, source)
         assert not check_coalgebra_morphism(ident, source, target)
-    assert _transpose.cache_info() == before
-    assert _transpose(kept) is transpose
+    # the morphism check transposes afresh and keeps nothing
+    assert "_transpose" not in vars(source) and "_transpose" not in vars(target)
+    assert kept._transpose is transpose
 
 
 def test_dualizing_leaves_the_transpose_memo_alone():
     checked, other = (build(random_bialgebra_data(2, seed)).coalgebra for seed in (7, 8))
     assert not check_hom_coassociative(checked).ok
-    before = _transpose.cache_info()
+    transpose = checked._transpose
     assert dual(other) == dual_algebra_of_coalgebra(other)
-    # G2 is a new signed sum, so it asks the memo for the transpose again
+    assert "_transpose" not in vars(other)
+    # G2 is a new signed sum, on the transpose the coalgebra keeps
     assert not check_G_hom_coalgebra(checked, "G2").ok
-    after = _transpose.cache_info()
-    assert after.misses == before.misses and after.hits == before.hits + 1
+    assert checked._transpose is transpose and "G2" in transpose._G_defects
 
 
-def test_one_condition_under_two_names_is_one_witness_tuple():
-    b = build(random_bialgebra_data(3, 5))
-    a, c = b.algebra, b.coalgebra
-    # a no-instance: empty tuples would be one object anyway
-    assert check_hom_associative(a).witnesses and check_hom_coassociative(c).witnesses
-    assert check_G_hom_associative(a, "G1").witnesses is check_hom_associative(a).witnesses
-    assert check_G_hom_coalgebra(c, "G1").witnesses is check_hom_coassociative(c).witnesses
-    alternating = check_hom_lie_admissible(c).alternating
-    assert alternating.witnesses
-    assert alternating.witnesses is check_G_hom_coalgebra(c, "G6").witnesses
-
-
-def test_alternating_bialgebras_get_their_own_primitives():
+def test_alternating_bialgebras_get_their_own_primitives(monkeypatch):
     first, second = truncated_primitive_bialgebra(), bialgebra_row(2)
-    want = {}
-    for b in (first, second):
-        primitive_subspace.cache_clear()
-        want[id(b)] = primitive_subspace(b)
+    want = {id(b): primitive_subspace(fresh(b)) for b in (first, second)}
     assert want[id(first)] != want[id(second)]
-    primitive_subspace.cache_clear()
+    solves = count_property(monkeypatch, HomBialgebra, "_primitives")
     for b in (first, second, second, first, first, second):
         assert primitive_subspace(b) == want[id(b)]
-    info = primitive_subspace.cache_info()
-    assert (info.misses, info.hits, info.maxsize, info.currsize) == (4, 2, 1, 1)
-    # an equal but distinct bialgebra is a hit
+    assert ids(solves) == ids([first, second])
+    # an equal but distinct bialgebra is solved for itself, once
     again = truncated_primitive_bialgebra()
     assert again is not first and again == first
-    assert primitive_subspace(again) == want[id(first)]
-    assert primitive_subspace.cache_info().misses == 5
-    assert primitive_subspace(again) == want[id(first)]
-    assert primitive_subspace.cache_info().hits == 3
+    assert primitive_subspace(again) == primitive_subspace(again) == want[id(first)]
+    assert ids(solves) == ids([first, second, again])
+
+
+def test_generalized_primitives_after_primitives_solve_prim_once(monkeypatch):
+    b = truncated_primitive_bialgebra()
+    solves = count_property(monkeypatch, HomBialgebra, "_primitives")
+    assert len(primitive_subspace(b)) == 1
+    assert len(generalized_primitive_subspace(b)) == len(generalized_primitive_subspace(b)) == 3
+    assert ids(solves) == ids([b])
 
 
 def test_hom_associativity_alone_sums_no_group(monkeypatch):
@@ -231,7 +259,7 @@ def test_hom_associativity_alone_sums_no_group(monkeypatch):
     check_hom_associative(b.algebra)
     check_hom_coassociative(b.coalgebra)
     assert sums == []
-    assert all(memo.cache_info().currsize == 2 for memo in PER_GROUP)
+    assert list(b.algebra._G_defects) == list(b.coalgebra._transpose._G_defects) == ["G1"]
 
 
 def test_each_group_sums_the_associator_once_per_side(monkeypatch):
@@ -245,8 +273,6 @@ def test_each_group_sums_the_associator_once_per_side(monkeypatch):
         monkeypatch.setattr(module, "signed_leg_sum", recorded)
     b = build(random_bialgebra_data(3, 6))
     want = fresh_reports(b)
-    for memo in MEMOS:
-        memo.cache_clear()
     sums.clear()
     assert reports(b) == want
     # G1 is the associator itself and G6 is built from G5's table
@@ -271,20 +297,13 @@ def test_self_module_and_comodule_read_the_remembered_associators(monkeypatch):
     b = build(random_bialgebra_data(3, 9))
     a, c = b.algebra, b.coalgebra
     want = check_hom_associative(a).ok, check_hom_coassociative(c).ok
-    before = _associator_table.cache_info()
+    associators = count_associators(monkeypatch)
     contractions = count_calls(monkeypatch, "_contraction")
     # the action as nested lists, so the tensors are compared by value
     gamma = [[list(row) for row in plane] for plane in a.mul.c]
     rho = [[list(row) for row in plane] for plane in c.comul.d]
     assert (check_module(a, a.dim, a.alpha, gamma), check_comodule(c, c.dim, c.beta, rho)) == want
-    assert contractions == []
-    after = _associator_table.cache_info()
-    assert (after.misses, after.currsize) == (before.misses, before.currsize) == (2, 2)
-    assert after.hits == before.hits + 2
-    # both entries are still there
-    _associator_table(a)
-    _associator_table(_transpose(c))
-    assert _associator_table.cache_info().misses == 2
+    assert contractions == [] and associators == []
 
 
 def test_near_self_modules_and_comodules_contract_both_sides(monkeypatch):
@@ -292,6 +311,7 @@ def test_near_self_modules_and_comodules_contract_both_sides(monkeypatch):
     a, c = b.algebra, b.coalgebra
     check_hom_associative(a)
     check_hom_coassociative(c)
+    associators = count_associators(monkeypatch)
     contractions = count_calls(monkeypatch, "_contraction")
     gamma = [[list(row) for row in plane] for plane in a.mul.c]
     gamma[1][0][1] += 1
@@ -304,7 +324,7 @@ def test_near_self_modules_and_comodules_contract_both_sides(monkeypatch):
     check_comodule(c, 2, c.beta + nudge, c.comul.d)
     # two sides per call, and no associator computed
     assert len(contractions) == 4 * 2
-    assert _associator_table.cache_info().misses == 2
+    assert associators == []
 
 
 def test_any_action_is_tabled_once(monkeypatch):
@@ -321,14 +341,14 @@ def test_any_action_is_tabled_once(monkeypatch):
     assert calls == [gamma, rho] and calls[0] is gamma and calls[1] is rho
 
 
-def test_strict_extension_search_reuses_the_weak_witnesses():
+def test_strict_extension_search_reuses_the_weak_witnesses(monkeypatch):
+    weak_tables = count_property(monkeypatch, HomBialgebra, "weak_defects")
     algebra = mu1_algebra(2, 3)
     weak = search_bialgebra_extension(algebra)
     strict = search_bialgebra_extension(algebra, strict_alpha=True)
     # the weak witnesses are computed once: the strict search takes the weak
     # generators from their memo and computes no weak witness at all
-    info = weak_defects.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
+    assert len(weak_tables) == 1
     info = _weak_generators.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert strict.generators[:len(weak.generators)] == weak.generators
@@ -445,10 +465,10 @@ def test_warm_searches_equal_cold_ones():
              for family in (mu1_algebra, mu2_algebra) for strict in (False, True)]
     cold = []
     for family, a1, a2, strict in cases:
-        for memo in MEMOS:
+        for memo in EXTENSION:
             memo.cache_clear()
         cold.append(search_bialgebra_extension(family(a1, a2), strict_alpha=strict))
-    for memo in MEMOS:
+    for memo in EXTENSION:
         memo.cache_clear()
     warm = [search_bialgebra_extension(family(a1, a2), strict_alpha=strict)
             for family, a1, a2, strict in cases]

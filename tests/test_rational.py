@@ -20,6 +20,32 @@ def test_parse_rejects_garbage():
             rat(bad)
 
 
+# what rat reads, as Fraction reads a string on Python 3.10: later versions
+# also take PEP 515 underscores, which rat rejects on every version
+@pytest.mark.parametrize("text, value", [
+    ("-2/5", Fraction(-2, 5)),
+    ("3", Fraction(3)),
+    ("+3", Fraction(3)),
+    ("1.5", Fraction(3, 2)),
+    ("0.1", Fraction(1, 10)),
+    (".5", Fraction(1, 2)),
+    ("1e3", Fraction(1000)),
+    ("2.5E-1", Fraction(1, 4)),
+    (" 7 ", Fraction(7)),
+    ("\u0661\u0662", Fraction(12)),
+    ("1_000", None),
+    ("1e1_0", None),
+    ("1/2_0", None),
+    ("0.1_5", None),
+])
+def test_the_scalar_grammar(text, value):
+    if value is None:
+        with pytest.raises(ValueError, match="not a rational number"):
+            rat(text)
+    else:
+        assert rat(text) == value
+
+
 def test_float_is_not_a_rational():
     with pytest.raises(ValueError, match=r"^not a rational number: 1\.5$"):
         rat(1.5)
