@@ -69,6 +69,11 @@ class HomAlgebra:
         algebra does."""
         return {}
 
+    @cached_property
+    def _G_witness_lists(self) -> dict[tuple[str, bool], Defects]:
+        """Each G-defect table's witnesses by group and order, listed once."""
+        return {}
+
 
 def multiply(algebra: HomAlgebra, x: Vector, y: Vector) -> Vector:
     """Bilinear extension of the structure constants."""
@@ -115,9 +120,10 @@ def _G_defect(algebra: HomAlgebra, group: str) -> Tensor4:
 
 
 def _G_witnesses(algebra: HomAlgebra, group: str, k_first: bool = False) -> Defects:
-    """The witnesses of ``_G_defect``, listed when read (k first for the
-    coalgebra checkers)."""
-    return Defects.of(_G_defect(algebra, group), order=None if k_first else _K_LAST)
+    """The witnesses of ``_G_defect``, listed when first read and kept on the
+    algebra (k first for the coalgebra checkers)."""
+    return algebra._G_witness_lists.setdefault((group, k_first), Defects.of(
+        _G_defect(algebra, group), order=None if k_first else _K_LAST))
 
 
 def check_hom_associative(algebra: HomAlgebra) -> DefectReport:
@@ -213,12 +219,9 @@ def check_algebra_morphism(f: LinearMap, source: HomAlgebra, target: HomAlgebra)
         return False
     if f.compose(source.alpha) != target.alpha.compose(f):
         return False
-    if source.unit is not None and target.unit is not None:
-        if f.apply(source.unit) != target.unit:
-            return False
-    elif (source.unit is None) != (target.unit is None):
+    if (source.unit is None) != (target.unit is None):
         return False
-    return True
+    return source.unit is None or f.apply(source.unit) == target.unit
 
 
 def _tabled_action(action, shape: tuple[int, int, int], message: str) -> Table:

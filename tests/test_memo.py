@@ -204,6 +204,18 @@ def test_a_dropped_structure_frees_its_tables():
     assert [ref() for ref in refs] == [None] * len(refs)
 
 
+def test_one_condition_under_two_names_is_one_witness_tuple():
+    b = build(random_bialgebra_data(3, 5))
+    a, c = b.algebra, b.coalgebra
+    # a no-instance: empty tuples would be one object anyway
+    assert check_hom_associative(a).witnesses and check_hom_coassociative(c).witnesses
+    assert check_G_hom_associative(a, "G1").witnesses is check_hom_associative(a).witnesses
+    assert check_G_hom_coalgebra(c, "G1").witnesses is check_hom_coassociative(c).witnesses
+    alternating = check_hom_lie_admissible(c).alternating
+    assert alternating.witnesses
+    assert alternating.witnesses is check_G_hom_coalgebra(c, "G6").witnesses
+
+
 def test_morphism_checks_leave_the_transpose_memo_alone():
     kept = build(random_bialgebra_data(2, 6)).coalgebra
     transpose = kept._transpose
