@@ -14,6 +14,7 @@ from homalg import (
     LinearMap,
     MulTensor,
     ComulTensor,
+    Poly,
     Tensor3,
     Vector,
     phi_apply,
@@ -48,6 +49,23 @@ def mu1_algebra(a1=1, a2=1) -> HomAlgebra:
 
 def mu2_algebra(a1=1, a2=1) -> HomAlgebra:
     return registry()["algebra-mu2"].build({"a1": a1, "a2": a2})
+
+
+def standard_systems() -> dict:
+    """cyclic-4 and katsura-3, whose coefficients grow more under division
+    than those of the extension systems."""
+    V = ("a", "b", "c", "d")
+    a, b, c, d = (Poly.var(V, v) for v in V)
+    U = ("u0", "u1", "u2", "u3")
+    u0, u1, u2, u3 = (Poly.var(U, v) for v in U)
+    return {
+        "cyclic-4": [a + b + c + d, a * b + b * c + c * d + d * a,
+                     a * b * c + b * c * d + c * d * a + d * a * b, a * b * c * d - 1],
+        "katsura-3": [u0 + 2 * u1 + 2 * u2 + 2 * u3 - 1,
+                      u0 * u0 + 2 * u1 * u1 + 2 * u2 * u2 + 2 * u3 * u3 - u0,
+                      2 * u0 * u1 + 2 * u1 * u2 + 2 * u2 * u3 - u1,
+                      u1 * u1 + 2 * u0 * u2 + 2 * u1 * u3 - u2],
+    }
 
 
 def bialgebra_row(row: int, b1=1, b2=0, b3=1, a1=1, a2=1) -> HomBialgebra:

@@ -29,7 +29,7 @@ from homalg.polysolve import (
 )
 from homalg.tensors import contract
 
-from conftest import mu1_algebra, mu2_algebra
+from conftest import mu1_algebra, mu2_algebra, standard_systems
 
 X = ("x",)
 XY = ("x", "y")
@@ -575,27 +575,10 @@ def test_extension_bases_match_reference_and_certificates_verify(name, strict):
 
 # --- the integer kernel: fraction-free division over one denominator ----------------
 
-def _standard_systems():
-    """cyclic-4 and katsura-3, whose coefficients grow more under division
-    than those of the extension systems."""
-    V = ("a", "b", "c", "d")
-    a, b, c, d = (Poly.var(V, v) for v in V)
-    U = ("u0", "u1", "u2", "u3")
-    u0, u1, u2, u3 = (Poly.var(U, v) for v in U)
-    return {
-        "cyclic-4": [a + b + c + d, a * b + b * c + c * d + d * a,
-                     a * b * c + b * c * d + c * d * a + d * a * b, a * b * c * d - 1],
-        "katsura-3": [u0 + 2 * u1 + 2 * u2 + 2 * u3 - 1,
-                      u0 * u0 + 2 * u1 * u1 + 2 * u2 * u2 + 2 * u3 * u3 - u0,
-                      2 * u0 * u1 + 2 * u1 * u2 + 2 * u2 * u3 - u1,
-                      u1 * u1 + 2 * u0 * u2 + 2 * u1 * u3 - u2],
-    }
-
-
 @pytest.mark.parametrize("name", ["cyclic-4", "katsura-3"])
 @pytest.mark.parametrize("order", ["lex", "grevlex"])
 def test_standard_systems_match_reference_and_cofactors_recombine(name, order):
-    gens = _standard_systems()[name]
+    gens = standard_systems()[name]
     # both lex bases reach degree 8
     result = buchberger(gens, order=order, degree_cap=8)
     assert result.status == "ok"
@@ -697,7 +680,7 @@ def test_kernel_invariants_on_extension_systems(name, strict, kernel):
 
 @pytest.mark.parametrize("name", ["cyclic-4", "katsura-3"])
 def test_kernel_invariants_on_standard_systems(name, kernel):
-    gens = _standard_systems()[name]
+    gens = standard_systems()[name]
     for order in ("lex", "grevlex"):
         buchberger(gens, order=order, degree_cap=8)
         _assert_kernel_invariants(gens, order, *kernel)
