@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import count
 from math import gcd, lcm
 from operator import le, sub
@@ -72,8 +72,9 @@ def _mono_coprime(a: Monomial, b: Monomial) -> bool:
 
 def _chained(h: Monomial, a: Monomial, b: Monomial) -> bool:
     """The chain criterion: the pair with leading monomials a, b is redundant
-    once h is in the basis, when h divides their lcm and the lcms of h with
-    a and with b both differ from it."""
+    when h, the leading monomial of an entry that joined while the pair
+    waited, divides their lcm and the lcms of h with a and with b both
+    differ from it.  Read once, when the pair is selected."""
     m = _mono_lcm(a, b)
     return _mono_divides(h, m) and _mono_lcm(a, h) != m and _mono_lcm(b, h) != m
 
@@ -241,17 +242,19 @@ def buchberger(
 ) -> GroebnerResult:
     """Buchberger's algorithm with degree/pair caps and cofactor tracking.
 
-    Pairs go through the Gebauer-Moller update (Becker and Weispfenning,
-    *Groebner Bases*, 1993, UPDATE) as each entry joins the basis, the
-    generators included, in order.  A pair whose leading monomials are
-    coprime is never queued (product criterion); of the new entry's pairs,
-    one whose lcm another's lcm properly divides is dropped (M), and of
-    those with equal lcm only the last is kept, none if one of them is
-    coprime (F); a queued pair with leading monomials a, b is dropped when
-    the new leading monomial h divides lcm(a, b) and lcm(a, h), lcm(b, h)
-    both differ from it (B, the chain criterion); and pairs are formed only
-    with entries whose leading monomial no later entry divides.  Division
-    still runs over the whole basis, in list order.
+    Pairs go through the Gebauer-Moller criteria (Becker and Weispfenning,
+    *Groebner Bases*, 1993, UPDATE).  As each entry joins the basis, the
+    generators included, in order, its pairs are formed: a pair whose
+    leading monomials are coprime is never queued (product criterion); one
+    whose lcm another's lcm properly divides is dropped (M), and of those
+    with equal lcm only the last is kept, none if one of them is coprime
+    (F); and pairs are formed only with entries whose leading monomial no
+    later entry divides.  A pair (i, j), i < j, leaving the queue is skipped
+    when an entry of basis[j + 1:] chains it (B, ``_chained``).  Those are
+    exactly the entries that joined while the pair waited, and entries
+    never change, so B skips the pairs UPDATE drops from the queue as each
+    entry joins; a pair's queue key is fixed, so the rest come out in the
+    same order.  Division still runs over the whole basis, in list order.
 
     Pairs are selected by the normal strategy: the pending pair whose
     leading monomials have the lcm of lowest total degree comes next, and
@@ -298,11 +301,9 @@ def buchberger(
     # entries whose leading monomial no later entry divides: new pairs' partners
     active: list[int] = []
 
-    def join(new: int, pending: list) -> list[tuple[int, int]]:
-        """Drops from ``pending`` (entries ending in i, j) the pairs that
-        basis[new] chains, and returns the new entry's surviving pairs."""
+    def join(new: int) -> list[tuple[int, int]]:
+        """The new entry's pairs that pass the product criterion, M and F."""
         h = basis[new].lm
-        pending[:] = [p for p in pending if not _chained(h, basis[p[-2]].lm, basis[p[-1]].lm)]
         # per lcm of a new pair, its last partner (F), and the lcms that a
         # coprime pair has (product criterion)
         last: dict[Monomial, int] = {}
@@ -327,20 +328,20 @@ def buchberger(
         degree = sum(_mono_lcm(basis[i].lm, basis[j].lm))
         heappush(queue, (degree, -next(tick), i, j))
 
-    initial: list[tuple[int, int]] = []
-    for new in range(len(basis)):
-        initial += join(new, initial)
-    for i, j in sorted(initial):
+    for i, j in sorted(p for new in range(len(basis)) for p in join(new)):
         push(i, j)
     processed = 0
     # the first nonzero constant is the whole reduced basis (minimalization)
     unit = any(t.lm == one for t in basis)
     while queue and not unit:
         _, _, i, j = heappop(queue)
+        fi, fj = basis[i], basis[j]
+        # B, against the entries that joined while the pair waited
+        if any(_chained(h.lm, fi.lm, fj.lm) for h in basis[j + 1:]):
+            continue
         processed += 1
         if processed > pair_cap:
             return GroebnerResult("capped", (), (), order, processed, ("pair_cap", processed))
-        fi, fj = basis[i], basis[j]
         m = _mono_lcm(fi.lm, fj.lm)
         # the S-polynomial is ci x^ai fi + cj x^aj fj, on integers
         d = gcd(fi.lc, fj.lc)
@@ -357,9 +358,7 @@ def buchberger(
         combination += [(q, basis[k]) for k, q in quotients.items()]
         basis.append(_Tracked.normalized(rem, *_cofactors(combination, variables), key, variables))
         unit = basis[-1].lm == one
-        new_pairs = join(len(basis) - 1, queue)
-        heapify(queue)
-        for t, new in new_pairs:
+        for t, new in join(len(basis) - 1):
             push(t, new)
 
     # minimalize: drop entries whose leading monomial another one divides

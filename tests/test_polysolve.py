@@ -392,6 +392,26 @@ def test_extension_system_basis_and_pair_count_pinned(name, strict):
         assert capped.cap == ("pair_cap", 2)
 
 
+@pytest.mark.parametrize("build", [mu1_algebra, mu2_algebra])
+def test_selecting_a_pair_reads_the_chain_criterion_once_per_later_entry(build, monkeypatch):
+    """The chain criterion is read when a pair is selected, once against
+    each entry that joined after the pair's later partner: the strict
+    systems at a1=2, a2=3 select one pair, so the run reads it at most once
+    per generator (filtering the queue at every join read it 132 times)."""
+    calls = []
+    chained = homalg.polysolve._chained
+
+    def counted(h, a, b):
+        calls.append((h, a, b))
+        return chained(h, a, b)
+
+    monkeypatch.setattr(homalg.polysolve, "_chained", counted)
+    gens = bialgebra_extension_system(build(2, 3), strict_alpha=True)
+    result = buchberger(gens, order="lex")
+    assert result.pairs_processed == 1 and len(gens) == 19
+    assert len(calls) <= len(gens)
+
+
 def test_a_constant_generator_ends_the_run_before_any_pair():
     x = Poly.var(X, "x")
     two, zero = Poly.const(X, 2), Poly.zero(X)
