@@ -196,13 +196,11 @@ def check_convolution_hom_associative(bialgebra: HomBialgebra) -> bool | None:
 
 def antipode_defect(bialgebra: HomBialgebra, s: LinearMap) -> tuple[int, ...]:
     """Basis indices where mu o (S (x) id) o Delta or the mirrored equation
-    misses eta o eps."""
-    ident = LinearMap.identity(bialgebra.dim)
-    want = convolution_unit(bialgebra)
-    left = convolution(bialgebra, s, ident)
-    right = convolution(bialgebra, ident, s)
-    return tuple(k for k in range(bialgebra.dim)
-                 if left.column(k) != want.column(k) or right.column(k) != want.column(k))
+    misses eta o eps: the k of the nonzero entries (m, k) of S * id - eta o
+    eps and of id * S - eta o eps."""
+    ident, want = LinearMap.identity(bialgebra.dim), convolution_unit(bialgebra)
+    misses = (convolution(bialgebra, s, ident) - want, convolution(bialgebra, ident, s) - want)
+    return tuple(sorted({k for miss in misses for _, k in miss.nonzero}))
 
 
 @dataclass(frozen=True)
