@@ -397,7 +397,7 @@ def test_selecting_a_pair_reads_the_chain_criterion_once_per_later_entry(build, 
     """The chain criterion is read when a pair is selected, once against
     each entry that joined after the pair's later partner: the strict
     systems at a1=2, a2=3 select one pair, so the run reads it at most once
-    per generator (filtering the queue at every join read it 132 times)."""
+    per generator."""
     calls = []
     chained = homalg.polysolve._chained
 
