@@ -24,9 +24,9 @@ integer polynomials over one denominator.  Every entry is a fixed rational
 multiple of the entry rational division would build, and division picks
 the same divisors, so the basis, the cofactors and the pair counts are
 those of rational Buchberger.  Rationals appear only at the end, when the
-reduced entries are made monic and their cofactors are written over the
-original generators (Becker and Weispfenning, *Groebner Bases*, 1993;
-Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*, 1992).
+reduced entries are made monic and their cofactors over the generators are
+divided by their denominators (Becker and Weispfenning, *Groebner Bases*,
+1993; Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*, 1992).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 from .algebra import HomAlgebra, check_unital
 from .bialgebra import HomBialgebra, alpha_defects
 from .coalgebra import HomCoalgebra, counit_defects
-from .rational import ONE, ORDER_KEYS, ZERO, Monomial, Poly, _mono_mul, numerators, primitive, rat
+from .rational import ORDER_KEYS, ZERO, Monomial, Poly, _mono_mul, numerators, primitive, rat
 from .tensors import ComulTensor, LinearMap, Vector
 
 Terms = dict[Monomial, int]
@@ -95,12 +95,12 @@ class _Tracked:
     coefficient is positive, with sparse integer cofactors over one
     denominator.
 
-    With c_i * g_i the primitive multiple of generator i, the entry satisfies
-    ``den * poly = sum_i cofactors[i] * (c_i * g_i)``; ``cofactors`` holds
-    only the generators that occur, ``den`` is positive, and the gcd of
-    ``den`` and all cofactor coefficients is 1.  The leading monomial ``lm``
-    and coefficient ``lc`` under the run's order are computed once: entries
-    are never changed after they are built.
+    The entry satisfies ``den * poly = sum_i cofactors[i] * g_i`` over the
+    input generators g_i; ``cofactors`` holds only the generators that
+    occur, ``den`` is positive, and the gcd of ``den`` and all cofactor
+    coefficients is 1.  The leading monomial ``lm`` and coefficient ``lc``
+    under the run's order are computed once: entries are never changed
+    after they are built.
     """
 
     __slots__ = ("poly", "cofactors", "den", "lm", "lc")
@@ -118,7 +118,7 @@ class _Tracked:
         key: Callable[[Monomial], object], variables: tuple[str, ...],
     ) -> "_Tracked":
         """The entry for nonzero integer terms with ``den * terms = sum_i
-        cofactors[i] * (c_i * g_i)``: the content of the terms moves into the
+        cofactors[i] * g_i``: the content of the terms moves into the
         denominator, and the gcd of the denominator and the cofactor
         coefficients is divided out."""
         lm = max(terms, key=key)
@@ -189,10 +189,10 @@ def _reduce(
 def _cofactors(
     combination: Sequence[tuple[Terms, _Tracked]], variables: tuple[str, ...]
 ) -> tuple[dict[int, Poly], int]:
-    """Integer cofactors over the scaled generators of sum_t multiplier * t,
+    """Integer cofactors over the input generators of sum_t multiplier * t,
     for the (integer multiplier terms, t) pairs of the combination, and
     their denominator, the lcm of the entries' denominators:
-    ``den * sum_t multiplier * t = sum_i cofactors[i] * (c_i * g_i)``."""
+    ``den * sum_t multiplier * t = sum_i cofactors[i] * g_i``."""
     den = lcm(*(t.den for _, t in combination))
     acc: dict[int, Poly] = {}
     for mult, t in combination:
@@ -206,11 +206,12 @@ def _cofactors(
 
 @dataclass(frozen=True)
 class GroebnerResult:
-    """status "ok" or "capped"; on "ok" the basis is reduced and each entry
-    carries cofactors over the input generators.  On "capped", ``cap`` names
-    the cap that tripped and the value reached: ("pair_cap", pairs
-    processed) or ("degree_cap", degree of the remainder that exceeded it).
-    ``pairs_processed`` stops counting at the first nonzero constant."""
+    """status "ok" or "capped"; on "ok" the basis is reduced, so monic, and
+    each entry carries cofactors over the input generators; an inconsistent
+    basis is exactly (1,).  On "capped", ``cap`` names the cap that tripped
+    and the value reached: ("pair_cap", pairs processed) or ("degree_cap",
+    degree of the remainder that exceeded it).  ``pairs_processed`` stops
+    counting at the first nonzero constant."""
 
     status: str
     basis: tuple[Poly, ...]
@@ -226,12 +227,8 @@ class GroebnerResult:
         )
 
     def certificate(self) -> tuple[Poly, ...] | None:
-        """Cofactors c_i with sum c_i * gen_i = 1, when inconsistent."""
-        for poly, cof in zip(self.basis, self.cofactors):
-            if poly.is_constant() and not poly.is_zero():
-                inv = ONE / poly.constant_value()
-                return tuple(c.scale(inv) for c in cof)
-        return None
+        """The cofactors of the basis (1,): sum c_i * gen_i = 1; None if consistent."""
+        return self.cofactors[0] if self.inconsistent else None
 
 
 def buchberger(
@@ -261,15 +258,19 @@ def buchberger(
     among pairs of equal degree the one queued most recently; the pairs
     among the generators are queued in ascending (i, j) order.  Only pairs
     that survive the criteria are selected, and each counts toward
-    ``pair_cap``.  Selection stops at the first nonzero constant (a
-    generator or a remainder): the pairs left are neither reduced nor counted.
+    ``pair_cap``.  A reduced basis holding a nonzero constant is {1}, so it
+    is returned where the first constant is built: a generator, before any
+    pair is formed, or a remainder, before it joins; the pairs left are
+    neither reduced nor counted.
 
-    The arithmetic is on integers.  Generator i enters as its primitive
-    multiple c_i * g_i.  The S-polynomial of fi and fj, with d the gcd of
-    their leading coefficients, is (fj.lc/d) x^a fi - (fi.lc/d) x^b fj; it
-    is divided fraction-free (``_reduce``), and a nonzero remainder joins
-    the basis with its content divided out.  The reduced entries are made
-    monic at the end, where their cofactors are written over the g_i.
+    The arithmetic is on integers.  Every entry enters through
+    ``_Tracked.normalized`` with cofactors over the input generators g_i,
+    generator i as its numerators over their lcm denominator D, with
+    cofactor D.  The S-polynomial of fi and fj, with d the gcd of their
+    leading coefficients, is (fj.lc/d) x^a fi - (fi.lc/d) x^b fj; it is
+    divided fraction-free (``_reduce``), and a nonzero remainder joins the
+    basis with its content divided out.  The reduced entries are made monic
+    at the end.
     """
     if order not in ORDER_KEYS:
         raise ValueError(f"unknown monomial order {order!r}")
@@ -285,18 +286,35 @@ def buchberger(
     key = ORDER_KEYS[order]
     one = (0,) * len(variables)
 
-    # each generator enters as its primitive multiple c_i * g_i
+    def reduced(keep: list[_Tracked], processed: int) -> GroebnerResult:
+        """The "ok" result on the minimal entries ``keep``: tails
+        interreduced, then each entry made monic, the only rational step."""
+        rows = []
+        for i, t in enumerate(keep):
+            others = keep[:i] + keep[i + 1:]
+            # minimal: no other leading monomial divides t.lm, so it stays in rem
+            rem, quotients, s = _reduce(t.poly.terms, others, key)
+            combination = [({one: s}, t)] + [(q, others[k]) for k, q in quotients.items()]
+            cofactors, den = _cofactors(combination, variables)
+            lc = rem[t.lm]
+            row = tuple(cofactors[idx].scale(Fraction(1, den * lc)) if idx in cofactors
+                        else Poly.zero(variables) for idx in range(len(gens)))
+            monic = Poly._raw(variables, {m: Fraction(c, lc) for m, c in rem.items()})
+            rows.append((t.lm, monic, row))
+        rows.sort(key=lambda r: key(r[0]))
+        return GroebnerResult("ok", tuple(p for _, p, _ in rows),
+                              tuple(row for _, _, row in rows), order, processed)
+
+    # generator i enters as its numerators over their lcm denominator D
     basis: list[_Tracked] = []
-    scales: dict[int, Fraction] = {}
     for idx, g in enumerate(gens):
         if g:
-            lm = max(g.terms, key=key)
-            terms, _ = _primitive(dict(zip(g.terms, numerators(g.terms.values())[0])), lm)
-            basis.append(_Tracked(Poly._raw(variables, terms),
-                                  {idx: Poly.const(variables, 1)}, 1, lm))
-            scales[idx] = Fraction(terms[lm]) / g.terms[lm]
-    if not basis:
-        return GroebnerResult("ok", (), (), order, 0)
+            nums, den = numerators(g.terms.values())
+            basis.append(_Tracked.normalized(dict(zip(g.terms, nums)),
+                                             {idx: Poly.const(variables, den)}, 1, key, variables))
+    for t in basis:
+        if t.lm == one:
+            return reduced([t], 0)
 
     # entries whose leading monomial no later entry divides: new pairs' partners
     active: list[int] = []
@@ -331,9 +349,7 @@ def buchberger(
     for i, j in sorted(p for new in range(len(basis)) for p in join(new)):
         push(i, j)
     processed = 0
-    # the first nonzero constant is the whole reduced basis (minimalization)
-    unit = any(t.lm == one for t in basis)
-    while queue and not unit:
+    while queue:
         _, _, i, j = heappop(queue)
         fi, fj = basis[i], basis[j]
         # B, against the entries that joined while the pair waited
@@ -356,10 +372,12 @@ def buchberger(
             return GroebnerResult("capped", (), (), order, processed, ("degree_cap", degree))
         combination = [({ai: s * ci}, fi), ({aj: s * cj}, fj)]
         combination += [(q, basis[k]) for k, q in quotients.items()]
-        basis.append(_Tracked.normalized(rem, *_cofactors(combination, variables), key, variables))
-        unit = basis[-1].lm == one
-        for t, new in join(len(basis) - 1):
-            push(t, new)
+        t = _Tracked.normalized(rem, *_cofactors(combination, variables), key, variables)
+        if t.lm == one:
+            return reduced([t], processed)
+        basis.append(t)
+        for k, new in join(len(basis) - 1):
+            push(k, new)
 
     # minimalize: drop entries whose leading monomial another one divides
     lms = [t.lm for t in basis]
@@ -371,29 +389,7 @@ def buchberger(
         )
     ]
 
-    # interreduce tails, then make each entry monic and write its cofactors
-    # over the original generators: the only rational step
-    reduced: list[tuple[Monomial, Poly, tuple[Poly, ...]]] = []
-    for i, t in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        # minimal: no other leading monomial divides t.lm, so it stays in rem
-        rem, quotients, s = _reduce(t.poly.terms, others, key)
-        combination = [({one: s}, t)] + [(q, others[k]) for k, q in quotients.items()]
-        cofactors, den = _cofactors(combination, variables)
-        lc = rem[t.lm]
-        row = tuple(cofactors[idx].scale(scales[idx] / (den * lc)) if idx in cofactors
-                    else Poly.zero(variables) for idx in range(len(gens)))
-        monic = Poly._raw(variables, {m: Fraction(c, lc) for m, c in rem.items()})
-        reduced.append((t.lm, monic, row))
-    reduced.sort(key=lambda r: key(r[0]))
-
-    return GroebnerResult(
-        "ok",
-        tuple(poly for _, poly, _ in reduced),
-        tuple(row for _, _, row in reduced),
-        order,
-        processed,
-    )
+    return reduced(keep, processed)
 
 
 def verify_certificate(generators: Sequence[Poly], certificate: Sequence[Poly]) -> bool:
@@ -696,7 +692,7 @@ def search_bialgebra_extension(
                              pairs_processed=pairs)
     if result.inconsistent:
         cert = result.certificate()
-        if cert is None or not verify_certificate(gens, cert):
+        if not verify_certificate(gens, cert):
             return SystemVerdict(
                 status="inconclusive", generators=gens, pairs_processed=pairs,
                 reason="solver found the system inconsistent, but its certificate "

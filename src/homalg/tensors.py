@@ -460,11 +460,6 @@ class LinearMap(_Tensor):
         """Elementary matrix E_{row,col} (sends e_col to e_row)."""
         return cls.from_entries(dim, {(row, col): ONE})
 
-    def column(self, j: int) -> Vector:
-        _in_range(j, self.dim)
-        return Vector._of(self.dim, {(i,): v for (i, c), v in self._num.items() if c == j},
-                          self._den)
-
     def apply(self, v: Vector) -> Vector:
         return Vector.contracted("ij,j->i", self, v)
 
@@ -634,11 +629,6 @@ class ComulTensor(_Tensor):
     @property
     def d(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         return self._data
-
-    def image(self, k: int) -> Tensor2:
-        _in_range(k, self.dim)
-        return Tensor2._of(self.dim, {key[1:]: v for key, v in self._num.items() if key[0] == k},
-                           self._den)
 
     def apply(self, x: Vector) -> Tensor2:
         return Tensor2.contracted("k,kij->ij", x, self)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
@@ -610,16 +610,6 @@ def test_standard_systems_match_reference_and_cofactors_recombine(name, order):
         assert acc == p
 
 
-def _primitive_multiple(g, order):
-    """c * g with integer coefficients of gcd 1, the leading one positive."""
-    scale = lcm(*(Fraction(c).denominator for c in g.terms.values()))
-    ints = {m: int(c * scale) for m, c in g.terms.items()}
-    content = gcd(*ints.values())
-    if ints[g.leading_monomial(order)] < 0:
-        content = -content
-    return Poly(g.variables, {m: c // content for m, c in ints.items()})
-
-
 @pytest.fixture
 def kernel(monkeypatch):
     """Records every ``_reduce`` call, as (terms, basis, result), and every
@@ -647,8 +637,8 @@ def kernel(monkeypatch):
 def _assert_kernel_invariants(gens, order, calls, entries):
     """Division: remainder = s * terms + sum_k q_k * basis_k with an integer
     s > 0.  Entries: primitive integer polynomials with a positive leading
-    coefficient, and den * poly = sum_i cof_i * (c_i * g_i), where c_i * g_i
-    is the primitive multiple of g_i and gcd(den, cofactor coefficients) = 1."""
+    coefficient, and den * poly = sum_i cof_i * g_i over the generators
+    themselves, with gcd(den, cofactor coefficients) = 1."""
     assert calls and entries
     variables = gens[0].variables
     for terms, basis, (rem, quotients, s) in calls:
@@ -658,7 +648,6 @@ def _assert_kernel_invariants(gens, order, calls, entries):
         for k, q in quotients.items():
             acc = acc + Poly(variables, q) * basis[k].poly
         assert acc == Poly(variables, rem)
-    scaled = [_primitive_multiple(g, order) if g else g for g in gens]
     for t in entries:
         coeffs = list(t.poly.terms.values())
         assert all(type(c) is int for c in coeffs) and gcd(*coeffs) == 1
@@ -668,7 +657,7 @@ def _assert_kernel_invariants(gens, order, calls, entries):
         acc = Poly.zero(variables)
         for i, row in t.cofactors.items():
             assert row and all(type(c) is int for c in row.terms.values())
-            acc = acc + row * scaled[i]
+            acc = acc + row * gens[i]
         assert acc == t.poly.scale(t.den)
     calls.clear()
     entries.clear()
@@ -734,6 +723,32 @@ def test_no_pair_is_reduced_after_the_first_unit(kernel):
         calls.clear()
         entries.clear()
     assert len(systems) == 160 and inconsistent == {"extension": 57, "random": 7}
+
+
+@pytest.mark.parametrize("system", ["mu1-strict", "mu2-strict", "constant-generator"])
+def test_no_leading_monomial_is_compared_once_a_constant_exists(system, kernel, monkeypatch):
+    """A reduced basis holding a nonzero constant is {1}, so the run returns
+    it where the constant entry is built: no ``_mono_divides`` call follows,
+    in division, pair selection or minimalization."""
+    if system == "constant-generator":
+        x = Poly.var(X, "x")
+        gens, order = [x * x - 1, x - 1, Poly.const(X, 2)], "grevlex"
+    else:
+        build = mu1_algebra if system == "mu1-strict" else mu2_algebra
+        gens, order = bialgebra_extension_system(build(2, 3), strict_alpha=True), "lex"
+    _, entries = kernel
+    after = []
+    divides = homalg.polysolve._mono_divides
+
+    def counted(a, b):
+        if any(not any(t.lm) for t in entries):
+            after.append((a, b))
+        return divides(a, b)
+
+    monkeypatch.setattr(homalg.polysolve, "_mono_divides", counted)
+    result = buchberger(gens, order=order)
+    assert result.inconsistent and any(not any(t.lm) for t in entries)
+    assert len(after) == 0
 
 
 # --- rational roots against divisor enumeration ---------------------------------------
