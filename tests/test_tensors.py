@@ -10,7 +10,6 @@ from homalg import (
     PERMS,
     S3,
     SUBGROUPS,
-    ComulTensor,
     LinearMap,
     MulTensor,
     Poly,
