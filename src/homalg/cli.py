@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 all checks passed / command succeeded, 1 a check failed (or no
-antipode exists), 2 parse or usage error, 3 inconclusive (the polynomial
-solver hit a cap, or its certificate failed its check), 141 stdout closed before the output was written (128 +
-SIGPIPE, as for a process the signal ended; no traceback).  Output ordering
-is deterministic (witnesses are listed in basis-index lexicographic order).
+Exit codes: 0 all checks passed / command succeeded; 1 a check failed (or no
+antipode exists); 2 parse or usage error; 3 inconclusive (the polynomial
+solver hit a cap, or its certificate failed its check); 141 stdout closed
+before the output was written (128 + SIGPIPE, with no traceback).  Output
+order is deterministic: witnesses are listed in basis-index lexicographic order.
 """
 
 from __future__ import annotations
@@ -383,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-cap", type=_int_at_least(0), default=DEGREE_CAP, action=_Once)
     p.add_argument("--pair-cap", type=_int_at_least(1), default=PAIR_CAP, action=_Once,
                    help="most S-pairs to reduce; only pairs that survive the Gebauer-Moller "
-                        "criteria count, and coprime pairs are never queued")
+                        "criteria count, and coprime pairs never count")
     p.add_argument("--strict-alpha", action="store_true")
 
     p = sub.add_parser("examples", help="list or emit built-in structures")

@@ -241,17 +241,17 @@ def buchberger(
 
     Pairs go through the Gebauer-Moller criteria (Becker and Weispfenning,
     *Groebner Bases*, 1993, UPDATE).  As each entry joins the basis, the
-    generators included, in order, its pairs are formed: a pair whose
-    leading monomials are coprime is never queued (product criterion); one
-    whose lcm another's lcm properly divides is dropped (M), and of those
-    with equal lcm only the last is kept, none if one of them is coprime
-    (F); and pairs are formed only with entries whose leading monomial no
-    later entry divides.  A pair (i, j), i < j, leaving the queue is skipped
-    when an entry of basis[j + 1:] chains it (B, ``_chained``).  Those are
-    exactly the entries that joined while the pair waited, and entries
-    never change, so B skips the pairs UPDATE drops from the queue as each
-    entry joins; a pair's queue key is fixed, so the rest come out in the
-    same order.  Division still runs over the whole basis, in list order.
+    generators included, in order, ``join`` forms its pairs with its
+    partners, the earlier entries whose leading monomial no entry between
+    them divides.  A pair (i, j), i < j, leaving the queue is skipped
+    (``redundant``) when the lcm of j with another partner properly divides
+    its lcm (M); when a partner gives the same lcm and comes after i or is
+    coprime to j (F, and the product criterion when it is i); or when an
+    entry of basis[j + 1:] chains it (B, ``_chained``).  The partners are
+    fixed once j joins, and basis[j + 1:] holds the entries that joined
+    while the pair waited, so the pairs skipped are those UPDATE drops as
+    each entry joins; a pair's queue key is fixed, so the rest come out in
+    the same order.  Division still runs over the whole basis, in list order.
 
     Pairs are selected by the normal strategy: the pending pair whose
     leading monomials have the lcm of lowest total degree comes next, and
@@ -316,29 +316,30 @@ def buchberger(
         if t.lm == one:
             return reduced([t], 0)
 
-    # entries whose leading monomial no later entry divides: new pairs' partners
-    active: list[int] = []
+    # partners[j]: the entries t < j whose leading monomial no entry of basis[t + 1:j] divides
+    partners: list[list[int]] = [[]]
 
     def join(new: int) -> list[tuple[int, int]]:
-        """The new entry's pairs that pass the product criterion, M and F."""
+        """The new entry's pairs, one with each of its partners."""
         h = basis[new].lm
-        # per lcm of a new pair, its last partner (F), and the lcms that a
-        # coprime pair has (product criterion)
-        last: dict[Monomial, int] = {}
-        coprime: set[Monomial] = set()
-        for t in active:
-            m = _mono_lcm(basis[t].lm, h)
-            last[m] = t
-            if _mono_coprime(basis[t].lm, h):
-                coprime.add(m)
-        active[:] = [t for t in active if not _mono_divides(h, basis[t].lm)] + [new]
-        return sorted(
-            (t, new) for m, t in last.items()
-            if m not in coprime and not any(o != m and _mono_divides(o, m) for o in last)
-        )
+        partners.append([t for t in partners[new] if not _mono_divides(h, basis[t].lm)] + [new])
+        return [(t, new) for t in partners[new]]
 
-    # (lcm degree, -queue position, i, j): a pair's key never goes stale,
-    # since basis entries never change
+    def redundant(i: int, j: int) -> bool:
+        """Whether M, F, the product criterion or B drops the pair (i, j), i < j."""
+        hi, hj = basis[i].lm, basis[j].lm
+        m = _mono_lcm(hi, hj)
+        for t in partners[j]:
+            o = _mono_lcm(basis[t].lm, hj)
+            if o == m:
+                # F keeps the last pair of an lcm, none if one is coprime
+                if t > i or _mono_coprime(basis[t].lm, hj):
+                    return True
+            elif _mono_divides(o, m):  # M
+                return True
+        return any(_chained(h.lm, hi, hj) for h in basis[j + 1:])  # B
+
+    # (lcm degree, -queue position, i, j): fixed, as basis entries never change
     queue: list[tuple[int, int, int, int]] = []
     tick = count()
 
@@ -351,10 +352,9 @@ def buchberger(
     processed = 0
     while queue:
         _, _, i, j = heappop(queue)
-        fi, fj = basis[i], basis[j]
-        # B, against the entries that joined while the pair waited
-        if any(_chained(h.lm, fi.lm, fj.lm) for h in basis[j + 1:]):
+        if redundant(i, j):
             continue
+        fi, fj = basis[i], basis[j]
         processed += 1
         if processed > pair_cap:
             return GroebnerResult("capped", (), (), order, processed, ("pair_cap", processed))
@@ -564,9 +564,9 @@ class SystemVerdict:
     or "inconclusive" (caps exhausted, or a certificate that fails its
     check; reason says which).
     pairs_processed: the S-pairs Buchberger selected, capped runs included;
-    only pairs that survive the Gebauer-Moller criteria are selected, pairs
-    with coprime leading monomials are never queued, and none is selected
-    after the first nonzero constant.
+    only pairs that survive the Gebauer-Moller criteria count, pairs with
+    coprime leading monomials never do, and none counts after the first
+    nonzero constant.
     """
 
     status: str

@@ -297,6 +297,8 @@ class Poly:
     def univariate_coefficients(self, index: int) -> list[Fraction]:
         """Ascending coefficient list in variable `index`; requires the poly
         to involve no other variable."""
+        if not 0 <= index < len(self.variables):
+            raise ValueError(f"index {index} out of range for the variables {self.variables}")
         if not self.used_variable_indices() <= {index}:
             raise ValueError("polynomial is not univariate in that variable")
         degree = max((m[index] for m in self.terms), default=0)

@@ -523,6 +523,8 @@ class Perm3:
     sign: int
 
     def __call__(self, i: int) -> int:
+        if not 1 <= i <= 3:
+            raise ValueError(f"index {i} out of range 1..3")
         return self.images[i - 1]
 
     def inverse(self) -> "Perm3":

@@ -412,6 +412,26 @@ def test_selecting_a_pair_reads_the_chain_criterion_once_per_later_entry(build, 
     assert len(calls) <= len(gens)
 
 
+@pytest.mark.parametrize("build", [mu1_algebra, mu2_algebra])
+def test_selecting_a_pair_reads_the_other_criteria_not_joining_an_entry(build, monkeypatch):
+    """The product criterion, M and F are read when a pair is selected, not
+    as each entry joins: the strict systems at a1=2, a2=3 join 19
+    generators to select one pair, so the run tests coprimality fewer times
+    than it has generators."""
+    calls = []
+    coprime = homalg.polysolve._mono_coprime
+
+    def counted(a, b):
+        calls.append((a, b))
+        return coprime(a, b)
+
+    monkeypatch.setattr(homalg.polysolve, "_mono_coprime", counted)
+    gens = bialgebra_extension_system(build(2, 3), strict_alpha=True)
+    result = buchberger(gens, order="lex")
+    assert result.pairs_processed == 1 and len(gens) == 19
+    assert len(calls) < len(gens)
+
+
 def test_a_constant_generator_ends_the_run_before_any_pair():
     x = Poly.var(X, "x")
     two, zero = Poly.const(X, 2), Poly.zero(X)
@@ -858,6 +878,11 @@ def test_empty_input_is_named(call, message):
     (lambda: Poly.var(XY, "y").evaluate({"x": 1}), r"point does not bind variables \['y'\]"),
     (lambda: (Poly.var(XY, "x") * Poly.var(XY, "y")).univariate_coefficients(0),
      "polynomial is not univariate in that variable"),
+    # a negative index would read the last variable's exponents
+    (lambda: Poly.const(XY, 5).univariate_coefficients(-1),
+     r"index -1 out of range for the variables \('x', 'y'\)"),
+    (lambda: Poly.const(XY, 5).univariate_coefficients(2),
+     r"index 2 out of range for the variables \('x', 'y'\)"),
     (lambda: buchberger([Poly.var(X, "x")], order="deglex"), "unknown monomial order 'deglex'"),
     (lambda: buchberger([]), "no generators"),
     (lambda: buchberger([Poly.var(X, "x"), Poly.var(XY, "x")]),
@@ -868,8 +893,8 @@ def test_empty_input_is_named(call, message):
      "certificate has 2 cofactors for 1 generators"),
     (lambda: verify_certificate([Poly.const(X, 1), Poly.var(X, "x")], [Poly.const(X, 1)]),
      "certificate has 1 cofactors for 2 generators"),
-], ids=["add", "leading-monomial", "evaluate", "univariate", "order", "no-generators",
-        "variable-lists", "roots", "certificate-long", "certificate-short"])
+], ids=["add", "leading-monomial", "evaluate", "univariate", "univariate-index-negative",
+        "univariate-index-high", "order", "no-generators", "variable-lists", "roots", "certificate-long", "certificate-short"])
 def test_malformed_input_is_named(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

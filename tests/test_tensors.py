@@ -50,6 +50,14 @@ def test_cycles_have_order_three():
     assert PERMS["(213)"].inverse() == PERMS["(231)"]
 
 
+# a negative index would read the images from the end
+@pytest.mark.parametrize("i", [0, -1, 4])
+def test_a_permutation_rejects_a_point_outside_1_to_3(i):
+    with pytest.raises(ValueError, match=rf"^index {i} out of range 1\.\.3$"):
+        PERMS["(12)"](i)
+    assert [PERMS["(12)"](k) for k in (1, 2, 3)] == [2, 1, 3]
+
+
 def test_group_axioms():
     for p in S3:
         assert p.compose(PERMS["id"]) == p == PERMS["id"].compose(p)
