@@ -27,6 +27,7 @@ from .bialgebra import (
     AntipodeResult,
     HomBialgebra,
     HomHopf,
+    antipode_certificate,
     antipode_defect,
     bullet,
     check_bialgebra_strict,
@@ -59,7 +60,7 @@ from .coalgebra import (
     generic_coalgebra,
     lemma_identities_check,
 )
-from .linsolve import LinearSolution, linear_solve
+from .linsolve import LinearSolution, inconsistency_certificate, linear_solve
 from .polysolve import (
     GroebnerResult,
     Poly,

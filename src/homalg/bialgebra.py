@@ -22,12 +22,13 @@ convolution inverse of the identity, found here by exact linear solving
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
 from .algebra import HomAlgebra, check_hom_associative
 from .coalgebra import HomCoalgebra, check_hom_coassociative
-from .linsolve import linear_solve
+from .linsolve import inconsistency_certificate, linear_solve
 from .rational import ONE, ZERO
 from .reports import DefectReport, Defects
 from .tensors import ComulTensor, LinearMap, Table, Tensor2, Tensor4, Vector, contract, tabled
@@ -126,14 +127,19 @@ def bullet(bialgebra: HomBialgebra, s: Tensor2, t: Tensor2) -> Tensor2:
     return Tensor2.contracted("ab,cd,aci,bdj->ij", s, t, mul, mul)
 
 
+# Delta o alpha, (alpha (x) alpha) o Delta, keyed (k, i, j), and eps o alpha; Delta or eps last
+_COMUL_ALPHA = "tk,tij->kij"
+_ALPHA_COMUL = "ia,jb,kab->kij"
+_COUNIT_ALPHA = "ik,i->k"
+
+
 def alpha_defects(bialgebra: HomBialgebra) -> Defects:
     """Every nonzero defect of Delta o alpha = (alpha (x) alpha) o Delta and
     eps o alpha = eps, merged by basis vector."""
     alpha, comul, eps = bialgebra.algebra.alpha, bialgebra.coalgebra.comul, bialgebra.counit
-    # Delta o alpha - (alpha (x) alpha) o Delta, keyed (k, i, j)
-    comul_alpha = ComulTensor.contracted("tk,tij->kij", alpha, comul) \
-        - ComulTensor.contracted("ia,kab,jb->kij", alpha, comul, alpha)
-    counit_alpha = Vector.contracted("ik,i->k", alpha, eps) - eps
+    comul_alpha = ComulTensor.contracted(_COMUL_ALPHA, alpha, comul) \
+        - ComulTensor.contracted(_ALPHA_COMUL, alpha, alpha, comul)
+    counit_alpha = Vector.contracted(_COUNIT_ALPHA, alpha, eps) - eps
     return Defects.joined(Defects.of(comul_alpha, "comul-alpha"),
                           Defects.of(counit_alpha, "counit-alpha"), legs=1)
 
@@ -220,21 +226,30 @@ class AntipodeResult:
     counit_compatible: bool | None
 
 
-def solve_antipode(bialgebra: HomBialgebra) -> AntipodeResult:
-    """Solve the 2*dim^2 linear antipode equations in the dim^2 entries of S."""
-    n = bialgebra.dim
+def _antipode_equations(bialgebra: HomBialgebra) -> tuple[list[list], list]:
+    """Rows and right-hand sides of the antipode equations: unknown p * n + i
+    is entry (p, i) of S, and equation (side, k, m) is component m of
+    (S * id)(e_k) on side 0, of (id * S)(e_k) on side 1, = eps(e_k) u_m."""
+    n, u, eps = bialgebra.dim, bialgebra.unit, bialgebra.counit
     d, c = bialgebra.coalgebra.comul, bialgebra.algebra.mul
-    u, eps = bialgebra.unit, bialgebra.counit
-
-    # variables s_{p,i} = entry (p, i) of S, flattened as p * n + i; equation
-    # (k, m) is component m of (S * id)(e_k), then of (id * S)(e_k)
     left = contract("kij,pjm->kmpi", d, c)
     right = contract("kij,iqm->kmqj", d, c)
     rows = [[v for row in grid for v in row]
             for coeffs in (left, right) for plane in coeffs for grid in plane]
-    rhs = [eps[k] * u[m] for k, m in product(range(n), repeat=2)] * 2
+    return rows, [eps[k] * u[m] for k, m in product(range(n), repeat=2)] * 2
 
-    solution = linear_solve(rows, rhs)
+
+def antipode_certificate(bialgebra: HomBialgebra) -> tuple[Fraction, ...] | None:
+    """Evidence that no antipode exists, a weight per equation, (side, k, m) at
+    index (side * dim + k) * dim + m, under which they sum to 0 = 1; else None."""
+    return inconsistency_certificate(*_antipode_equations(bialgebra))
+
+
+def solve_antipode(bialgebra: HomBialgebra) -> AntipodeResult:
+    """Solve the 2*dim^2 linear antipode equations in the dim^2 entries of S;
+    ``antipode_certificate`` gives the evidence of a "none"."""
+    n, u, eps = bialgebra.dim, bialgebra.unit, bialgebra.counit
+    solution = linear_solve(*_antipode_equations(bialgebra))
     if not solution.consistent:
         return AntipodeResult("none", None, 0, None, None, None)
 

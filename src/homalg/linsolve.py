@@ -14,6 +14,9 @@ a nonzero multiple of row i of the reduced row echelon form.  That form is
 unique, so the pivot columns, the particular solution (free variables 0)
 and the kernel basis (one vector per free column) are those of rational
 elimination; ``Fraction``s are built only when they are read out.
+
+By the Fredholm alternative, A x = b is inconsistent exactly when some y has
+y A = 0 and y . b = 1; ``inconsistency_certificate`` solves [A^T; b^T] y = [0; 1].
 """
 
 from __future__ import annotations
@@ -100,3 +103,10 @@ def linear_solve(
 
     return LinearSolution(particular=tuple(particular), kernel=tuple(kernel))
 
+
+def inconsistency_certificate(matrix: Sequence[Sequence],
+                              rhs: Sequence) -> tuple[Fraction, ...] | None:
+    """A row y with y A = 0 and y . b = 1 if A x = b is inconsistent, None
+    if it is consistent: the particular solution of [A^T; b^T] y = [0; 1]."""
+    transposed = [list(col) for col in zip(*matrix, strict=True)] + [list(rhs)]
+    return linear_solve(transposed, [0] * (len(transposed) - 1) + [1]).particular

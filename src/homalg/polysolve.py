@@ -42,10 +42,11 @@ from types import MappingProxyType
 from typing import Callable, Sequence
 
 from .algebra import HomAlgebra, check_unital
-from .bialgebra import HomBialgebra, alpha_defects
+from .bialgebra import _ALPHA_COMUL, _COMUL_ALPHA, _COUNIT_ALPHA, HomBialgebra
 from .coalgebra import HomCoalgebra, counit_defects
+from .linsolve import inconsistency_certificate
 from .rational import ORDER_KEYS, ZERO, Monomial, Poly, _mono_mul, numerators, primitive, rat
-from .tensors import ComulTensor, LinearMap, Vector
+from .tensors import ComulTensor, LinearMap, Table, Vector, contract
 
 Terms = dict[Monomial, int]
 
@@ -316,21 +317,22 @@ def buchberger(
         if t.lm == one:
             return reduced([t], 0)
 
-    # partners[j]: the entries t < j whose leading monomial no entry of basis[t + 1:j] divides
-    partners: list[list[int]] = [[]]
+    # live: the entries whose leading monomial no later entry divides;
+    # partners[j]: (t, lcm(lm_t, lm_j)) for each entry t live when j joined
+    live: list[int] = []
+    partners: list[list[tuple[int, Monomial]]] = []
 
-    def join(new: int) -> list[tuple[int, int]]:
-        """The new entry's pairs, one with each of its partners."""
+    def join(new: int) -> list[tuple[int, Monomial]]:
+        """Record the new entry's partners, each with the lcm of its pair."""
         h = basis[new].lm
-        partners.append([t for t in partners[new] if not _mono_divides(h, basis[t].lm)] + [new])
-        return [(t, new) for t in partners[new]]
+        partners.append([(t, _mono_lcm(basis[t].lm, h)) for t in live])
+        live[:] = [t for t in live if not _mono_divides(h, basis[t].lm)] + [new]
+        return partners[new]
 
-    def redundant(i: int, j: int) -> bool:
-        """Whether M, F, the product criterion or B drops the pair (i, j), i < j."""
+    def redundant(i: int, j: int, m: Monomial) -> bool:
+        """Whether M, F, the product criterion or B drops the pair (i, j), lcm m."""
         hi, hj = basis[i].lm, basis[j].lm
-        m = _mono_lcm(hi, hj)
-        for t in partners[j]:
-            o = _mono_lcm(basis[t].lm, hj)
+        for t, o in partners[j]:
             if o == m:
                 # F keeps the last pair of an lcm, none if one is coprime
                 if t > i or _mono_coprime(basis[t].lm, hj):
@@ -339,26 +341,21 @@ def buchberger(
                 return True
         return any(_chained(h.lm, hi, hj) for h in basis[j + 1:])  # B
 
-    # (lcm degree, -queue position, i, j): fixed, as basis entries never change
-    queue: list[tuple[int, int, int, int]] = []
+    # (lcm degree, -queue position, i, j, lcm): fixed, as basis entries never change
+    queue: list[tuple[int, int, int, int, Monomial]] = []
     tick = count()
 
-    def push(i: int, j: int) -> None:
-        degree = sum(_mono_lcm(basis[i].lm, basis[j].lm))
-        heappush(queue, (degree, -next(tick), i, j))
-
-    for i, j in sorted(p for new in range(len(basis)) for p in join(new)):
-        push(i, j)
+    for i, j, m in sorted((t, new, o) for new in range(len(basis)) for t, o in join(new)):
+        heappush(queue, (sum(m), -next(tick), i, j, m))
     processed = 0
     while queue:
-        _, _, i, j = heappop(queue)
-        if redundant(i, j):
+        _, _, i, j, m = heappop(queue)
+        if redundant(i, j, m):
             continue
         fi, fj = basis[i], basis[j]
         processed += 1
         if processed > pair_cap:
             return GroebnerResult("capped", (), (), order, processed, ("pair_cap", processed))
-        m = _mono_lcm(fi.lm, fj.lm)
         # the S-polynomial is ci x^ai fi + cj x^aj fj, on integers
         d = gcd(fi.lc, fj.lc)
         ai, ci = _mono_div(m, fi.lm), fj.lc // d
@@ -376,8 +373,8 @@ def buchberger(
         if t.lm == one:
             return reduced([t], processed)
         basis.append(t)
-        for k, new in join(len(basis) - 1):
-            push(k, new)
+        for k, o in join(len(basis) - 1):
+            heappush(queue, (sum(o), -next(tick), k, len(basis) - 1, o))
 
     # minimalize: drop entries whose leading monomial another one divides
     lms = [t.lm for t in basis]
@@ -563,10 +560,10 @@ class SystemVerdict:
     when the set is infinite), "inconsistent" (certificate recombines to 1),
     or "inconclusive" (caps exhausted, or a certificate that fails its
     check; reason says which).
-    pairs_processed: the S-pairs Buchberger selected, capped runs included;
-    only pairs that survive the Gebauer-Moller criteria count, pairs with
-    coprime leading monomials never do, and none counts after the first
-    nonzero constant.
+    pairs_processed: the S-pairs Buchberger selected, capped runs included,
+    0 when the affine generators decide; only pairs that survive the
+    Gebauer-Moller criteria count, coprime ones never do, and none counts
+    after the first nonzero constant.
     """
 
     status: str
@@ -619,6 +616,14 @@ def _weak_generators(mul, unit) -> tuple[Poly, ...]:
     return tuple(dict.fromkeys(v for v in values if v))
 
 
+# alpha_defects' specs, Delta and eps on integers, with a leg v over (x11, x12, x21, x22, y, 1)
+_ALPHA_SPECS = [s.replace("->", "v->") + "v" for s in (_COMUL_ALPHA, _ALPHA_COMUL, _COUNIT_ALPHA)]
+_DELTA = Table((2, 2, 2, 6), False,
+               {(0, 0, 0, 5): 1} | {(1, v // 2, v % 2, v): 1 for v in range(4)}, 1)
+_EPS = Table((2, 6), False, {(0, 5): 1, (1, 4): 1}, 1)
+_LEG_MONOMIALS = tuple(tuple(int(u == v) for u in range(5)) for v in range(6))
+
+
 def bialgebra_extension_system(algebra, strict_alpha: bool = False) -> tuple[Poly, ...]:
     """Polynomial conditions for a dim-2 unital Hom-associative algebra to
     carry a weak-compatible counital comultiplication.
@@ -630,8 +635,8 @@ def bialgebra_extension_system(algebra, strict_alpha: bool = False) -> tuple[Pol
     vector and component, then, with ``strict_alpha``, the alpha
     compatibilities of the strict reading (using the algebra's own twist).
     Repeats are dropped; the first occurrence keeps its place.  The weak and
-    counit part does not involve the twist and is built once per
-    (mul, unit) (``_weak_generators``); only the alpha part is built per call.
+    counit part does not involve the twist and is built once per (mul, unit)
+    (``_weak_generators``); the affine alpha part is built per call, on integers.
     """
     if algebra.dim != 2:
         raise ValueError("extension search is specified for dimension 2")
@@ -640,8 +645,35 @@ def bialgebra_extension_system(algebra, strict_alpha: bool = False) -> tuple[Pol
     weak = _weak_generators(algebra.mul, algebra.unit)
     if not strict_alpha:
         return weak
-    alpha = tuple(w.value for w in alpha_defects(_extension_bialgebra(algebra)).witnesses)
-    return tuple(dict.fromkeys(weak + alpha))
+    # each defect times den^2, by (k, i, j) and then (k,), as its leg-v coefficients
+    a, den = Table((2, 2), False, algebra.alpha._num, 1), algebra.alpha._den
+    outer, inner, counit = (contract(spec, *ops) for spec, ops in
+                            zip(_ALPHA_SPECS, ((a, _DELTA), (a, a, _DELTA), (a, _EPS))))
+    rows = []
+    for k in range(2):
+        rows += [[den * x - y for x, y in zip(outer[k][i][j], inner[k][i][j])]
+                 for i in range(2) for j in range(2)]
+        rows.append([den * (c - den * _EPS.num.get((k, v), 0)) for v, c in enumerate(counit[k])])
+    alpha_part = tuple(Poly._raw(EXTENSION_VARIABLES, {_LEG_MONOMIALS[v]: Fraction(c, den * den)
+                                                       for v, c in enumerate(row) if c})
+                       for row in rows if any(row))
+    return tuple(dict.fromkeys(weak + alpha_part))
+
+
+def _affine_basis(generators: tuple[Poly, ...]) -> tuple[GroebnerResult, None] | None:
+    """The basis {1}, in ``_lex_solve``'s form, when the generators of total
+    degree at most 1 are inconsistent alone, with cofactors -y on them and 0
+    on the rest, y the certificate of their rows A x = b (g = A_g x - b_g)."""
+    variables = generators[0].variables
+    linear = [tuple(int(u == v) for u in variables) for v in variables]
+    affine = [i for i, g in enumerate(generators) if g.total_degree() <= 1]
+    rows = [[generators[i].terms.get(m, 0) for m in linear] for i in affine]
+    y = inconsistency_certificate(rows, [-generators[i].constant_value() for i in affine])
+    if y is None:
+        return None
+    weights = dict(zip(affine, y))
+    cofactors = tuple(Poly.const(variables, -weights.get(i, 0)) for i in range(len(generators)))
+    return GroebnerResult("ok", (Poly.const(variables, 1),), (cofactors,), "lex", 0), None
 
 
 @lru_cache(maxsize=8)
@@ -652,11 +684,11 @@ def _lex_solve(
     consistent zero-dimensional ideal, its rational points as (variable,
     value) pairs; None in place of the points otherwise.
 
-    Remembered by value.  Over the 100 seed-1 operations of the
-    solve-extension benchmark (400 searches, weak and strict, on mu1 and mu2
-    at fresh twists) it had 210 hits and 190 misses, and held all 8 entries.
-    The points are stored as tuples, so each caller builds its own dicts;
-    the caller checks the certificate and the points on every call."""
+    Remembered by value.  Over the 100 seed-1 solve-extension operations it
+    served the 200 weak searches and the 3 strict ones that reach it: 200
+    hits, 3 misses, 3 of 8 entries held.  Points are stored as tuples, so
+    each caller builds its own dicts and checks the certificate and the
+    points on every call."""
     result = buchberger(generators, order="lex", degree_cap=degree_cap, pair_cap=pair_cap)
     if result.status == "capped" or result.inconsistent \
             or not is_zero_dimensional(result.basis, order="lex"):
@@ -673,13 +705,15 @@ def search_bialgebra_extension(
     """Certify existence or nonexistence of a weak Hom-bialgebra structure
     over a dim-2 unital Hom-associative algebra.
 
-    The system is solved once per (generators, caps) (``_lex_solve``), so
-    the weak system of one (mul, unit) is built and solved once across twist
-    bindings.  Every call, repeat or not, checks that the certificate
-    recombines the generators to 1 and that each point zeroes every
-    generator."""
+    A linear certificate decides when the affine generators alone are
+    inconsistent (``_affine_basis``), as nearly every strict system's are.
+    Otherwise the system is solved once per (generators, caps)
+    (``_lex_solve``), so the weak system of one (mul, unit) is built and
+    solved once across twist bindings.  Every call, repeat or not, checks
+    that the certificate recombines the generators to 1 and that each point
+    zeroes every generator."""
     gens = bialgebra_extension_system(algebra, strict_alpha=strict_alpha)
-    result, solved = _lex_solve(gens, degree_cap, pair_cap)
+    result, solved = _affine_basis(gens) or _lex_solve(gens, degree_cap, pair_cap)
     pairs = result.pairs_processed
     if result.status == "capped":
         cap, reached = result.cap

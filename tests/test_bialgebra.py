@@ -15,6 +15,7 @@ from homalg import (
     MulTensor,
     Tensor2,
     Vector,
+    antipode_certificate,
     antipode_defect,
     bullet,
     check_bialgebra_strict,
@@ -362,6 +363,48 @@ def test_antipode_affine_family_reported():
     assert result.status == "family"
     assert result.kernel_dim == 4
     assert result.hopf is None
+
+
+def _weighted_antipode_equations(b, y) -> tuple[list, object]:
+    """The antipode equations weighted by y, read off the convolutions
+    directly: equation (side, k, m), weight y[(side * dim + k) * dim + m],
+    is component m at e_k of S * id (side 0) or id * S (side 1) against
+    that of eta o eps.  Returns the weighted sum of the left sides at each
+    basis matrix S = E_pi, and that of the right sides."""
+    n, ident = b.dim, LinearMap.identity(b.dim)
+    weights = [[[y[(side * n + k) * n + m] for m in range(n)] for k in range(n)]
+               for side in range(2)]
+
+    def weighted(left, right):
+        return contract("skm,smk->", weights, [left.entries, right.entries])
+
+    sides = [weighted(convolution(b, e, ident), convolution(b, ident, e))
+             for e in (LinearMap.basis_matrix(n, p, i) for p in range(n) for i in range(n))]
+    return sides, weighted(convolution_unit(b), convolution_unit(b))
+
+
+@pytest.mark.parametrize("row", [1, 3])
+def test_antipode_none_carries_a_certificate(row):
+    """Rows 1 and 3 have no antipode at any binding: the certificate weights
+    the equations so that their left sides cancel and their right sides sum
+    to 1, and with any one nonzero weight changed they do not."""
+    rng = random.Random(35 + row)
+    for _ in range(30):
+        b = bialgebra_row(row, *(random_scalar(rng) for _ in range(5)))
+        assert solve_antipode(b).status == "none"
+        y = antipode_certificate(b)
+        sides, right = _weighted_antipode_equations(b, y)
+        assert not any(sides) and right == 1
+        for r in (r for r, v in enumerate(y) if v):
+            sides, right = _weighted_antipode_equations(b, y[:r] + (y[r] + 1,) + y[r + 1:])
+            assert any(sides) or right != 1
+
+
+def test_an_antipode_or_a_family_has_no_certificate():
+    assert antipode_certificate(bialgebra_row(2, b1=2, b2=0, b3=7)) is None
+    zero = HomBialgebra(bialgebra_row(2).algebra,
+                        HomCoalgebra(ComulTensor.zero(2), LinearMap.identity(2), Vector([0, 0])))
+    assert solve_antipode(zero).status == "family" and antipode_certificate(zero) is None
 
 
 def test_hopf_construction_validates():

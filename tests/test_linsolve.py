@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from homalg import linear_solve
-from homalg.linsolve import LinearSolution
+from homalg.linsolve import LinearSolution, inconsistency_certificate
 from homalg.rational import rat
 from homalg.sampling import random_scalar
 
@@ -63,6 +63,24 @@ def test_random_systems_substitute_back():
         else:
             inconsistent_seen += 1
     assert consistent_seen and inconsistent_seen
+
+
+def test_an_inconsistent_system_has_a_fredholm_certificate():
+    """y A = 0 and y . b = 1 exactly when A x = b has no solution, on
+    systems with zero, repeated and scaled rows and entries of every form."""
+    rng = random.Random(35)
+    seen = set()
+    for _ in range(200):
+        matrix, rhs = random_system(rng)
+        y = inconsistency_certificate(matrix, rhs)
+        seen.add(y is None)
+        assert (y is None) == linear_solve(matrix, rhs).consistent
+        if y is not None:
+            columns = zip(*([rat(v) for v in row] for row in matrix))
+            assert all(sum(w * v for w, v in zip(y, col)) == 0 for col in columns)
+            assert sum(w * rat(v) for w, v in zip(y, rhs)) == 1
+    assert seen == {True, False}
+    assert inconsistency_certificate([[0, 0], [1, 1]], [2, 0]) == (Fraction(1, 2), 0)
 
 
 def test_dimension_validation():

@@ -22,6 +22,7 @@ from homalg import (
     verify_certificate,
 )
 import homalg.polysolve
+from homalg.bialgebra import alpha_defects
 from homalg.polysolve import (
     EXTENSION_VARIABLES,
     bialgebra_extension_system,
@@ -361,7 +362,8 @@ def test_poly_scalar_product_and_truthiness():
 # pairs selected without them, and the stop at the first nonzero constant,
 # which leaves 5/1/4/1 (the three inconsistent systems reach 1 at pairs
 # 1, 4 and 1); a new strategy, pair criterion or stopping rule must re-pin
-# them on purpose.
+# them on purpose.  The search decides the strict systems by their affine
+# generators alone, before Buchberger, so it selects no pair there.
 EXTENSION_PINS = {
     ("mu1", False): (5, ["y^2 - y", "x22^2 - 6*x22*y + 3*x22 + 2", "x22*y + x21 - 1",
                          "x22*y + x12 - 1", "-x22*y + x11 + y"]),
@@ -381,7 +383,7 @@ def test_extension_system_basis_and_pair_count_pinned(name, strict):
     assert result.pairs_processed == pairs
     assert [str(p) for p in result.basis] == basis
     verdict = search_bialgebra_extension(algebra, strict_alpha=strict)
-    assert verdict.pairs_processed == pairs
+    assert verdict.pairs_processed == (0 if strict else pairs)
     capped = buchberger(gens, order="lex", pair_cap=1)
     if pairs == 1:
         # the first pair gives the unit, so pair_cap=1 is enough
@@ -460,6 +462,102 @@ def test_capped_reason_names_the_tripped_cap():
 def test_groebner_result_positional_constructor_defaults_cap():
     result = GroebnerResult("ok", (), (), "lex", 0)
     assert result.cap is None
+
+
+def test_a_pair_reads_the_lcm_stored_when_it_formed(monkeypatch):
+    """Each pair's lcm is computed once, as the later entry joins, and read
+    from there when the pair is selected: the weak mu1 system at a1=2, a2=3
+    selects 5 pairs in lex with 77 lcm calls, where recomputing the lcm of
+    every partner for each popped pair takes 179."""
+    calls = []
+    mono_lcm = homalg.polysolve._mono_lcm
+
+    def counted(a, b):
+        calls.append((a, b))
+        return mono_lcm(a, b)
+
+    monkeypatch.setattr(homalg.polysolve, "_mono_lcm", counted)
+    result = buchberger(bialgebra_extension_system(mu1_algebra(2, 3)), order="lex")
+    assert result.pairs_processed == 5
+    assert len(calls) < 179
+
+
+# --- the affine generators decide first ----------------------------------------------
+
+# the 196 twist bindings of tests/solver_records.json
+EXTENSION_VALUES = [sign * Fraction(v) for v in ("1/3", "1/2", "2/3", 1, "3/2", 2, 3)
+                    for sign in (1, -1)]
+
+
+def _extension_cases() -> list:
+    """(algebra, strict) for the 784 dim-2 extension systems: mu1 and mu2 at
+    each binding, weak and strict."""
+    return [(build(a1, a2), strict) for build in (mu1_algebra, mu2_algebra)
+            for a1 in EXTENSION_VALUES for a2 in EXTENSION_VALUES for strict in (False, True)]
+
+
+def test_the_integer_alpha_part_equals_alpha_defects_witnesses():
+    """The strict generators built on integers are the witnesses of
+    ``alpha_defects`` on the bialgebra with polynomial entries, in order."""
+    for algebra, strict in _extension_cases():
+        weak = homalg.polysolve._weak_generators(algebra.mul, algebra.unit)
+        want = weak
+        if strict:
+            defects = alpha_defects(homalg.polysolve._extension_bialgebra(algebra))
+            want = tuple(dict.fromkeys(weak + tuple(w.value for w in defects.witnesses)))
+        gens = bialgebra_extension_system(algebra, strict_alpha=strict)
+        assert gens == want and [str(g) for g in gens] == [str(g) for g in want]
+
+
+def test_the_search_keeps_every_status_and_point():
+    """Through the search, with its affine presolve, each of the 784 systems
+    gets the status and points of its lex solve alone: Buchberger, then
+    back-substitution."""
+    solved = {}
+    for algebra, strict in _extension_cases():
+        gens = bialgebra_extension_system(algebra, strict_alpha=strict)
+        if gens not in solved:
+            result = buchberger(gens, order="lex")
+            if result.inconsistent:
+                solved[gens] = ("inconsistent", False, set())
+            elif not is_zero_dimensional(result.basis):
+                solved[gens] = ("solutions", True, set())
+            else:
+                points = enumerate_rational_points(result.basis)
+                solved[gens] = ("solutions", False, {tuple(pt.items()) for pt in points})
+        verdict = search_bialgebra_extension(algebra, strict_alpha=strict)
+        points = {tuple(pt.items()) for pt in verdict.points}
+        assert (verdict.status, verdict.positive_dimensional, points) == solved[gens]
+
+
+def test_presolved_certificates_are_constant_and_checked():
+    """Every strict system but mu1's at (a1, a2) = (1, 1), (1, -1) and
+    (-1, 1), which have points, is decided by its affine generators, and no
+    weak one is: the certificate is constant, on affine generators only, and
+    recombines to 1; with one cofactor's sign flipped it does not."""
+    presolved = []
+    for algebra, strict in _extension_cases():
+        verdict = search_bialgebra_extension(algebra, strict_alpha=strict)
+        if verdict.status != "inconsistent" or verdict.pairs_processed:
+            continue
+        presolved.append(strict)
+        gens, cert = verdict.generators, verdict.certificate
+        assert all(c.is_constant() for c in cert)
+        assert all(g.total_degree() <= 1 for g, c in zip(gens, cert) if c)
+        assert verify_certificate(gens, cert)
+        for i, c in enumerate(cert):
+            if c:
+                assert not verify_certificate(gens, cert[:i] + (-c,) + cert[i + 1:])
+    assert presolved == [True] * (392 - 3)
+
+
+def test_mu1_at_minus_one_one_keeps_its_strict_point():
+    """mu1's strict system at a1=-1, a2=1 has consistent affine generators,
+    so the lex solve decides it and lists its one point."""
+    verdict = search_bialgebra_extension(mu1_algebra(-1, 1), strict_alpha=True)
+    assert verdict.status == "solutions" and not verdict.positive_dimensional
+    assert verdict.points == ({"x11": 1, "x12": -1, "x21": -1, "x22": 2, "y": 1},)
+    assert verdict.pairs_processed > 0
 
 
 # --- buchberger properties on random systems -----------------------------------------
