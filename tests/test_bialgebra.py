@@ -383,14 +383,18 @@ def _weighted_antipode_equations(b, y) -> tuple[list, object]:
     return sides, weighted(convolution_unit(b), convolution_unit(b))
 
 
-@pytest.mark.parametrize("row", [1, 3])
-def test_antipode_none_carries_a_certificate(row):
-    """Rows 1 and 3 have no antipode at any binding: the certificate weights
-    the equations so that their left sides cancel and their right sides sum
-    to 1, and with any one nonzero weight changed they do not."""
-    rng = random.Random(35 + row)
-    for _ in range(30):
-        b = bialgebra_row(row, *(random_scalar(rng) for _ in range(5)))
+@pytest.mark.parametrize("kind", [1, 3, "random"])
+def test_antipode_none_carries_a_certificate(kind):
+    """Rows 1 and 3 at 30 bindings each, and seeded random bialgebras of
+    dims 2 and 3, have no antipode: the certificate weights the equations so
+    that their left sides cancel and their right sides sum to 1, and with
+    any one nonzero weight changed they do not.  The random ones are not
+    cocommutative, so the two sides' equations differ."""
+    rng = random.Random(35)
+    cases = [_random_bialgebra(n, seed) for n in (2, 3) for seed in range(10)] \
+        if kind == "random" else \
+        [bialgebra_row(kind, *(random_scalar(rng) for _ in range(5))) for _ in range(30)]
+    for b in cases:
         assert solve_antipode(b).status == "none"
         y = antipode_certificate(b)
         sides, right = _weighted_antipode_equations(b, y)

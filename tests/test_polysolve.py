@@ -465,21 +465,44 @@ def test_groebner_result_positional_constructor_defaults_cap():
 
 
 def test_a_pair_reads_the_lcm_stored_when_it_formed(monkeypatch):
-    """Each pair's lcm is computed once, as the later entry joins, and read
-    from there when the pair is selected: the weak mu1 system at a1=2, a2=3
-    selects 5 pairs in lex with 77 lcm calls, where recomputing the lcm of
-    every partner for each popped pair takes 179."""
-    calls = []
-    mono_lcm = homalg.polysolve._mono_lcm
+    """Each pair's lcm is computed once, as its later entry joins, and read
+    from there when the pair is selected: from a pop of the queue to the
+    next division only the chain criterion computes an lcm.  The weak mu1
+    system at a1=2, a2=3 selects 5 pairs in lex with 77 lcm calls, where
+    recomputing the lcm of each partner for every popped pair takes 179."""
+    polysolve = homalg.polysolve
+    mono_lcm, chained = polysolve._mono_lcm, polysolve._chained
+    heappop, divide = polysolve.heappop, polysolve._reduce
+    state = {"selecting": False, "chained": 0}
+    calls, selecting = [], []
 
     def counted(a, b):
         calls.append((a, b))
+        if state["selecting"] and not state["chained"]:
+            selecting.append((a, b))
         return mono_lcm(a, b)
 
-    monkeypatch.setattr(homalg.polysolve, "_mono_lcm", counted)
+    def in_chain(h, a, b):
+        state["chained"] += 1
+        try:
+            return chained(h, a, b)
+        finally:
+            state["chained"] -= 1
+
+    def popped(queue):
+        state["selecting"] = True
+        return heappop(queue)
+
+    def dividing(*args):
+        state["selecting"] = False
+        return divide(*args)
+
+    for name, value in (("_mono_lcm", counted), ("_chained", in_chain),
+                        ("heappop", popped), ("_reduce", dividing)):
+        monkeypatch.setattr(polysolve, name, value)
     result = buchberger(bialgebra_extension_system(mu1_algebra(2, 3)), order="lex")
     assert result.pairs_processed == 5
-    assert len(calls) < 179
+    assert selecting == [] and len(calls) < 179
 
 
 # --- the affine generators decide first ----------------------------------------------
