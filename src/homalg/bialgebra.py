@@ -25,13 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import prod
 
 from .algebra import HomAlgebra, check_hom_associative
 from .coalgebra import HomCoalgebra, check_hom_coassociative
 from .linsolve import inconsistency_certificate, linear_solve
-from .rational import ONE, ZERO
+from .rational import ONE
 from .reports import DefectReport, Defects
-from .tensors import ComulTensor, LinearMap, Table, Tensor2, Tensor4, Vector, contract, tabled
+from .tensors import ComulTensor, LinearMap, Table, Tensor2, Tensor4, Vector, _contraction, contract
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ class HomBialgebra:
         # row (i, j), column c: coefficient of e_i (x) e_j in Delta(e_c) - e1 (x) e_c - e_c (x) e1
         defect = self.coalgebra.comul - ComulTensor.contracted("i,cj->cij", u, ident) \
             - ComulTensor.contracted("j,ci->cij", u, ident)
-        basis, table = _kernel([row for plane in contract("cij->ijc", defect) for row in plane])
+        basis, table = _kernel(_rows(_contraction("cij->ijc", (defect,)), 2))
         for v in basis:
             if contract("k,k->", v, eps):
                 raise ValueError(f"counit does not vanish on primitive element {v}")
@@ -226,30 +227,32 @@ class AntipodeResult:
     counit_compatible: bool | None
 
 
-def _antipode_equations(bialgebra: HomBialgebra) -> tuple[list[list], list]:
-    """Rows and right-hand sides of the antipode equations: unknown p * n + i
-    is entry (p, i) of S, and equation (side, k, m) is component m of
-    (S * id)(e_k) on side 0, of (id * S)(e_k) on side 1, = eps(e_k) u_m."""
-    n, u, eps = bialgebra.dim, bialgebra.unit, bialgebra.counit
+def _antipode_equations(bialgebra: HomBialgebra) -> tuple[list[list[int]], list[int], int]:
+    """Integer rows and right-hand sides of the antipode equations, each the
+    rational equation times the scale returned: unknown p * n + i is entry
+    (p, i) of S, and equation (side, k, m) is component m of (S * id)(e_k)
+    on side 0, of (id * S)(e_k) on side 1, = eps(e_k) u_m."""
     d, c = bialgebra.coalgebra.comul, bialgebra.algebra.mul
-    left = contract("kij,pjm->kmpi", d, c)
-    right = contract("kij,iqm->kmqj", d, c)
-    rows = [[v for row in grid for v in row]
-            for coeffs in (left, right) for plane in coeffs for grid in plane]
-    return rows, [eps[k] * u[m] for k, m in product(range(n), repeat=2)] * 2
+    # both sides contract d and c, so their numerators share one denominator
+    sides = [_contraction(spec, (d, c)) for spec in ("kij,pjm->kmpi", "kij,iqm->kmqj")]
+    want = _contraction("k,m->km", (bialgebra.counit, bialgebra.unit))
+    rows = [row for side in sides for row in _rows(side, 2, want.den)]
+    return rows, _rows(want, 0, sides[0].den)[0] * 2, sides[0].den * want.den
 
 
 def antipode_certificate(bialgebra: HomBialgebra) -> tuple[Fraction, ...] | None:
     """Evidence that no antipode exists, a weight per equation, (side, k, m) at
     index (side * dim + k) * dim + m, under which they sum to 0 = 1; else None."""
-    return inconsistency_certificate(*_antipode_equations(bialgebra))
+    rows, rhs, scale = _antipode_equations(bialgebra)
+    y = inconsistency_certificate(rows, rhs)
+    return None if y is None else tuple(scale * w for w in y)
 
 
 def solve_antipode(bialgebra: HomBialgebra) -> AntipodeResult:
     """Solve the 2*dim^2 linear antipode equations in the dim^2 entries of S;
     ``antipode_certificate`` gives the evidence of a "none"."""
     n, u, eps = bialgebra.dim, bialgebra.unit, bialgebra.counit
-    solution = linear_solve(*_antipode_equations(bialgebra))
+    solution = linear_solve(*_antipode_equations(bialgebra)[:2])
     if not solution.consistent:
         return AntipodeResult("none", None, 0, None, None, None)
 
@@ -269,16 +272,26 @@ def solve_antipode(bialgebra: HomBialgebra) -> AntipodeResult:
 # primitive and generalized primitive elements
 
 
-def _kernel(rows: list[list]) -> tuple[tuple[Vector, ...], Table]:
-    """Kernel basis of the homogeneous system ``rows``, and the rows tabled
-    once for the membership checks."""
-    solution = linear_solve(rows, [ZERO] * len(rows))
-    return tuple(Vector(v) for v in solution.kernel), tabled(rows, 2)
+def _rows(table: Table, legs: int, scale: int = 1) -> list[list[int]]:
+    """A contraction's numerators times scale as a matrix: the first ``legs``
+    output legs name a row, the others a column."""
+    cells = [scale * table.num.get(index, 0) for index in product(*map(range, table.shape))]
+    width = prod(table.shape[legs:])
+    return [cells[i:i + width] for i in range(0, len(cells), width)]
+
+
+def _kernel(rows: list[list[int]]) -> tuple[tuple[Vector, ...], Table]:
+    """Kernel basis of the homogeneous integer system ``rows``, and the rows
+    as a ``Table`` for the membership checks."""
+    solution = linear_solve(rows, [0] * len(rows))
+    table = Table((len(rows), len(rows[0]) if rows else 0), False,
+                  {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row) if v}, 1)
+    return tuple(Vector(v) for v in solution.kernel), table
 
 
 def _solves(rows: Table, x: Vector) -> bool:
     """Whether x lies in the kernel of the homogeneous system ``rows``."""
-    return not any(contract("rc,c->r", rows, x))
+    return not _contraction("rc,c->r", (rows, x)).num
 
 
 def _check_commutators(mul, basis, rows: Table, failure: str) -> None:
@@ -307,18 +320,17 @@ def primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...]:
     return bialgebra._primitives
 
 
-def _gprim_rows(bialgebra: HomBialgebra) -> list[list]:
-    """Linear system whose kernel is the generalized primitive subspace: row
-    (i, j, l), column c of the symmetry condition, then row (i, j), column c
-    of Delta - Delta^op."""
+def _gprim_rows(bialgebra: HomBialgebra) -> list[list[int]]:
+    """Integer linear system whose kernel is the generalized primitive
+    subspace: row (i, j, l), column c of the symmetry condition, then row
+    (i, j), column c of Delta - Delta^op, each block times its denominator."""
     comul = bialgebra.coalgebra.comul
-    beta = bialgebra.coalgebra.beta
-    left = contract("ia,cab,bjl->ijlc", beta, comul, comul)    # (beta (x) Delta) o Delta
-    right = contract("ib,cab,alj->ijlc", beta, comul, comul)   # tau_13 o (Delta (x) beta) o Delta
-    flat = [[row for plane in cube for line in plane for row in line] for cube in (left, right)]
-    rows = [[x - y for x, y in zip(a, b)] for a, b in zip(*flat)]
-    rows += [row for plane in contract("cij->ijc", comul - comul.op()) for row in plane]
-    return rows
+    ops = (bialgebra.coalgebra.beta, comul, comul)
+    # (beta (x) Delta) o Delta and tau_13 o (Delta (x) beta) o Delta, over one denominator
+    left = _rows(_contraction("ia,cab,bjl->ijlc", ops), 3)
+    right = _rows(_contraction("ib,cab,alj->ijlc", ops), 3)
+    rows = [[x - y for x, y in zip(a, b)] for a, b in zip(left, right)]
+    return rows + _rows(_contraction("cij->ijc", (comul - comul.op(),)), 2)
 
 
 def generalized_primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...]:

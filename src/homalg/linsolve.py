@@ -5,15 +5,16 @@ particular solution plus a kernel basis, or a distinguished inconsistent
 result (never an exception for unsolvable systems).
 
 The elimination runs on integers, fraction-free (Bareiss, Math. Comp.
-1968).  Each augmented row is scaled by the lcm of its denominators, a row
-update multiplies by the pivot instead of dividing by it, and every updated
-row is divided by the gcd of its entries, where Bareiss divides by the
-previous pivot.  The pivot choice is that of
-Gauss-Jordan over the rationals, and row i of the final integer matrix is
-a nonzero multiple of row i of the reduced row echelon form.  That form is
-unique, so the pivot columns, the particular solution (free variables 0)
-and the kernel basis (one vector per free column) are those of rational
-elimination; ``Fraction``s are built only when they are read out.
+1968).  An augmented row of ints is taken as it is, and one holding a
+Fraction is scaled by the lcm of its denominators.  A row update multiplies
+by the pivot instead of dividing by it, and every updated row is divided by
+the gcd of its entries, where Bareiss divides by the previous pivot.  The
+pivot choice is that of Gauss-Jordan over the rationals, and row i of the
+final integer matrix is a nonzero multiple of row i of the reduced row
+echelon form.  That form is unique, so the pivot columns, the particular
+solution (free variables 0) and the kernel basis (one vector per free
+column) are those of rational elimination; ``Fraction``s are built only
+when they are read out.
 
 By the Fredholm alternative, A x = b is inconsistent exactly when some y has
 y A = 0 and y . b = 1; ``inconsistency_certificate`` solves [A^T; b^T] y = [0; 1].
@@ -63,7 +64,12 @@ def linear_solve(
     if any(len(row) != n for row in rows):
         raise ValueError("ragged coefficient matrix")
 
-    aug = [primitive(numerators(rows[i] + [b[i]])[0]) for i in range(m)]
+    aug = []
+    for row in (rows[i] + [b[i]] for i in range(m)):
+        try:  # gcd takes only ints: a row holding a Fraction is cleared first
+            aug.append(primitive(row))
+        except TypeError:
+            aug.append(primitive(numerators(row)[0]))
     pivot_cols: list[int] = []
     r = 0
     for col in range(n):

@@ -390,17 +390,22 @@ def buchberger(
 
 
 def verify_certificate(generators: Sequence[Poly], certificate: Sequence[Poly]) -> bool:
-    """The certificate, one cofactor per generator, must recombine to 1 exactly."""
+    """The certificate, one cofactor per generator, must recombine to 1 exactly.
+    The solvers find it on integer rows and entries; it is checked as ``Poly``s."""
     if not generators:
         raise ValueError("no generators")
     if len(certificate) != len(generators):
         raise ValueError(f"certificate has {len(certificate)} cofactors "
                          f"for {len(generators)} generators")
     variables = generators[0].variables
-    acc = Poly.zero(variables)
+    terms: dict[Monomial, Fraction | int] = {}
     for g, c in zip(generators, certificate):
-        acc = acc + g * c
-    return acc == Poly.const(variables, 1)
+        if g.variables != variables or c.variables != variables:
+            raise ValueError("polynomials over different variable lists")
+        if c:
+            for m, v in (g.scale(c.constant_value()) if c.is_constant() else g * c).terms.items():
+                terms[m] = terms.get(m, 0) + v
+    return Poly._raw(variables, terms) == Poly.const(variables, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +629,14 @@ _EPS = Table((2, 6), False, {(0, 5): 1, (1, 4): 1}, 1)
 _LEG_MONOMIALS = tuple(tuple(int(u == v) for u in range(5)) for v in range(6))
 
 
+@lru_cache(maxsize=8)
+def _weak_affine_rows(weak: tuple[Poly, ...]) -> tuple[tuple[int, list[int], int], ...]:
+    """(index, row, s) per weak generator of total degree at most 1, remembered by
+    value: row its coefficients on (x11, x12, x21, x22, y, 1) times s, their lcm."""
+    return tuple((i, *numerators([g.terms.get(m, 0) for m in _LEG_MONOMIALS]))
+                 for i, g in enumerate(weak) if g.total_degree() <= 1)
+
+
 def bialgebra_extension_system(algebra, strict_alpha: bool = False) -> tuple[Poly, ...]:
     """Polynomial conditions for a dim-2 unital Hom-associative algebra to
     carry a weak-compatible counital comultiplication.
@@ -638,13 +651,18 @@ def bialgebra_extension_system(algebra, strict_alpha: bool = False) -> tuple[Pol
     counit part does not involve the twist and is built once per (mul, unit)
     (``_weak_generators``); the affine alpha part is built per call, on integers.
     """
+    return _extension_system(algebra, strict_alpha)[0]
+
+
+def _extension_system(algebra, strict_alpha: bool):
+    """The generators, and the affine ones' rows as ``_weak_affine_rows`` has them."""
     if algebra.dim != 2:
         raise ValueError("extension search is specified for dimension 2")
-    if algebra.unit is None or algebra.unit != Vector.basis(2, 0):
+    if algebra.unit is None or algebra.unit.coords != (1, 0):
         raise ValueError("extension search requires the unit to be e1")
     weak = _weak_generators(algebra.mul, algebra.unit)
     if not strict_alpha:
-        return weak
+        return weak, _weak_affine_rows(weak)
     # each defect times den^2, by (k, i, j) and then (k,), as its leg-v coefficients
     a, den = Table((2, 2), False, algebra.alpha._num, 1), algebra.alpha._den
     outer, inner, counit = (contract(spec, *ops) for spec, ops in
@@ -654,25 +672,29 @@ def bialgebra_extension_system(algebra, strict_alpha: bool = False) -> tuple[Pol
         rows += [[den * x - y for x, y in zip(outer[k][i][j], inner[k][i][j])]
                  for i in range(2) for j in range(2)]
         rows.append([den * (c - den * _EPS.num.get((k, v), 0)) for v, c in enumerate(counit[k])])
-    alpha_part = tuple(Poly._raw(EXTENSION_VARIABLES, {_LEG_MONOMIALS[v]: Fraction(c, den * den)
-                                                       for v, c in enumerate(row) if c})
-                       for row in rows if any(row))
-    return tuple(dict.fromkeys(weak + alpha_part))
+    rows = [row for row in rows if any(row)]
+    alpha = dict(zip((Poly._raw(EXTENSION_VARIABLES, {_LEG_MONOMIALS[v]: Fraction(c, den * den)
+                                                      for v, c in enumerate(row) if c})
+                      for row in rows), rows))
+    gens = tuple(dict.fromkeys(weak + tuple(alpha)))
+    # an alpha generator equal to a weak one keeps the weak one's place and row
+    return gens, _weak_affine_rows(weak) + tuple(
+        (i, alpha[g], den * den) for i, g in enumerate(gens[len(weak):], len(weak)))
 
 
-def _affine_basis(generators: tuple[Poly, ...]) -> tuple[GroebnerResult, None] | None:
+def _affine_basis(generators: tuple[Poly, ...], affine) -> tuple[GroebnerResult, None] | None:
     """The basis {1}, in ``_lex_solve``'s form, when the generators of total
     degree at most 1 are inconsistent alone, with cofactors -y on them and 0
-    on the rest, y the certificate of their rows A x = b (g = A_g x - b_g)."""
-    variables = generators[0].variables
-    linear = [tuple(int(u == v) for u in variables) for v in variables]
-    affine = [i for i, g in enumerate(generators) if g.total_degree() <= 1]
-    rows = [[generators[i].terms.get(m, 0) for m in linear] for i in affine]
-    y = inconsistency_certificate(rows, [-generators[i].constant_value() for i in affine])
+    on the rest, y the certificate of their rows A x = b (g = A_g x - b_g).
+    ``affine`` holds them as (index, row, s), row = s * (A_g, -b_g) on
+    integers, whose certificate y_i / s_i is scaled back per row."""
+    y = inconsistency_certificate([row[:-1] for _, row, _ in affine],
+                                  [-row[-1] for _, row, _ in affine])
     if y is None:
         return None
-    weights = dict(zip(affine, y))
-    cofactors = tuple(Poly.const(variables, -weights.get(i, 0)) for i in range(len(generators)))
+    variables, weights = generators[0].variables, {i: s * w for (i, _, s), w in zip(affine, y)}
+    cofactors = tuple(Poly._raw(variables, {_LEG_MONOMIALS[5]: -weights.get(i, 0)})
+                      for i in range(len(generators)))
     return GroebnerResult("ok", (Poly.const(variables, 1),), (cofactors,), "lex", 0), None
 
 
@@ -712,8 +734,8 @@ def search_bialgebra_extension(
     solved once across twist bindings.  Every call, repeat or not, checks
     that the certificate recombines the generators to 1 and that each point
     zeroes every generator."""
-    gens = bialgebra_extension_system(algebra, strict_alpha=strict_alpha)
-    result, solved = _affine_basis(gens) or _lex_solve(gens, degree_cap, pair_cap)
+    gens, affine = _extension_system(algebra, strict_alpha)
+    result, solved = _affine_basis(gens, affine) or _lex_solve(gens, degree_cap, pair_cap)
     pairs = result.pairs_processed
     if result.status == "capped":
         cap, reached = result.cap

@@ -321,6 +321,19 @@ def test_tensor_product_mu1_mu1():
     assert check_unital(prod) is True
 
 
+def test_tensor_product_unit_is_first_unit_times_second():
+    # mu1 with e1 and e2 swapped has unit e2, so eta1 (x) eta2 = e2 (x) e1,
+    # index 1 * 2 + 0, while eta2 (x) eta1 = e1 (x) e2 would be index 1
+    swapped = HomAlgebra(
+        mul=MulTensor.from_entries(2, {(1 - i, 1 - j, 1 - k): v for (i, j, k), v in
+                                       mu1_algebra().mul.nonzero.items()}),
+        alpha=LinearMap.identity(2), unit=E2)
+    assert check_unital(swapped) is True
+    prod = tensor_product(swapped, mu1_algebra(1, 1))
+    assert prod.unit == Vector.basis(4, 2)
+    assert check_unital(prod) is True
+
+
 def test_tensor_product_with_dim1_identity_is_reindexing():
     one = HomAlgebra(
         mul=MulTensor.from_entries(1, {(0, 0, 0): 1}),

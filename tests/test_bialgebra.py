@@ -348,6 +348,38 @@ def test_antipode_row_permutation_invariance(monkeypatch):
         assert shuffled.antipode == base.antipode
 
 
+def _z3_group_hopf_in_another_basis():
+    """The group algebra of Z/3 (g_a g_b = g_(a+b), Delta(g) = g (x) g,
+    eps(g) = 1, unit g_0, alpha = beta = id) in the basis f_j = sum_i
+    P[i][j] g_i, with its antipode g -> g^-1 in that basis, Q S P."""
+    P = [[1, 1, 0], [0, 1, 2], [1, 0, 1]]
+    Q = [[Fraction(v, 3) for v in row] for row in ([1, -1, 2], [2, 1, -2], [-1, 1, 1])]
+    mul = MulTensor.from_entries(3, {(a, b, (a + b) % 3): 1 for a in range(3) for b in range(3)})
+    comul = ComulTensor.from_entries(3, {(g, g, g): 1 for g in range(3)})
+    inverse = LinearMap.from_entries(3, {(-g % 3, g): 1 for g in range(3)})
+    b = HomBialgebra(
+        HomAlgebra(MulTensor.contracted("ia,jb,ijk,ck->abc", P, P, mul, Q), LinearMap.identity(3),
+                   Vector.contracted("ck,k->c", Q, Vector.basis(3, 0))),
+        HomCoalgebra(ComulTensor.contracted("kc,kij,ai,bj->cab", P, comul, Q, Q),
+                     LinearMap.identity(3), Vector.contracted("kc,k->c", P, [1, 1, 1])))
+    return b, LinearMap.contracted("ak,kl,lb->ab", Q, inverse, P)
+
+
+def test_antipode_of_z3_in_a_basis_where_unit_and_counit_are_spread():
+    """eps(e_k) u_m is not symmetric in (k, m) here, so an equation of either
+    side paired with the right-hand side of its transpose finds no antipode."""
+    b, antipode = _z3_group_hopf_in_another_basis()
+    assert LinearMap([[1, 1, 0], [0, 1, 2], [1, 0, 1]]).compose(LinearMap(
+        [[Fraction(v, 3) for v in row] for row in ([1, -1, 2], [2, 1, -2], [-1, 1, 1])])) \
+        == LinearMap.identity(3)
+    assert b.unit.coords == (Fraction(1, 3), Fraction(2, 3), Fraction(-1, 3))
+    assert b.counit.coords == (2, 2, 3)
+    result = solve_antipode(b)
+    assert result.status == "unique" and result.antipode == antipode
+    assert result.unit_fixed and result.counit_compatible
+    assert antipode != LinearMap.identity(3) and antipode_certificate(b) is None
+
+
 def test_antipode_affine_family_reported():
     # zero comultiplication with zero counit: every equation reads 0 = 0,
     # so the solution set is the full matrix space
@@ -511,7 +543,7 @@ def test_gprim_rows_are_integer_multiples_of_the_fraction_rows():
     for b in structures:
         rows, reference = homalg.bialgebra._gprim_rows(b), _gprim_rows_through_fractions(b)
         assert len(rows) == len(reference)
-        assert rows == reference
+        assert all(type(v) is int for row in rows for v in row)
         for new, old in zip(rows, reference):
             assert [v == 0 for v in new] == [w == 0 for w in old]
             ratios = {Fraction(v) / w for v, w in zip(new, old) if w}
@@ -555,6 +587,15 @@ def test_bullet_product_matches_hand_value():
     #   = e1(x)e2 + e2(x)e2 + e2(x)e2 + e2(x)e1
     hand = Tensor2([[0, 1], [1, 2]])
     assert result == hand
+
+
+def test_bullet_of_two_different_tensors_matches_hand_value():
+    b = bialgebra_row(2)
+    s = Tensor2.pure(E1, E2)
+    t = Tensor2.pure(E1, E1) + Tensor2.pure(E2, E1)
+    # over mu1 (e1 the unit, e2e2 = e2): (e1e1)(x)(e2e1) + (e1e2)(x)(e2e1)
+    #   = e1(x)e2 + e2(x)e2, which is not symmetric
+    assert bullet(b, s, t) == Tensor2([[0, 1], [0, 1]])
 
 
 def multiply_basis(b, x, y):

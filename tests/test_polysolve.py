@@ -269,6 +269,18 @@ def test_certificate_failing_its_check_gives_inconclusive(monkeypatch):
     assert "certificate does not recombine" in verdict.reason
 
 
+@pytest.mark.parametrize("build", [mu2_algebra, mu1_algebra], ids=["mu2", "mu1"])
+def test_a_presolved_strict_certificate_is_still_checked(monkeypatch, build):
+    """The affine generators decide both strict systems at a generic twist,
+    with no pair selected; their certificate goes through the same check."""
+    decided = search_bialgebra_extension(build(2, 3), strict_alpha=True)
+    assert decided.status == "inconsistent" and decided.pairs_processed == 0
+    monkeypatch.setattr(homalg.polysolve, "verify_certificate", lambda gens, cert: False)
+    verdict = search_bialgebra_extension(build(2, 3), strict_alpha=True)
+    assert verdict.status == "inconclusive" and verdict.certificate is None
+    assert "certificate does not recombine" in verdict.reason
+
+
 def test_mu2_strict_reading_also_inconsistent():
     verdict = search_bialgebra_extension(mu2_algebra(2, 3), strict_alpha=True)
     assert verdict.status == "inconsistent"
