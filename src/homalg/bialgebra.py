@@ -30,7 +30,7 @@ from math import prod
 from .algebra import HomAlgebra, check_hom_associative
 from .coalgebra import HomCoalgebra, check_hom_coassociative
 from .linsolve import inconsistency_certificate, linear_solve
-from .rational import ONE
+from .rational import ONE, numerators
 from .reports import DefectReport, Defects
 from .tensors import ComulTensor, LinearMap, Table, Tensor2, Tensor4, Vector, _contraction, contract
 
@@ -88,16 +88,16 @@ class HomBialgebra:
     def _primitives(self) -> tuple[Vector, ...]:
         """``primitive_subspace``, solved once and kept with the bialgebra; a
         ValueError is not kept."""
-        n, u, eps = self.dim, self.unit, self.counit
-        ident = LinearMap.identity(n)
-        # row (i, j), column c: coefficient of e_i (x) e_j in Delta(e_c) - e1 (x) e_c - e_c (x) e1
-        defect = self.coalgebra.comul - ComulTensor.contracted("i,cj->cij", u, ident) \
-            - ComulTensor.contracted("j,ci->cij", u, ident)
-        basis, table = _kernel(_rows(_contraction("cij->ijc", (defect,)), 2))
+        n, d, u = self.dim, self.coalgebra.comul, self.unit
+        # row (i, j), column c of Delta(e_c) - e1 (x) e_c - e_c (x) e1, times both denominators
+        e = [u._num.get((i,), 0) * d._den for i in range(n)]
+        rows = [[u._den * d._num.get((c, i, j), 0) - e[i] * (j == c) - (i == c) * e[j]
+                 for c in range(n)] for i in range(n) for j in range(n)]
+        basis = _kernel(rows)
         for v in basis:
-            if contract("k,k->", v, eps):
+            if contract("k,k->", v, self.counit):
                 raise ValueError(f"counit does not vanish on primitive element {v}")
-        _check_commutators(self.algebra.mul, basis, table, "fails the primitive equation")
+        _check_commutators(self.algebra.mul, basis, rows, "fails the primitive equation")
         return basis
 
 
@@ -122,8 +122,16 @@ class HomHopf:
         return self.bialgebra.dim
 
 
+def _same_dim(bialgebra: HomBialgebra, **tensors) -> None:
+    """Raise ValueError, naming the argument, unless each tensor has the bialgebra's dimension."""
+    for name, t in tensors.items():
+        if t.dim != bialgebra.dim:
+            raise ValueError(f"{name} has dimension {t.dim}; the bialgebra has {bialgebra.dim}")
+
+
 def bullet(bialgebra: HomBialgebra, s: Tensor2, t: Tensor2) -> Tensor2:
     """Factor-wise product on V (x) V: (a (x) b) * (c (x) d) = a.c (x) b.d."""
+    _same_dim(bialgebra, s=s, t=t)
     mul = bialgebra.algebra.mul
     return Tensor2.contracted("ab,cd,aci,bdj->ij", s, t, mul, mul)
 
@@ -162,6 +170,7 @@ def check_bialgebra_strict(bialgebra: HomBialgebra) -> DefectReport:
 
 def convolution(bialgebra: HomBialgebra, f: LinearMap, g: LinearMap) -> LinearMap:
     """f * g = mu o (f (x) g) o Delta."""
+    _same_dim(bialgebra, f=f, g=g)
     return LinearMap.contracted("kij,ai,bj,abm->mk", bialgebra.coalgebra.comul, f, g,
                                 bialgebra.algebra.mul)
 
@@ -173,6 +182,7 @@ def convolution_unit(bialgebra: HomBialgebra) -> LinearMap:
 
 def convolution_twist(bialgebra: HomBialgebra, f: LinearMap) -> LinearMap:
     """gamma(f) = alpha o f o beta."""
+    _same_dim(bialgebra, f=f)
     return bialgebra.algebra.alpha.compose(f).compose(bialgebra.coalgebra.beta)
 
 
@@ -205,6 +215,7 @@ def antipode_defect(bialgebra: HomBialgebra, s: LinearMap) -> tuple[int, ...]:
     """Basis indices where mu o (S (x) id) o Delta or the mirrored equation
     misses eta o eps: the k of the nonzero entries (m, k) of S * id - eta o
     eps and of id * S - eta o eps."""
+    _same_dim(bialgebra, s=s)
     ident, want = LinearMap.identity(bialgebra.dim), convolution_unit(bialgebra)
     misses = (convolution(bialgebra, s, ident) - want, convolution(bialgebra, ident, s) - want)
     return tuple(sorted({k for miss in misses for _, k in miss.nonzero}))
@@ -280,21 +291,18 @@ def _rows(table: Table, legs: int, scale: int = 1) -> list[list[int]]:
     return [cells[i:i + width] for i in range(0, len(cells), width)]
 
 
-def _kernel(rows: list[list[int]]) -> tuple[tuple[Vector, ...], Table]:
-    """Kernel basis of the homogeneous integer system ``rows``, and the rows
-    as a ``Table`` for the membership checks."""
-    solution = linear_solve(rows, [0] * len(rows))
-    table = Table((len(rows), len(rows[0]) if rows else 0), False,
-                  {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row) if v}, 1)
-    return tuple(Vector(v) for v in solution.kernel), table
+def _kernel(rows: list[list[int]]) -> tuple[Vector, ...]:
+    """Kernel basis of the homogeneous integer system ``rows``."""
+    return tuple(Vector._of(len(nums), {(c,): x for c, x in enumerate(nums) if x}, den)
+                 for nums, den in map(numerators, linear_solve(rows, [0] * len(rows)).kernel))
 
 
-def _solves(rows: Table, x: Vector) -> bool:
-    """Whether x lies in the kernel of the homogeneous system ``rows``."""
-    return not _contraction("rc,c->r", (rows, x)).num
+def _solves(rows: list[list[int]], x: Vector) -> bool:
+    """Whether x lies in the kernel of the homogeneous integer system ``rows``."""
+    return not any(sum(row[c] * v for (c,), v in x._num.items()) for row in rows)
 
 
-def _check_commutators(mul, basis, rows: Table, failure: str) -> None:
+def _check_commutators(mul, basis, rows: list[list[int]], failure: str) -> None:
     """Raise ValueError unless the commutator of any two members of
     ``basis`` solves ``rows`` again; ``failure`` ends the message.
 
@@ -324,13 +332,14 @@ def _gprim_rows(bialgebra: HomBialgebra) -> list[list[int]]:
     """Integer linear system whose kernel is the generalized primitive
     subspace: row (i, j, l), column c of the symmetry condition, then row
     (i, j), column c of Delta - Delta^op, each block times its denominator."""
-    comul = bialgebra.coalgebra.comul
+    n, comul = bialgebra.dim, bialgebra.coalgebra.comul
     ops = (bialgebra.coalgebra.beta, comul, comul)
     # (beta (x) Delta) o Delta and tau_13 o (Delta (x) beta) o Delta, over one denominator
     left = _rows(_contraction("ia,cab,bjl->ijlc", ops), 3)
     right = _rows(_contraction("ib,cab,alj->ijlc", ops), 3)
     rows = [[x - y for x, y in zip(a, b)] for a, b in zip(left, right)]
-    return rows + _rows(_contraction("cij->ijc", (comul - comul.op(),)), 2)
+    return rows + [[comul._num.get((c, i, j), 0) - comul._num.get((c, j, i), 0) for c in range(n)]
+                   for i in range(n) for j in range(n)]
 
 
 def generalized_primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...]:
@@ -342,12 +351,12 @@ def generalized_primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...
     Verifies that every primitive element satisfies both conditions and
     that the commutator of any two members stays in the solution set.
     """
-    basis, table = _kernel(_gprim_rows(bialgebra))
+    basis = _kernel(rows := _gprim_rows(bialgebra))
     for p in primitive_subspace(bialgebra):
-        if not _solves(table, p):
+        if not _solves(rows, p):
             raise ValueError(f"primitive element {p} is not generalized primitive")
 
-    _check_commutators(bialgebra.algebra.mul, basis, table,
+    _check_commutators(bialgebra.algebra.mul, basis, rows,
                        "leaves the generalized primitive space")
     return basis
 

@@ -36,17 +36,17 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import count
-from math import gcd, lcm
-from operator import le, sub
+from math import gcd, lcm, prod
+from operator import le, mul, sub
 from types import MappingProxyType
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import HomAlgebra, check_unital
 from .bialgebra import _ALPHA_COMUL, _COMUL_ALPHA, _COUNIT_ALPHA, HomBialgebra
 from .coalgebra import HomCoalgebra, counit_defects
 from .linsolve import inconsistency_certificate
 from .rational import ORDER_KEYS, ZERO, Monomial, Poly, _mono_mul, numerators, primitive, rat
-from .tensors import ComulTensor, LinearMap, Table, Vector, contract
+from .tensors import ComulTensor, LinearMap, Table, Vector, _contraction
 
 Terms = dict[Monomial, int]
 
@@ -630,11 +630,22 @@ _LEG_MONOMIALS = tuple(tuple(int(u == v) for u in range(5)) for v in range(6))
 
 
 @lru_cache(maxsize=8)
-def _weak_affine_rows(weak: tuple[Poly, ...]) -> tuple[tuple[int, list[int], int], ...]:
-    """(index, row, s) per weak generator of total degree at most 1, remembered by
-    value: row its coefficients on (x11, x12, x21, x22, y, 1) times s, their lcm."""
-    return tuple((i, *numerators([g.terms.get(m, 0) for m in _LEG_MONOMIALS]))
-                 for i, g in enumerate(weak) if g.total_degree() <= 1)
+def _weak_rows(weak: tuple[Poly, ...]):
+    """Each weak generator as an integer row (monomials, coefficients times s, s), s their
+    lcm, remembered by value; one of degree at most 1 on all of ``_LEG_MONOMIALS``."""
+    return tuple((_LEG_MONOMIALS, *numerators([g.terms.get(m, 0) for m in _LEG_MONOMIALS]))
+                 if g.total_degree() <= 1 else (tuple(g.terms), *numerators(g.terms.values()))
+                 for g in weak)
+
+
+def _zeroes(rows, point: Iterable[Fraction]) -> bool:
+    """Whether the point (one value per variable) zeroes every integer row: with its values
+    over one denominator D, each monomial is valued once, times D^(top degree - degree)."""
+    nums, den = numerators(point)
+    monomials = {m for ms, _, _ in rows for m in ms}
+    top = max(map(sum, monomials))
+    values = {m: prod(map(pow, nums, m)) * den ** (top - sum(m)) for m in monomials}
+    return not any(sum(map(mul, map(values.__getitem__, ms), cs)) for ms, cs, _ in rows)
 
 
 def bialgebra_extension_system(algebra, strict_alpha: bool = False) -> tuple[Poly, ...]:
@@ -655,47 +666,47 @@ def bialgebra_extension_system(algebra, strict_alpha: bool = False) -> tuple[Pol
 
 
 def _extension_system(algebra, strict_alpha: bool):
-    """The generators, and the affine ones' rows as ``_weak_affine_rows`` has them."""
+    """The generators, and each as an integer row as ``_weak_rows`` has them."""
     if algebra.dim != 2:
         raise ValueError("extension search is specified for dimension 2")
     if algebra.unit is None or algebra.unit.coords != (1, 0):
         raise ValueError("extension search requires the unit to be e1")
     weak = _weak_generators(algebra.mul, algebra.unit)
+    rows = _weak_rows(weak)
     if not strict_alpha:
-        return weak, _weak_affine_rows(weak)
-    # each defect times den^2, by (k, i, j) and then (k,), as its leg-v coefficients
+        return weak, rows
+    # each defect times den^2 by leg v: (k, i, j) in row 5k + 2i + j, (k,) in row 5k + 4
     a, den = Table((2, 2), False, algebra.alpha._num, 1), algebra.alpha._den
-    outer, inner, counit = (contract(spec, *ops) for spec, ops in
+    outer, inner, counit = (_contraction(spec, ops).num for spec, ops in
                             zip(_ALPHA_SPECS, ((a, _DELTA), (a, a, _DELTA), (a, _EPS))))
-    rows = []
-    for k in range(2):
-        rows += [[den * x - y for x, y in zip(outer[k][i][j], inner[k][i][j])]
-                 for i in range(2) for j in range(2)]
-        rows.append([den * (c - den * _EPS.num.get((k, v), 0)) for v, c in enumerate(counit[k])])
-    rows = [row for row in rows if any(row)]
-    alpha = dict(zip((Poly._raw(EXTENSION_VARIABLES, {_LEG_MONOMIALS[v]: Fraction(c, den * den)
-                                                      for v, c in enumerate(row) if c})
-                      for row in rows), rows))
-    gens = tuple(dict.fromkeys(weak + tuple(alpha)))
-    # an alpha generator equal to a weak one keeps the weak one's place and row
-    return gens, _weak_affine_rows(weak) + tuple(
-        (i, alpha[g], den * den) for i, g in enumerate(gens[len(weak):], len(weak)))
+    cells, scale = [[0] * 6 for _ in range(10)], den * den
+    for table, by in ((outer, den), (inner, -1), (counit, den), (_EPS.num, -scale)):
+        for (k, *ij, v), c in table.items():
+            cells[5 * k + (2 * ij[0] + ij[1] if ij else 4)][v] += by * c
+    # one Poly per distinct row; one equal to a weak generator (of degree <= 1) is dropped
+    weak_affine = [g for g, (ms, _, _) in zip(weak, rows) if ms is _LEG_MONOMIALS]
+    alpha = {row: g for row in dict.fromkeys(tuple(row) for row in cells if any(row))
+             if (g := Poly._raw(EXTENSION_VARIABLES, {_LEG_MONOMIALS[v]: Fraction(c, scale)
+                                                      for v, c in enumerate(row) if c}))
+             not in weak_affine}
+    return weak + tuple(alpha.values()), rows + tuple((_LEG_MONOMIALS, r, scale) for r in alpha)
 
 
-def _affine_basis(generators: tuple[Poly, ...], affine) -> tuple[GroebnerResult, None] | None:
+def _affine_basis(generators: tuple[Poly, ...], rows) -> tuple[GroebnerResult, None] | None:
     """The basis {1}, in ``_lex_solve``'s form, when the generators of total
     degree at most 1 are inconsistent alone, with cofactors -y on them and 0
-    on the rest, y the certificate of their rows A x = b (g = A_g x - b_g).
-    ``affine`` holds them as (index, row, s), row = s * (A_g, -b_g) on
-    integers, whose certificate y_i / s_i is scaled back per row."""
-    y = inconsistency_certificate([row[:-1] for _, row, _ in affine],
-                                  [-row[-1] for _, row, _ in affine])
+    on the rest, y the certificate of their rows A x = b (g = A_g x - b_g), read
+    from ``rows`` as s * (A_g, -b_g) on ``_LEG_MONOMIALS`` and scaled back by s."""
+    affine = [(i, row, s) for i, (ms, row, s) in enumerate(rows) if ms is _LEG_MONOMIALS]
+    y = inconsistency_certificate([r[:-1] for _, r, _ in affine], [-r[-1] for _, r, _ in affine])
     if y is None:
         return None
-    variables, weights = generators[0].variables, {i: s * w for (i, _, s), w in zip(affine, y)}
-    cofactors = tuple(Poly._raw(variables, {_LEG_MONOMIALS[5]: -weights.get(i, 0)})
-                      for i in range(len(generators)))
-    return GroebnerResult("ok", (Poly.const(variables, 1),), (cofactors,), "lex", 0), None
+    variables = generators[0].variables
+    cofactors = [Poly._raw(variables, {})] * len(generators)
+    for (i, _, s), w in zip(affine, y):
+        if w:
+            cofactors[i] = Poly._raw(variables, {_LEG_MONOMIALS[5]: -s * w})
+    return GroebnerResult("ok", (Poly.const(variables, 1),), (tuple(cofactors),), "lex", 0), None
 
 
 @lru_cache(maxsize=8)
@@ -732,10 +743,10 @@ def search_bialgebra_extension(
     Otherwise the system is solved once per (generators, caps)
     (``_lex_solve``), so the weak system of one (mul, unit) is built and
     solved once across twist bindings.  Every call, repeat or not, checks
-    that the certificate recombines the generators to 1 and that each point
-    zeroes every generator."""
-    gens, affine = _extension_system(algebra, strict_alpha)
-    result, solved = _affine_basis(gens, affine) or _lex_solve(gens, degree_cap, pair_cap)
+    that the certificate recombines the generators to 1 (as ``Poly``s) and
+    that each point zeroes every generator's integer row (``_zeroes``)."""
+    gens, rows = _extension_system(algebra, strict_alpha)
+    result, solved = _affine_basis(gens, rows) or _lex_solve(gens, degree_cap, pair_cap)
     pairs = result.pairs_processed
     if result.status == "capped":
         cap, reached = result.cap
@@ -760,7 +771,7 @@ def search_bialgebra_extension(
             status="solutions", generators=gens, positive_dimensional=True,
             pairs_processed=pairs,
         )
-    points = [pt for pt in map(dict, solved) if all(g.evaluate(pt) == 0 for g in gens)]
+    points = [pt for pt in map(dict, solved) if _zeroes(rows, map(pt.get, EXTENSION_VARIABLES))]
     points.sort(key=lambda pt: tuple(pt[v] for v in EXTENSION_VARIABLES))
     return SystemVerdict(
         status="solutions", generators=gens, points=tuple(points), pairs_processed=pairs

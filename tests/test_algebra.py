@@ -438,6 +438,21 @@ def test_corrupted_action_detected():
     assert not check_module(algebra, 2, algebra.alpha, gamma)
 
 
+def test_upper_triangular_matrices_act_on_column_vectors():
+    """The upper triangular 2x2 matrices (E11, E12, E22) act on the column
+    vectors (u1, u2) by E11.u1 = u1, E12.u2 = u1 and E22.u2 = u2.  Neither
+    the product nor the action is symmetric in its legs, so a swapped leg in
+    either side of the module axiom shows, and so does E12 acting by its
+    transpose, E12.u1 = u2."""
+    mul = MulTensor.from_entries(3, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 2, 1): 1, (2, 2, 2): 1})
+    algebra = HomAlgebra(mul, LinearMap.identity(3), Vector([1, 0, 1]))
+    gamma = [[[0, 0], [0, 0]] for _ in range(3)]
+    gamma[0][0][0] = gamma[1][1][0] = gamma[2][1][1] = 1
+    assert check_module(algebra, 2, LinearMap.identity(2), gamma)
+    gamma[1][1][0], gamma[1][0][1] = 0, 1
+    assert not check_module(algebra, 2, LinearMap.identity(2), gamma)
+
+
 def test_construction_rejects_mismatched_dimensions():
     mul, alpha = MulTensor.zero(2), LinearMap.identity(3)
     with pytest.raises(ValueError, match="^mul and alpha dimensions differ$"):

@@ -167,6 +167,35 @@ def test_construction_rejects_mismatched_dimensions():
         HomHopf(bialgebra=base, antipode=LinearMap.identity(3))
 
 
+# a map or tensor of the wrong dimension is named with both dimensions, not
+# reported as a contraction index of two sizes
+def test_bullet_names_a_tensor_of_the_wrong_dimension():
+    b, right = bialgebra_row(2), Tensor2.pure(E1, E2)
+    wrong = Tensor2.pure(Vector.basis(3, 0), Vector.basis(3, 1))
+    with pytest.raises(ValueError, match=r"^s has dimension 3; the bialgebra has 2$"):
+        bullet(b, wrong, right)
+    with pytest.raises(ValueError, match=r"^t has dimension 3; the bialgebra has 2$"):
+        bullet(b, right, wrong)
+
+
+def test_convolution_names_a_map_of_the_wrong_dimension():
+    b, right, wrong = bialgebra_row(2), LinearMap.identity(2), LinearMap.identity(3)
+    with pytest.raises(ValueError, match=r"^f has dimension 3; the bialgebra has 2$"):
+        convolution(b, wrong, right)
+    with pytest.raises(ValueError, match=r"^g has dimension 3; the bialgebra has 2$"):
+        convolution(b, right, wrong)
+
+
+def test_convolution_twist_names_a_map_of_the_wrong_dimension():
+    with pytest.raises(ValueError, match=r"^f has dimension 3; the bialgebra has 2$"):
+        convolution_twist(bialgebra_row(2), LinearMap.identity(3))
+
+
+def test_antipode_defect_names_a_map_of_the_wrong_dimension():
+    with pytest.raises(ValueError, match=r"^s has dimension 2; the bialgebra has 3$"):
+        antipode_defect(cyclic_group_bialgebra(), LinearMap.identity(2))
+
+
 # --- convolution --------------------------------------------------------------
 
 def test_convolution_unit_idempotent():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -593,6 +594,34 @@ def test_mu1_at_minus_one_one_keeps_its_strict_point():
     assert verdict.status == "solutions" and not verdict.positive_dimensional
     assert verdict.points == ({"x11": 1, "x12": -1, "x21": -1, "x22": 2, "y": 1},)
     assert verdict.pairs_processed > 0
+
+
+def test_the_row_check_agrees_with_evaluation_at_every_listed_point():
+    """The search checks its points on integer rows (``_zeroes``).  At every
+    point the 784 systems list, and at each of them with one coordinate
+    moved by 1 either way or by 1/2 (the listed points are integral), the
+    rows agree with ``Poly.evaluate`` generator by generator, and on the
+    whole system."""
+    zeroes = homalg.polysolve._zeroes
+    listed, verdicts = 0, Counter()
+    for algebra, strict in _extension_cases():
+        gens, rows = homalg.polysolve._extension_system(algebra, strict)
+        assert len(rows) == len(gens)
+        for point in search_bialgebra_extension(algebra, strict_alpha=strict).points:
+            listed += 1
+            moved = [{**point, v: point[v] + d} for v in EXTENSION_VARIABLES
+                     for d in (1, -1, Fraction(1, 2))]
+            for pt in [point] + moved:
+                values = [pt[v] for v in EXTENSION_VARIABLES]
+                want = [g.evaluate(pt) == 0 for g in gens]
+                assert [zeroes([row], values) for row in rows] == want
+                assert zeroes(rows, values) is all(want)
+                assert all(want) or pt is not point
+                verdicts.update(want)
+    # the 196 weak mu1 systems list four points each; the strict ones at (1, 1)
+    # four, at (1, -1) and (-1, 1) one each
+    assert listed == 196 * 4 + 4 + 1 + 1
+    assert verdicts[True] > listed * len(EXTENSION_VARIABLES) and verdicts[False] > listed
 
 
 # --- buchberger properties on random systems -----------------------------------------
