@@ -29,8 +29,8 @@ from math import prod
 
 from .algebra import HomAlgebra, check_hom_associative
 from .coalgebra import HomCoalgebra, check_hom_coassociative
-from .linsolve import inconsistency_certificate, linear_solve
-from .rational import ONE, numerators
+from .linsolve import _echelon, _kernel_numerators, inconsistency_certificate, linear_solve
+from .rational import ONE
 from .reports import DefectReport, Defects
 from .tensors import ComulTensor, LinearMap, Table, Tensor2, Tensor4, Vector, _contraction, contract
 
@@ -292,9 +292,10 @@ def _rows(table: Table, legs: int, scale: int = 1) -> list[list[int]]:
 
 
 def _kernel(rows: list[list[int]]) -> tuple[Vector, ...]:
-    """Kernel basis of the homogeneous integer system ``rows``."""
+    """Kernel basis of the homogeneous integer system ``rows``, no ``Fraction`` built."""
+    basis, den = _kernel_numerators(*_echelon(rows, [0] * len(rows)))
     return tuple(Vector._of(len(nums), {(c,): x for c, x in enumerate(nums) if x}, den)
-                 for nums, den in map(numerators, linear_solve(rows, [0] * len(rows)).kernel))
+                 for nums in basis)
 
 
 def _solves(rows: list[list[int]], x: Vector) -> bool:
@@ -307,10 +308,11 @@ def _check_commutators(mul, basis, rows: list[list[int]], failure: str) -> None:
     ``basis`` solves ``rows`` again; ``failure`` ends the message.
 
     Each unordered pair is checked once: [v, v] = 0 and [w, v] = -[v, w],
-    and the solutions of ``rows`` form a subspace."""
+    and the solutions of ``rows`` form a subspace; mu - mu^op is tabled once."""
+    bracket = mul - mul.contracted("jik->ijk", mul) if len(basis) > 1 else None
     for i, v in enumerate(basis):
         for w in basis[i + 1:]:
-            if not _solves(rows, mul.apply(v, w) - mul.apply(w, v)):
+            if not _solves(rows, bracket.apply(v, w)):
                 raise ValueError(f"commutator [{v}, {w}] {failure}")
 
 

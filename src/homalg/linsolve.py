@@ -13,8 +13,10 @@ pivot choice is that of Gauss-Jordan over the rationals, and row i of the
 final integer matrix is a nonzero multiple of row i of the reduced row
 echelon form.  That form is unique, so the pivot columns, the particular
 solution (free variables 0) and the kernel basis (one vector per free
-column) are those of rational elimination; ``Fraction``s are built only
-when they are read out.
+column) are those of rational elimination.  Callers read what they need
+from ``_echelon``'s rows: ``inconsistency_certificate`` the particular
+solution alone, ``bialgebra._kernel`` the kernel's integer numerators, and
+``linear_solve`` both, as ``Fraction``s.
 
 By the Fredholm alternative, A x = b is inconsistent exactly when some y has
 y A = 0 and y . b = 1; ``inconsistency_certificate`` solves [A^T; b^T] y = [0; 1].
@@ -24,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
-from .rational import ONE, ZERO, numerators, primitive, rat
+from .rational import ZERO, numerators, primitive, rat
 
 
 @dataclass(frozen=True)
@@ -50,11 +52,20 @@ class LinearSolution:
         return self.consistent and not self.kernel
 
 
-def linear_solve(
-    matrix: Sequence[Sequence], rhs: Sequence
-) -> LinearSolution:
+def linear_solve(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolution:
     """Solve A x = b exactly; A is m x n, b has length m.  Entries are ints,
     Fractions or "p/q" strings (through ``rat``)."""
+    echelon = _echelon(matrix, rhs)
+    if echelon is None:
+        return LinearSolution(particular=None, kernel=())
+    kernel, den = _kernel_numerators(*echelon)
+    return LinearSolution(particular=_particular(*echelon),
+                          kernel=tuple(tuple(Fraction(x, den) for x in v) for v in kernel))
+
+
+def _echelon(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[list[list[int]], list[int]] | None:
+    """[A | b] eliminated on integers: its m rows, row i a multiple of row i of
+    the reduced row echelon form, and the pivot columns; None if inconsistent."""
     rows = [[v if type(v) is int else rat(v) for v in row] for row in matrix]
     b = [v if type(v) is int else rat(v) for v in rhs]
     m = len(rows)
@@ -63,7 +74,6 @@ def linear_solve(
     n = len(rows[0]) if m else 0
     if any(len(row) != n for row in rows):
         raise ValueError("ragged coefficient matrix")
-
     aug = []
     for row in (rows[i] + [b[i]] for i in range(m)):
         try:  # gcd takes only ints: a row holding a Fraction is cleared first
@@ -73,12 +83,13 @@ def linear_solve(
     pivot_cols: list[int] = []
     r = 0
     for col in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][col]), None)
-        if pivot is None:
+        for pivot in range(r, m):
+            if aug[pivot][col]:
+                break
+        else:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        prow = aug[r]
-        pv = prow[col]
+        prow, pv = aug[r], aug[r][col]
         for i in range(m):
             if i != r and aug[i][col]:
                 # (pv * row_i - row_i[col] * row_r) / g, zero at col, then its content out
@@ -87,27 +98,28 @@ def linear_solve(
                 aug[i] = primitive([a * x - f * p for x, p in zip(aug[i], prow)])
         pivot_cols.append(col)
         r += 1
-        if r == m:
-            break
+    return None if any(aug[i][n] for i in range(r, m)) else (aug, pivot_cols)
 
-    for i in range(r, m):
-        if aug[i][n]:
-            return LinearSolution(particular=None, kernel=())
 
-    particular = [ZERO] * n
-    for row_idx, col in enumerate(pivot_cols):
-        particular[col] = Fraction(aug[row_idx][n], aug[row_idx][col])
+def _particular(aug: list[list[int]], pivot_cols: list[int]) -> tuple[Fraction, ...]:
+    """The solution with every free variable 0, read from ``_echelon``'s rows."""
+    particular = [ZERO] * (len(aug[0]) - 1 if aug else 0)
+    for row, col in zip(aug, pivot_cols):
+        particular[col] = Fraction(row[-1], row[col])
+    return tuple(particular)
 
-    pivots = set(pivot_cols)
-    kernel = []
-    for free in (c for c in range(n) if c not in pivots):
-        vec = [ZERO] * n
-        vec[free] = ONE
-        for row_idx, col in enumerate(pivot_cols):
-            vec[col] = Fraction(-aug[row_idx][free], aug[row_idx][col])
-        kernel.append(tuple(vec))
 
-    return LinearSolution(particular=tuple(particular), kernel=tuple(kernel))
+def _kernel_numerators(aug: list[list[int]], pivot_cols: list[int]) -> tuple[list[list[int]], int]:
+    """The kernel basis read from ``_echelon``'s rows, one vector per free column
+    f (e_f less the pivot columns' multiples), as integers over the pivots' lcm."""
+    n, basis = len(aug[0]) - 1 if aug else 0, []
+    den = lcm(*(row[col] for row, col in zip(aug, pivot_cols)))
+    for free in (c for c in range(n) if c not in pivot_cols):
+        nums = [den * (c == free) for c in range(n)]
+        for row, col in zip(aug, pivot_cols):
+            nums[col] = -row[free] * (den // row[col])
+        basis.append(nums)
+    return basis, den
 
 
 def inconsistency_certificate(matrix: Sequence[Sequence],
@@ -115,4 +127,5 @@ def inconsistency_certificate(matrix: Sequence[Sequence],
     """A row y with y A = 0 and y . b = 1 if A x = b is inconsistent, None
     if it is consistent: the particular solution of [A^T; b^T] y = [0; 1]."""
     transposed = [list(col) for col in zip(*matrix, strict=True)] + [list(rhs)]
-    return linear_solve(transposed, [0] * (len(transposed) - 1) + [1]).particular
+    echelon = _echelon(transposed, [0] * (len(transposed) - 1) + [1])
+    return None if echelon is None else _particular(*echelon)

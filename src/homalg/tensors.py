@@ -24,9 +24,9 @@ Contraction specs.  ``contract(spec, *operands)`` takes an einsum-style spec
 such as ``"lb,kab,aij->kijl"``:
 
 * Each comma-separated group names the legs of one operand, outermost index
-  first, one letter per leg; the letters of one operand are distinct, and so
-  are the output's (a repeat raises ValueError).  An operand is a tensor of
-  this module, a nested sequence of that depth, or a ``tabled`` one.
+  first, one letter per leg, one group per operand; the letters of one operand
+  are distinct, and so are the output's (else ValueError).  An operand is a
+  tensor of this module, a nested sequence of that depth, or a ``tabled`` one.
 * A letter shared by operands is one index: its entries are multiplied, and
   the letter is summed over unless it appears after ``->``.  One letter must
   have one size everywhere.
@@ -90,12 +90,23 @@ def contract(spec: str, *operands):
 
 def _contraction(spec: str, operands) -> "Table":
     """The contraction as a whole ``Table``, its numerators over the product
-    of the operands' denominators, not in lowest terms."""
-    parts = [Table((op.dim,) * op.order, True, op._num, op._den) if isinstance(op, _Tensor)
-             else op if isinstance(op, Table) else tabled(op, len(letters))
-             for letters, op in zip(spec.partition("->")[0].split(","), operands)]
-    steps, out_shape = _plan(spec, tuple(part.shape for part in parts))
-    live = [part.num for part in parts]
+    of the operands' denominators, not in lowest terms.  The spec is split
+    only to table a nested sequence."""
+    if spec.count(",") + 1 != len(operands):
+        raise ValueError(f"spec {spec!r} does not name {len(operands)} operand(s)")
+    shapes, live, fractional, den = [], [], False, 1
+    for op in operands:
+        if isinstance(op, _Tensor):
+            shapes.append((op.dim,) * op.order)
+            live.append(op._num)
+            fractional, den = True, den * op._den
+            continue
+        if not isinstance(op, Table):
+            op = tabled(op, len(spec.partition("->")[0].split(",")[len(live)]))
+        shapes.append(op.shape)
+        live.append(op.num)
+        fractional, den = fractional or op.fractional, den * op.den
+    steps, out_shape = _plan(spec, tuple(shapes))
     for i, j, key_i, key_j, layout in steps:
         if j is None:
             live.append(_rekey(live.pop(i), layout))
@@ -103,8 +114,7 @@ def _contraction(spec: str, operands) -> "Table":
             right = live.pop(j)
             live.append(_join(live.pop(i), key_i, right, key_j, layout))
     (table,) = live
-    return Table(out_shape, any(p.fractional for p in parts), table,
-                 prod(part.den for part in parts))
+    return Table(out_shape, fractional, table, den)
 
 
 @lru_cache(maxsize=512)

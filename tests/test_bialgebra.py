@@ -701,6 +701,30 @@ def primitive_span_bialgebra(n):
                      Vector.basis(n, 0)))
 
 
+def test_primitives_off_the_coordinate_axes_are_read_exactly():
+    """primitive_span_bialgebra(3) in the basis f_j = sum_i P[i][j] e_i, P the
+    unimodular matrix that bench/workloads.py's ``_unimodular(3,
+    random.Random(5))`` draws, Q its inverse.  Prim = span(Q e2, Q e3), whose
+    kernel basis has nonzero entries in its pivot column."""
+    P = LinearMap([[1, 2, -1], [1, 3, -3], [1, 0, 4]])
+    Q = LinearMap([[12, -8, -3], [-7, 5, 2], [-3, 2, 1]])
+    assert P.compose(Q) == LinearMap.identity(3)
+    b = primitive_span_bialgebra(3)
+    algebra, coalgebra = b.algebra, b.coalgebra
+    moved = HomBialgebra(
+        HomAlgebra(MulTensor.contracted("ia,jb,ijk,ck->abc", P, P, algebra.mul, Q),
+                   Q.compose(algebra.alpha).compose(P), Q.apply(b.unit)),
+        HomCoalgebra(ComulTensor.contracted("kc,kij,ai,bj->cab", P, coalgebra.comul, Q, Q),
+                     Q.compose(coalgebra.beta).compose(P),
+                     Vector.contracted("kc,k->c", P, b.counit)))
+    assert check_hom_associative(moved.algebra).ok and check_hom_coassociative(moved.coalgebra).ok
+    v, w = primitive_subspace(moved)
+    assert (v, w) == (Vector([-2, 1, 0]), Vector([1, 0, 1]))
+    # Q e2 and Q e3 span them
+    assert Q.apply(Vector.basis(3, 1)) == 5 * v + 2 * w
+    assert Q.apply(Vector.basis(3, 2)) == 2 * v + w
+
+
 def test_each_commutator_pair_is_checked_once(monkeypatch):
     calls = []
     solves = homalg.bialgebra._solves

@@ -201,6 +201,22 @@ def test_contract_rejects_a_spec_that_does_not_fit_its_operands(spec, message):
         contract(spec, Vector([1, 2]))
 
 
+@pytest.mark.parametrize("make", [Vector, lambda row: tensors.tabled(row, 1), list],
+                         ids=["tensor", "table", "nested"])
+def test_contract_rejects_a_surplus_operand(make):
+    """More operands than the spec names raise, whatever they are, instead of
+    the surplus being cut off."""
+    with pytest.raises(ValueError, match=r"^spec 'i->i' does not name 2 operand\(s\)$"):
+        contract("i->i", make([1, 2]), make([3, 4]))
+    with pytest.raises(ValueError, match=r"^spec 'i->i' does not name 2 operand\(s\)$"):
+        Vector.contracted("i->i", Vector([1, 2]), make([3, 4]))
+
+
+def test_a_surplus_nested_operand_is_counted_before_it_is_tabled():
+    with pytest.raises(ValueError, match=r"^spec 'i->i' does not name 2 operand\(s\)$"):
+        contract("i->i", [1, 2], [[3, 4]])
+
+
 def nest(flat, shape):
     """The flat entries as nested lists of that shape."""
     for size in reversed(shape[1:]):

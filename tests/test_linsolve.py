@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from homalg import linear_solve
+from homalg import Vector, linear_solve
+from homalg.bialgebra import _kernel
 from homalg.linsolve import LinearSolution, inconsistency_certificate
-from homalg.rational import rat
+from homalg.rational import numerators, rat
 from homalg.sampling import random_scalar
 
 
@@ -193,6 +194,27 @@ def test_integer_elimination_matches_rational_gauss_jordan():
         outcomes.add((sol.consistent, sol.kernel_dim > 0))
     assert {(m, n) for m in range(1, 7) for n in range(7)} | {(0, 0)} == shapes
     assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def test_readers_of_the_integer_elimination_match_the_reference():
+    """inconsistency_certificate equals the particular solution of
+    [A^T; b^T] y = [0; 1] by rational Gauss-Jordan, and ``_kernel`` on the
+    system's rows cleared to integers equals its kernel, vector for vector."""
+    rng = random.Random(38)
+    certified = kernels = 0
+    for _ in range(250):
+        matrix, rhs = random_system(rng)
+        transposed = [list(col) for col in zip(*matrix)] + [list(rhs)]
+        want = reference_solve(transposed, [0] * (len(transposed) - 1) + [1]).particular
+        got = inconsistency_certificate(matrix, rhs)
+        assert got == want
+        assert got is None or all(type(v) is Fraction for v in got)
+        certified += got is not None
+        rows = [numerators([rat(v) for v in row])[0] for row in matrix]
+        kernel = _kernel(rows)
+        assert kernel == tuple(Vector(v) for v in reference_solve(rows, [0] * len(rows)).kernel)
+        kernels += len(kernel)
+    assert certified and kernels
 
 
 def test_hand_picked_systems_match_the_reference():
