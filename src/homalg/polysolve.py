@@ -601,6 +601,12 @@ def _weak_generators(mul, unit) -> tuple[Poly, ...]:
     """The weak-compatibility and counit generators of the extension system
     over (mul, unit): nonzero, repeats dropped, first occurrence first.
 
+    For every input the search accepts there are 9, each of total degree 2:
+    with e1 a two-sided unit, Delta(e1) = e1 (x) e1 and eps(e1) = 1, each weak
+    defect is 0 but comul-mult at (e2, e2), which holds -x11^2 or -2 x11 x_kl,
+    and counit-mult, -y^2; each counit-law component holds x_i2 y or x_2j y.
+    So the affine generators of a system are exactly its alpha part.
+
     Neither set of equations involves the twist, so they are built on the
     algebra with the identity twist and remembered by (mul, unit), by value.
     Over the 100 seed-1 operations of the solve-extension benchmark (400
@@ -629,23 +635,16 @@ _EPS = Table((2, 6), False, {(0, 5): 1, (1, 4): 1}, 1)
 _LEG_MONOMIALS = tuple(tuple(int(u == v) for u in range(5)) for v in range(6))
 
 
-@lru_cache(maxsize=8)
-def _weak_rows(weak: tuple[Poly, ...]):
-    """Each weak generator as an integer row (monomials, coefficients times s, s), s their
-    lcm, remembered by value; one of degree at most 1 on all of ``_LEG_MONOMIALS``."""
-    return tuple((_LEG_MONOMIALS, *numerators([g.terms.get(m, 0) for m in _LEG_MONOMIALS]))
-                 if g.total_degree() <= 1 else (tuple(g.terms), *numerators(g.terms.values()))
-                 for g in weak)
-
-
-def _zeroes(rows, point: Iterable[Fraction]) -> bool:
-    """Whether the point (one value per variable) zeroes every integer row: with its values
-    over one denominator D, each monomial is valued once, times D^(top degree - degree)."""
+def _zeroes(generators: Sequence[Poly], point: Iterable[Fraction]) -> bool:
+    """Whether the point (one value per variable) zeroes every generator's integer terms:
+    with its values over one denominator D, each monomial is valued once, times D^(top
+    degree - degree), and each generator is one dot product, exact on a Fraction too."""
     nums, den = numerators(point)
-    monomials = {m for ms, _, _ in rows for m in ms}
+    monomials = {m for g in generators for m in g.terms}
     top = max(map(sum, monomials))
     values = {m: prod(map(pow, nums, m)) * den ** (top - sum(m)) for m in monomials}
-    return not any(sum(map(mul, map(values.__getitem__, ms), cs)) for ms, cs, _ in rows)
+    return not any(sum(map(mul, map(values.__getitem__, g.terms), g.terms.values()))
+                   for g in generators)
 
 
 def bialgebra_extension_system(algebra, strict_alpha: bool = False) -> tuple[Poly, ...]:
@@ -660,21 +659,21 @@ def bialgebra_extension_system(algebra, strict_alpha: bool = False) -> tuple[Pol
     compatibilities of the strict reading (using the algebra's own twist).
     Repeats are dropped; the first occurrence keeps its place.  The weak and
     counit part does not involve the twist and is built once per (mul, unit)
-    (``_weak_generators``); the affine alpha part is built per call, on integers.
+    (``_weak_generators``), of degree 2; the affine alpha part per call, on integers.
     """
     return _extension_system(algebra, strict_alpha)[0]
 
 
 def _extension_system(algebra, strict_alpha: bool):
-    """The generators, and each as an integer row as ``_weak_rows`` has them."""
+    """The generators, the alpha generators' distinct integer rows on (x11, x12,
+    x21, x22, y, 1), and the scale those rows carry: row / scale is the generator."""
     if algebra.dim != 2:
         raise ValueError("extension search is specified for dimension 2")
     if algebra.unit is None or algebra.unit.coords != (1, 0):
         raise ValueError("extension search requires the unit to be e1")
     weak = _weak_generators(algebra.mul, algebra.unit)
-    rows = _weak_rows(weak)
     if not strict_alpha:
-        return weak, rows
+        return weak, (), 1
     # each defect times den^2 by leg v: (k, i, j) in row 5k + 2i + j, (k,) in row 5k + 4
     a, den = Table((2, 2), False, algebra.alpha._num, 1), algebra.alpha._den
     outer, inner, counit = (_contraction(spec, ops).num for spec, ops in
@@ -683,30 +682,25 @@ def _extension_system(algebra, strict_alpha: bool):
     for table, by in ((outer, den), (inner, -1), (counit, den), (_EPS.num, -scale)):
         for (k, *ij, v), c in table.items():
             cells[5 * k + (2 * ij[0] + ij[1] if ij else 4)][v] += by * c
-    # one Poly per distinct row; one equal to a weak generator (of degree <= 1) is dropped
-    weak_affine = [g for g, (ms, _, _) in zip(weak, rows) if ms is _LEG_MONOMIALS]
-    alpha = {row: g for row in dict.fromkeys(tuple(row) for row in cells if any(row))
-             if (g := Poly._raw(EXTENSION_VARIABLES, {_LEG_MONOMIALS[v]: Fraction(c, scale)
-                                                      for v, c in enumerate(row) if c}))
-             not in weak_affine}
-    return weak + tuple(alpha.values()), rows + tuple((_LEG_MONOMIALS, r, scale) for r in alpha)
+    rows = tuple(dict.fromkeys(tuple(row) for row in cells if any(row)))
+    alpha = tuple(Poly._raw(EXTENSION_VARIABLES, {_LEG_MONOMIALS[v]: Fraction(c, scale)
+                                                  for v, c in enumerate(row) if c})
+                  for row in rows)
+    return weak + alpha, rows, scale
 
 
-def _affine_basis(generators: tuple[Poly, ...], rows) -> tuple[GroebnerResult, None] | None:
-    """The basis {1}, in ``_lex_solve``'s form, when the generators of total
-    degree at most 1 are inconsistent alone, with cofactors -y on them and 0
-    on the rest, y the certificate of their rows A x = b (g = A_g x - b_g), read
-    from ``rows`` as s * (A_g, -b_g) on ``_LEG_MONOMIALS`` and scaled back by s."""
-    affine = [(i, row, s) for i, (ms, row, s) in enumerate(rows) if ms is _LEG_MONOMIALS]
-    y = inconsistency_certificate([r[:-1] for _, r, _ in affine], [-r[-1] for _, r, _ in affine])
-    if y is None:
+def _affine_certificate(generators: tuple[Poly, ...], rows, scale: int) -> tuple[Poly, ...] | None:
+    """Constant cofactors recombining the generators to 1 when their affine
+    part, the alpha rows (the last generators), is inconsistent alone; None
+    otherwise.  With y the certificate of the rows A x = b (row = (A_g, -b_g)),
+    the cofactor of alpha generator g is -scale * y_g; the rest share one zero."""
+    y = rows and inconsistency_certificate([r[:-1] for r in rows], [-r[-1] for r in rows])
+    if not y:
         return None
     variables = generators[0].variables
-    cofactors = [Poly._raw(variables, {})] * len(generators)
-    for (i, _, s), w in zip(affine, y):
-        if w:
-            cofactors[i] = Poly._raw(variables, {_LEG_MONOMIALS[5]: -s * w})
-    return GroebnerResult("ok", (Poly.const(variables, 1),), (tuple(cofactors),), "lex", 0), None
+    zero = Poly._raw(variables, {})
+    return (zero,) * (len(generators) - len(rows)) + tuple(
+        Poly._raw(variables, {_LEG_MONOMIALS[5]: -scale * w}) if w else zero for w in y)
 
 
 @lru_cache(maxsize=8)
@@ -738,27 +732,28 @@ def search_bialgebra_extension(
     """Certify existence or nonexistence of a weak Hom-bialgebra structure
     over a dim-2 unital Hom-associative algebra.
 
-    A linear certificate decides when the affine generators alone are
-    inconsistent (``_affine_basis``), as nearly every strict system's are.
+    A linear certificate decides when the alpha rows alone are inconsistent
+    (``_affine_certificate``), as nearly every strict system's are.
     Otherwise the system is solved once per (generators, caps)
     (``_lex_solve``), so the weak system of one (mul, unit) is built and
     solved once across twist bindings.  Every call, repeat or not, checks
     that the certificate recombines the generators to 1 (as ``Poly``s) and
-    that each point zeroes every generator's integer row (``_zeroes``)."""
-    gens, rows = _extension_system(algebra, strict_alpha)
-    result, solved = _affine_basis(gens, rows) or _lex_solve(gens, degree_cap, pair_cap)
-    pairs = result.pairs_processed
-    if result.status == "capped":
-        cap, reached = result.cap
-        if cap == "pair_cap":
-            reason = f"solver capped: pair_cap={pair_cap} reached after {reached} pairs"
-        else:
-            reason = (f"solver capped: degree_cap={degree_cap} exceeded by a degree-{reached} "
-                      f"remainder after {pairs} pairs")
-        return SystemVerdict(status="inconclusive", generators=gens, reason=reason,
-                             pairs_processed=pairs)
-    if result.inconsistent:
-        cert = result.certificate()
+    that each point zeroes every generator, on its integer terms (``_zeroes``)."""
+    gens, rows, scale = _extension_system(algebra, strict_alpha)
+    cert, pairs = _affine_certificate(gens, rows, scale), 0
+    if cert is None:
+        result, solved = _lex_solve(gens, degree_cap, pair_cap)
+        cert, pairs = result.certificate(), result.pairs_processed
+        if result.status == "capped":
+            cap, reached = result.cap
+            if cap == "pair_cap":
+                reason = f"solver capped: pair_cap={pair_cap} reached after {reached} pairs"
+            else:
+                reason = (f"solver capped: degree_cap={degree_cap} exceeded by a "
+                          f"degree-{reached} remainder after {pairs} pairs")
+            return SystemVerdict(status="inconclusive", generators=gens, reason=reason,
+                                 pairs_processed=pairs)
+    if cert is not None:
         if not verify_certificate(gens, cert):
             return SystemVerdict(
                 status="inconclusive", generators=gens, pairs_processed=pairs,
@@ -771,7 +766,7 @@ def search_bialgebra_extension(
             status="solutions", generators=gens, positive_dimensional=True,
             pairs_processed=pairs,
         )
-    points = [pt for pt in map(dict, solved) if _zeroes(rows, map(pt.get, EXTENSION_VARIABLES))]
+    points = [pt for pt in map(dict, solved) if _zeroes(gens, map(pt.get, EXTENSION_VARIABLES))]
     points.sort(key=lambda pt: tuple(pt[v] for v in EXTENSION_VARIABLES))
     return SystemVerdict(
         status="solutions", generators=gens, points=tuple(points), pairs_processed=pairs

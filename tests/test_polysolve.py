@@ -597,15 +597,15 @@ def test_mu1_at_minus_one_one_keeps_its_strict_point():
 
 
 def test_the_row_check_agrees_with_evaluation_at_every_listed_point():
-    """The search checks its points on integer rows (``_zeroes``).  At every
-    point the 784 systems list, and at each of them with one coordinate
-    moved by 1 either way or by 1/2 (the listed points are integral), the
-    rows agree with ``Poly.evaluate`` generator by generator, and on the
-    whole system."""
+    """The search checks its points on each generator's integer terms
+    (``_zeroes``).  At every point the 784 systems list, and at each of them
+    with one coordinate moved by 1 either way or by 1/2 (the listed points
+    are integral), the check agrees with ``Poly.evaluate`` generator by
+    generator, and on the whole system."""
     zeroes = homalg.polysolve._zeroes
     listed, verdicts = 0, Counter()
     for algebra, strict in _extension_cases():
-        gens, rows = homalg.polysolve._extension_system(algebra, strict)
+        gens = rows = bialgebra_extension_system(algebra, strict_alpha=strict)
         assert len(rows) == len(gens)
         for point in search_bialgebra_extension(algebra, strict_alpha=strict).points:
             listed += 1
@@ -623,6 +623,60 @@ def test_the_row_check_agrees_with_evaluation_at_every_listed_point():
     assert listed == 196 * 4 + 4 + 1 + 1
     assert verdicts[True] > listed * len(EXTENSION_VARIABLES) and verdicts[False] > listed
 
+
+
+def test_every_weak_generator_has_degree_two():
+    """For every input the search accepts (dim 2, e1 a two-sided unit, so
+    e2 * e2 = a e1 + b e2) the weak system has 9 generators, each of total
+    degree exactly 2.  With Delta(e1) = e1 (x) e1 and eps(e1) = 1 forced,
+    every weak defect at a basis pair holding e1 is 0, and so are
+    unit-grouplike and counit-on-unit.  The comul-mult components at
+    (e2, e2) hold -x11^2 or -2 x11 x_kl, which no product through e2 * e2
+    reaches; counit-mult holds -y^2; each counit-law component holds x_i2 y
+    or x_2j y.  So the affine generators of a system are its alpha part.
+
+    Correctness does not rest on this: a missed affine generator only sends
+    a system on to the lex solve, whose certificate is checked.  That the
+    search finds the certificates it found when it collected the affine
+    generators from the whole system does."""
+    grid = [Fraction(v) for v in (0, 1, -1, "1/2", "-2/3", "3/4", 3)]
+    cases = {(algebra.mul, algebra.unit) for algebra, _ in _extension_cases()}
+    cases |= {(MulTensor([[[1, 0], [0, 1]], [[0, 1], [a, b]]]), Vector([1, 0]))
+              for a in grid for b in grid}
+    for mul, unit in cases:
+        weak = homalg.polysolve._weak_generators(mul, unit)
+        assert [g.total_degree() for g in weak] == [2] * 9, mul
+
+
+def test_points_with_fractional_coordinates():
+    """e2 * e2 = 3/4 e1 + e2 with the identity twist: the weak and the strict
+    search each list four points with fractional coordinates, and every
+    generator vanishes at each.  At each point, and at each with one
+    coordinate moved by 1 either way or by 1/2, ``_zeroes`` agrees with
+    ``Poly.evaluate`` generator by generator."""
+    mul = MulTensor([[[1, 0], [0, 1]], [[0, 1], [Fraction(3, 4), 1]]])
+    algebra = HomAlgebra(mul, LinearMap.identity(2), Vector([1, 0]))
+    want = tuple(dict(zip(EXTENSION_VARIABLES, map(Fraction, point))) for point in (
+        ("-3/8", "1/4", "1/4", "1/2", "3/2"),
+        ("1/4", "1/2", "1/2", "-1", "-1/2"),
+        ("3/8", "3/4", "3/4", "-1/2", "-1/2"),
+        ("3/4", "-1/2", "-1/2", "1", "3/2"),
+    ))
+    verdicts = Counter()
+    for strict in (False, True):
+        verdict = search_bialgebra_extension(algebra, strict_alpha=strict)
+        assert verdict.status == "solutions" and verdict.points == want
+        gens = verdict.generators
+        for point in verdict.points:
+            assert all(g.evaluate(point) == 0 for g in gens)
+            moved = [{**point, v: point[v] + d} for v in EXTENSION_VARIABLES
+                     for d in (1, -1, Fraction(1, 2))]
+            for pt in [point] + moved:
+                values = [pt[v] for v in EXTENSION_VARIABLES]
+                want_zero = [g.evaluate(pt) == 0 for g in gens]
+                assert [homalg.polysolve._zeroes([g], values) for g in gens] == want_zero
+                verdicts.update(want_zero)
+    assert verdicts[True] and verdicts[False]
 
 # --- buchberger properties on random systems -----------------------------------------
 
