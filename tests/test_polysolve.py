@@ -624,7 +624,6 @@ def test_the_row_check_agrees_with_evaluation_at_every_listed_point():
     assert verdicts[True] > listed * len(EXTENSION_VARIABLES) and verdicts[False] > listed
 
 
-
 def test_every_weak_generator_has_degree_two():
     """For every input the search accepts (dim 2, e1 a two-sided unit, so
     e2 * e2 = a e1 + b e2) the weak system has 9 generators, each of total
@@ -636,9 +635,9 @@ def test_every_weak_generator_has_degree_two():
     or x_2j y.  So the affine generators of a system are its alpha part.
 
     Correctness does not rest on this: a missed affine generator only sends
-    a system on to the lex solve, whose certificate is checked.  That the
-    search finds the certificates it found when it collected the affine
-    generators from the whole system does."""
+    a system on to the lex solve, whose certificate is checked.  But that
+    the search finds the same certificates as a presolve that collected the
+    affine generators from the whole system does rest on it."""
     grid = [Fraction(v) for v in (0, 1, -1, "1/2", "-2/3", "3/4", 3)]
     cases = {(algebra.mul, algebra.unit) for algebra, _ in _extension_cases()}
     cases |= {(MulTensor([[[1, 0], [0, 1]], [[0, 1], [a, b]]]), Vector([1, 0]))
@@ -677,6 +676,7 @@ def test_points_with_fractional_coordinates():
                 assert [homalg.polysolve._zeroes([g], values) for g in gens] == want_zero
                 verdicts.update(want_zero)
     assert verdicts[True] and verdicts[False]
+
 
 # --- buchberger properties on random systems -----------------------------------------
 
