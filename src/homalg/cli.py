@@ -54,10 +54,8 @@ from .structio import (
 )
 from .tensors import SUBGROUPS
 
-CHECK_SUITES = (
-    "hom-assoc", "coassoc", "G1", "G2", "G3", "G4", "G5", "G6",
-    "lie-admissible", "bialgebra-weak", "bialgebra-strict", "module", "comodule",
-)
+CHECK_SUITES = ("hom-assoc", "coassoc", *SUBGROUPS, "lie-admissible", "bialgebra-weak",
+                "bialgebra-strict", "module", "comodule")
 
 # The eight identities' 48 terms are 12 contraction networks of (Delta, Delta, beta), independent
 # on the generic coalgebra of dim 3 (not 2), which zero padding embeds in every dim n >= 3; the
@@ -352,41 +350,37 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="run a check suite on a structure file")
-    p.add_argument("file")
-    p.add_argument("--suite", choices=CHECK_SUITES, action=_Once)
+    def command(name: str, run, summary: str, file: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        if file:
+            p.add_argument("file")
+        return p
 
-    p = sub.add_parser("dualize", help="write the dual structure file")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", action=_Once)
+    command("check", _cmd_check, "run a check suite on a structure file").add_argument(
+        "--suite", choices=CHECK_SUITES, action=_Once)
+    command("dualize", _cmd_dualize, "write the dual structure file").add_argument(
+        "-o", "--output", action=_Once)
+    command("antipode", _cmd_antipode, "solve the antipode equations")
+    command("primitives", lambda args: _cmd_subspace(args, generalized=False),
+            "print the primitive subspace basis")
+    command("gprimitives", lambda args: _cmd_subspace(args, generalized=True),
+            "print the generalized primitive subspace basis")
+    command("convolution-test", _cmd_convolution_test,
+            "verify twisted associativity of the convolution product")
+    command("identities", _cmd_identities,
+            "prove the universal identity suites at every dimension", file=False).add_argument(
+        "--dim", type=_int_at_least(1), default=2, action=_Once)
 
-    p = sub.add_parser("antipode", help="solve the antipode equations")
-    p.add_argument("file")
-
-    p = sub.add_parser("primitives", help="print the primitive subspace basis")
-    p.add_argument("file")
-
-    p = sub.add_parser("gprimitives",
-                       help="print the generalized primitive subspace basis")
-    p.add_argument("file")
-
-    p = sub.add_parser("convolution-test",
-                       help="verify twisted associativity of the convolution product")
-    p.add_argument("file")
-
-    p = sub.add_parser("identities", help="prove the universal identity suites at every dimension")
-    p.add_argument("--dim", type=_int_at_least(1), default=2, action=_Once)
-
-    p = sub.add_parser("search-extension",
-                       help="certify (non)existence of a bialgebra extension")
-    p.add_argument("file")
+    p = command("search-extension", _cmd_search_extension,
+                "certify (non)existence of a bialgebra extension")
     p.add_argument("--degree-cap", type=_int_at_least(0), default=DEGREE_CAP, action=_Once)
     p.add_argument("--pair-cap", type=_int_at_least(1), default=PAIR_CAP, action=_Once,
                    help="most S-pairs to reduce; only pairs that survive the Gebauer-Moller "
                         "criteria count, and coprime pairs never count")
     p.add_argument("--strict-alpha", action="store_true")
 
-    p = sub.add_parser("examples", help="list or emit built-in structures")
+    p = command("examples", _cmd_examples, "list or emit built-in structures", file=False)
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--param", action="append", default=[])
     p.add_argument("-o", "--output", action=_Once)
@@ -394,24 +388,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "dualize": _cmd_dualize,
-    "antipode": _cmd_antipode,
-    "primitives": lambda args: _cmd_subspace(args, generalized=False),
-    "gprimitives": lambda args: _cmd_subspace(args, generalized=True),
-    "convolution-test": _cmd_convolution_test,
-    "identities": _cmd_identities,
-    "search-extension": _cmd_search_extension,
-    "examples": _cmd_examples,
-}
-
-
 def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except _Failure as exc:

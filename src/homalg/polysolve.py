@@ -675,7 +675,7 @@ def _extension_system(algebra, strict_alpha: bool):
     if not strict_alpha:
         return weak, (), 1
     # each defect times den^2 by leg v: (k, i, j) in row 5k + 2i + j, (k,) in row 5k + 4
-    a, den = Table((2, 2), False, algebra.alpha._num, 1), algebra.alpha._den
+    a, den = algebra.alpha, algebra.alpha._den
     outer, inner, counit = (_contraction(spec, ops).num for spec, ops in
                             zip(_ALPHA_SPECS, ((a, _DELTA), (a, a, _DELTA), (a, _EPS))))
     cells, scale = [[0] * 6 for _ in range(10)], den * den

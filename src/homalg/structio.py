@@ -16,6 +16,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping, NamedTuple
 
 from .algebra import HomAlgebra
@@ -242,34 +243,20 @@ class RegistryEntry:
         return self.builder(values)
 
 
-def _mu1() -> MulTensor:
-    return MulTensor.from_entries(2, {
-        (0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 1): 1,
-    })
+# the two dim-2 unital classes, e1 the unit: (multiplication entries, twist in
+# a1 and a2) for mu1, where e2.e2 = e2, and for mu2, where e2.e2 = 0
+_CLASSES = {
+    "mu1": ({(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 1): 1},
+            lambda a1, a2: [[a1, 0], [a2 - a1, a2]]),
+    "mu2": ({(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1},
+            lambda a1, a2: [[a1, 0], [a2, a1]]),
+}
 
 
-def _mu2() -> MulTensor:
-    return MulTensor.from_entries(2, {
-        (0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1,
-    })
-
-
-def _alpha1(a1: Fraction, a2: Fraction) -> LinearMap:
-    return LinearMap([[a1, 0], [a2 - a1, a2]])
-
-
-def _alpha2(a1: Fraction, a2: Fraction) -> LinearMap:
-    return LinearMap([[a1, 0], [a2, a1]])
-
-
-def _mu1_algebra(v: dict[str, Fraction]) -> HomAlgebra:
-    return HomAlgebra(mul=_mu1(), alpha=_alpha1(v["a1"], v["a2"]),
-                      unit=Vector.basis(2, 0))
-
-
-def _mu2_algebra(v: dict[str, Fraction]) -> HomAlgebra:
-    return HomAlgebra(mul=_mu2(), alpha=_alpha2(v["a1"], v["a2"]),
-                      unit=Vector.basis(2, 0))
+def _algebra(name: str, v: dict[str, Fraction]) -> HomAlgebra:
+    entries, twist = _CLASSES[name]
+    return HomAlgebra(mul=MulTensor.from_entries(2, entries),
+                      alpha=LinearMap(twist(v["a1"], v["a2"])), unit=Vector.basis(2, 0))
 
 
 _COMULS = {
@@ -297,7 +284,7 @@ def _beta(row: int, v: dict[str, Fraction]) -> LinearMap:
 def _bialgebra_row(row: int) -> Callable[[dict[str, Fraction]], HomBialgebra]:
     def build(v: dict[str, Fraction]) -> HomBialgebra:
         return HomBialgebra(
-            algebra=_mu1_algebra(v),
+            algebra=_algebra("mu1", v),
             coalgebra=HomCoalgebra(
                 comul=_COMULS[row], beta=_beta(row, v), counit=_COUNITS[row]
             ),
@@ -320,13 +307,13 @@ def registry() -> dict[str, RegistryEntry]:
             "algebra-mu1", "algebra", ("a1", "a2"), (),
             "dim-2 unital Hom-associative algebra: e2.e2 = e2, twist "
             "[[a1,0],[a2-a1,a2]]",
-            _mu1_algebra,
+            partial(_algebra, "mu1"),
         ),
         RegistryEntry(
             "algebra-mu2", "algebra", ("a1", "a2"), (),
             "dim-2 unital Hom-associative algebra: e2.e2 = 0, twist "
             "[[a1,0],[a2,a1]]",
-            _mu2_algebra,
+            partial(_algebra, "mu2"),
         ),
         RegistryEntry(
             "bialgebra-1", "bialgebra", ("b1", "b2", "b3"), _A_DEFAULTS,

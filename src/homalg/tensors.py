@@ -42,7 +42,8 @@ such as ``"lb,kab,aij->kijl"``:
   in that row, so a product costs an int-keyed dict update and an index
   tuple is built once per nonzero sum.  A lone operand is re-keyed
   instead, which reorders its legs or sums some out.
-* The letters after ``->`` are the output legs in order.  The result is a
+* The letters after ``->`` are the output legs in order; a spec holds
+  exactly one ``->`` (else ValueError).  The result is a
   nested list in that layout (a bare scalar for an empty output), where an
   entry no product reached is the integer 0; nonzero entries are Fractions
   when an operand held one (a tensor always does).  A tensor class's
@@ -132,10 +133,10 @@ def _plan(spec: str, shapes: tuple[tuple[int, ...], ...]):
     column in output order, None when they already are.  A step (0, None,
     None, None, pick) re-keys a lone operand by pick, which only sums out or
     reorders its legs."""
-    inputs, arrow, output = spec.partition("->")
+    if spec.count("->") != 1:
+        raise ValueError(f"spec {spec!r} needs exactly one '->'")
+    inputs, _, output = spec.partition("->")
     legs = inputs.split(",")
-    if not arrow or len(legs) != len(shapes):
-        raise ValueError(f"spec {spec!r} does not name {len(shapes)} operand(s)")
     if any(len(set(letters)) != len(letters) for letters in legs + [output]):
         raise ValueError(f"spec {spec!r} repeats a letter within an operand or the output")
     sizes: dict[str, int] = {}

@@ -767,3 +767,18 @@ def test_readme_cli_section_matches_the_parser():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
     assert sorted(accepted - named) == [], "accepted, not in the README"
     assert sorted(named - accepted) == [], "in the README, not accepted"
+
+
+def test_every_subcommand_has_a_handler(capsys):
+    """Each subcommand is registered with the handler that runs it, in the
+    order `homalg --help` lists them; one without a handler would end in an
+    AttributeError traceback instead of an exit code."""
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == [
+        "check", "dualize", "antipode", "primitives", "gprimitives", "convolution-test",
+        "identities", "search-extension", "examples"]
+    for name, sub in commands.choices.items():
+        assert callable(sub.get_default("run")), name
+        assert cli_main([name, "--help"]) == 0, name
+        assert f"usage: homalg {name}" in capsys.readouterr().out

@@ -195,7 +195,9 @@ def test_contract_rejects_repeated_letters():
     ("i,j->ij", r"spec 'i,j->ij' does not name 1 operand\(s\)"),
     ("ij->i", "legs 'ij' do not fit an order-1 tensor"),
     ("i->j", r"output indices \{'j'\} name no leg in 'i->j'"),
-], ids=["operand-count", "order", "output"])
+    ("i", "spec 'i' needs exactly one '->'"),
+    ("i->i->i", "spec 'i->i->i' needs exactly one '->'"),
+], ids=["operand-count", "order", "output", "no-arrow", "two-arrows"])
 def test_contract_rejects_a_spec_that_does_not_fit_its_operands(spec, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         contract(spec, Vector([1, 2]))
