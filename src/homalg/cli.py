@@ -5,6 +5,9 @@ antipode exists); 2 parse or usage error; 3 inconclusive (the polynomial
 solver hit a cap, or its certificate failed its check); 141 stdout closed
 before the output was written (128 + SIGPIPE, with no traceback).  Output
 order is deterministic: witnesses are listed in basis-index lexicographic order.
+A command decides before it prints: each handler returns its exit code and its
+verdicts as records, which one text renderer prints after the handler returns,
+so an exit-2 error leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -23,6 +27,7 @@ from .algebra import (
     check_unital,
 )
 from .bialgebra import (
+    AntipodeResult,
     HomBialgebra,
     check_bialgebra_strict,
     check_bialgebra_weak,
@@ -41,11 +46,12 @@ from .coalgebra import (
     lemma_identities_check,
     admissibility_defects,
 )
-from .polysolve import DEGREE_CAP, PAIR_CAP, search_bialgebra_extension
+from .polysolve import DEGREE_CAP, PAIR_CAP, SystemVerdict, search_bialgebra_extension
 from .rational import rat, rat_str
 from .reports import DefectReport
 from .structio import (
     ParseError,
+    RegistryEntry,
     dual,
     parts,
     registry,
@@ -82,19 +88,17 @@ def _load(path: str):
         raise _Failure(f"{path}: {exc}") from exc
 
 
-def _print_report(name: str, report: DefectReport) -> bool:
-    status = "PASS" if report.ok else "FAIL"
-    print(f"[{status}] {name}: {report.render(limit=8)}")
-    return report.ok
+@dataclass(frozen=True)
+class Flag:
+    """A yes/no check; ``None`` is skipped (for ``skip_reason``) and passes."""
 
+    check: str
+    value: bool | None
+    skip_reason: str = ""
 
-def _print_bool(name: str, check: str, value: bool | None, skip_reason: str = "") -> bool:
-    if value is None:
-        print(f"[SKIP] {name}: {check}{f' ({skip_reason})' if skip_reason else ''}")
-        return True
-    print(f"[{'PASS' if value else 'FAIL'}] {name}: {check}: "
-          f"{'ok' if value else 'violated'}")
-    return value
+    @property
+    def ok(self) -> bool:
+        return self.value is not False
 
 
 def _bialgebra(structure, message: str) -> HomBialgebra:
@@ -105,18 +109,18 @@ def _bialgebra(structure, message: str) -> HomBialgebra:
     return bialgebra
 
 
-def _write(text: str, output: str | None) -> None:
-    """``text`` to the ``-o`` file, then a "wrote" line; to stdout without one.
-    An empty ``-o`` names no file, so it cannot be written either."""
+def _write(text: str, output: str | None) -> str:
+    """``text`` to the ``-o`` file and a "wrote" line as the record; without
+    ``-o``, ``text`` is the record (the renderer ends its last line).  An
+    empty ``-o`` names no file, so it cannot be written either."""
     if output is None:
-        sys.stdout.write(text)
-        return
+        return text.removesuffix("\n")
     try:
         with open(output, "w", encoding="utf-8") as out:
             out.write(text)
     except OSError as exc:
         raise _Failure(f"cannot write {output}: {exc}") from exc
-    print(f"wrote {output}")
+    return f"wrote {output}"
 
 
 _DEFAULT_SUITES = {
@@ -127,124 +131,98 @@ _DEFAULT_SUITES = {
 }
 
 
-def _run_suite(name: str, structure, suite: str | None) -> bool:
+def _run_suite(structure, suite: str | None) -> list[DefectReport | Flag]:
     p = parts(structure)
     algebra, coalgebra = p.algebra, p.coalgebra
-    ok = True
+    verdicts: list[DefectReport | Flag] = []
     for s in (suite,) if suite else _DEFAULT_SUITES[p.kind]:
         if s in ("hom-assoc", "module") and algebra is None:
             raise _Failure(f"suite {s} needs an algebra side")
         if s in ("coassoc", "comodule") and coalgebra is None:
             raise _Failure(f"suite {s} needs a coalgebra side")
         if s == "hom-assoc":
-            ok &= _print_report(name, check_hom_associative(algebra))
+            verdicts.append(check_hom_associative(algebra))
             if algebra.unit is not None:
-                ok &= _print_bool(name, "unital", check_unital(algebra))
+                verdicts.append(Flag("unital", check_unital(algebra)))
         elif s == "coassoc":
-            ok &= _print_report(name, check_hom_coassociative(coalgebra))
-            ok &= _print_bool(name, "counital", check_counital(coalgebra),
-                              skip_reason="no counit declared")
+            verdicts += (check_hom_coassociative(coalgebra),
+                         Flag("counital", check_counital(coalgebra), "no counit declared"))
         elif s in SUBGROUPS:
             if algebra is not None:
-                ok &= _print_report(name, check_G_hom_associative(algebra, s))
+                verdicts.append(check_G_hom_associative(algebra, s))
             if coalgebra is not None:
-                ok &= _print_report(name, check_G_hom_coalgebra(coalgebra, s))
+                verdicts.append(check_G_hom_coalgebra(coalgebra, s))
         elif s == "lie-admissible":
             if coalgebra is not None:
                 rep = check_hom_lie_admissible(coalgebra)
-                ok &= _print_report(name, rep.cyclic)
-                ok &= _print_report(name, rep.alternating)
-                ok &= _print_bool(name, "admissibility methods agree",
-                                  rep.methods_agree)
+                verdicts += (rep.cyclic, rep.alternating,
+                             Flag("admissibility methods agree", rep.methods_agree))
             if algebra is not None:
-                ok &= _print_report(name, check_G_hom_associative(algebra, "G6"))
+                verdicts.append(check_G_hom_associative(algebra, "G6"))
         elif s in ("bialgebra-weak", "bialgebra-strict"):
             b = _bialgebra(structure, f"suite {s} needs a bialgebra or hopf structure")
             check = check_bialgebra_weak if s == "bialgebra-weak" else check_bialgebra_strict
-            ok &= _print_report(name, check(b))
+            verdicts.append(check(b))
         elif s == "module":
             # the self-(co)module axiom is the Hom-(co)associativity equation
-            ok &= _print_bool(name, "self-module (M=V, f=alpha, gamma=mu)",
-                              check_hom_associative(algebra).ok)
+            verdicts.append(Flag("self-module (M=V, f=alpha, gamma=mu)",
+                                 check_hom_associative(algebra).ok))
         elif s == "comodule":
-            ok &= _print_bool(name, "self-comodule (M=V, g=beta, rho=Delta)",
-                              check_hom_coassociative(coalgebra).ok)
+            verdicts.append(Flag("self-comodule (M=V, g=beta, rho=Delta)",
+                                 check_hom_coassociative(coalgebra).ok))
     if p.antipode is not None:
         # HomHopf verified the antipode equations when it was built
-        ok &= _print_bool(name, "antipode equations", True)
-    return bool(ok)
+        verdicts.append(Flag("antipode equations", True))
+    return verdicts
 
 
-def _cmd_check(args) -> int:
-    return 0 if _run_suite(args.file, _load(args.file), args.suite) else 1
+def _cmd_check(args) -> tuple[int, list]:
+    verdicts = _run_suite(_load(args.file), args.suite)
+    return 0 if all(v.ok for v in verdicts) else 1, [(args.file, v) for v in verdicts]
 
 
-def _cmd_dualize(args) -> int:
-    _write(serialize_structure(dual(_load(args.file))), args.output)
-    return 0
+def _cmd_dualize(args) -> tuple[int, list]:
+    return 0, [_write(serialize_structure(dual(_load(args.file))), args.output)]
 
 
-def _cmd_antipode(args) -> int:
-    structure = _bialgebra(_load(args.file), "antipode needs a bialgebra or hopf structure file")
-    result = solve_antipode(structure)
-    if result.status == "none":
-        print("no antipode")
-        return 1
-    if result.status == "unique":
-        print("unique antipode:")
-    else:
-        print(f"affine family of antipodes (kernel dimension {result.kernel_dim}); "
-              "one solution:")
-    for row in result.antipode.entries:
-        print("  [" + ", ".join(rat_str(v) for v in row) + "]")
-    if result.status == "unique":
-        print(f"fixes unit: {result.unit_fixed}; counit-compatible: "
-              f"{result.counit_compatible}")
-    return 0
+def _cmd_antipode(args) -> tuple[int, list]:
+    result = solve_antipode(
+        _bialgebra(_load(args.file), "antipode needs a bialgebra or hopf structure file"))
+    return 1 if result.status == "none" else 0, [result]
 
 
-def _cmd_subspace(args, generalized: bool) -> int:
+def _cmd_subspace(args, generalized: bool) -> tuple[int, list]:
     structure = _bialgebra(_load(args.file),
                            "primitive subspaces need a bialgebra or hopf structure file")
     try:
         basis = (generalized_primitive_subspace if generalized else primitive_subspace)(structure)
     except ValueError as exc:
-        print(f"premises not met: {exc}")
-        return 1
-    label = "generalized primitive" if generalized else "primitive"
-    if not basis:
-        print(f"{label} subspace: zero")
-    else:
-        print(f"{label} subspace basis ({len(basis)} vector(s)):")
-        for v in basis:
-            print(f"  {v}")
-    return 0
+        return 1, [f"premises not met: {exc}"]
+    return 0, [("generalized primitive" if generalized else "primitive", basis)]
 
 
-def _cmd_convolution_test(args) -> int:
+def _cmd_convolution_test(args) -> tuple[int, list]:
     structure = _bialgebra(_load(args.file),
                            "convolution-test needs a bialgebra or hopf structure file")
     if check_convolution_hom_associative(structure) is None:
-        print("premises not met: the structure must be Hom-associative and "
-              "Hom-coassociative")
-        return 1
-    print("convolution Hom-associativity (exact, all basis-matrix triples): ok")
-    return 0
+        return 1, ["premises not met: the structure must be Hom-associative and "
+                   "Hom-coassociative"]
+    return 0, ["convolution Hom-associativity (exact, all basis-matrix triples): ok"]
 
 
-def _cmd_identities(args) -> int:
+def _cmd_identities(args) -> tuple[int, list]:
     n, m = args.dim, min(args.dim, PROOF_DIM)
     coalg = generic_coalgebra(m)
     failures = (lemma_identities_check(coalg) + coassociator_expansion_check(coalg)).count(False)
     cyclic, alternating = admissibility_defects(coalg)
     failures += not all(c == 2 * a for c, a in zip(cyclic, alternating))
     proof = "generic coalgebra" if n == m else f"implied by the generic coalgebra of dim {m}"
-    print(f"identity suite: dim={n} exact ({proof}, {m ** 3 + m ** 2} variables): "
-          f"failures={failures}")
-    return 0 if failures == 0 else 1
+    return 0 if failures == 0 else 1, [
+        f"identity suite: dim={n} exact ({proof}, {m ** 3 + m ** 2} variables): "
+        f"failures={failures}"]
 
 
-def _cmd_search_extension(args) -> int:
+def _cmd_search_extension(args) -> tuple[int, list]:
     structure = _load(args.file)
     if parts(structure).kind != "algebra":
         raise _Failure("search-extension expects an algebra structure file")
@@ -257,40 +235,16 @@ def _cmd_search_extension(args) -> int:
         )
     except ValueError as exc:
         raise _Failure(str(exc)) from exc
-    if verdict.status == "inconclusive":
-        print(f"inconclusive: {verdict.reason}")
-        return 3
-    if verdict.status == "inconsistent":
-        print("inconsistent: no Hom-bialgebra extension exists")
-        print("certificate cofactors (recombine with the generators to 1):")
-        for gen, cof in zip(verdict.generators, verdict.certificate):
-            if not cof.is_zero():
-                print(f"  ({cof}) * ({gen})")
-        return 0
-    if verdict.positive_dimensional:
-        print("solutions exist (positive-dimensional); not enumerated")
-        return 0
-    print(f"solutions: {len(verdict.points)} rational point(s)")
-    for pt in verdict.points:
-        rendered = ", ".join(f"{k}={rat_str(pt[k])}" for k in sorted(pt))
-        print(f"  {rendered}")
-    return 0
+    return 3 if verdict.status == "inconclusive" else 0, [verdict]
 
 
-def _cmd_examples(args) -> int:
+def _cmd_examples(args) -> tuple[int, list]:
     entries = registry()
     if not args.name:
         if args.output is not None or args.param:
             flag = "-o/--output" if args.output is not None else "--param"
             raise _Failure(f"{flag} needs an example name; the listing takes neither flag")
-        for name in sorted(entries):
-            e = entries[name]
-            required = ", ".join(e.required)
-            defaults = ", ".join(f"{k}={rat_str(v)}" for k, v in e.defaults)
-            params = required + (f" [optional: {defaults}]" if defaults else "")
-            print(f"{name} ({e.kind}; params: {params or 'none'})")
-            print(f"  {e.description}")
-        return 0
+        return 0, [entries[name] for name in sorted(entries)]
     if args.name not in entries:
         raise _Failure(f"unknown example {args.name!r}; run `examples` to list")
     bindings: dict[str, Fraction] = {}
@@ -309,8 +263,55 @@ def _cmd_examples(args) -> int:
         structure = entries[args.name].build(bindings)
     except ValueError as exc:
         raise _Failure(str(exc)) from exc
-    _write(serialize_structure(structure, params=bindings), args.output)
-    return 0
+    return 0, [_write(serialize_structure(structure, params=bindings), args.output)]
+
+
+def _render_text(record):
+    """The text lines of one record a handler returned."""
+    match record:
+        case str():
+            yield record
+        case (name, DefectReport() as report):
+            yield f"[{'PASS' if report.ok else 'FAIL'}] {name}: {report.render(limit=8)}"
+        case (name, Flag(check, None, reason)):
+            yield f"[SKIP] {name}: {check}{f' ({reason})' if reason else ''}"
+        case (name, Flag(check, value)):
+            yield f"[{'PASS' if value else 'FAIL'}] {name}: {check}: " \
+                  f"{'ok' if value else 'violated'}"
+        case (label, ()):
+            yield f"{label} subspace: zero"
+        case (label, basis):
+            yield f"{label} subspace basis ({len(basis)} vector(s)):"
+            yield from (f"  {v}" for v in basis)
+        case AntipodeResult(status="none"):
+            yield "no antipode"
+        case AntipodeResult(status=status):
+            yield "unique antipode:" if status == "unique" else \
+                f"affine family of antipodes (kernel dimension {record.kernel_dim}); one solution:"
+            for row in record.antipode.entries:
+                yield "  [" + ", ".join(rat_str(v) for v in row) + "]"
+            if status == "unique":
+                yield f"fixes unit: {record.unit_fixed}; " \
+                      f"counit-compatible: {record.counit_compatible}"
+        case SystemVerdict(status="inconclusive"):
+            yield f"inconclusive: {record.reason}"
+        case SystemVerdict(status="inconsistent"):
+            yield "inconsistent: no Hom-bialgebra extension exists"
+            yield "certificate cofactors (recombine with the generators to 1):"
+            for gen, cof in zip(record.generators, record.certificate):
+                if not cof.is_zero():
+                    yield f"  ({cof}) * ({gen})"
+        case SystemVerdict(positive_dimensional=True):
+            yield "solutions exist (positive-dimensional); not enumerated"
+        case SystemVerdict(points=points):
+            yield f"solutions: {len(points)} rational point(s)"
+            for pt in points:
+                yield "  " + ", ".join(f"{k}={rat_str(pt[k])}" for k in sorted(pt))
+        case RegistryEntry():
+            defaults = ", ".join(f"{k}={rat_str(v)}" for k, v in record.defaults)
+            params = ", ".join(record.required) + (f" [optional: {defaults}]" if defaults else "")
+            yield f"{record.name} ({record.kind}; params: {params or 'none'})"
+            yield f"  {record.description}"
 
 
 def _int_at_least(minimum: int):
@@ -392,12 +393,16 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args)
+        code, records = args.run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except _Failure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    for record in records:
+        for line in _render_text(record):
+            print(line)
+    return code
 
 
 def main() -> None:

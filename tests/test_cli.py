@@ -23,7 +23,7 @@ from homalg import (
     registry,
     serialize_structure,
 )
-from homalg.cli import _build_parser, cli_main
+from homalg.cli import _build_parser, _render_text, cli_main
 
 from conftest import bialgebra_row, cyclic_group_bialgebra, mu1_algebra
 
@@ -769,16 +769,32 @@ def test_readme_cli_section_matches_the_parser():
     assert sorted(named - accepted) == [], "in the README, not accepted"
 
 
-def test_every_subcommand_has_a_handler(capsys):
+def test_every_subcommand_has_a_handler(files, capsys):
     """Each subcommand is registered with the handler that runs it, in the
     order `homalg --help` lists them; one without a handler would end in an
-    AttributeError traceback instead of an exit code."""
+    AttributeError traceback instead of an exit code.  A handler decides and
+    prints nothing: it returns its exit code and records, and rendering those
+    records gives cli_main's stdout byte for byte."""
     parser = _build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(commands.choices) == [
         "check", "dualize", "antipode", "primitives", "gprimitives", "convolution-test",
         "identities", "search-extension", "examples"]
+    b2 = files["bialgebra-2.json"]
+    argvs = {
+        "check": [files["hopf-2.json"]], "dualize": [b2], "antipode": [b2],
+        "primitives": [b2], "gprimitives": [b2], "convolution-test": [b2],
+        "identities": ["--dim", "1"], "search-extension": [files["mu1.json"]], "examples": [],
+    }
     for name, sub in commands.choices.items():
         assert callable(sub.get_default("run")), name
         assert cli_main([name, "--help"]) == 0, name
         assert f"usage: homalg {name}" in capsys.readouterr().out
+        args = parser.parse_args([name, *argvs[name]])
+        code, records = args.run(args)
+        assert isinstance(code, int) and isinstance(records, list), name
+        assert capsys.readouterr() == ("", ""), name
+        rendered = "".join(f"{line}\n" for record in records for line in _render_text(record))
+        assert rendered, name
+        assert cli_main([name, *argvs[name]]) == code, name
+        assert capsys.readouterr().out == rendered, name

@@ -1109,8 +1109,11 @@ def test_empty_input_is_named(call, message):
      "certificate has 2 cofactors for 1 generators"),
     (lambda: verify_certificate([Poly.const(X, 1), Poly.var(X, "x")], [Poly.const(X, 1)]),
      "certificate has 1 cofactors for 2 generators"),
+    (lambda: verify_certificate([Poly.var(X, "x")], [Poly.var(XY, "x")]),
+     "polynomials over different variable lists"),
 ], ids=["add", "leading-monomial", "evaluate", "univariate", "univariate-index-negative",
-        "univariate-index-high", "order", "no-generators", "variable-lists", "roots", "certificate-long", "certificate-short"])
+        "univariate-index-high", "order", "no-generators", "variable-lists", "roots", "certificate-long", "certificate-short",
+        "certificate-variable-lists"])
 def test_malformed_input_is_named(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

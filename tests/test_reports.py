@@ -117,6 +117,8 @@ def test_the_witness_tuple_is_built_once_and_kept():
         report = checker()
         first = report.witnesses
         assert first and report.witnesses is first, name
+    # only ``witnesses`` is looked up on demand; any other name is unknown
+    assert hasattr(DefectReport("c", ()), "nope") is False
 
 
 def test_one_condition_under_two_names_shares_one_witness_tuple():
