@@ -4,10 +4,11 @@ files and the example registry.
 Files are JSON with every rational a string, written "p/q" or as a bare
 integer and read by ``rat``: "p/q", integers, decimals and exponents such as
 "1.5" and "1e3" (read exactly), surrounding spaces, and Unicode decimal
-digits, as ``Fraction`` reads them, but no underscores.  Multiplication constants are nested as ``mul[i][j][k]`` and
-comultiplication constants as ``comul[k][i][j]``; the mandatory
-``convention`` field is pinned to "columns-are-images" so a file states its
-own matrix convention.  Round trips are lossless: parse(serialize(x)) == x.
+digits, as ``Fraction`` reads them, but no underscores.  Multiplication
+constants are nested as ``mul[i][j][k]`` and comultiplication constants as
+``comul[k][i][j]``; the mandatory ``convention`` field is pinned to
+"columns-are-images" so a file states its own matrix convention.  Round trips
+are lossless: parse(serialize(x)) == x.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _scalar(value, field: str) -> Fraction:
         raise ParseError(f"{field}: {exc}") from exc
 
 
-_LEVELS = {1: "entries", 2: "rows", 3: "planes"}
+_LEVELS = {1: ("entry", "entries"), 2: ("row", "rows"), 3: ("plane", "planes")}
 
 
 def _nested(data, dim: int, depth: int, field: str):
@@ -52,8 +53,19 @@ def _nested(data, dim: int, depth: int, field: str):
     if not depth:
         return _scalar(data, field)
     if not isinstance(data, list) or len(data) != dim:
-        raise ParseError(f"{field}: expected {dim} {_LEVELS[depth]}")
+        raise ParseError(f"{field}: expected {dim} {_LEVELS[depth][dim > 1]}")
     return [_nested(v, dim, depth - 1, f"{field}[{i}]") for i, v in enumerate(data)]
+
+
+# the two sides a file may hold: each dataclass with its fields in file order,
+# named as in the file, and each field's tensor class, whose ``order`` is the
+# field's depth; only the third field of a side (unit, counit) may be null
+_SIDES = (
+    (HomAlgebra, (("mul", MulTensor), ("alpha", LinearMap), ("unit", Vector))),
+    (HomCoalgebra, (("comul", ComulTensor), ("beta", LinearMap), ("counit", Vector))),
+)
+# each tensor class's public nested view
+_VIEWS = {MulTensor: "c", ComulTensor: "d", LinearMap: "entries", Vector: "coords"}
 
 
 # (required, optional) fields per kind, in file order, so that a file lacking
@@ -109,27 +121,14 @@ def parse_structure_file(text: str) -> tuple[Structure, dict[str, Fraction]]:
     for name, value in raw_params.items():
         params[name] = _scalar(value, f"params[{name}]")
 
-    algebra = None
-    if "mul" in data:
-        algebra = HomAlgebra(
-            mul=MulTensor(_nested(data["mul"], dim, 3, "mul")),
-            alpha=LinearMap(_nested(data["alpha"], dim, 2, "alpha")),
-            unit=None if data.get("unit") is None
-            else Vector(_nested(data["unit"], dim, 1, "unit")),
-        )
-    coalgebra = None
-    if "comul" in data:
-        coalgebra = HomCoalgebra(
-            comul=ComulTensor(_nested(data["comul"], dim, 3, "comul")),
-            beta=LinearMap(_nested(data["beta"], dim, 2, "beta")),
-            counit=None if data.get("counit") is None
-            else Vector(_nested(data["counit"], dim, 1, "counit")),
-        )
-
-    if algebra is None or coalgebra is None:
-        return (coalgebra if algebra is None else algebra), params
+    sides = [side(**{name: None if i == 2 and data.get(name) is None
+                     else cls(_nested(data[name], dim, cls.order, name))
+                     for i, (name, cls) in enumerate(fields)})
+             for side, fields in _SIDES if fields[0][0] in data]
+    if len(sides) == 1:
+        return sides[0], params
     try:
-        bialgebra = HomBialgebra(algebra=algebra, coalgebra=coalgebra)
+        bialgebra = HomBialgebra(*sides)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     if kind == "bialgebra":
@@ -197,14 +196,11 @@ def serialize_structure(structure: Structure, params: Mapping[str, Fraction] | N
     """Canonical JSON text for a structure (deterministic field order)."""
     p = parts(structure)
     out: dict = {"kind": p.kind, "dim": structure.dim, "convention": CONVENTION}
-    if p.algebra is not None:
-        out["mul"] = _json(p.algebra.mul.c)
-        out["alpha"] = _json(p.algebra.alpha.entries)
-        out["unit"] = None if p.algebra.unit is None else _json(p.algebra.unit.coords)
-    if p.coalgebra is not None:
-        out["comul"] = _json(p.coalgebra.comul.d)
-        out["beta"] = _json(p.coalgebra.beta.entries)
-        out["counit"] = None if p.coalgebra.counit is None else _json(p.coalgebra.counit.coords)
+    for side, (_, fields) in zip((p.algebra, p.coalgebra), _SIDES):
+        if side is not None:
+            for name, cls in fields:
+                tensor = getattr(side, name)
+                out[name] = None if tensor is None else _json(getattr(tensor, _VIEWS[cls]))
     if p.antipode is not None:
         out["antipode"] = _json(p.antipode.entries)
     if params:
@@ -243,102 +239,74 @@ class RegistryEntry:
         return self.builder(values)
 
 
-# the two dim-2 unital classes, e1 the unit: (multiplication entries, twist in
-# a1 and a2) for mu1, where e2.e2 = e2, and for mu2, where e2.e2 = 0
+# the two dim-2 unital classes, e1 the unit, each as (multiplication entries,
+# twist in a1 and a2, description): mu1, where e2.e2 = e2, and mu2, where
+# e2.e2 = 0
 _CLASSES = {
     "mu1": ({(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 1): 1},
-            lambda a1, a2: [[a1, 0], [a2 - a1, a2]]),
+            lambda a1, a2: [[a1, 0], [a2 - a1, a2]],
+            "e2.e2 = e2, twist [[a1,0],[a2-a1,a2]]"),
     "mu2": ({(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1},
-            lambda a1, a2: [[a1, 0], [a2, a1]]),
+            lambda a1, a2: [[a1, 0], [a2, a1]],
+            "e2.e2 = 0, twist [[a1,0],[a2,a1]]"),
+}
+
+# the three weak Hom-bialgebra rows over mu1, each as (comultiplication,
+# counit, twist in b1, b2 and b3, description); every build shares the row's
+# tensors.  Twisted coassociativity pins the lower-left entry of each twist to
+# 0 (and makes the third printed parameter of the family redundant); the
+# remaining entries are exactly the two-parameter solution families.
+_ROWS = {
+    1: (ComulTensor.from_entries(2, {(0, 0, 0): 1, (1, 1, 1): 1}), Vector([1, 1]),
+        lambda b1, b2, b3: [[b1, 0], [0, b2]],
+        "grouplike comultiplication over algebra-mu1; beta = diag(b1, b2) "
+        "(coassociativity forces the off-diagonal to 0, so b3 is unused)"),
+    2: (ComulTensor.from_entries(2, {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1,
+                                     (1, 1, 1): -2}), Vector([1, 0]),
+        lambda b1, b2, b3: [[b1, (b1 - b3) / 2], [0, b3]],
+        "Delta(e2) = e1(x)e2 + e2(x)e1 - 2 e2(x)e2 over algebra-mu1; "
+        "beta = [[b1,(b1-b3)/2],[0,b3]] (b2 is pinned to 0 by "
+        "coassociativity and unused)"),
+    3: (ComulTensor.from_entries(2, {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1,
+                                     (1, 1, 1): -1}), Vector([1, 0]),
+        lambda b1, b2, b3: [[b1, b1 - b3], [0, b3]],
+        "Delta(e2) = e1(x)e2 + e2(x)e1 - e2(x)e2 over algebra-mu1; "
+        "beta = [[b1,b1-b3],[0,b3]] (b2 is pinned to 0 by coassociativity "
+        "and unused)"),
 }
 
 
 def _algebra(name: str, v: dict[str, Fraction]) -> HomAlgebra:
-    entries, twist = _CLASSES[name]
+    entries, twist, _ = _CLASSES[name]
     return HomAlgebra(mul=MulTensor.from_entries(2, entries),
                       alpha=LinearMap(twist(v["a1"], v["a2"])), unit=Vector.basis(2, 0))
 
 
-_COMULS = {
-    1: ComulTensor.from_entries(2, {(0, 0, 0): 1, (1, 1, 1): 1}),
-    2: ComulTensor.from_entries(2, {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1,
-                                    (1, 1, 1): -2}),
-    3: ComulTensor.from_entries(2, {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1,
-                                    (1, 1, 1): -1}),
-}
-_COUNITS = {1: Vector([1, 1]), 2: Vector([1, 0]), 3: Vector([1, 0])}
+def _bialgebra(row: int, v: dict[str, Fraction]) -> HomBialgebra:
+    comul, counit, twist, _ = _ROWS[row]
+    beta = LinearMap(twist(v["b1"], v["b2"], v["b3"]))
+    return HomBialgebra(algebra=_algebra("mu1", v),
+                        coalgebra=HomCoalgebra(comul=comul, beta=beta, counit=counit))
 
 
-def _beta(row: int, v: dict[str, Fraction]) -> LinearMap:
-    # Twisted coassociativity pins the lower-left entry of each family to 0
-    # (and makes the third printed parameter of the family redundant); the
-    # remaining entries are exactly the two-parameter solution families.
-    b1, b2, b3 = v["b1"], v["b2"], v["b3"]
-    if row == 1:
-        return LinearMap([[b1, 0], [0, b2]])
-    if row == 2:
-        return LinearMap([[b1, (b1 - b3) / 2], [0, b3]])
-    return LinearMap([[b1, b1 - b3], [0, b3]])
-
-
-def _bialgebra_row(row: int) -> Callable[[dict[str, Fraction]], HomBialgebra]:
-    def build(v: dict[str, Fraction]) -> HomBialgebra:
-        return HomBialgebra(
-            algebra=_algebra("mu1", v),
-            coalgebra=HomCoalgebra(
-                comul=_COMULS[row], beta=_beta(row, v), counit=_COUNITS[row]
-            ),
-        )
-
-    return build
-
-
-def _hopf2(v: dict[str, Fraction]) -> HomHopf:
-    return HomHopf(bialgebra=_bialgebra_row(2)(v), antipode=LinearMap.identity(2))
-
-
+_B_PARAMS = ("b1", "b2", "b3")
 _A_DEFAULTS = (("a1", ONE), ("a2", ONE))
 
 
 def registry() -> dict[str, RegistryEntry]:
-    """Named built-in structures; parametric entries need bindings."""
+    """Named built-in structures, one per row of :data:`_CLASSES` and
+    :data:`_ROWS` and the hopf row; parametric entries need bindings."""
     entries = [
-        RegistryEntry(
-            "algebra-mu1", "algebra", ("a1", "a2"), (),
-            "dim-2 unital Hom-associative algebra: e2.e2 = e2, twist "
-            "[[a1,0],[a2-a1,a2]]",
-            partial(_algebra, "mu1"),
-        ),
-        RegistryEntry(
-            "algebra-mu2", "algebra", ("a1", "a2"), (),
-            "dim-2 unital Hom-associative algebra: e2.e2 = 0, twist "
-            "[[a1,0],[a2,a1]]",
-            partial(_algebra, "mu2"),
-        ),
-        RegistryEntry(
-            "bialgebra-1", "bialgebra", ("b1", "b2", "b3"), _A_DEFAULTS,
-            "grouplike comultiplication over algebra-mu1; beta = diag(b1, b2) "
-            "(coassociativity forces the off-diagonal to 0, so b3 is unused)",
-            _bialgebra_row(1),
-        ),
-        RegistryEntry(
-            "bialgebra-2", "bialgebra", ("b1", "b2", "b3"), _A_DEFAULTS,
-            "Delta(e2) = e1(x)e2 + e2(x)e1 - 2 e2(x)e2 over algebra-mu1; "
-            "beta = [[b1,(b1-b3)/2],[0,b3]] (b2 is pinned to 0 by "
-            "coassociativity and unused)",
-            _bialgebra_row(2),
-        ),
-        RegistryEntry(
-            "bialgebra-3", "bialgebra", ("b1", "b2", "b3"), _A_DEFAULTS,
-            "Delta(e2) = e1(x)e2 + e2(x)e1 - e2(x)e2 over algebra-mu1; "
-            "beta = [[b1,b1-b3],[0,b3]] (b2 is pinned to 0 by coassociativity "
-            "and unused)",
-            _bialgebra_row(3),
-        ),
-        RegistryEntry(
-            "hopf-2", "hopf", ("b1", "b2", "b3"), _A_DEFAULTS,
-            "bialgebra-2 with its antipode, the identity matrix",
-            _hopf2,
-        ),
+        *(RegistryEntry(f"algebra-{name}", "algebra", ("a1", "a2"), (),
+                        f"dim-2 unital Hom-associative algebra: {text}",
+                        partial(_algebra, name))
+          for name, (*_, text) in _CLASSES.items()),
+        *(RegistryEntry(f"bialgebra-{row}", "bialgebra", _B_PARAMS, _A_DEFAULTS, text,
+                        partial(_bialgebra, row))
+          for row, (*_, text) in _ROWS.items()),
+        RegistryEntry("hopf-2", "hopf", _B_PARAMS, _A_DEFAULTS,
+                      "bialgebra-2 with its antipode, the identity matrix",
+                      lambda v: HomHopf(bialgebra=_bialgebra(2, v),
+                                        antipode=LinearMap.identity(2))),
     ]
     return {e.name: e for e in entries}

@@ -222,9 +222,40 @@ def test_boolean_dim_is_parse_error():
     ("alpha", [["1", "0"], ["0", "1", "0"]], r"alpha\[1\]: expected 2 entries"),
     ("unit", ["1"], "unit: expected 2 entries"),
     ("unit", ["1", True], r"unit\[1\]: expected an exact rational string, got True"),
+    # only unit may be null on the algebra side
+    ("mul", None, "mul: expected 2 planes"),
+    ("alpha", None, "alpha: expected 2 rows"),
+    # a dim-1 file is told of 1 plane, not 1 planes
+    ("dim", 1, "mul: expected 1 plane$"),
 ])
 def test_nested_field_messages_name_the_first_failing_position(field, value, message):
     data = json.loads(serialize_structure(mu1_algebra(1, 1)))
+    data[field] = value
+    with pytest.raises(ParseError, match=f"^{message}"):
+        parse_structure(json.dumps(data))
+
+
+@pytest.mark.parametrize("field, message", [
+    ("comul", "comul: expected 2 planes"),
+    ("beta", "beta: expected 2 rows"),
+    ("antipode", "antipode: expected 2 rows"),
+])
+def test_a_null_comultiplication_twist_or_antipode_is_named(field, message):
+    data = json.loads(serialize_structure(
+        registry()["hopf-2"].build(REGISTRY_BINDINGS["hopf-2"])))
+    data[field] = None
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_structure(json.dumps(data))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("alpha", ["1", "0"], "alpha: expected 1 row$"),
+    ("unit", False, "unit: expected 1 entry$"),
+])
+def test_dim_1_messages_count_in_the_singular(field, value, message):
+    data = {"kind": "algebra", "dim": 1, "convention": "columns-are-images",
+            "mul": [[["1"]]], "alpha": [["1"]], "unit": ["1"]}
+    parse_structure(json.dumps(data))
     data[field] = value
     with pytest.raises(ParseError, match=f"^{message}"):
         parse_structure(json.dumps(data))
