@@ -524,8 +524,8 @@ def enumerate_rational_points(
     basis: Sequence[Poly],
 ) -> list[dict[str, Fraction]]:
     """Back-substitution through a lex Groebner basis of a zero-dimensional
-    ideal; returns every rational point, verified against the basis.  Each
-    element is solved at its level, its first variable: with the later
+    ideal; returns every rational point that zeroes the basis (``_zeroes``).
+    Each element is solved at its level, its first variable: with the later
     variables bound, the elements of a level are univariate in it."""
     if not basis:
         raise ValueError("empty basis")
@@ -550,7 +550,7 @@ def enumerate_rational_points(
             next_points += [{**pt, variables[idx]: root} for root in rational_roots(first)
                             if all(_horner(c, root) == 0 for c in others)]
         partial_points = next_points
-    return [pt for pt in partial_points if all(p.evaluate(pt) == 0 for p in basis)]
+    return [pt for pt in partial_points if _zeroes(basis, map(pt.get, variables))]
 
 
 # ---------------------------------------------------------------------------
@@ -583,16 +583,21 @@ class SystemVerdict:
 EXTENSION_VARIABLES = ("x11", "x12", "x21", "x22", "y")
 
 
+# alpha_defects' specs, Delta and eps on integers, with a leg v over (x11, x12, x21, x22, y, 1):
+# Delta(e1) = e1 (x) e1, Delta(e2) = sum x_ij e_i (x) e_j, eps = (1, y)
+_ALPHA_SPECS = [s.replace("->", "v->") + "v" for s in (_COMUL_ALPHA, _ALPHA_COMUL, _COUNIT_ALPHA)]
+_DELTA = Table((2, 2, 2, 6), False,
+               {(0, 0, 0, 5): 1} | {(1, v // 2, v % 2, v): 1 for v in range(4)}, 1)
+_EPS = Table((2, 6), False, {(0, 5): 1, (1, 4): 1}, 1)
+_LEG_MONOMIALS = tuple(tuple(int(u == v) for u in range(5)) for v in range(6))
+
+
 def _extension_bialgebra(algebra):
-    """The algebra with Delta(e1) = e1 (x) e1, eps(e1) = 1, and Delta(e2) and
-    eps(e2) the polynomial variables of ``EXTENSION_VARIABLES``."""
-    V = EXTENSION_VARIABLES
-    one, zero = Poly.const(V, 1), Poly.zero(V)
-    delta = ComulTensor([
-        [[one, zero], [zero, zero]],
-        [[Poly.var(V, f"x{i}{j}") for j in (1, 2)] for i in (1, 2)],
-    ])
-    eps = Vector([one, Poly.var(V, "y")])
+    """The algebra with Delta and eps the tables ``_DELTA`` and ``_EPS`` read on the
+    monomials of their leg v: polynomials in ``EXTENSION_VARIABLES``."""
+    legs = [Poly._raw(EXTENSION_VARIABLES, {m: 1}) for m in _LEG_MONOMIALS]
+    delta = ComulTensor.contracted("kijv,v->kij", _DELTA, legs)
+    eps = Vector.contracted("iv,v->i", _EPS, legs)
     return HomBialgebra(algebra, HomCoalgebra(delta, LinearMap.identity(2), eps))
 
 
@@ -627,21 +632,13 @@ def _weak_generators(mul, unit) -> tuple[Poly, ...]:
     return tuple(dict.fromkeys(v for v in values if v))
 
 
-# alpha_defects' specs, Delta and eps on integers, with a leg v over (x11, x12, x21, x22, y, 1)
-_ALPHA_SPECS = [s.replace("->", "v->") + "v" for s in (_COMUL_ALPHA, _ALPHA_COMUL, _COUNIT_ALPHA)]
-_DELTA = Table((2, 2, 2, 6), False,
-               {(0, 0, 0, 5): 1} | {(1, v // 2, v % 2, v): 1 for v in range(4)}, 1)
-_EPS = Table((2, 6), False, {(0, 5): 1, (1, 4): 1}, 1)
-_LEG_MONOMIALS = tuple(tuple(int(u == v) for u in range(5)) for v in range(6))
-
-
 def _zeroes(generators: Sequence[Poly], point: Iterable[Fraction]) -> bool:
     """Whether the point (one value per variable) zeroes every generator's integer terms:
     with its values over one denominator D, each monomial is valued once, times D^(top
     degree - degree), and each generator is one dot product, exact on a Fraction too."""
     nums, den = numerators(point)
     monomials = {m for g in generators for m in g.terms}
-    top = max(map(sum, monomials))
+    top = max(map(sum, monomials), default=0)
     values = {m: prod(map(pow, nums, m)) * den ** (top - sum(m)) for m in monomials}
     return not any(sum(map(mul, map(values.__getitem__, g.terms), g.terms.values()))
                    for g in generators)

@@ -256,31 +256,19 @@ class Poly:
 
     # -- evaluation --------------------------------------------------------
     def substitute(self, assignment: Mapping[str, object]) -> "Poly":
-        """Partially evaluate; remaining variables keep their positions.
-
-        Each term is computed as an integer numerator over an integer
-        denominator, and each output monomial is summed once, over the lcm of
-        its terms' denominators."""
-        values = []
-        for name, value in assignment.items():
-            value = rat(value)
-            values.append((_variable_index(self.variables, name), value.numerator,
-                           value.denominator))
-        parts: dict[Monomial, list[tuple[int, int]]] = {}
+        """Partially evaluate; remaining variables keep their positions."""
+        values = [(rat(value), _variable_index(self.variables, name))
+                  for name, value in assignment.items()]
+        terms: dict[Monomial, Fraction | int] = {}
         for mono, coeff in self.terms.items():
-            num, den = coeff.numerator, coeff.denominator
             new = list(mono)
-            for idx, vnum, vden in values:
+            for value, idx in values:
                 if e := mono[idx]:
-                    num *= vnum ** e
-                    den *= vden ** e
+                    coeff *= value ** e
                     new[idx] = 0
-            if num:
-                parts.setdefault(tuple(new), []).append((num, den))
-        terms: dict[Monomial, Fraction] = {}
-        for mono, fractions in parts.items():
-            den = lcm(*(d for _, d in fractions))
-            terms[mono] = Fraction(sum(n * (den // d) for n, d in fractions), den)
+            if coeff:
+                new = tuple(new)
+                terms[new] = terms.get(new, 0) + coeff
         return Poly._raw(self.variables, terms)
 
     def evaluate(self, point: Mapping[str, object]) -> Fraction:

@@ -68,13 +68,14 @@ _SIDES = (
 _VIEWS = {MulTensor: "c", ComulTensor: "d", LinearMap: "entries", Vector: "coords"}
 
 
-# (required, optional) fields per kind, in file order, so that a file lacking
-# several required fields is told the first of them
+# (required, optional) fields per kind in file order, so that a file lacking several
+# is told the first; only a lone side's third field (unit, counit) may be missing
+_ALGEBRA, _COALGEBRA = (tuple(name for name, _ in fields) for _, fields in _SIDES)
 _KIND_FIELDS = {
-    "algebra": (("mul", "alpha"), ("unit",)),
-    "coalgebra": (("comul", "beta"), ("counit",)),
-    "bialgebra": (("mul", "alpha", "unit", "comul", "beta", "counit"), ()),
-    "hopf": (("mul", "alpha", "unit", "comul", "beta", "counit", "antipode"), ()),
+    "algebra": (_ALGEBRA[:2], _ALGEBRA[2:]),
+    "coalgebra": (_COALGEBRA[:2], _COALGEBRA[2:]),
+    "bialgebra": (_ALGEBRA + _COALGEBRA, ()),
+    "hopf": (_ALGEBRA + _COALGEBRA + ("antipode",), ()),
 }
 _COMMON_FIELDS = {"kind", "dim", "convention", "params"}
 

@@ -90,6 +90,42 @@ def test_substitute_sums_each_monomial_exactly():
     assert type(half.terms[1, 0]) is int
 
 
+def _reference_substitute(p, assignment):
+    """Term by term on Fractions: each term's value, summed by its left-over monomial."""
+    index = {name: p.variables.index(name) for name in assignment}
+    terms = {}
+    for mono, coeff in p.terms.items():
+        value, left = Fraction(coeff), list(mono)
+        for name, v in assignment.items():
+            value *= Fraction(v) ** mono[index[name]]
+            left[index[name]] = 0
+        terms[tuple(left)] = terms.get(tuple(left), 0) + value
+    return {m: c for m, c in terms.items() if c}
+
+
+def test_substitute_and_evaluate_agree_with_a_fraction_reference():
+    rng = random.Random(43)
+    xyz = ("x", "y", "z")
+    values = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), "3/7"]
+    for _ in range(300):
+        terms = {tuple(rng.randrange(4) for _ in xyz):
+                 rng.choice([1, -2, 3, Fraction(1, 3), Fraction(-5, 2), Fraction(7, 6)])
+                 for _ in range(rng.randrange(1, 7))}
+        p = Poly(xyz, terms)
+        names = rng.sample(xyz, rng.randrange(len(xyz) + 1))
+        assignment = {name: rng.choice(values) for name in names}
+        got = p.substitute(assignment)
+        assert got.terms == _reference_substitute(p, assignment)
+        # a whole coefficient comes back as an int, any other as a Fraction
+        assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                   for c in got.terms.values())
+        point = {name: rng.choice(values) for name in xyz}
+        value = p.evaluate(point)
+        assert value == _reference_substitute(p, point).get((0, 0, 0), 0)
+        # a zero value is constant_value's Fraction zero
+        assert type(value) is (int if value and value.denominator == 1 else Fraction)
+
+
 def test_scaling_keeps_whole_products_of_int_coefficients_as_ints():
     x = Poly.var(X, "x")
     u, v = Poly.var(XY, "x"), Poly.var(XY, "y")
@@ -365,6 +401,21 @@ def test_poly_scalar_product_and_truthiness():
     one = Poly.const(XY, 1)
     assert x + 1 == 1 + x == x + one
     assert 1 - x == one - x and x - Fraction(1) == x - one
+
+
+@pytest.mark.parametrize("algebra", [mu1_algebra(2, 3), mu2_algebra(1, 2)])
+def test_extension_unknowns_read_from_the_tables_match_them_written_out(algebra):
+    # Delta(e1) = e1 (x) e1, Delta(e2) = sum x_ij e_i (x) e_j and eps = (1, y),
+    # written out as polynomials
+    V = EXTENSION_VARIABLES
+    one, zero = Poly.const(V, 1), Poly.zero(V)
+    delta = ComulTensor([
+        [[one, zero], [zero, zero]],
+        [[Poly.var(V, f"x{i}{j}") for j in (1, 2)] for i in (1, 2)],
+    ])
+    eps = Vector([one, Poly.var(V, "y")])
+    coalgebra = homalg.polysolve._extension_bialgebra(algebra).coalgebra
+    assert coalgebra.comul == delta and coalgebra.counit == eps
 
 
 # --- solver parity pins, caps and counters ------------------------------------------
@@ -1162,6 +1213,10 @@ def test_extension_search_requires_a_unital_algebra(strict):
 
 def test_inconsistent_basis_has_no_points():
     assert enumerate_rational_points((Poly.const(XY, 1),)) == []
+
+
+def test_a_basis_over_no_variables_of_zero_terms_has_the_empty_point():
+    assert enumerate_rational_points([Poly.zero(())]) == [{}]
 
 
 # --- integer coefficients stay ints ---------------------------------------------------

@@ -296,3 +296,39 @@ def test_hopf_antipode_shape_error_prefixed_once():
     with pytest.raises(ParseError) as info:
         parse_structure(json.dumps(data))
     assert str(info.value) == "antipode: expected 2 rows"
+
+
+def _kind_files() -> dict:
+    """One parsed structure file per kind, from the hopf-2 example."""
+    hopf = registry()["hopf-2"].build(REGISTRY_BINDINGS["hopf-2"])
+    b = hopf.bialgebra
+    return {kind: json.loads(serialize_structure(structure)) for kind, structure in
+            (("algebra", b.algebra), ("coalgebra", b.coalgebra), ("bialgebra", b),
+             ("hopf", hopf))}
+
+
+@pytest.mark.parametrize("kind, fields, optional, foreign", [
+    ("algebra", ("mul", "alpha"), "unit", ("comul", "beta", "counit", "antipode")),
+    ("coalgebra", ("comul", "beta"), "counit", ("mul", "alpha", "unit", "antipode")),
+    ("bialgebra", ("mul", "alpha", "unit", "comul", "beta", "counit"), None, ("antipode",)),
+    ("hopf", ("mul", "alpha", "unit", "comul", "beta", "counit", "antipode"), None, ()),
+])
+def test_each_kind_requires_its_fields_in_file_order(kind, fields, optional, foreign):
+    data = _kind_files()[kind]
+    parse_structure(json.dumps(data))
+    for i, field in enumerate(fields):
+        # with the fields before it gone too, the first of them is named
+        lacking = {k: v for k, v in data.items() if k not in fields[:i + 1]}
+        with pytest.raises(ParseError, match=f"^missing field '{fields[0]}' for kind '{kind}'$"):
+            parse_structure(json.dumps(lacking))
+        alone = {k: v for k, v in data.items() if k != field}
+        with pytest.raises(ParseError, match=f"^missing field '{field}' for kind '{kind}'$"):
+            parse_structure(json.dumps(alone))
+    for field in foreign:
+        extra = {**data, field: data.get("mul") or data.get("comul")}
+        with pytest.raises(ParseError, match=f"^unexpected field '{field}' for kind '{kind}'$"):
+            parse_structure(json.dumps(extra))
+    if optional:
+        # a lone side may leave out its third field
+        del data[optional]
+        assert getattr(parse_structure(json.dumps(data)), optional) is None
