@@ -299,7 +299,7 @@ def test_hopf_antipode_shape_error_prefixed_once():
 
 
 def _kind_files() -> dict:
-    """One parsed structure file per kind, from the hopf-2 example."""
+    """One structure file per kind, as JSON data, from the hopf-2 example."""
     hopf = registry()["hopf-2"].build(REGISTRY_BINDINGS["hopf-2"])
     b = hopf.bialgebra
     return {kind: json.loads(serialize_structure(structure)) for kind, structure in
