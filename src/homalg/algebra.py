@@ -34,7 +34,6 @@ from .tensors import (
     Vector,
     _contraction,
     _reduced,
-    contract,
     phi_apply,
     signed_leg_sum,
     subgroup,
@@ -189,11 +188,13 @@ def check_hom_leibniz(lie: HomAlgebra) -> DefectReport:
     return DefectReport("hom-leibniz", Defects.of(defect, order=_K_LAST))
 
 
-def _merge_legs(t, pairs: int):
-    """Flatten each pair of consecutive legs (i1, i2) into one leg i1 * dim2 + i2."""
-    if pairs == 0:
-        return t
-    return [_merge_legs(inner, pairs - 1) for outer in t for inner in outer]
+def _kron(t1, t2):
+    """t1 (x) t2 on the integer tables, each leg pair (i1, i2) flattened to
+    i1 * dim2 + i2."""
+    n = t2.dim
+    return type(t1)._of(t1.dim * n, {tuple(i * n + j for i, j in zip(k1, k2)): v1 * v2
+                                     for k1, v1 in t1._num.items() for k2, v2 in t2._num.items()},
+                        t1._den * t2._den)
 
 
 def tensor_product(a1: HomAlgebra, a2: HomAlgebra) -> HomAlgebra:
@@ -203,12 +204,8 @@ def tensor_product(a1: HomAlgebra, a2: HomAlgebra) -> HomAlgebra:
     """
     if (a1.unit is None) != (a2.unit is None):
         raise ValueError("tensor product needs both algebras unital or both non-unital")
-    mul = MulTensor(_merge_legs(contract("ace,bdf->abcdef", a1.mul, a2.mul), 3))
-    alpha = LinearMap(_merge_legs(contract("ac,bd->abcd", a1.alpha, a2.alpha), 2))
-    unit = None
-    if a1.unit is not None and a2.unit is not None:
-        unit = Vector(_merge_legs(contract("a,b->ab", a1.unit, a2.unit), 1))
-    return HomAlgebra(mul=mul, alpha=alpha, unit=unit)
+    return HomAlgebra(mul=_kron(a1.mul, a2.mul), alpha=_kron(a1.alpha, a2.alpha),
+                      unit=None if a1.unit is None else _kron(a1.unit, a2.unit))
 
 
 def check_algebra_morphism(f: LinearMap, source: HomAlgebra, target: HomAlgebra) -> bool:

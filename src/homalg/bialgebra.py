@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import product
 from math import prod
 
-from .algebra import HomAlgebra, check_hom_associative
+from .algebra import HomAlgebra, check_hom_associative, commutator_bracket
 from .coalgebra import HomCoalgebra, check_hom_coassociative
 from .linsolve import _echelon, _kernel_numerators, inconsistency_certificate, linear_solve
 from .rational import ONE
@@ -97,7 +97,7 @@ class HomBialgebra:
         for v in basis:
             if contract("k,k->", v, self.counit):
                 raise ValueError(f"counit does not vanish on primitive element {v}")
-        _check_commutators(self.algebra.mul, basis, rows, "fails the primitive equation")
+        _check_commutators(self.algebra, basis, rows, "fails the primitive equation")
         return basis
 
 
@@ -303,13 +303,13 @@ def _solves(rows: list[list[int]], x: Vector) -> bool:
     return not any(sum(row[c] * v for (c,), v in x._num.items()) for row in rows)
 
 
-def _check_commutators(mul, basis, rows: list[list[int]], failure: str) -> None:
+def _check_commutators(algebra: HomAlgebra, basis, rows: list[list[int]], failure: str) -> None:
     """Raise ValueError unless the commutator of any two members of
     ``basis`` solves ``rows`` again; ``failure`` ends the message.
 
     Each unordered pair is checked once: [v, v] = 0 and [w, v] = -[v, w],
-    and the solutions of ``rows`` form a subspace; mu - mu^op is tabled once."""
-    bracket = mul - mul.contracted("jik->ijk", mul) if len(basis) > 1 else None
+    and the solutions of ``rows`` form a subspace; the bracket is tabled once."""
+    bracket = commutator_bracket(algebra).mul if len(basis) > 1 else None
     for i, v in enumerate(basis):
         for w in basis[i + 1:]:
             if not _solves(rows, bracket.apply(v, w)):
@@ -358,7 +358,7 @@ def generalized_primitive_subspace(bialgebra: HomBialgebra) -> tuple[Vector, ...
         if not _solves(rows, p):
             raise ValueError(f"primitive element {p} is not generalized primitive")
 
-    _check_commutators(bialgebra.algebra.mul, basis, rows,
+    _check_commutators(bialgebra.algebra, basis, rows,
                        "leaves the generalized primitive space")
     return basis
 

@@ -19,7 +19,7 @@ is Hom-Lie admissible when the cyclic sum
 
 vanishes, equivalently (and always exactly twice) the alternating sum of
 Phi_sigma o c_beta(Delta) over all of S3.  :func:`check_hom_lie_admissible`
-reports both routes from the alternating witnesses;
+reports both routes from the alternating (G6) table;
 :func:`admissibility_defects` computes each route on its own.  The direct
 expansions of Delta followed by Delta and beta (:func:`expand_outer_beta`,
 :func:`expand_beta_outer`) serve the lemma identities.
@@ -49,7 +49,7 @@ from .algebra import (
     commutator_bracket,
 )
 from .rational import Poly
-from .reports import DefectReport
+from .reports import DefectReport, Defects
 from .tensors import (
     ComulTensor,
     LinearMap,
@@ -262,12 +262,14 @@ class AdmissibilityReport:
 
 def check_hom_lie_admissible(coalgebra: HomCoalgebra) -> AdmissibilityReport:
     """Both routes.  The alternating one is the G6 condition and reads its
-    table; the cyclic one is its table doubled, since cyclic =
+    table; the cyclic one reads that table doubled, since cyclic =
     2 * alternating on every coalgebra (``identities`` proves it)."""
-    alternating = _G_witnesses(coalgebra._transpose, "G6", k_first=True)
+    transpose = coalgebra._transpose
     return AdmissibilityReport(
-        cyclic=DefectReport("hom-lie-admissible (cyclic)", alternating.scaled(2)),
-        alternating=DefectReport("hom-lie-admissible (alternating)", alternating),
+        cyclic=DefectReport("hom-lie-admissible (cyclic)",
+                            Defects.of(2 * _G_defect(transpose, "G6"))),
+        alternating=DefectReport("hom-lie-admissible (alternating)",
+                                 _G_witnesses(transpose, "G6", k_first=True)),
     )
 
 

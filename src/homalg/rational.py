@@ -243,8 +243,8 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
-    def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), ZERO)
+    def constant_value(self) -> Fraction | int:
+        return self.terms.get((0,) * len(self.variables), 0)
 
     def leading_monomial(self, order: str = "grevlex") -> Monomial:
         if not self.terms:
@@ -271,7 +271,7 @@ class Poly:
                 terms[new] = terms.get(new, 0) + coeff
         return Poly._raw(self.variables, terms)
 
-    def evaluate(self, point: Mapping[str, object]) -> Fraction:
+    def evaluate(self, point: Mapping[str, object]) -> Fraction | int:
         res = self.substitute(point)
         if not res.is_constant():
             missing = [v for i, v in enumerate(self.variables)

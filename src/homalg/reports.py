@@ -41,7 +41,7 @@ class Defects:
     """The nonzero entries of one or more labelled defect tables, formatted or
     listed as witnesses when read.
 
-    A table's entry at ``key`` has the value ``table[key] * scale / den`` (a
+    A table's entry at ``key`` has the value ``table[key] / den`` (a
     polynomial entry is its own value, over 1) at the indices ``order(key)``
     (the key itself without ``order``), and its entries come in index order.
     ``joined`` lists several holders' entries one after another or, with
@@ -52,9 +52,9 @@ class Defects:
 
     parts: tuple[Defects, ...] = ()
 
-    def __init__(self, table: Mapping, den: int = 1, label: str = "", scale: int = 1,
+    def __init__(self, table: Mapping, den: int = 1, label: str = "",
                  order: Callable[[tuple], tuple] | None = None):
-        self.table, self.den, self.label, self.scale, self.order = table, den, label, scale, order
+        self.table, self.den, self.label, self.order = table, den, label, order
 
     @classmethod
     def joined(cls, *parts: Defects, legs: int = 0) -> Defects:
@@ -66,10 +66,6 @@ class Defects:
     def of(cls, tensor, label: str = "", order: Callable[[tuple], tuple] | None = None) -> Defects:
         """The nonzero entries of a tensor's integer table."""
         return cls(tensor._num, tensor._den, label, order=order)
-
-    def scaled(self, scale: int) -> Defects:
-        """One table's values times ``scale``."""
-        return Defects(self.table, self.den, self.label, self.scale * scale, self.order)
 
     def __len__(self) -> int:
         return sum(map(len, self.parts)) if self.parts else len(self.table)
@@ -85,9 +81,9 @@ class Defects:
             # at equal keys merge takes the earlier part first: legs 0 concatenates
             return merge(*(part._entries() for part in self.parts),
                          key=lambda entry: entry[1][:self.legs])
-        table, scale, order = self.table, self.scale, self.order
-        return ((self.label, order(key) if order else key,
-                 table[key] * scale if scale != 1 else table[key], self.den) for key in self._keys)
+        table, order = self.table, self.order
+        return ((self.label, order(key) if order else key, table[key], self.den)
+                for key in self._keys)
 
     def render(self, limit: int | None = None) -> list[str]:
         """The first ``limit`` entries (all without a limit), each as its
@@ -102,9 +98,6 @@ class Defects:
 
     @cached_property
     def witnesses(self) -> tuple[Witness, ...]:
-        if self.parts and not self.legs:
-            # one part after another: a remembered part lists its witnesses once
-            return sum((part.witnesses for part in self.parts), ())
         return tuple(Witness(indices, Fraction(value, den) if isinstance(value, int) else value,
                              label) for label, indices, value, den in self._entries())
 

@@ -28,15 +28,13 @@ def random_linear_map(dim: int, rng: random.Random) -> LinearMap:
     )
 
 
+def _random_cube(dim: int, rng: random.Random) -> list:
+    return [[[random_scalar(rng) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+
+
 def random_mul_tensor(dim: int, rng: random.Random) -> MulTensor:
-    return MulTensor(
-        [[[random_scalar(rng) for _ in range(dim)] for _ in range(dim)]
-         for _ in range(dim)]
-    )
+    return MulTensor(_random_cube(dim, rng))
 
 
 def random_comul_tensor(dim: int, rng: random.Random) -> ComulTensor:
-    return ComulTensor(
-        [[[random_scalar(rng) for _ in range(dim)] for _ in range(dim)]
-         for _ in range(dim)]
-    )
+    return ComulTensor(_random_cube(dim, rng))

@@ -27,6 +27,7 @@ from homalg import (
 )
 from homalg.sampling import random_linear_map, random_mul_tensor, random_scalar, \
     random_vector
+from homalg.tensors import contract
 
 from conftest import mu1_algebra, mu2_algebra, registry_parts
 
@@ -348,6 +349,48 @@ def test_tensor_product_unit_mixing_rejected():
     no_unit = HomAlgebra(mul=mu1_algebra().mul, alpha=LinearMap.identity(2))
     with pytest.raises(ValueError):
         tensor_product(mu1_algebra(), no_unit)
+
+
+def _merged(t, pairs: int):
+    """Each pair of consecutive legs (i1, i2) of nested lists flattened to i1 * dim2 + i2."""
+    return t if pairs == 0 else [_merged(inner, pairs - 1) for outer in t for inner in outer]
+
+
+def _reference_tensor_product(a1: HomAlgebra, a2: HomAlgebra) -> HomAlgebra:
+    """The tensor product on nested lists: each factor pair contracted, then
+    its leg pairs merged."""
+    unit = None if a1.unit is None else Vector(_merged(contract("a,b->ab", a1.unit, a2.unit), 1))
+    return HomAlgebra(mul=MulTensor(_merged(contract("ace,bdf->abcdef", a1.mul, a2.mul), 3)),
+                      alpha=LinearMap(_merged(contract("ac,bd->abcd", a1.alpha, a2.alpha), 2)),
+                      unit=unit)
+
+
+@pytest.mark.parametrize("unital", [True, False])
+def test_tensor_product_matches_the_nested_list_reference(unital):
+    # random dims 1-3 and denominators 1-3; equality compares the stored
+    # numerators and denominator, so the result is in lowest terms too
+    rng = random.Random(44 + unital)
+    for _ in range(40):
+        a1, a2 = (HomAlgebra(random_mul_tensor(dim, rng), random_linear_map(dim, rng),
+                             random_vector(dim, rng) if unital else None)
+                  for dim in (rng.randint(1, 3), rng.randint(1, 3)))
+        assert tensor_product(a1, a2) == _reference_tensor_product(a1, a2)
+
+
+def test_tensor_product_reduces_the_product_of_denominators():
+    # denominators 6 and 10 share the factor 2, and 5 divides every numerator
+    # of the first, 3 every numerator of the second: 60 reduces to 4
+    def factor(small: Fraction, big: Fraction) -> HomAlgebra:
+        return HomAlgebra(mul=MulTensor.from_entries(2, {(0, 0, 0): small, (0, 1, 1): big}),
+                          alpha=LinearMap.from_entries(2, {(0, 0): small, (1, 0): big}),
+                          unit=Vector([small, big]))
+
+    a1, a2 = factor(Fraction(5, 6), Fraction(5, 2)), factor(Fraction(3, 10), Fraction(3, 2))
+    prod = tensor_product(a1, a2)
+    assert prod == _reference_tensor_product(a1, a2)
+    assert [(a1_part._den, a2_part._den, part._den) for a1_part, a2_part, part in
+            zip((a1.mul, a1.alpha, a1.unit), (a2.mul, a2.alpha, a2.unit),
+                (prod.mul, prod.alpha, prod.unit))] == [(6, 10, 4)] * 3
 
 
 # --- morphisms and modules ---------------------------------------------------

@@ -122,8 +122,8 @@ def test_substitute_and_evaluate_agree_with_a_fraction_reference():
         point = {name: rng.choice(values) for name in xyz}
         value = p.evaluate(point)
         assert value == _reference_substitute(p, point).get((0, 0, 0), 0)
-        # a zero value is constant_value's Fraction zero
-        assert type(value) is (int if value and value.denominator == 1 else Fraction)
+        # a whole value, zero included, comes back as an int
+        assert type(value) is (int if value.denominator == 1 else Fraction)
 
 
 def test_scaling_keeps_whole_products_of_int_coefficients_as_ints():

@@ -150,7 +150,8 @@ def test_a_table_report_equals_its_witness_tuple(count, scale):
                            for key, value in table.items()), key=lambda w: w.indices))
 
     def lazy():
-        return DefectReport("g", Defects(table, den, scale=1, order=K_LAST).scaled(scale))
+        return DefectReport("g", Defects({k: scale * v for k, v in table.items()}, den,
+                                         order=K_LAST))
 
     want = DefectReport("g", listed)
     for limit in (None, 0, 1, 8):
