@@ -39,8 +39,12 @@ such as ``"lb,kab,aij->kijl"``:
   in reading order; the operand order only breaks ties.
 * A join sums row by row (Gustavson's sparse product): the left operand's
   kept letters name a row, the right operand's other kept letters one int
-  in that row, so a product costs an int-keyed dict update and an index
-  tuple is built once per nonzero sum.  A lone operand is re-keyed
+  in that row, and an index tuple is built once per nonzero sum.  When the
+  right operand's groups (its entries by shared letters) are at least half
+  full on average, a row is a list as wide as the row and a product costs
+  a list add: each touched row takes at least half its width in products,
+  so the list costs about what they do.  Otherwise a row is a dict and a
+  product costs an int-keyed dict update.  A lone operand is re-keyed
   instead, which reorders its legs or sums some out.
 * The letters after ``->`` are the output legs in order; a spec holds
   exactly one ``->`` (else ValueError).  The result is a
@@ -231,13 +235,19 @@ def _value(numerator, den: int):
 def _join(acc: dict, acc_key, table: dict, table_key, layout: tuple) -> dict:
     """Sums of the products of the entries of two tables that agree on their
     shared letters, row by row (Gustavson's sparse product): each entry of
-    acc adds its products into the dict of its row, keyed by the column int,
-    and an index tuple is built once per nonzero sum."""
+    acc adds its products into the accumulator of its row at the column int,
+    and an index tuple is built once per nonzero sum.  The accumulator is a
+    list of the row's width (the dense accumulator of Gilbert, Moler and
+    Schreiber) when table's groups are at least half full on average, so
+    each touched row takes at least width/2 products and the list costs
+    about what they do; else a dict keyed by the column."""
     row_of, column_of, decode, order = layout
     groups: dict[object, list] = {}
     for key, value in table.items():
         groups.setdefault(table_key(key), []).append((column_of(key), value))
-    rows: dict[tuple, dict] = {}
+    width = len(decode)
+    full = 2 * len(table) >= width * len(groups)
+    rows: dict[tuple, list | dict] = {}
     for akey, avalue in acc.items():
         group = groups.get(acc_key(akey))
         if group is None:
@@ -245,15 +255,20 @@ def _join(acc: dict, acc_key, table: dict, table_key, layout: tuple) -> dict:
         head = row_of(akey)
         row = rows.get(head)
         if row is None:
-            row = rows[head] = {}
+            row = rows[head] = [0] * width if full else {}
+        if full:
+            for column, bvalue in group:
+                row[column] += avalue * bvalue
+            continue
         for column, bvalue in group:
             value = avalue * bvalue
             row[column] = row[column] + value if column in row else value
+    cells = enumerate if full else dict.items
     if order is None:
         return {head + decode[column]: value
-                for head, row in rows.items() for column, value in row.items() if value}
+                for head, row in rows.items() for column, value in cells(row) if value}
     return {order(head + decode[column]): value
-            for head, row in rows.items() for column, value in row.items() if value}
+            for head, row in rows.items() for column, value in cells(row) if value}
 
 
 def _rekey(table: dict, pick) -> dict:

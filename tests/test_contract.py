@@ -1,8 +1,10 @@
 """contract() against a brute-force oracle: for every output index, the sum
 over all values of the summed letters of the product of operand entries."""
 
+import inspect
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -17,7 +19,9 @@ import homalg
 from homalg import LinearMap, MulTensor, Poly, Vector
 from homalg import tensors
 from homalg.sampling import random_scalar
-from homalg.tensors import contract
+from homalg.tensors import SUBGROUPS, contract
+
+from conftest import grouplike_coalgebra
 
 XY = ("x", "y")
 
@@ -375,3 +379,72 @@ def test_row_join_equals_the_reference_on_every_package_spec(kind, monkeypatch):
     monkeypatch.setattr(tensors, "_join", reference_join)
     for (spec, operands), got in zip(cases, rows):
         assert got == tensors._contraction(spec, operands), spec
+
+
+JOIN = tensors._join
+UPDATES = {"list": "row[column] += ", "dict": "row[column] = row[column] + "}
+
+
+def accumulators(run):
+    """The row accumulators the joins summed into while ``run()`` ran: "list"
+    when a product was added to a list row, "dict" when to a dict row, read
+    from the lines of ``tensors._join`` that ran."""
+    source, first = inspect.getsourcelines(JOIN)
+    lines = {first + n: kind for n, line in enumerate(source)
+             for kind, text in UPDATES.items() if text in line}
+    assert sorted(lines.values()) == ["dict", "list"]
+    seen = set()
+
+    def line(frame, event, arg):
+        if event == "line" and frame.f_lineno in lines:
+            seen.add(lines[frame.f_lineno])
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code is JOIN.__code__ else None)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
+@pytest.fixture
+def checked_joins(monkeypatch):
+    """Every join of ``contract`` compared with ``reference_join``."""
+    def checked(*args):
+        got = JOIN(*args)
+        assert got == reference_join(*args)
+        return got
+
+    monkeypatch.setattr(tensors, "_join", checked)
+
+
+@pytest.mark.parametrize("kind", ["dense", "diagonal"])
+def test_each_join_sums_into_list_rows_when_its_right_table_fills_them(kind, checked_joins):
+    """A dense grid fills every group, so each join sums into list rows.  In
+    a diagonal grid each group holds one entry, a third of the row's width
+    or less, so each join sums into dict rows; a diagonal vector is full, so
+    specs with a vector operand are left out there."""
+    rng = random.Random(13)
+    for spec in package_specs():
+        legs = spec.split("->")[0].split(",")
+        if kind == "dense":
+            operands, expected = [ones(len(letters)) for letters in legs], {"list"}
+        elif min(map(len, legs)) >= 2:
+            operands, expected = [diagonal(len(letters), rng) for letters in legs], {"dict"}
+        else:
+            continue
+        assert accumulators(lambda: tensors._contraction(spec, operands)) == expected, spec
+
+
+def test_a_grouplike_coalgebra_sums_every_join_into_dict_rows(checked_joins):
+    """Delta(e_k) = e_k (x) e_k and beta = id hold one entry per group."""
+    coalgebra = grouplike_coalgebra(16)
+
+    def decide():
+        assert homalg.check_hom_coassociative(coalgebra).ok
+        assert all(homalg.check_G_hom_coalgebra(coalgebra, g).ok for g in SUBGROUPS)
+        assert homalg.check_hom_lie_admissible(coalgebra).ok
+
+    assert accumulators(decide) == {"dict"}
