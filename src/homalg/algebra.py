@@ -17,7 +17,6 @@ predicate :func:`check_twist_multiplicative`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
@@ -26,6 +25,7 @@ from .reports import DefectReport, Defects
 from .tensors import (
     PERM_12,
     PERM_23,
+    Fields,
     LinearMap,
     MulTensor,
     Table,
@@ -34,6 +34,7 @@ from .tensors import (
     Vector,
     _contraction,
     _reduced,
+    _Tensor,
     phi_apply,
     signed_leg_sum,
     subgroup,
@@ -41,17 +42,17 @@ from .tensors import (
 )
 
 
-@dataclass(frozen=True)
-class HomAlgebra:
+class HomAlgebra(Fields):
     """Multiplication constants, twisting map, and an optional unit vector.
 
     A Hom-Lie bracket is such a product too (:func:`commutator_bracket`)."""
 
     mul: MulTensor
     alpha: LinearMap
-    unit: Vector | None = None
+    unit: Vector | None
 
-    def __post_init__(self):
+    def __init__(self, mul, alpha, unit=None):
+        self._store(mul, alpha, unit)
         if self.alpha.dim != self.mul.dim:
             raise ValueError("mul and alpha dimensions differ")
         if self.unit is not None and self.unit.dim != self.mul.dim:
@@ -223,11 +224,14 @@ def check_algebra_morphism(f: LinearMap, source: HomAlgebra, target: HomAlgebra)
 
 def _tabled_action(action, shape: tuple[int, int, int], message: str) -> Table:
     """A (co)action tensor as one ``Table``, which both sides of its axiom
-    share; ValueError(message) unless its nested lengths are ``shape``."""
-    if len(action) != shape[0] or any(len(plane) != shape[1] for plane in action) or \
-            any(len(row) != shape[2] for plane in action for row in plane):
-        raise ValueError(message)
-    return tabled(action, 3)
+    share, a tensor as it is; ValueError(message) unless its shape is ``shape``."""
+    if isinstance(action, _Tensor):
+        if (action.dim,) * action.order == shape:
+            return Table(shape, True, action._num, action._den)
+    elif len(action) == shape[0] and all(len(plane) == shape[1] for plane in action) and \
+            all(len(row) == shape[2] for plane in action for row in plane):
+        return tabled(action, 3)
+    raise ValueError(message)
 
 
 def _is_table_of(action: Table, tensor) -> bool:
@@ -245,7 +249,7 @@ def check_module(
     algebra: HomAlgebra,
     m_dim: int,
     f: LinearMap,
-    gamma: Sequence[Sequence[Sequence]],
+    gamma: Sequence[Sequence[Sequence]] | MulTensor,
 ) -> bool:
     """Left module axiom gamma o (mu (x) f) = gamma o (alpha (x) gamma).
 

@@ -21,7 +21,6 @@ convolution inverse of the identity, found here by exact linear solving
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -32,17 +31,18 @@ from .coalgebra import HomCoalgebra, check_hom_coassociative
 from .linsolve import _echelon, _kernel_numerators, inconsistency_certificate, linear_solve
 from .rational import ONE
 from .reports import DefectReport, Defects
-from .tensors import ComulTensor, LinearMap, Table, Tensor2, Tensor4, Vector, _contraction, contract
+from .tensors import (ComulTensor, Fields, LinearMap, Table, Tensor2, Tensor4, Vector,
+                      _contraction, contract)
 
 
-@dataclass(frozen=True)
-class HomBialgebra:
+class HomBialgebra(Fields):
     """An algebra and a coalgebra sharing one space; unit and counit required."""
 
     algebra: HomAlgebra
     coalgebra: HomCoalgebra
 
-    def __post_init__(self):
+    def __init__(self, algebra, coalgebra):
+        self._store(algebra, coalgebra)
         if self.algebra.dim != self.coalgebra.dim:
             raise ValueError("algebra and coalgebra dimensions differ")
         if self.algebra.unit is None:
@@ -101,15 +101,15 @@ class HomBialgebra:
         return basis
 
 
-@dataclass(frozen=True)
-class HomHopf:
+class HomHopf(Fields):
     """A Hom-bialgebra with an antipode; the defining equations are verified
     at construction time and a violation raises immediately."""
 
     bialgebra: HomBialgebra
     antipode: LinearMap
 
-    def __post_init__(self):
+    def __init__(self, bialgebra, antipode):
+        self._store(bialgebra, antipode)
         if self.antipode.dim != self.bialgebra.dim:
             raise ValueError("antipode dimension differs from bialgebra")
         bad = antipode_defect(self.bialgebra, self.antipode)
@@ -221,8 +221,7 @@ def antipode_defect(bialgebra: HomBialgebra, s: LinearMap) -> tuple[int, ...]:
     return tuple(sorted({k for miss in misses for _, k in miss.nonzero}))
 
 
-@dataclass(frozen=True)
-class AntipodeResult:
+class AntipodeResult(Fields):
     """Outcome of the linear antipode solve.
 
     status is "unique" (with the verified Hopf structure attached), "none"
@@ -236,6 +235,9 @@ class AntipodeResult:
     hopf: HomHopf | None
     unit_fixed: bool | None
     counit_compatible: bool | None
+
+    def __init__(self, status, antipode, kernel_dim, hopf, unit_fixed, counit_compatible):
+        self._store(status, antipode, kernel_dim, hopf, unit_fixed, counit_compatible)
 
 
 def _antipode_equations(bialgebra: HomBialgebra) -> tuple[list[list[int]], list[int], int]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -60,7 +59,7 @@ from .structio import (
     parse_structure,
     serialize_structure,
 )
-from .tensors import SUBGROUPS
+from .tensors import SUBGROUPS, Fields
 
 CHECK_SUITES = ("hom-assoc", "coassoc", *SUBGROUPS, "lie-admissible", "bialgebra-weak",
                 "bialgebra-strict", "module", "comodule")
@@ -86,13 +85,15 @@ def _load(path: str):
         raise _Failure(f"{path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Fields):
     """A yes/no check; ``None`` is skipped (for ``skip_reason``) and passes."""
 
     check: str
     value: bool | None
-    skip_reason: str = ""
+    skip_reason: str
+
+    def __init__(self, check, value, skip_reason=""):
+        self._store(check, value, skip_reason)
 
     @property
     def ok(self) -> bool:
@@ -163,10 +164,10 @@ def _run_suite(structure, suite: str | None) -> list[DefectReport | Flag]:
             verdicts.append(check(b))
         elif s == "module":
             verdicts.append(Flag("self-module (M=V, f=alpha, gamma=mu)", check_module(
-                algebra, algebra.dim, algebra.alpha, algebra.mul.c)))
+                algebra, algebra.dim, algebra.alpha, algebra.mul)))
         elif s == "comodule":
             verdicts.append(Flag("self-comodule (M=V, g=beta, rho=Delta)", check_comodule(
-                coalgebra, coalgebra.dim, coalgebra.beta, coalgebra.comul.d)))
+                coalgebra, coalgebra.dim, coalgebra.beta, coalgebra.comul)))
     if p.antipode is not None:
         # HomHopf verified the antipode equations when it was built
         verdicts.append(Flag("antipode equations", True))

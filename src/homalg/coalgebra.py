@@ -31,7 +31,6 @@ Delta: V -> V (x) V, matching the surrounding coalgebra axioms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Sequence
@@ -52,6 +51,7 @@ from .rational import Poly
 from .reports import DefectReport, Defects
 from .tensors import (
     ComulTensor,
+    Fields,
     LinearMap,
     MulTensor,
     PERM_12,
@@ -70,8 +70,7 @@ from .tensors import (
 )
 
 
-@dataclass(frozen=True)
-class HomCoalgebra:
+class HomCoalgebra(Fields):
     """Comultiplication constants, twisting map, optional counit covector.
 
     The counit stores the weights eps(e_k) as a length-dim vector.
@@ -79,9 +78,10 @@ class HomCoalgebra:
 
     comul: ComulTensor
     beta: LinearMap
-    counit: Vector | None = None
+    counit: Vector | None
 
-    def __post_init__(self):
+    def __init__(self, comul, beta, counit=None):
+        self._store(comul, beta, counit)
         if self.beta.dim != self.comul.dim:
             raise ValueError("comul and beta dimensions differ")
         if self.counit is not None and self.counit.dim != self.comul.dim:
@@ -244,12 +244,14 @@ def admissibility_defects(
     return Tensor3.parts(cyclic), Tensor3.parts(alternating)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Fields):
     """Both Hom-Lie admissibility routes; their booleans always agree."""
 
     cyclic: DefectReport
     alternating: DefectReport
+
+    def __init__(self, cyclic, alternating):
+        self._store(cyclic, alternating)
 
     @property
     def ok(self) -> bool:
@@ -320,7 +322,7 @@ def check_comodule(
     coalgebra: HomCoalgebra,
     m_dim: int,
     g: LinearMap,
-    rho: Sequence[Sequence[Sequence]],
+    rho: Sequence[Sequence[Sequence]] | ComulTensor,
 ) -> bool:
     """Right comodule axiom (rho (x) beta) o rho = (g (x) Delta) o rho.
 

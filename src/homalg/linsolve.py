@@ -24,20 +24,22 @@ y A = 0 and y . b = 1; ``inconsistency_certificate`` solves [A^T; b^T] y = [0; 1
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
 from .rational import ZERO, numerators, primitive, rat
+from .tensors import Fields
 
 
-@dataclass(frozen=True)
-class LinearSolution:
+class LinearSolution(Fields):
     """Solution set {particular + span(kernel)} of a linear system, if any."""
 
     particular: tuple[Fraction, ...] | None
     kernel: tuple[tuple[Fraction, ...], ...]
+
+    def __init__(self, particular, kernel):
+        self._store(particular, kernel)
 
     @property
     def consistent(self) -> bool:

@@ -46,7 +46,7 @@ from .bialgebra import _ALPHA_COMUL, _COMUL_ALPHA, _COUNIT_ALPHA, HomBialgebra
 from .coalgebra import HomCoalgebra, counit_defects
 from .linsolve import inconsistency_certificate
 from .rational import ORDER_KEYS, ZERO, Monomial, Poly, _mono_mul, numerators, primitive, rat
-from .tensors import ComulTensor, LinearMap, Table, Vector, _contraction
+from .tensors import ComulTensor, Fields, LinearMap, Table, Vector, _contraction
 
 Terms = dict[Monomial, int]
 
@@ -205,8 +205,7 @@ def _cofactors(
     return {i: row for i, row in acc.items() if row}, den
 
 
-@dataclass(frozen=True)
-class GroebnerResult:
+class GroebnerResult(Fields):
     """status "ok" or "capped"; on "ok" the basis is reduced, so monic, and
     each entry carries cofactors over the input generators; an inconsistent
     basis is exactly (1,).  On "capped", ``cap`` names the cap that tripped
@@ -219,7 +218,10 @@ class GroebnerResult:
     cofactors: tuple[tuple[Poly, ...], ...]
     order: str
     pairs_processed: int
-    cap: tuple[str, int] | None = None
+    cap: tuple[str, int] | None
+
+    def __init__(self, status, basis, cofactors, order, pairs_processed, cap=None):
+        self._store(status, basis, cofactors, order, pairs_processed, cap)
 
     @property
     def inconsistent(self) -> bool:

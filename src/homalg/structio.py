@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Mapping, NamedTuple
@@ -24,7 +23,7 @@ from .algebra import HomAlgebra
 from .bialgebra import HomBialgebra, HomHopf
 from .coalgebra import HomCoalgebra, dual_algebra_of_coalgebra, dual_coalgebra_of_algebra
 from .rational import ONE, brief, rat, rat_str
-from .tensors import ComulTensor, LinearMap, MulTensor, Vector
+from .tensors import ComulTensor, Fields, LinearMap, MulTensor, Vector
 
 CONVENTION = "columns-are-images"
 
@@ -57,7 +56,7 @@ def _nested(data, dim: int, depth: int, field: str):
     return [_nested(v, dim, depth - 1, f"{field}[{i}]") for i, v in enumerate(data)]
 
 
-# the two sides a file may hold: each dataclass with its fields in file order,
+# the two sides a file may hold: each structure class with its fields in file order,
 # named as in the file, and each field's tensor class, whose ``order`` is the
 # field's depth; only the third field of a side (unit, counit) may be null
 _SIDES = (
@@ -213,8 +212,7 @@ def serialize_structure(structure: Structure, params: Mapping[str, Fraction] | N
 # registry of built-in structures
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(Fields):
     """A named parametric structure; ``build`` instantiates it from bindings."""
 
     name: str
@@ -223,6 +221,9 @@ class RegistryEntry:
     defaults: tuple[tuple[str, Fraction], ...]
     description: str
     builder: Callable[[dict[str, Fraction]], Structure]
+
+    def __init__(self, name, kind, required, defaults, description, builder):
+        self._store(name, kind, required, defaults, description, builder)
 
     def build(self, bindings: Mapping[str, object] | None = None) -> Structure:
         given = {k: rat(v) for k, v in (bindings or {}).items()}

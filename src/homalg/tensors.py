@@ -70,12 +70,11 @@ Fractions appear only at the boundary (``nonzero``, ``entry``, ``coords``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
 from math import gcd, lcm, prod
-from operator import getitem, itemgetter
+from operator import attrgetter, getitem, itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .rational import ONE, ZERO, Poly, numerators, rat
@@ -178,6 +177,40 @@ def _plan(spec: str, shapes: tuple[tuple[int, ...], ...]):
                       _picker([right.index(ch) for ch in shared], bare=True), layout))
         live = [letters for m, letters in enumerate(live) if m not in (i, j)] + [keep]
     return tuple(steps), tuple(sizes[ch] for ch in output)
+
+
+class Fields:
+    """A frozen record of its subclass's annotated fields, which ``__init__``
+    stores in that order with ``_store``: ``==`` (one class), ``hash``, ``repr``
+    and ``match`` by field, with no code ``exec``'d on import as ``dataclass``
+    does.  ``Witness``, ``DefectReport`` and ``SystemVerdict`` stay dataclasses
+    for ``dataclasses.replace``, so ``dataclasses`` and ``inspect`` still load."""
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls.__match_args__)
+
+    def _store(self, *values) -> None:
+        # attribute by attribute: vars(self).update would build an instance dict
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values(self) == self._values(other) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Table(NamedTuple):
@@ -540,13 +573,15 @@ class Tensor4(_Tensor):
 # the symmetric group S3 and its action on tensor cubes
 
 
-@dataclass(frozen=True)
-class Perm3:
+class Perm3(Fields):
     """An element of S3, stored as (sigma(1), sigma(2), sigma(3)), 1-indexed."""
 
     name: str
     images: tuple[int, int, int]
     sign: int
+
+    def __init__(self, name, images, sign):
+        self._store(name, images, sign)
 
     def __call__(self, i: int) -> int:
         if not 1 <= i <= 3:

@@ -516,7 +516,9 @@ def test_algebra_morphism_check_rejects_mismatched_dimensions():
     ([[[0] * 2] * 3] * 2, 2, "action tensor must have shape dim x m_dim x m_dim"),
     ([[[0] * 3] * 2] * 2, 2, "action tensor must have shape dim x m_dim x m_dim"),
     ([[[0] * 3] * 3] * 2, 3, "f must act on the module"),
-], ids=["dim", "m-dim", "row", "f"])
+    (MulTensor.zero(3), 2, "action tensor must have shape dim x m_dim x m_dim"),
+    (LinearMap.identity(2), 2, "action tensor must have shape dim x m_dim x m_dim"),
+], ids=["dim", "m-dim", "row", "f", "tensor-dim", "tensor-order"])
 def test_module_rejects_mismatched_shapes(gamma, m_dim, message):
     algebra = mu1_algebra()
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -562,12 +564,12 @@ def test_modules_match_the_direct_action():
     results = []
     for a in registered + randoms + [generic]:
         n = a.dim
-        # the self case M = V, f = alpha, gamma = mu, as nested lists and as
-        # the tensor's own tuples
+        # the self case M = V, f = alpha, gamma = mu, as nested lists, as
+        # the tensor's own tuples and as the tensor itself
         gamma = [[list(row) for row in plane] for plane in a.mul.c]
         want = reference_module(a, n, a.alpha, gamma)
         assert check_module(a, n, a.alpha, gamma) is check_module(a, n, a.alpha, a.mul.c) \
-            is want
+            is check_module(a, n, a.alpha, a.mul) is want
         results.append(want)
         # near it, on the general path: gamma = mu but for one entry, and
         # f = alpha + E_11
@@ -578,7 +580,7 @@ def test_modules_match_the_direct_action():
         results.append(want)
         f = a.alpha + LinearMap.from_entries(n, {(0, 0): 1})
         want = reference_module(a, n, f, a.mul.c)
-        assert check_module(a, n, f, a.mul.c) is want
+        assert check_module(a, n, f, a.mul.c) is check_module(a, n, f, a.mul) is want
         results.append(want)
         # M = V (+) V acted on block by block: a module exactly when V is one
         m_dim, f, gamma = block_module(a)

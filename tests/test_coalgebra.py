@@ -432,7 +432,9 @@ def test_coalgebra_morphism_check_rejects_mismatched_dimensions():
     ([[[0] * 2] * 3] * 2, 2, "coaction tensor must have shape m_dim x m_dim x dim"),
     ([[[0] * 3] * 2] * 2, 2, "coaction tensor must have shape m_dim x m_dim x dim"),
     ([[[0] * 2] * 3] * 3, 3, "g must act on the comodule"),
-], ids=["m-dim", "plane", "dim", "g"])
+    (ComulTensor.zero(3), 2, "coaction tensor must have shape m_dim x m_dim x dim"),
+    (LinearMap.identity(2), 2, "coaction tensor must have shape m_dim x m_dim x dim"),
+], ids=["m-dim", "plane", "dim", "g", "tensor-dim", "tensor-order"])
 def test_comodule_rejects_mismatched_shapes(rho, m_dim, message):
     c = bialgebra_row(2).coalgebra
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -675,10 +677,12 @@ def test_counital_matches_the_counit_law():
 def test_comodules_match_the_direct_coaction():
     rng = random.Random(67)
     results = []
-    # the self case M = V, g = beta, rho = Delta
+    # the self case M = V, g = beta, rho = Delta, as the tensor's own tuples
+    # and as the tensor itself
     for c in differential_coalgebras() + [generic_coalgebra(2)]:
         want = reference_comodule(c, c.dim, c.beta, c.comul.d)
-        assert check_comodule(c, c.dim, c.beta, c.comul.d) is want
+        assert check_comodule(c, c.dim, c.beta, c.comul.d) is check_comodule(
+            c, c.dim, c.beta, c.comul) is want
         results.append(want)
     # random M over a grouplike coalgebra: rho(u) = g(u) (x) e_k is a comodule
     # for every g, and a changed coefficient mostly breaks it
@@ -755,7 +759,7 @@ def test_near_self_comodules_match_the_direct_coaction():
         results.append(want)
         g = c.beta + LinearMap.from_entries(n, {(0, 0): 1})
         want = reference_comodule(c, n, g, c.comul.d)
-        assert check_comodule(c, n, g, c.comul.d) is want
+        assert check_comodule(c, n, g, c.comul.d) is check_comodule(c, n, g, c.comul) is want
         results.append(want)
         # M = C (+) C coacted on block by block: a comodule exactly when C is one
         m_dim, g, rho = block_comodule(c)

@@ -129,3 +129,17 @@ def _memoizes(node: ast.AST) -> bool:
 def test_module_level_memos_only_where_no_structure_owns_the_table():
     memoizing = {module for module, tree in TREES.items() if any(map(_memoizes, ast.walk(tree)))}
     assert memoizing <= MEMO_MODULES, f"module-level memos in {sorted(memoizing - MEMO_MODULES)}"
+
+
+def _decorator_name(node: ast.expr) -> str:
+    return ast.unparse(node.func if isinstance(node, ast.Call) else node)
+
+
+def test_dataclasses_only_where_dataclasses_replace_needs_them():
+    # every other record is a tensors.Fields, which builds no code on import
+    decorated = sorted(f"{module}.{node.name}"
+                       for module, tree in TREES.items()
+                       for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                       for decorator in node.decorator_list
+                       if _decorator_name(decorator) in ("dataclass", "dataclasses.dataclass"))
+    assert decorated == ["polysolve.SystemVerdict", "reports.DefectReport", "reports.Witness"]

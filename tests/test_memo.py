@@ -5,8 +5,9 @@ coalgebra checkers decide, and its eight compositions, a bialgebra its weak
 defects and its primitive subspace.  Each table is computed once per
 structure, whatever order the checkers of several structures run in, never
 stale, and freed with the structure.  The self-module and self-comodule
-checks read the associator table and contract nothing; any other action is
-tabled once and contracted.  The extension search's memos of the weak system
+checks read the associator table and contract nothing, and the CLI hands
+them the structure's own tensors, which are not tabled again; any other
+action is tabled once and contracted.  The extension search's memos of the weak system
 and the lex solve are keyed by value across structures and stay within their
 bound."""
 
@@ -14,7 +15,6 @@ import gc
 import random
 import weakref
 from collections import Counter
-from dataclasses import replace
 from functools import cached_property
 
 import pytest
@@ -46,6 +46,7 @@ from homalg import (
     search_bialgebra_extension,
 )
 from homalg import algebra, coalgebra, polysolve, tensors
+from homalg.cli import _run_suite
 from homalg.coalgebra import beta_coassociator
 from homalg.polysolve import DEGREE_CAP, _lex_solve, _weak_generators
 from homalg.sampling import random_scalar
@@ -87,7 +88,8 @@ def build(data):
 
 def fresh(b):
     """An equal bialgebra with nothing derived from it yet."""
-    return HomBialgebra(replace(b.algebra), replace(b.coalgebra))
+    a, c = b.algebra, b.coalgebra
+    return HomBialgebra(HomAlgebra(a.mul, a.alpha, a.unit), HomCoalgebra(c.comul, c.beta, c.counit))
 
 
 CHECKERS = [lambda b: check_hom_associative(b.algebra),
@@ -351,6 +353,16 @@ def test_any_action_is_tabled_once(monkeypatch):
     check_module(a, 4, LinearMap.identity(4), gamma)
     check_comodule(c, 4, LinearMap.identity(4), rho)
     assert calls == [gamma, rho] and calls[0] is gamma and calls[1] is rho
+
+
+def test_the_cli_self_suites_hand_over_the_tensors_as_they_are(monkeypatch):
+    b = build(random_bialgebra_data(3, 12))
+    want = [check_hom_associative(b.algebra).ok, check_hom_coassociative(b.coalgebra).ok]
+    tables = count_calls(monkeypatch, "tabled")
+    contractions = count_calls(monkeypatch, "_contraction")
+    verdicts = _run_suite(b.algebra, "module") + _run_suite(b.coalgebra, "comodule")
+    assert [flag.value for flag in verdicts] == want
+    assert tables == [] and contractions == []
 
 
 def test_strict_extension_search_reuses_the_weak_witnesses(monkeypatch):
